@@ -37,8 +37,7 @@ from .coupler import MFGSolution
 from .errors import GridMismatch
 from .grid import GridSpec, integrate, numerical_gradient_sq, upwind_gradient
 from .hjb import (
-    effective_running_cost,
-    effective_terminal_cost,
+    effective_cost,
     hamiltonian_values,
     transport_jacobian,
 )
@@ -86,9 +85,9 @@ def _energy_terms(sol: MFGSolution, params: ModelParams, coupling: CouplingSpec)
         h_vals = hamiltonian_values(grid, sol.u[k], sol.m[k], params, eps)
         # H_p.Du - H = (beta - 1) H for the power family, exactly
         bracket += grid.dt * _inner(grid, sol.m[k], (params.beta - 1.0) * h_vals)
-        f_eff = effective_running_cost(grid, sol.m[k], coupling, eps)
+        f_eff = effective_cost(grid, sol.m[k], coupling.f, eps)
         f_term += grid.dt * _inner(grid, f_eff, sol.m[k])
-    g_eff = effective_terminal_cost(grid, sol.m[grid.nt], coupling, eps)
+    g_eff = effective_cost(grid, sol.m[grid.nt], coupling.g, eps)
     g_term = _inner(grid, g_eff, sol.m[grid.nt])
     initial = _inner(grid, sol.u[0], sol.m[0])
     return bracket, f_term, g_term, initial
@@ -131,9 +130,9 @@ def crossed_energy_gap(
         g_a = hamiltonian_values(grid, sol_a.u[k], sol_a.m[k], params, eps_a)
         jac_b = transport_jacobian(grid, sol_b.u[k], sol_b.m[k], params_b, eps_b)
         advected = (jac_b @ sol_a.u[k].ravel()).reshape(grid.shape)
-        f_eff = effective_running_cost(grid, sol_a.m[k], coupling, eps_a)
+        f_eff = effective_cost(grid, sol_a.m[k], coupling.f, eps_a)
         total += grid.dt * _inner(grid, advected - g_a + f_eff, sol_b.m[k + 1])
-    g_eff = effective_terminal_cost(grid, sol_a.m[grid.nt], coupling, eps_a)
+    g_eff = effective_cost(grid, sol_a.m[grid.nt], coupling.g, eps_a)
     total += _inner(grid, g_eff, sol_b.m[grid.nt])
     total -= _inner(grid, sol_a.u[0], sol_b.m[0])
     return total

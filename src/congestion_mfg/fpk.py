@@ -12,6 +12,13 @@ nonnegative.  Transposing the assembled matrix (rather than discretizing the
 divergence independently) is what makes ``<A u, m> = <u, A^T m>`` exact,
 the discrete counterpart of testing each equation against the other
 solution in the energy and uniqueness arguments.
+
+The system is built as CSC on the grid's cached stencil pattern, with data
+``heat + A.data``.  The pattern is symmetric, so ``A``'s data in CSR slot
+order, read as CSC, is exactly ``A^T``: the transpose costs nothing, and
+``I/dt - nu L`` is symmetric, so its data serves both orders.  A transport
+matrix not built on the pattern is scattered onto it, and one with an entry
+off the stencil is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -19,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LinearSolveFailed, NegativeDensity
-from .grid import GridSpec, laplacian_matrix
+from .grid import GridSpec, implicit_heat_data, stencil_data, stencil_pattern
 from .hjb import UpwindTransport
 from .linalg import sparse_solve
 from .model import ModelParams
@@ -50,10 +56,9 @@ def fpk_step(
     """Advance the density one level with the transposed upwind transport."""
     if np.any(m_prev < 0):
         raise ValueError("previous density frame must be nonnegative")
-    system = (
-        sp.identity(grid.ncells, format="csr") / grid.dt
-        - params.nu * laplacian_matrix(grid)
-        + transport.matrix.T.tocsr()
+    # A's data in CSR slot order, read as CSC, is A^T; the heat part is symmetric
+    system = stencil_pattern(grid).csc(
+        implicit_heat_data(grid, params.nu) + stencil_data(grid, transport.matrix)
     )
     m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, tol=opts.linear_tol)
     m = m_vec.reshape(grid.shape)

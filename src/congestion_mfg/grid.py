@@ -14,6 +14,14 @@ Conventions used throughout the package:
 
 All operators wrap around periodically (``np.roll``); everything here is a
 pure function of its inputs.
+
+The Laplacian and the upwind transport of the solvers share one sparsity
+pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
+it once per ``GridSpec`` and caches it; matrices on it differ only in their
+data vector, so the HJB and Kolmogorov systems are assembled by vector adds.
+The pattern relies on ``GridSpec``'s ``n >= 4``: the stencil neighbours of a
+cell are then distinct, so no two offsets share a slot.  It is symmetric,
+which is why data in CSR slot order, read as CSC, is the transpose for free.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ __all__ = [
     "GridSpec",
     "laplacian",
     "laplacian_matrix",
+    "StencilPattern",
+    "stencil_pattern",
+    "implicit_heat_data",
+    "stencil_data",
     "one_sided_diffs",
     "numerical_gradient_sq",
     "upwind_gradient",
@@ -105,25 +117,112 @@ def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
     return out / grid.h**2
 
 
+@dataclass(frozen=True, eq=False)
+class StencilPattern:
+    """CSR structure of a grid's (2*dim+1)-point periodic stencil.
+
+    Row ``i`` holds cell ``i`` and its ``2*dim`` neighbours with sorted
+    column indices; ``GridSpec`` requires ``n >= 4``, so the neighbours are
+    distinct and every row has exactly ``2*dim + 1`` slots.  ``center[i]``,
+    ``lower[ax, i]`` and ``upper[ax, i]`` are the data slots of the entries
+    ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``; ``transpose[s]`` is
+    the slot of the entry mirrored across the diagonal from slot ``s``.
+    The pattern is symmetric, so the same ``indptr``/``indices`` also read
+    as a CSC structure: data in CSR slot order, read as CSC, is the
+    transpose at no cost.  All arrays are read-only, as the pattern is
+    shared by every matrix built on it.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    center: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    transpose: np.ndarray
+    laplacian: np.ndarray  # data of the Laplacian on the pattern
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def csc(self, data: np.ndarray) -> sp.csc_matrix:
+        """The transpose of ``csr(data)``, as a CSC matrix on the same arrays."""
+        n = len(self.indptr) - 1
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+@functools.lru_cache(maxsize=32)
+def stencil_pattern(grid: GridSpec) -> StencilPattern:
+    """The cached stencil pattern of ``grid``."""
+    ncells, width = grid.ncells, 2 * grid.dim + 1
+    idx = np.arange(ncells).reshape(grid.shape)
+    lower_nbr = np.stack([np.roll(idx, 1, axis=ax).ravel() for ax in range(grid.dim)])
+    upper_nbr = np.stack([np.roll(idx, -1, axis=ax).ravel() for ax in range(grid.dim)])
+    # one column per stencil offset: the cell, then its lower and upper neighbours
+    cols = np.column_stack([idx.ravel(), *lower_nbr, *upper_nbr])
+    order = np.argsort(cols, axis=1)
+    # slot of each offset: row start plus the offset's rank in the sorted row
+    slots = np.argsort(order, axis=1).T + width * np.arange(ncells)
+    center, lower, upper = slots[0], slots[1 : 1 + grid.dim], slots[1 + grid.dim :]
+    transpose = np.empty(ncells * width, dtype=np.intp)
+    transpose[center] = center
+    transpose[lower] = np.take_along_axis(upper, lower_nbr, axis=1)
+    transpose[upper] = np.take_along_axis(lower, upper_nbr, axis=1)
+    laplacian = np.full(ncells * width, 1.0)
+    laplacian[center] = -2.0 * grid.dim
+    arrays = dict(
+        indptr=np.arange(0, ncells * width + 1, width, dtype=np.int32),
+        indices=np.take_along_axis(cols, order, axis=1).ravel().astype(np.int32),
+        center=center,
+        lower=lower,
+        upper=upper,
+        transpose=transpose,
+        # scaled as scipy scales ``csr / h**2``: by the reciprocal
+        laplacian=laplacian * (1 / grid.h**2),
+    )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return StencilPattern(**arrays)
+
+
 @functools.lru_cache(maxsize=32)
 def laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
     """The same stencil as a sparse matrix acting on row-major flattened fields."""
-    n, h = grid.n, grid.h
-    idx = np.arange(grid.ncells).reshape(grid.shape)
-    rows, cols, vals = [], [], []
-    for ax in range(grid.dim):
-        for shift in (-1, 1):
-            rows.append(idx.ravel())
-            cols.append(np.roll(idx, shift, axis=ax).ravel())
-            vals.append(np.full(grid.ncells, 1.0))
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(np.full(grid.ncells, -2.0 * grid.dim))
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.ncells, grid.ncells),
-    )
-    return (mat / h**2).tocsr()
+    pattern = stencil_pattern(grid)
+    return pattern.csr(pattern.laplacian)
+
+
+def implicit_heat_data(grid: GridSpec, nu: float) -> np.ndarray:
+    """Data of ``I/dt - nu L`` on the stencil pattern, in its slot order."""
+    pattern = stencil_pattern(grid)
+    data = np.zeros(len(pattern.indices))
+    data[pattern.center] = 1 / grid.dt
+    return data - nu * pattern.laplacian
+
+
+def stencil_data(grid: GridSpec, mat) -> np.ndarray:
+    """Entries of an ``ncells x ncells`` matrix in the stencil pattern's slot order.
+
+    A CSR matrix built on the cached pattern, recognised by its shared
+    read-only ``indptr``, is read as is, without a copy.  Any other matrix
+    is scattered onto the pattern, summing duplicate entries; a stored entry
+    off the stencil raises ``ValueError`` rather than being dropped.
+    """
+    pattern = stencil_pattern(grid)
+    if sp.issparse(mat) and mat.format == "csr" and mat.indptr is pattern.indptr:
+        return mat.data
+    coo = sp.coo_matrix(mat)
+    if coo.shape != (grid.ncells, grid.ncells):
+        raise ValueError(
+            f"expected a {grid.ncells}x{grid.ncells} matrix, got {coo.shape}"
+        )
+    width = 2 * grid.dim + 1
+    hits = pattern.indices.reshape(-1, width)[coo.row] == coo.col[:, None]
+    if not hits.any(axis=1).all():
+        raise ValueError("matrix has entries off the grid's stencil")
+    data = np.zeros(len(pattern.indices))
+    np.add.at(data, width * coo.row + hits.argmax(axis=1), coo.data)
+    return data
 
 
 def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +236,8 @@ def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     dminus = np.empty_like(dplus)
     for ax in range(grid.dim):
         dplus[ax] = (np.roll(u, -1, axis=ax) - u) / grid.h
-        dminus[ax] = (u - np.roll(u, 1, axis=ax)) / grid.h
+        # dplus one cell on: bit-identical to (u - u(x - h e_i)) / h
+        dminus[ax] = np.roll(dplus[ax], 1, axis=ax)
     return dplus, dminus
 
 

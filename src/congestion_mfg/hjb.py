@@ -16,6 +16,12 @@ sparse advection generator ``A = dg/du`` (zero row sums, nonnegative
 diagonal) and the upwind drift ``-H_p``.  The forward Kolmogorov stepper
 consumes the exact transpose of ``A``, which is what makes the discrete
 energy identities of the diagnostics module close up to solver tolerances.
+
+``A`` lives on the grid's cached stencil pattern (see
+:func:`congestion_mfg.grid.stencil_pattern`): the Hamiltonian, ``A`` and the
+drift come from one upwind kernel, and ``A`` is a data vector filled on the
+pattern.  Each Newton system ``I/dt - nu L + A`` is one vector add on that
+pattern, built directly as CSC for the sparse solver.
 """
 
 from __future__ import annotations
@@ -26,7 +32,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NewtonDiverged, NonFiniteState
-from .grid import GridSpec, gaussian_smooth, laplacian_matrix, one_sided_diffs
+from .grid import (
+    GridSpec,
+    gaussian_smooth,
+    implicit_heat_data,
+    laplacian_matrix,
+    one_sided_diffs,
+    stencil_data,
+    stencil_pattern,
+)
 from .linalg import sparse_solve
 from .model import CouplingSpec, ModelParams, congestion_denominator
 
@@ -39,8 +53,7 @@ __all__ = [
     "hamiltonian_values",
     "transport_jacobian",
     "drift_field",
-    "effective_running_cost",
-    "effective_terminal_cost",
+    "effective_cost",
 ]
 
 
@@ -67,11 +80,13 @@ class UpwindTransport:
 
 
 def _upwind_parts(grid: GridSpec, u: np.ndarray):
+    """Upwind parts ``max(D-, 0)``, ``min(D+, 0)`` per axis and their squared sum q."""
     dplus, dminus = one_sided_diffs(grid, u)
-    return np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
+    dm, dp = np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
+    return dm, dp, (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
 
 
-def _upwind_weight(grid, q, m, params: ModelParams, epsilon: float):
+def _upwind_weight(q, m, params: ModelParams, epsilon: float):
     """q^{beta/2-1}/(T m + mu)^alpha with the singular floor and indicator."""
     den, active = congestion_denominator(m, params, epsilon)
     phi = np.zeros_like(q)
@@ -85,8 +100,7 @@ def hamiltonian_values(
     grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
 ) -> np.ndarray:
     """Per-cell numerical Hamiltonian (1/beta) q^{beta/2}/(T m + mu)^alpha."""
-    dm, dp = _upwind_parts(grid, u)
-    q = (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
+    _, _, q = _upwind_parts(grid, u)
     den, active = congestion_denominator(m, params, epsilon)
     out = np.zeros_like(q)
     mask = q > 0.0
@@ -98,64 +112,42 @@ def hamiltonian_values(
 def transport_jacobian(
     grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
 ) -> sp.csr_matrix:
-    """Sparse dg/du of the numerical Hamiltonian at (u, m).
+    """Sparse dg/du of the numerical Hamiltonian at (u, m), on the stencil pattern.
 
     Row sums vanish (g depends on differences only), the diagonal is
     nonnegative and off-diagonal entries are nonpositive, and by Euler's
     identity for the beta-homogeneous g one has  A u = beta * g  exactly.
     """
-    dm, dp = _upwind_parts(grid, u)
-    q = (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
-    w = _upwind_weight(grid, q, m, params, epsilon)
-    idx = np.arange(grid.ncells).reshape(grid.shape)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        am = w * dm[ax]
-        ap = w * dp[ax]
-        diag += (am - ap) / grid.h
-        rows.append(idx.ravel())
-        cols.append(np.roll(idx, 1, axis=ax).ravel())
-        vals.append((-am / grid.h).ravel())
-        rows.append(idx.ravel())
-        cols.append(np.roll(idx, -1, axis=ax).ravel())
-        vals.append((ap / grid.h).ravel())
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.ncells, grid.ncells),
+    dm, dp, q = _upwind_parts(grid, u)
+    w = _upwind_weight(q, m, params, epsilon)
+    am, ap = w * dm, w * dp
+    pattern = stencil_pattern(grid)
+    data = np.empty(len(pattern.indices))
+    data[pattern.lower] = (-am / grid.h).reshape(grid.dim, -1)
+    data[pattern.upper] = (ap / grid.h).reshape(grid.dim, -1)
+    data[pattern.center] = sum(
+        ((am[ax] - ap[ax]) / grid.h).ravel() for ax in range(grid.dim)
     )
+    return pattern.csr(data)
 
 
 def drift_field(
     grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
 ) -> np.ndarray:
     """Upwind drift -H_p(T m, Du), one component per dimension."""
-    dm, dp = _upwind_parts(grid, u)
-    q = (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
-    w = _upwind_weight(grid, q, m, params, epsilon)
-    return -w * (dm + dp)
+    dm, dp, q = _upwind_parts(grid, u)
+    return -_upwind_weight(q, m, params, epsilon) * (dm + dp)
 
 
-def effective_running_cost(
-    grid: GridSpec, m: np.ndarray, coupling: CouplingSpec, epsilon: float
-) -> np.ndarray:
-    """F_eff(m): plain F at eps = 0, else the doubly mollified composition."""
+def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.ndarray:
+    """Coupling ``cost`` (``coupling.f`` or ``coupling.g``) seen by the scheme.
+
+    The plain cost at eps = 0, else the doubly mollified composition.
+    """
     if epsilon <= 0.0:
-        return np.asarray(coupling.f(m), dtype=float)
+        return np.asarray(cost(m), dtype=float)
     smoothed = gaussian_smooth(grid, m, epsilon)
-    return gaussian_smooth(grid, np.asarray(coupling.f(smoothed)), epsilon)
-
-
-def effective_terminal_cost(
-    grid: GridSpec, m: np.ndarray, coupling: CouplingSpec, epsilon: float
-) -> np.ndarray:
-    if epsilon <= 0.0:
-        return np.asarray(coupling.g(m), dtype=float)
-    smoothed = gaussian_smooth(grid, m, epsilon)
-    return gaussian_smooth(grid, np.asarray(coupling.g(smoothed)), epsilon)
+    return gaussian_smooth(grid, np.asarray(cost(smoothed)), epsilon)
 
 
 def hjb_step(
@@ -178,7 +170,7 @@ def hjb_step(
         raise ValueError("density frame must be nonnegative")
     dt = grid.dt
     lap = laplacian_matrix(grid)
-    f_src = effective_running_cost(grid, m_frame, coupling, opts.epsilon).ravel()
+    f_src = effective_cost(grid, m_frame, coupling.f, opts.epsilon).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
 
     def residual(uvec):
@@ -197,7 +189,8 @@ def hjb_step(
     res_norm = float(np.abs(res).max())
     if not np.isfinite(res_norm):
         raise NonFiniteState("non-finite HJB residual at the initial iterate")
-    identity = sp.identity(grid.ncells, format="csr")
+    pattern = stencil_pattern(grid)
+    heat = implicit_heat_data(grid, params.nu)
     iterations = 0
     while res_norm > opts.newton_tol:
         if iterations >= opts.newton_max_iter:
@@ -209,7 +202,8 @@ def hjb_step(
         jac = transport_jacobian(
             grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
         )
-        system = identity / dt - params.nu * lap + jac
+        # I/dt - nu L + A as CSC: heat data is symmetric, A's is read mirrored
+        system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
         delta = sparse_solve(grid, system, res, tol=opts.linear_tol)
         step = 1.0
         for _ in range(30):
@@ -256,7 +250,7 @@ def solve_hjb_backward(
     if np.any(m_traj < 0):
         raise ValueError("density trajectory must be nonnegative")
     u = grid.zeros_traj()
-    u[grid.nt] = effective_terminal_cost(grid, m_traj[grid.nt], coupling, opts.epsilon)
+    u[grid.nt] = effective_cost(grid, m_traj[grid.nt], coupling.g, opts.epsilon)
     transports: list[UpwindTransport | None] = [None] * grid.nt
     worst = 0.0
     for k in range(grid.nt - 1, -1, -1):

@@ -2,7 +2,9 @@
 
 1D systems go through a direct sparse LU factorization; 2D systems use
 BiCGStab with a diagonal (Jacobi) preconditioner, which is plenty for the
-diagonally dominant M-matrices both steppers assemble.
+diagonally dominant M-matrices both steppers assemble.  Both steppers build
+their systems as CSC on the grid's stencil pattern, which ``splu`` takes as
+is and BiCGStab multiplies with directly, so no format copy is made.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ def sparse_solve(
     grid: GridSpec, mat: sp.spmatrix, rhs: np.ndarray, tol: float = 1e-12
 ) -> np.ndarray:
     if grid.dim == 1:
-        return splu(mat.tocsc()).solve(rhs)
+        return splu(mat).solve(rhs)
     diag = mat.diagonal()
     if np.any(diag == 0.0):
         raise LinearSolveFailed("zero diagonal entry in 2D system")
     precond = LinearOperator(mat.shape, matvec=lambda x: x / diag)
     x, info = bicgstab(
-        mat.tocsr(),
+        mat,
         rhs,
         rtol=tol,
         atol=tol * (np.linalg.norm(rhs) + 1.0),

@@ -1,0 +1,140 @@
+"""Fixed-pattern assembly: the systems match the sparse-sum construction exactly."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from congestion_mfg import fpk, hjb
+from congestion_mfg.fpk import fpk_step
+from congestion_mfg.grid import GridSpec, laplacian_matrix
+from congestion_mfg.hjb import HJBOptions, UpwindTransport, hjb_step, transport_jacobian
+from congestion_mfg.model import CouplingSpec, ModelParams
+
+GRIDS = [(1, 4), (1, 64), (2, 4), (2, 8)]
+REGULAR = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+# mu = 0 with empty cells: the active mask zeroes those rows of A
+SINGULAR = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.0, horizon=1.0)
+
+
+def coo_laplacian(grid):
+    """The Laplacian assembled from COO triplets, the reference construction."""
+    idx = np.arange(grid.ncells).reshape(grid.shape)
+    rows, cols, vals = [], [], []
+    for ax in range(grid.dim):
+        for shift in (-1, 1):
+            rows.append(idx.ravel())
+            cols.append(np.roll(idx, shift, axis=ax).ravel())
+            vals.append(np.full(grid.ncells, 1.0))
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(np.full(grid.ncells, -2.0 * grid.dim))
+    mat = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.ncells, grid.ncells),
+    )
+    return (mat / grid.h**2).tocsr()
+
+
+def sparse_sum_system(grid, params, adv):
+    identity = sp.identity(grid.ncells, format="csr")
+    return identity / grid.dt - params.nu * coo_laplacian(grid) + adv
+
+
+class _Captured(Exception):
+    pass
+
+
+def first_system(monkeypatch, module, call):
+    """The matrix ``call`` hands to ``module.sparse_solve`` first."""
+    seen = []
+
+    def capture(grid, mat, rhs, tol=1e-12):
+        seen.append(mat)
+        raise _Captured
+
+    monkeypatch.setattr(module, "sparse_solve", capture)
+    with pytest.raises(_Captured):
+        call()
+    return seen[0]
+
+
+def frame(grid, params, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=grid.shape)
+    m = np.abs(rng.random(grid.shape)) + 0.1
+    if params.mu == 0.0:
+        m.ravel()[::3] = 0.0
+    return u, m
+
+
+def assert_same(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.toarray(), b.toarray())
+
+
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_laplacian_unchanged(dim, n):
+    grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+    lap, ref = laplacian_matrix(grid), coo_laplacian(grid)
+    assert lap.nnz == ref.nnz
+    assert_same(lap, ref)
+
+
+@pytest.mark.parametrize("params", [REGULAR, SINGULAR], ids=["mu1", "mu0"])
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
+    grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+    u_next, m = frame(grid, params, seed=n)
+    system = first_system(
+        monkeypatch,
+        hjb,
+        lambda: hjb_step(grid, u_next, m, 0.0, params, CouplingSpec(), HJBOptions()),
+    )
+    jac = transport_jacobian(grid, u_next, m, params, 0.0)
+    if params.mu == 0.0:
+        assert np.abs(jac.toarray()[m.ravel() == 0.0]).max() == 0.0
+    assert system.format == "csc"
+    assert_same(system, sparse_sum_system(grid, params, jac))
+
+
+@pytest.mark.parametrize("params", [REGULAR, SINGULAR], ids=["mu1", "mu0"])
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
+    grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+    u, m = frame(grid, params, seed=n + 1)
+    drift = np.zeros((grid.dim, *grid.shape))
+    m_prev = np.ones(grid.shape)
+    for mat in (
+        transport_jacobian(grid, u, m, params, 0.0),
+        sp.csr_matrix((grid.ncells, grid.ncells)),
+        sp.identity(grid.ncells, format="csr") * -40.0,
+    ):
+        system = first_system(
+            monkeypatch,
+            fpk,
+            lambda: fpk_step(grid, m_prev, UpwindTransport(mat, drift), params),
+        )
+        assert system.format == "csc"
+        assert_same(system, sparse_sum_system(grid, params, mat.T.tocsr()))
+
+
+@pytest.mark.parametrize(
+    "dim,entry",
+    [(1, (0, 2)), (2, (0, 9))],
+    ids=["1d-second-neighbour", "2d-diagonal-neighbour"],
+)
+def test_off_stencil_transport_raises(dim, entry):
+    grid = GridSpec(dim=dim, n=8, nt=4, horizon=1.0)
+    mat = sp.csr_matrix(([-1.0], ([entry[0]], [entry[1]])), shape=(grid.ncells,) * 2)
+    bad = UpwindTransport(matrix=mat, drift=np.zeros((dim, *grid.shape)))
+    with pytest.raises(ValueError, match="off the grid's stencil"):
+        fpk_step(grid, np.ones(grid.shape), bad, REGULAR)
+
+
+def test_wrong_size_transport_raises():
+    grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
+    bad = UpwindTransport(
+        matrix=sp.identity(grid.ncells + 1, format="csr"), drift=np.zeros((1, grid.n))
+    )
+    with pytest.raises(ValueError, match="expected a 8x8 matrix"):
+        fpk_step(grid, np.ones(grid.shape), bad, REGULAR)
