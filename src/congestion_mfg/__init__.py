@@ -12,7 +12,6 @@ from .coupler import (
     ContinuationSchedule,
     FixedPointOptions,
     MFGSolution,
-    mollify,
     solve_mfg,
     solve_with_continuation,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "hjb_step",
     "legendre_residual",
     "load_solution",
-    "mollify",
     "save_solution",
     "solve_fpk_forward",
     "solve_hjb_backward",

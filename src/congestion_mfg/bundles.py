@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,34 +38,9 @@ def save_solution(sol: MFGSolution, directory) -> None:
 
     meta = dict(sol.meta)
     meta.setdefault("epsilon", 0.0)
-    meta["grid"] = {
-        "dim": grid.dim,
-        "n": grid.n,
-        "nt": grid.nt,
-        "horizon": grid.horizon,
-    }
-    p = sol.params
-    meta["model"] = {
-        "nu": p.nu,
-        "beta": p.beta,
-        "alpha": p.alpha,
-        "mu": p.mu,
-        "horizon": p.horizon,
-        "m_floor": p.m_floor,
-    }
-    c = sol.coupling
-    meta["coupling"] = {
-        "family": c.family,
-        "cf": c.cf,
-        "qf": c.qf,
-        "offset_f": c.offset_f,
-        "cg": c.cg,
-        "qg": c.qg,
-        "offset_g": c.offset_g,
-        "table_s": list(c.table_s),
-        "table_f": list(c.table_f),
-        "table_g": list(c.table_g),
-    }
+    meta["grid"] = asdict(grid)
+    meta["model"] = asdict(sol.params)
+    meta["coupling"] = asdict(sol.coupling)
     with open(os.path.join(directory, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
 

@@ -56,81 +56,47 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-_CONFIG_KEYS: dict[str, object] = {
+# key -> (parser of the value text, default)
+_CONFIG: dict[str, tuple[object, object]] = {
     # model
-    "nu": float,
-    "beta": float,
-    "alpha": float,
-    "mu": float,
-    "horizon": float,
-    "m_floor": float,
+    "nu": (float, 0.5),
+    "beta": (float, 2.0),
+    "alpha": (float, 1.0),
+    "mu": (float, 1.0),
+    "horizon": (float, 1.0),
+    "m_floor": (float, 1e-10),
     # coupling
-    "coupling_family": str,
-    "cF": float,
-    "qF": float,
-    "offsetF": float,
-    "cG": float,
-    "qG": float,
-    "offsetG": float,
+    "coupling_family": (str, "power"),
+    "cF": (float, 1.0),
+    "qF": (float, 1.0),
+    "offsetF": (float, 0.0),
+    "cG": (float, 1.0),
+    "qG": (float, 1.0),
+    "offsetG": (float, 0.0),
     # grid
-    "dim": int,
-    "n": int,
-    "nt": int,
+    "dim": (int, 1),
+    "n": (int, 32),
+    "nt": (int, 32),
     # fixed point
-    "damping": float,
-    "fp_tol": float,
-    "max_outer_iter": int,
-    "init_m": str,
+    "damping": (float, 0.5),
+    "fp_tol": (float, 1e-8),
+    "max_outer_iter": (int, 500),
+    "init_m": (str, "uniform"),
     # inner solvers
-    "newton_tol": float,
-    "newton_max_iter": int,
-    "epsilon": float,
-    "linear_tol": float,
-    "enforce_nonneg_check": _parse_bool,
+    "newton_tol": (float, 1e-10),
+    "newton_max_iter": (int, 50),
+    "epsilon": (float, 0.0),
+    "linear_tol": (float, 1e-12),
+    "enforce_nonneg_check": (_parse_bool, True),
     # continuation
-    "continuation": _parse_bool,
-    "epsilons": _parse_float_list,
-    "mus": _parse_float_list,
-    "warm_start": _parse_bool,
+    "continuation": (_parse_bool, False),
+    "epsilons": (_parse_float_list, None),
+    "mus": (_parse_float_list, None),
+    "warm_start": (_parse_bool, True),
     # data / misc
-    "m0": str,
-    "seed": int,
-    "output_dir": str,
-}
-
-_DEFAULTS = {
-    "nu": 0.5,
-    "beta": 2.0,
-    "alpha": 1.0,
-    "mu": 1.0,
-    "horizon": 1.0,
-    "m_floor": 1e-10,
-    "coupling_family": "power",
-    "cF": 1.0,
-    "qF": 1.0,
-    "offsetF": 0.0,
-    "cG": 1.0,
-    "qG": 1.0,
-    "offsetG": 0.0,
-    "dim": 1,
-    "n": 32,
-    "nt": 32,
-    "damping": 0.5,
-    "fp_tol": 1e-8,
-    "max_outer_iter": 500,
-    "init_m": "uniform",
-    "newton_tol": 1e-10,
-    "newton_max_iter": 50,
-    "epsilon": 0.0,
-    "linear_tol": 1e-12,
-    "enforce_nonneg_check": True,
-    "continuation": False,
-    "epsilons": None,
-    "mus": None,
-    "warm_start": True,
-    "m0": "uniform",
-    "seed": 42,
-    "output_dir": "out",
+    "m0": (str, "uniform"),
+    "seed": (int, 42),
+    "output_dir": (str, "out"),
 }
 
 
@@ -141,7 +107,7 @@ def parse_config(path) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default) in _CONFIG.items()}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,9 +116,9 @@ def parse_config(path) -> dict:
             raise ConfigParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise ConfigParseError(f"unknown key {key!r}", lineno)
-        caster = _CONFIG_KEYS[key]
+        caster, _ = _CONFIG[key]
         try:
             cfg[key] = caster(value)
         except (ValueError, TypeError) as exc:
@@ -222,6 +188,21 @@ def _fixed_point_options(cfg: dict, grid: GridSpec) -> FixedPointOptions:
     )
 
 
+def _solver_options(cfg: dict) -> tuple[HJBOptions, FPKOptions]:
+    """HJB and FPK options of a run; ``solve`` and ``study`` share them."""
+    hjb_opts = HJBOptions(
+        newton_tol=cfg["newton_tol"],
+        newton_max_iter=cfg["newton_max_iter"],
+        epsilon=cfg["epsilon"],
+        linear_tol=cfg["linear_tol"],
+    )
+    fpk_opts = FPKOptions(
+        linear_tol=cfg["linear_tol"],
+        enforce_nonneg_check=cfg["enforce_nonneg_check"],
+    )
+    return hjb_opts, fpk_opts
+
+
 def _print_report(report) -> None:
     print(f"valid_ranges: {str(report.valid_ranges).lower()}")
     for violation in report.violations:
@@ -263,16 +244,7 @@ def cmd_solve(config_path) -> int:
         _print_report(report)
         return EXIT_STRUCTURAL
 
-    hjb_opts = HJBOptions(
-        newton_tol=cfg["newton_tol"],
-        newton_max_iter=cfg["newton_max_iter"],
-        epsilon=cfg["epsilon"],
-        linear_tol=cfg["linear_tol"],
-    )
-    fpk_opts = FPKOptions(
-        linear_tol=cfg["linear_tol"],
-        enforce_nonneg_check=cfg["enforce_nonneg_check"],
-    )
+    hjb_opts, fpk_opts = _solver_options(cfg)
     out_dir = cfg["output_dir"]
 
     try:
@@ -379,6 +351,7 @@ def cmd_study(config_path, levels: int) -> int:
 
     from .diagnostics import energy_identity_residual
 
+    hjb_opts, fpk_opts = _solver_options(cfg)
     sols, grids = [], []
     try:
         for level in range(levels):
@@ -393,12 +366,7 @@ def cmd_study(config_path, levels: int) -> int:
             fp_opts = _fixed_point_options(cfg, grid)
             sol = solve_mfg(
                 grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0,
-                hjb_opts=HJBOptions(
-                    newton_tol=cfg["newton_tol"],
-                    newton_max_iter=cfg["newton_max_iter"],
-                    epsilon=cfg["epsilon"],
-                    linear_tol=cfg["linear_tol"],
-                ),
+                hjb_opts=hjb_opts, fpk_opts=fpk_opts,
             )
             sols.append(sol)
             grids.append(grid)

@@ -6,12 +6,13 @@ One outer iteration relaxes a density trajectory m toward its best response
 
 where the backward HJB sweep runs against the frozen m and the forward
 Kolmogorov sweep is driven by the resulting transport.  The relaxation
-factor omega is capped at the configured damping and, by default, adapted
-per cell (see FixedPointOptions).  Iteration stops when the undamped
-best-response residual drops below tolerance in L1(Q_T).  On top of the
-plain fixed point sit the regularization ladder (truncation/mollification
-width eps) and the vanishing congestion-offset ladder (mu), run with warm
-starts so the singular regime is only ever approached by continuation.
+factor omega is capped at the configured damping and adapted per cell (see
+FixedPointOptions).  Iteration stops when the undamped best-response
+residual drops below tolerance in L1(Q_T).  On top of the plain fixed point
+sit the regularization ladder (truncation and
+:func:`congestion_mfg.grid.gaussian_smooth` mollification width eps) and
+the vanishing congestion-offset ladder (mu), run with warm starts so the
+singular regime is only ever approached by continuation.
 """
 
 from __future__ import annotations
@@ -32,30 +33,29 @@ __all__ = [
     "ContinuationSchedule",
     "ContinuationResult",
     "MFGSolution",
-    "mollify",
     "solve_mfg",
     "solve_with_continuation",
 ]
 
 
-def mollify(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
-    """Periodic Gaussian mollification of width eps (identity at eps = 0)."""
-    return gaussian_smooth(grid, f, eps)
+# Floor and recovery rate of the per-cell relaxation factor.
+OMEGA_MIN = 1e-5
+OMEGA_GROWTH = 1.4
 
 
 @dataclass(frozen=True, eq=False)
 class FixedPointOptions:
     """Damped Picard controls.
 
-    ``damping`` is the relaxation factor (and its cap).  With
-    ``adaptive = True`` the factor is tracked per cell and level: wherever
-    the best-response direction flips sign between outer iterations the
-    local factor is halved (down to ``omega_min``), where it persists it
-    recovers geometrically up to ``damping``.  This arrests the local
-    relaxation oscillation the sub-quadratic drift (beta < 2) excites near
-    critical points of u, while leaving smooth modes at full speed; for
-    instances where plain damping converges the adaptive factor just sits
-    at the cap.  The stopping test is the undamped best-response residual
+    ``damping`` is the relaxation factor (and its cap).  The factor is
+    tracked per cell and level: wherever the best-response direction flips
+    sign between outer iterations the local factor is halved (down to
+    ``OMEGA_MIN``), where it persists it recovers geometrically (by
+    ``OMEGA_GROWTH``) up to ``damping``.  This arrests the local relaxation
+    oscillation the sub-quadratic drift (beta < 2) excites near critical
+    points of u, while leaving smooth modes at full speed; for instances
+    where plain damping converges the adaptive factor just sits at the cap.
+    The stopping test is the undamped best-response residual
     ||Phi(m) - m|| <= fp_tol in L1(Q_T), which dominates the recorded
     increments.
     """
@@ -64,17 +64,14 @@ class FixedPointOptions:
     fp_tol: float = 1e-8
     max_outer_iter: int = 500
     init_m: np.ndarray | str = "uniform"
-    adaptive: bool = True
-    omega_min: float = 1e-5
-    omega_growth: float = 1.4
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.fp_tol <= 0:
             raise ValueError("fp_tol must be positive")
-        if not 0.0 < self.omega_min <= self.damping:
-            raise ValueError("need 0 < omega_min <= damping")
+        if self.damping < OMEGA_MIN:
+            raise ValueError(f"damping must be at least {OMEGA_MIN:g}")
         if isinstance(self.init_m, str) and self.init_m != "uniform":
             raise ValueError("init_m is 'uniform' or a supplied density field")
 
@@ -210,7 +207,9 @@ def solve_mfg(
     start = time.perf_counter()
     if m0 is None:
         m0 = np.ones(grid.shape)
-    m0_eps = _normalized(grid, mollify(grid, _normalized(grid, np.asarray(m0, float)), eps))
+    m0_eps = _normalized(
+        grid, gaussian_smooth(grid, _normalized(grid, np.asarray(m0, float)), eps)
+    )
 
     m_cur = _initial_trajectory(grid, m0_eps, fp_opts, init_traj)
     spatial_axes = tuple(range(1, m_cur.ndim))
@@ -231,10 +230,10 @@ def solve_mfg(
             increments.append(resid)
             converged = True
             break
-        if fp_opts.adaptive and prev_update is not None:
+        if prev_update is not None:
             flipped = update * prev_update < 0.0
-            omega = np.where(flipped, omega * 0.5, omega * fp_opts.omega_growth)
-            omega = np.clip(omega, fp_opts.omega_min, fp_opts.damping)
+            omega = np.where(flipped, omega * 0.5, omega * OMEGA_GROWTH)
+            omega = np.clip(omega, OMEGA_MIN, fp_opts.damping)
         prev_update = update
         step = omega * update
         # keep every level's mass exact: project the step to zero mean

@@ -22,9 +22,10 @@ Three graded consistency checks are available for a computed equilibrium:
   difference of the two solutions; each addend is nonnegative (up to
   tolerance) exactly in the uniqueness regime.
 
-All integrals use the grid's rectangle rule; gradients use the solver's own
-upwind differences; in the singular regime (mu = 0) every Hamiltonian
-integrand carries the ``m > m_floor`` indicator.
+All integrals use the grid's rectangle rule; gradients come from the
+solver's own upwind kernel, :func:`congestion_mfg.grid.upwind_parts`, and H,
+H_p from the model's guarded power law; in the singular regime (mu = 0)
+every Hamiltonian integrand carries the ``m > m_floor`` indicator.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .coupler import MFGSolution
 from .errors import GridMismatch
-from .grid import GridSpec, integrate, numerical_gradient_sq, upwind_gradient
+from .grid import GridSpec, integrate, upwind_parts
 from .hjb import (
     effective_cost,
     hamiltonian_values,
@@ -44,7 +45,7 @@ from .hjb import (
 from .model import (
     CouplingSpec,
     ModelParams,
-    congestion_denominator,
+    _guarded_h_hp,
     uniqueness_integrand,
 )
 
@@ -69,11 +70,6 @@ def _check_same_grid(a: MFGSolution, b: MFGSolution) -> None:
         ga.horizon, gb.horizon
     ):
         raise GridMismatch(f"grids differ: {ga} vs {gb}")
-
-
-def _gradient_sq_parts(grid, u_frame):
-    d = upwind_gradient(grid, u_frame)
-    return numerical_gradient_sq(grid, u_frame), d
 
 
 def _energy_terms(sol: MFGSolution, params: ModelParams, coupling: CouplingSpec):
@@ -189,10 +185,12 @@ def uniqueness_gap(
     e_min = np.inf
     for k in range(grid.nt + 1):
         ma, mb = sol_a.m[k], sol_b.m[k]
-        da = upwind_gradient(grid, sol_a.u[k])
-        db = upwind_gradient(grid, sol_b.u[k])
-        ha, hpa = _h_hp_frames(grid, ma, da, params)
-        hb, hpb = _h_hp_frames(grid, mb, db, params)
+        dm, dp, _ = upwind_parts(grid, sol_a.u[k])
+        da = dm + dp
+        dm, dp, _ = upwind_parts(grid, sol_b.u[k])
+        db = dm + dp
+        ha, hpa = _guarded_h_hp(ma, da, params)
+        hb, hpb = _guarded_h_hp(mb, db, params)
         e_vals = uniqueness_integrand(ma, da, mb, db, params, coupling)
         e_min = min(e_min, float(e_vals.min()))
         if k == grid.nt:
@@ -235,22 +233,6 @@ def uniqueness_gap(
         exclusive_a=excl_a,
         exclusive_b=excl_b,
     )
-
-
-def _h_hp_frames(grid, m, d, params):
-    """Guarded (H, H_p) of a frame from its combined upwind gradient."""
-    pnorm2 = (d**2).sum(axis=0)
-    den, active = congestion_denominator(m, params)
-    h = np.zeros(pnorm2.shape)
-    factor = np.zeros(pnorm2.shape)
-    mask = pnorm2 > 0.0
-    den_b = np.broadcast_to(den, pnorm2.shape)
-    h[mask] = pnorm2[mask] ** (params.beta / 2.0) / (params.beta * den_b[mask])
-    factor[mask] = pnorm2[mask] ** ((params.beta - 2.0) / 2.0) / den_b[mask]
-    if active is not None:
-        h = h * active
-        factor = factor * active
-    return h, factor * d
 
 
 @dataclass(frozen=True)
@@ -352,7 +334,7 @@ def low_density_gradient_mass(sol: MFGSolution, threshold: float = 1e-3) -> floa
     grid = sol.grid
     total = 0.0
     for k in range(grid.nt):
-        q, _ = _gradient_sq_parts(grid, sol.u[k])
+        _, _, q = upwind_parts(grid, sol.u[k])
         total += grid.dt * integrate(
             grid, np.sqrt(q) * (sol.m[k] < threshold).astype(float)
         )

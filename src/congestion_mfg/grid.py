@@ -13,7 +13,8 @@ Conventions used throughout the package:
   what makes the discrete summation-by-parts identities exact.
 
 All operators wrap around periodically (``np.roll``); everything here is a
-pure function of its inputs.
+pure function of its inputs.  :func:`upwind_parts` is the one home of the
+Godunov upwind gradient: the HJB solver and the diagnostics both read it.
 
 The Laplacian and the upwind transport of the solvers share one sparsity
 pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
@@ -41,11 +42,9 @@ __all__ = [
     "implicit_heat_data",
     "stencil_data",
     "one_sided_diffs",
-    "numerical_gradient_sq",
-    "upwind_gradient",
+    "upwind_parts",
     "gaussian_smooth",
     "integrate",
-    "l1_space",
     "l1_space_time",
     "write_field_csv",
     "read_field_csv",
@@ -241,23 +240,19 @@ def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return dplus, dminus
 
 
-def numerical_gradient_sq(grid: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Godunov-type upwind |grad u|^2 for convex Hamiltonians.
+def upwind_parts(grid: GridSpec, u: np.ndarray):
+    """Godunov upwind parts of ``grad u`` for convex Hamiltonians.
 
-    Composite ``sum_i max(Dminus_i, 0)^2 + min(Dplus_i, 0)^2``: nondecreasing
-    in each backward difference and nonincreasing in each forward one, which
-    is the sign structure a monotone scheme needs.
+    Returns ``(dm, dp, q)`` with ``dm = max(Dminus_i, 0)`` and
+    ``dp = min(Dplus_i, 0)`` per axis (shape ``(dim, *grid.shape)``) and the
+    composite ``q = sum_i dm_i^2 + dp_i^2``, which is nondecreasing in each
+    backward difference and nonincreasing in each forward one: the sign
+    structure a monotone scheme needs.  ``dm + dp`` is the combined upwind
+    gradient vector.
     """
     dplus, dminus = one_sided_diffs(grid, u)
-    return (np.maximum(dminus, 0.0) ** 2).sum(axis=0) + (
-        np.minimum(dplus, 0.0) ** 2
-    ).sum(axis=0)
-
-
-def upwind_gradient(grid: GridSpec, u: np.ndarray) -> np.ndarray:
-    """Combined upwind gradient vector, ``max(Dminus_i,0) + min(Dplus_i,0)`` per axis."""
-    dplus, dminus = one_sided_diffs(grid, u)
-    return np.maximum(dminus, 0.0) + np.minimum(dplus, 0.0)
+    dm, dp = np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
+    return dm, dp, (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
 
 
 def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
@@ -301,10 +296,6 @@ def integrate(grid: GridSpec, f: np.ndarray) -> float:
     return float(grid.cell_volume * np.sum(f))
 
 
-def l1_space(grid: GridSpec, f: np.ndarray) -> float:
-    return integrate(grid, np.abs(f))
-
-
 def l1_space_time(grid: GridSpec, traj: np.ndarray) -> float:
     """Trapezoid-in-time L1(Q_T) norm of a space-time field."""
     per_level = grid.cell_volume * np.abs(traj).sum(axis=tuple(range(1, traj.ndim)))
@@ -346,15 +337,19 @@ def write_field_csv(path, grid: GridSpec, traj: np.ndarray) -> None:
     else:
         raise GridShapeError(grid, traj.shape)
     cols = ["t", "x", "value"] if grid.dim == 1 else ["t", "x", "y", "value"]
-    coords = grid.coords()
+    # each time stamp and each cell's coordinates are formatted once
+    points = [
+        ",".join(f"{c:.17g}" for c in cell)
+        for cell in zip(*(c.ravel().tolist() for c in grid.coords()))
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(times):
-            frame = traj[k].ravel()
-            flat_coords = [c.ravel() for c in coords]
-            for j, v in enumerate(frame):
-                point = ",".join(f"{c[j]:.17g}" for c in flat_coords)
-                fh.write(f"{t:.17g},{point},{v:.17g}\n")
+        for t, frame in zip(times.tolist(), traj):
+            stamp = f"{t:.17g}"
+            fh.writelines(
+                f"{stamp},{point},{v:.17g}\n"
+                for point, v in zip(points, frame.ravel().tolist())
+            )
 
 
 def _read_field_rows(path):

@@ -5,8 +5,9 @@ discretization,
 
     (u - u_next)/dt - nu L u + g(T_{1/eps} m, D u) = F_eff(m)
 
-where ``g`` is the Godunov numerical Hamiltonian built from
-:func:`congestion_mfg.grid.numerical_gradient_sq`, the density inside the
+where ``g`` is the Godunov numerical Hamiltonian: the congestion power law of
+:mod:`congestion_mfg.model` evaluated at the composite upwind ``q`` of
+:func:`congestion_mfg.grid.upwind_parts`.  The density inside the
 Hamiltonian is capped at ``1/eps`` (eps = 0 disables the cap), and ``F_eff``
 is the running cost smoothed on both sides by the periodic Gaussian mollifier
 when eps > 0 (the cap is never applied inside F).
@@ -19,9 +20,10 @@ energy identities of the diagnostics module close up to solver tolerances.
 
 ``A`` lives on the grid's cached stencil pattern (see
 :func:`congestion_mfg.grid.stencil_pattern`): the Hamiltonian, ``A`` and the
-drift come from one upwind kernel, and ``A`` is a data vector filled on the
-pattern.  Each Newton system ``I/dt - nu L + A`` is one vector add on that
-pattern, built directly as CSC for the sparse solver.
+drift all come from ``upwind_parts`` and the model's power-law kernel, and
+``A`` is a data vector filled on the pattern.  Each Newton system
+``I/dt - nu L + A`` is one vector add on that pattern, built directly as CSC
+for the sparse solver.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .grid import (
     gaussian_smooth,
     implicit_heat_data,
     laplacian_matrix,
-    one_sided_diffs,
     stencil_data,
     stencil_pattern,
+    upwind_parts,
 )
 from .linalg import sparse_solve
-from .model import CouplingSpec, ModelParams, congestion_denominator
+from .model import CouplingSpec, ModelParams, _power_law, congestion_denominator
 
 __all__ = [
     "HJBOptions",
@@ -79,20 +81,10 @@ class UpwindTransport:
     drift: np.ndarray  # shape (dim, *grid.shape)
 
 
-def _upwind_parts(grid: GridSpec, u: np.ndarray):
-    """Upwind parts ``max(D-, 0)``, ``min(D+, 0)`` per axis and their squared sum q."""
-    dplus, dminus = one_sided_diffs(grid, u)
-    dm, dp = np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
-    return dm, dp, (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
-
-
 def _upwind_weight(q, m, params: ModelParams, epsilon: float):
     """q^{beta/2-1}/(T m + mu)^alpha with the singular floor and indicator."""
     den, active = congestion_denominator(m, params, epsilon)
-    phi = np.zeros_like(q)
-    mask = q > 0.0
-    phi[mask] = q[mask] ** (params.beta / 2.0 - 1.0)
-    w = phi / den
+    w = _power_law(q, den, params.beta / 2.0 - 1.0)
     return w * active if active is not None else w
 
 
@@ -100,12 +92,9 @@ def hamiltonian_values(
     grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
 ) -> np.ndarray:
     """Per-cell numerical Hamiltonian (1/beta) q^{beta/2}/(T m + mu)^alpha."""
-    _, _, q = _upwind_parts(grid, u)
+    _, _, q = upwind_parts(grid, u)
     den, active = congestion_denominator(m, params, epsilon)
-    out = np.zeros_like(q)
-    mask = q > 0.0
-    den_b = np.broadcast_to(den, q.shape)
-    out[mask] = q[mask] ** (params.beta / 2.0) / (params.beta * den_b[mask])
+    out = _power_law(q, den, params.beta / 2.0, params.beta)
     return out * active if active is not None else out
 
 
@@ -118,7 +107,7 @@ def transport_jacobian(
     nonnegative and off-diagonal entries are nonpositive, and by Euler's
     identity for the beta-homogeneous g one has  A u = beta * g  exactly.
     """
-    dm, dp, q = _upwind_parts(grid, u)
+    dm, dp, q = upwind_parts(grid, u)
     w = _upwind_weight(q, m, params, epsilon)
     am, ap = w * dm, w * dp
     pattern = stencil_pattern(grid)
@@ -135,7 +124,7 @@ def drift_field(
     grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
 ) -> np.ndarray:
     """Upwind drift -H_p(T m, Du), one component per dimension."""
-    dm, dp, q = _upwind_parts(grid, u)
+    dm, dp, q = upwind_parts(grid, u)
     return -_upwind_weight(q, m, params, epsilon) * (dm + dp)
 
 

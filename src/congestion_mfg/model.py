@@ -221,6 +221,22 @@ def _check_singular(m, pnorm2, params: ModelParams):
         )
 
 
+def _power_law(q, den, exponent: float, scale: float = 1.0):
+    """``q**exponent / (scale * den)`` where ``q > 0``, else 0.
+
+    The one evaluation of the congestion power law, with ``q = |p|^2``:
+    exponent ``beta/2`` and scale ``beta`` give H, exponent ``beta/2 - 1``
+    gives the factor of ``H_p = factor * p``.  Cells with ``q = 0`` get the
+    ``p = 0`` extension 0 without reading ``den``, which may vanish there in
+    the singular regime.  Each caller supplies its own denominator.
+    """
+    q, den = np.broadcast_arrays(q, den)
+    out = np.zeros(q.shape)
+    mask = q > 0.0
+    out[mask] = q[mask] ** exponent / (scale * den[mask])
+    return out
+
+
 def eval_H(m, p, params: ModelParams):
     """H(m, p) = (1/beta) |p|^beta / (m + mu)^alpha, with H(m, 0) = 0.
 
@@ -230,13 +246,8 @@ def eval_H(m, p, params: ModelParams):
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
     _check_singular(m, pnorm2, params)
-    out = np.zeros(np.broadcast(m, pnorm2).shape)
-    mask = np.broadcast_to(pnorm2, out.shape) > 0.0
-    mm = np.broadcast_to(m, out.shape)
-    qq = np.broadcast_to(pnorm2, out.shape)
-    out[mask] = qq[mask] ** (params.beta / 2.0) / (
-        params.beta * (mm[mask] + params.mu) ** params.alpha
-    )
+    den = (m + params.mu) ** params.alpha
+    out = _power_law(pnorm2, den, params.beta / 2.0, params.beta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -245,14 +256,8 @@ def eval_Hp(m, p, params: ModelParams):
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
     _check_singular(m, pnorm2, params)
-    factor = np.zeros(np.broadcast(m, pnorm2).shape)
-    mask = np.broadcast_to(pnorm2, factor.shape) > 0.0
-    mm = np.broadcast_to(m, factor.shape)
-    qq = np.broadcast_to(pnorm2, factor.shape)
-    factor[mask] = qq[mask] ** ((params.beta - 2.0) / 2.0) / (
-        (mm[mask] + params.mu) ** params.alpha
-    )
-    return factor * p
+    den = (m + params.mu) ** params.alpha
+    return _power_law(pnorm2, den, params.beta / 2.0 - 1.0) * p
 
 
 def truncate_density(m, epsilon: float):
@@ -283,14 +288,8 @@ def _guarded_h_hp(m, p, params: ModelParams):
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
     den, active = congestion_denominator(m, params)
-    shape = np.broadcast(m, pnorm2).shape
-    qq = np.broadcast_to(pnorm2, shape)
-    dd = np.broadcast_to(den, shape)
-    mask = qq > 0.0
-    hval = np.zeros(shape)
-    hval[mask] = qq[mask] ** (params.beta / 2.0) / (params.beta * dd[mask])
-    factor = np.zeros(shape)
-    factor[mask] = qq[mask] ** ((params.beta - 2.0) / 2.0) / dd[mask]
+    hval = _power_law(pnorm2, den, params.beta / 2.0, params.beta)
+    factor = _power_law(pnorm2, den, params.beta / 2.0 - 1.0)
     if active is not None:
         hval = hval * active
         factor = factor * active

@@ -229,6 +229,33 @@ class TestCmdStudy:
             assert float(gap) <= 1e-10
 
 
+    def test_solver_options_reach_both_sweeps(self, tmp_path, monkeypatch):
+        from congestion_mfg import cli
+
+        calls = []
+        real_solve = cli.solve_mfg
+
+        def recording_solve(*args, **kwargs):
+            calls.append(kwargs)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_mfg", recording_solve)
+        path = write_config(
+            tmp_path,
+            "n = 4\nnt = 4\nm0 = uniform\nlinear_tol = 1e-11\n"
+            "enforce_nonneg_check = false\noutput_dir = {out}\n",
+            out=tmp_path / "study",
+        )
+        assert cmd_study(path, 2) == EXIT_OK
+        assert len(calls) == 2
+        for kwargs in calls:
+            assert kwargs["hjb_opts"].linear_tol == 1e-11
+            fpk_opts = kwargs.get("fpk_opts")
+            assert fpk_opts is not None
+            assert fpk_opts.linear_tol == 1e-11
+            assert fpk_opts.enforce_nonneg_check is False
+
+
 class TestMain:
     def test_dispatch(self, tmp_path, capsys):
         path = write_config(tmp_path, "beta = 2.0\nalpha = 0.5\n")

@@ -9,14 +9,13 @@ from congestion_mfg import (
     FixedPointOptions,
     GridSpec,
     ModelParams,
-    mollify,
     solve_mfg,
     solve_with_continuation,
 )
 from congestion_mfg.coupler import _normalized
 from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
-from congestion_mfg.grid import integrate, l1_space_time
+from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time
 from congestion_mfg.hjb import HJBOptions, solve_hjb_backward
 
 from conftest import cosine_density, reference_params
@@ -26,18 +25,18 @@ class TestMollify:
     def test_identity_at_zero(self):
         grid = GridSpec(dim=1, n=32, nt=4, horizon=1.0)
         f = np.random.default_rng(0).random(grid.shape)
-        assert np.array_equal(mollify(grid, f, 0.0), f)
+        assert np.array_equal(gaussian_smooth(grid, f, 0.0), f)
 
     def test_constant_invariant(self):
         grid = GridSpec(dim=2, n=8, nt=4, horizon=1.0)
         f = np.full(grid.shape, 2.5)
-        assert np.allclose(mollify(grid, f, 0.1), f, atol=1e-13)
+        assert np.allclose(gaussian_smooth(grid, f, 0.1), f, atol=1e-13)
 
     def test_mass_and_sign(self):
         grid = GridSpec(dim=1, n=64, nt=4, horizon=1.0)
         f = np.zeros(grid.shape)
         f[5] = 64.0
-        out = mollify(grid, f, 0.02)
+        out = gaussian_smooth(grid, f, 0.02)
         assert abs(integrate(grid, out) - 1.0) < 1e-13
         assert out.min() >= 0.0
 
@@ -161,7 +160,7 @@ class TestSolveMFG:
         grid = GridSpec(dim=1, n=32, nt=8, horizon=0.25)
         m0 = cosine_density(grid)
         sol = solve_mfg(grid, reference_params(0.25), CouplingSpec(), m0=m0, eps=0.1)
-        expected = _normalized(grid, mollify(grid, _normalized(grid, m0), 0.1))
+        expected = _normalized(grid, gaussian_smooth(grid, _normalized(grid, m0), 0.1))
         assert np.allclose(sol.m[0], expected, atol=1e-14)
         assert sol.epsilon == 0.1
 

@@ -216,10 +216,10 @@ class TestLowDensityGradient:
         val = low_density_gradient_mass(ref32, 1e3)
         q_total = 0.0
         grid = ref32.grid
-        from congestion_mfg.grid import numerical_gradient_sq
+        from congestion_mfg.grid import upwind_parts
 
         for k in range(grid.nt):
             q_total += grid.dt * integrate(
-                grid, np.sqrt(numerical_gradient_sq(grid, ref32.u[k]))
+                grid, np.sqrt(upwind_parts(grid, ref32.u[k])[2])
             )
         assert val == pytest.approx(q_total)

@@ -9,11 +9,10 @@ from congestion_mfg.grid import (
     integrate,
     laplacian,
     laplacian_matrix,
-    numerical_gradient_sq,
     one_sided_diffs,
     read_field_csv,
     restrict_traj,
-    upwind_gradient,
+    upwind_parts,
     write_field_csv,
 )
 
@@ -108,14 +107,14 @@ class TestOneSidedDiffs:
 class TestGradientSq:
     def test_spike_example(self):
         grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
-        q = numerical_gradient_sq(grid, np.array([0.0, 1.0, 0.0, 0.0]))
+        q = upwind_parts(grid, np.array([0.0, 1.0, 0.0, 0.0]))[2]
         assert q[1] == 32.0
 
     @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
     def test_nonnegative_zero_iff_constant(self, grid):
-        assert np.abs(numerical_gradient_sq(grid, np.ones(grid.shape))).max() == 0.0
+        assert np.abs(upwind_parts(grid, np.ones(grid.shape))[2]).max() == 0.0
         u = random_field(grid)
-        q = numerical_gradient_sq(grid, u)
+        q = upwind_parts(grid, u)[2]
         assert q.min() >= 0.0 and q.max() > 0.0
 
     def test_first_order_convergence(self):
@@ -124,7 +123,7 @@ class TestGradientSq:
         for n in (32, 64, 128):
             grid = GridSpec(dim=1, n=n, nt=2, horizon=1.0)
             x = grid.axis_centers()
-            q = numerical_gradient_sq(grid, np.sin(2 * np.pi * x))
+            q = upwind_parts(grid, np.sin(2 * np.pi * x))[2]
             exact = (2 * np.pi * np.cos(2 * np.pi * x)) ** 2
             errors.append(np.abs(q - exact).max())
         assert errors[0] > errors[1] > errors[2]
@@ -133,8 +132,8 @@ class TestGradientSq:
     def test_upwind_gradient_consistent_where_monotone(self):
         grid = GridSpec(dim=1, n=16, nt=2, horizon=1.0)
         u = grid.axis_centers() * 0.0 + np.linspace(0, 1, 16)  # not periodic-smooth
-        d = upwind_gradient(grid, u)
-        q = numerical_gradient_sq(grid, u)
+        dm, dp, q = upwind_parts(grid, u)
+        d = dm + dp
         # away from the wrap cell the combined vector squares to q
         assert np.allclose((d**2).sum(axis=0)[2:-2], q[2:-2])
 
@@ -186,6 +185,26 @@ class TestRestriction2D:
         assert coarse[1, 0, 1] == pytest.approx(manual, rel=1e-15)
 
 
+def _reference_write_field_csv(path, grid, traj):
+    """The per-value loop writer the CSV format was defined by."""
+    traj = np.asarray(traj, dtype=float)
+    if traj.shape == grid.shape:
+        traj = traj[None]
+        times = np.zeros(1)
+    else:
+        times = grid.times()
+    cols = ["t", "x", "value"] if grid.dim == 1 else ["t", "x", "y", "value"]
+    coords = grid.coords()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k, t in enumerate(times):
+            frame = traj[k].ravel()
+            flat_coords = [c.ravel() for c in coords]
+            for j, v in enumerate(frame):
+                point = ",".join(f"{c[j]:.17g}" for c in flat_coords)
+                fh.write(f"{t:.17g},{point},{v:.17g}\n")
+
+
 class TestFieldCSV:
     @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
     def test_round_trip_bit_identical(self, grid, tmp_path):
@@ -195,6 +214,22 @@ class TestFieldCSV:
         got_grid, got = read_field_csv(path)
         assert (got_grid.dim, got_grid.n, got_grid.nt) == (grid.dim, grid.n, grid.nt)
         assert np.array_equal(got, traj)
+
+    @pytest.mark.parametrize(
+        "grid, frame_only",
+        [(grids()[0], False), (grids()[1], False), (grids()[0], True)],
+        ids=["1d", "2d", "frame"],
+    )
+    def test_text_matches_per_value_loop(self, grid, frame_only, tmp_path):
+        shape = grid.shape if frame_only else (grid.nt + 1, *grid.shape)
+        traj = RNG.normal(size=shape) * 10.0 ** RNG.integers(-12, 13, size=shape)
+        special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-12, -1e12, 1 / 3]
+        traj.flat[: len(special)] = special
+        write_field_csv(tmp_path / "field.csv", grid, traj)
+        _reference_write_field_csv(tmp_path / "reference.csv", grid, traj)
+        assert (tmp_path / "field.csv").read_text() == (
+            tmp_path / "reference.csv"
+        ).read_text()
 
     def test_header_layout(self, tmp_path):
         grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
@@ -217,8 +252,8 @@ class TestEquivariance:
     def test_gradient_sq_commutes_with_shift(self, grid):
         f = random_field(grid)
         assert np.array_equal(
-            numerical_gradient_sq(grid, np.roll(f, 2, axis=-1)),
-            np.roll(numerical_gradient_sq(grid, f), 2, axis=-1),
+            upwind_parts(grid, np.roll(f, 2, axis=-1))[2],
+            np.roll(upwind_parts(grid, f)[2], 2, axis=-1),
         )
 
 
