@@ -188,6 +188,18 @@ def _fixed_point_options(cfg: dict, grid: GridSpec) -> FixedPointOptions:
     )
 
 
+def _continuation_schedule(cfg: dict) -> ContinuationSchedule:
+    """The (eps, mu) ladder of a ``continuation = true`` run."""
+    sched_kwargs = {"warm_start": cfg["warm_start"]}
+    if cfg["epsilons"] is not None:
+        sched_kwargs["epsilons"] = tuple(cfg["epsilons"])
+    elif cfg["epsilon"] > 0:
+        sched_kwargs["epsilons"] = (cfg["epsilon"],)
+    if cfg["mus"] is not None:
+        sched_kwargs["mus"] = tuple(cfg["mus"])
+    return ContinuationSchedule(**sched_kwargs)
+
+
 def _solver_options(cfg: dict) -> tuple[HJBOptions, FPKOptions]:
     """HJB and FPK options of a run; ``solve`` and ``study`` share them."""
     hjb_opts = HJBOptions(
@@ -233,6 +245,8 @@ def cmd_solve(config_path) -> int:
         params, coupling, grid = _build(cfg)
         m0 = density_from_spec(cfg["m0"], grid)
         fp_opts = _fixed_point_options(cfg, grid)
+        hjb_opts, fpk_opts = _solver_options(cfg)
+        schedule = _continuation_schedule(cfg) if cfg["continuation"] else None
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -244,19 +258,10 @@ def cmd_solve(config_path) -> int:
         _print_report(report)
         return EXIT_STRUCTURAL
 
-    hjb_opts, fpk_opts = _solver_options(cfg)
     out_dir = cfg["output_dir"]
 
     try:
-        if cfg["continuation"]:
-            sched_kwargs = {"warm_start": cfg["warm_start"]}
-            if cfg["epsilons"] is not None:
-                sched_kwargs["epsilons"] = tuple(cfg["epsilons"])
-            elif cfg["epsilon"] > 0:
-                sched_kwargs["epsilons"] = (cfg["epsilon"],)
-            if cfg["mus"] is not None:
-                sched_kwargs["mus"] = tuple(cfg["mus"])
-            schedule = ContinuationSchedule(**sched_kwargs)
+        if schedule is not None:
             result = solve_with_continuation(
                 grid, params, coupling, fp_opts, schedule, m0=m0,
                 hjb_opts=hjb_opts, fpk_opts=fpk_opts,
@@ -338,10 +343,24 @@ def cmd_study(config_path, levels: int) -> int:
     try:
         cfg = parse_config(config_path)
         params, coupling, base_grid = _build(cfg)
+        hjb_opts, fpk_opts = _solver_options(cfg)
+        grids, runs = [], []
+        for level in range(levels):
+            factor = 2**level
+            grid = GridSpec(
+                dim=base_grid.dim,
+                n=base_grid.n * factor,
+                nt=base_grid.nt * factor,
+                horizon=base_grid.horizon,
+            )
+            grids.append(grid)
+            runs.append(
+                (density_from_spec(cfg["m0"], grid), _fixed_point_options(cfg, grid))
+            )
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
     report = check_structure(params)
@@ -351,25 +370,15 @@ def cmd_study(config_path, levels: int) -> int:
 
     from .diagnostics import energy_identity_residual
 
-    hjb_opts, fpk_opts = _solver_options(cfg)
-    sols, grids = [], []
+    sols = []
     try:
-        for level in range(levels):
-            factor = 2**level
-            grid = GridSpec(
-                dim=base_grid.dim,
-                n=base_grid.n * factor,
-                nt=base_grid.nt * factor,
-                horizon=base_grid.horizon,
+        for grid, (m0, fp_opts) in zip(grids, runs):
+            sols.append(
+                solve_mfg(
+                    grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0,
+                    hjb_opts=hjb_opts, fpk_opts=fpk_opts,
+                )
             )
-            m0 = density_from_spec(cfg["m0"], grid)
-            fp_opts = _fixed_point_options(cfg, grid)
-            sol = solve_mfg(
-                grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0,
-                hjb_opts=hjb_opts, fpk_opts=fpk_opts,
-            )
-            sols.append(sol)
-            grids.append(grid)
     except CongestionMFGError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

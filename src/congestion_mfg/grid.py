@@ -12,9 +12,11 @@ Conventions used throughout the package:
 * integrals over the torus are rectangle sums ``h**dim * sum(f)``, which is
   what makes the discrete summation-by-parts identities exact.
 
-All operators wrap around periodically (``np.roll``); everything here is a
-pure function of its inputs.  :func:`upwind_parts` is the one home of the
-Godunov upwind gradient: the HJB solver and the diagnostics both read it.
+All operators wrap around periodically; everything here is a pure function
+of its inputs.  :func:`one_sided_diffs` writes periodic slice differences
+into preallocated arrays, with no rolled copies.  :func:`upwind_parts` is
+the one home of the Godunov upwind gradient: the HJB solver and the
+diagnostics both read it.
 
 The Laplacian and the upwind transport of the solvers share one sparsity
 pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
@@ -23,10 +25,21 @@ data vector, so the HJB and Kolmogorov systems are assembled by vector adds.
 The pattern relies on ``GridSpec``'s ``n >= 4``: the stencil neighbours of a
 cell are then distinct, so no two offsets share a slot.  It is symmetric,
 which is why data in CSR slot order, read as CSC, is the transpose for free.
+Each pattern validates one CSR and one CSC shell through scipy's constructor
+on first use; every matrix it hands out is a shallow copy of a shell with
+the caller's data, so it skips the constructor's checks, and shares the
+pattern's read-only index arrays.
+
+The pattern, the heat-operator data ``I/dt - nu L`` of
+:func:`implicit_heat_data` and the Gaussian kernel's spectrum in
+:func:`gaussian_smooth` depend only on the grid and fixed parameters; they
+are cached and read-only, so a caller that needs to change one works on a
+copy.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -130,6 +143,13 @@ class StencilPattern:
     as a CSC structure: data in CSR slot order, read as CSC, is the
     transpose at no cost.  All arrays are read-only, as the pattern is
     shared by every matrix built on it.
+
+    :meth:`csr` and :meth:`csc` validate one shell matrix each through
+    scipy's constructor, on first use, and then hand out shallow copies of
+    it carrying the caller's data vector (taken as is, not copied).  Every
+    such matrix shares the read-only ``indptr`` and ``indices``, so an
+    in-place change of its structure (``eliminate_zeros``, writing an
+    index) raises instead of corrupting the pattern.
     """
 
     indptr: np.ndarray
@@ -141,13 +161,36 @@ class StencilPattern:
     laplacian: np.ndarray  # data of the Laplacian on the pattern
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return self._with_data(self._csr_shell, data)
 
     def csc(self, data: np.ndarray) -> sp.csc_matrix:
         """The transpose of ``csr(data)``, as a CSC matrix on the same arrays."""
+        return self._with_data(self._csc_shell, data)
+
+    @functools.cached_property
+    def _csr_shell(self) -> sp.csr_matrix:
+        return self._shell(sp.csr_matrix)
+
+    @functools.cached_property
+    def _csc_shell(self) -> sp.csc_matrix:
+        return self._shell(sp.csc_matrix)
+
+    def _shell(self, kind):
         n = len(self.indptr) - 1
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        data = np.zeros(len(self.indices))
+        shell = kind((data, self.indices, self.indptr), shape=(n, n))
+        # the constructor may hand back equal copies; keep the shared arrays
+        shell.indices, shell.indptr = self.indices, self.indptr
+        return shell
+
+    def _with_data(self, shell, data: np.ndarray):
+        if np.shape(data) != self.indices.shape:
+            raise ValueError(
+                f"expected {len(self.indices)} stencil entries, got shape {np.shape(data)}"
+            )
+        mat = copy.copy(shell)
+        mat.data = data
+        return mat
 
 
 @functools.lru_cache(maxsize=32)
@@ -191,12 +234,18 @@ def laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
     return pattern.csr(pattern.laplacian)
 
 
+@functools.lru_cache(maxsize=32)
 def implicit_heat_data(grid: GridSpec, nu: float) -> np.ndarray:
-    """Data of ``I/dt - nu L`` on the stencil pattern, in its slot order."""
+    """Data of ``I/dt - nu L`` on the stencil pattern, in its slot order.
+
+    Cached per ``(grid, nu)`` and read-only.
+    """
     pattern = stencil_pattern(grid)
     data = np.zeros(len(pattern.indices))
     data[pattern.center] = 1 / grid.dt
-    return data - nu * pattern.laplacian
+    data = data - nu * pattern.laplacian
+    data.flags.writeable = False
+    return data
 
 
 def stencil_data(grid: GridSpec, mat) -> np.ndarray:
@@ -233,11 +282,27 @@ def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     dplus = np.empty((grid.dim, *u.shape))
     dminus = np.empty_like(dplus)
-    for ax in range(grid.dim):
-        dplus[ax] = (np.roll(u, -1, axis=ax) - u) / grid.h
+    slices = _AXIS_SLICES[grid.dim]
+    for ax, (head, tail, first, last) in enumerate(slices):
+        # u(x + h e_i) - u(x): the interior cells, then the wrap cell
+        np.subtract(u[tail], u[head], out=dplus[(ax, *head)])
+        np.subtract(u[first], u[last], out=dplus[(ax, *last)])
+    dplus /= grid.h
+    for ax, (head, tail, first, last) in enumerate(slices):
         # dplus one cell on: bit-identical to (u - u(x - h e_i)) / h
-        dminus[ax] = np.roll(dplus[ax], 1, axis=ax)
+        dminus[(ax, *tail)] = dplus[(ax, *head)]
+        dminus[(ax, *first)] = dplus[(ax, *last)]
     return dplus, dminus
+
+
+def _axis_slices(ax: int):
+    """Index tuples of the cells ``[:-1]``, ``[1:]``, ``[:1]`` and ``[-1:]`` on ``ax``."""
+    lead = (slice(None),) * ax
+    parts = (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None))
+    return tuple(lead + (part,) for part in parts)
+
+
+_AXIS_SLICES = {dim: [_axis_slices(ax) for ax in range(dim)] for dim in (1, 2)}
 
 
 def upwind_parts(grid: GridSpec, u: np.ndarray):
@@ -265,11 +330,11 @@ def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
     """
     if eps <= 0.0:
         return np.array(f, dtype=float, copy=True)
-    kern = _wrapped_gaussian_kernel(grid.n, grid.h, float(eps))
+    kernel_spectrum = _kernel_spectrum(grid.n, grid.h, float(eps))
     out = np.asarray(f, dtype=float)
     for ax in range(grid.dim):
         spectrum = np.fft.fft(out, axis=ax) * _shape_for_axis(
-            np.fft.fft(kern), ax, grid.dim
+            kernel_spectrum, ax, grid.dim
         )
         out = np.real(np.fft.ifft(spectrum, axis=ax))
     if np.all(np.asarray(f) >= 0.0):
@@ -278,11 +343,15 @@ def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _wrapped_gaussian_kernel(n: int, h: float, eps: float) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _kernel_spectrum(n: int, h: float, eps: float) -> np.ndarray:
+    """FFT of the wrapped Gaussian kernel; cached per ``(n, h, eps)``, read-only."""
     offsets = np.arange(n) * h
     images = np.arange(-4, 5)[:, None]
     kern = np.exp(-((offsets[None, :] - images) ** 2) / (2.0 * eps**2)).sum(axis=0)
-    return kern / kern.sum()
+    spectrum = np.fft.fft(kern / kern.sum())
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _shape_for_axis(v: np.ndarray, ax: int, dim: int) -> np.ndarray:

@@ -229,12 +229,18 @@ def _power_law(q, den, exponent: float, scale: float = 1.0):
     gives the factor of ``H_p = factor * p``.  Cells with ``q = 0`` get the
     ``p = 0`` extension 0 without reading ``den``, which may vanish there in
     the singular regime.  Each caller supplies its own denominator.
+
+    Evaluated in place on a zero-initialised output with ``where=q > 0``:
+    the power and the division run only on the positive cells, so
+    ``0**negative`` is never formed and ``den`` is never read where
+    ``q = 0``, and no masked copies are gathered or scattered.  The operands
+    are broadcast only when their shapes differ.
     """
-    q, den = np.broadcast_arrays(q, den)
-    out = np.zeros(q.shape)
-    mask = q > 0.0
-    out[mask] = q[mask] ** exponent / (scale * den[mask])
-    return out
+    if np.shape(q) != np.shape(den):
+        q, den = np.broadcast_arrays(q, den)
+    mask = np.greater(q, 0.0)
+    out = np.power(q, exponent, out=np.zeros(mask.shape), where=mask)
+    return np.divide(out, scale * den, out=out, where=mask)
 
 
 def eval_H(m, p, params: ModelParams):

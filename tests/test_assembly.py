@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from congestion_mfg import fpk, hjb
+from congestion_mfg import fpk, grid as grid_mod, hjb
+from congestion_mfg.coupler import FixedPointOptions, solve_mfg
 from congestion_mfg.fpk import fpk_step
-from congestion_mfg.grid import GridSpec, laplacian_matrix
+from congestion_mfg.grid import (
+    GridSpec,
+    gaussian_smooth,
+    implicit_heat_data,
+    laplacian_matrix,
+    stencil_data,
+    stencil_pattern,
+)
 from congestion_mfg.hjb import HJBOptions, UpwindTransport, hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams
 
@@ -138,3 +146,86 @@ def test_wrong_size_transport_raises():
     )
     with pytest.raises(ValueError, match="expected a 8x8 matrix"):
         fpk_step(grid, np.ones(grid.shape), bad, REGULAR)
+
+
+def validated(kind, pattern, data):
+    """The matrix scipy's checking constructor builds on the pattern's arrays."""
+    n = len(pattern.indptr) - 1
+    return kind((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n))
+
+
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_shells_equal_validated_construction(dim, n):
+    grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+    pattern = stencil_pattern(grid)
+    data = np.random.default_rng(n).normal(size=len(pattern.indices))
+    for build, kind in ((pattern.csr, sp.csr_matrix), (pattern.csc, sp.csc_matrix)):
+        got, ref = build(data), validated(kind, pattern, data)
+        assert type(got) is type(ref) and got.format == ref.format
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert got.data is data
+        assert_same(got, ref)
+    # the identity fast path of the off-stencil guard still recognises them
+    assert stencil_data(grid, pattern.csr(data)) is data
+
+
+def test_shell_matrices_share_no_data():
+    grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
+    pattern = stencil_pattern(grid)
+    ones, twos = np.ones(len(pattern.indices)), np.full(len(pattern.indices), 2.0)
+    for build in (pattern.csr, pattern.csc):
+        a, b = build(ones), build(twos)
+        assert not np.shares_memory(a.data, b.data)
+        a.data[0] = 5.0
+        assert b.data[0] == 2.0 and build(twos).data[0] == 2.0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda mat: mat.indices.__setitem__(0, 1),
+        lambda mat: mat.indptr.__setitem__(1, 0),
+        lambda mat: mat.eliminate_zeros(),
+    ],
+    ids=["indices", "indptr", "eliminate_zeros"],
+)
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_shell_structure_is_read_only(fmt, mutate):
+    grid = GridSpec(dim=2, n=4, nt=4, horizon=1.0)
+    pattern = stencil_pattern(grid)
+    build = getattr(pattern, fmt)
+    data = np.arange(len(pattern.indices), dtype=float)  # slot 0 holds a zero
+    with pytest.raises(ValueError):
+        mutate(build(data.copy()))
+    kind = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
+    fresh = build(data.copy())
+    assert fresh.nnz == len(pattern.indices)
+    assert_same(fresh, validated(kind, pattern, data))
+
+
+def test_shell_rejects_wrong_data_length():
+    pattern = stencil_pattern(GridSpec(dim=1, n=8, nt=4, horizon=1.0))
+    with pytest.raises(ValueError, match="stencil entries"):
+        pattern.csr(np.ones(len(pattern.indices) - 1))
+
+
+def test_cached_heat_data_and_spectrum_are_read_only():
+    grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
+    params = ModelParams(nu=0.5, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0)
+    heat = implicit_heat_data(grid, params.nu)
+    gaussian_smooth(grid, np.ones(grid.shape), 0.05)
+    spectrum = grid_mod._kernel_spectrum(grid.n, grid.h, 0.05)
+    before = heat.copy(), spectrum.copy()
+    for arr in (heat, spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    m0 = 1.0 + 0.5 * np.cos(2 * np.pi * grid.axis_centers())
+    sol = solve_mfg(
+        grid, params, CouplingSpec(), FixedPointOptions(fp_tol=1e-6), eps=0.05, m0=m0
+    )
+    assert sol.converged
+    assert implicit_heat_data(grid, params.nu) is heat
+    assert grid_mod._kernel_spectrum(grid.n, grid.h, 0.05) is spectrum
+    assert np.array_equal(heat, before[0]) and np.array_equal(spectrum, before[1])

@@ -1,9 +1,15 @@
 """Batch front-end: config parsing, exit codes, bundle round trips, study."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import congestion_mfg
 
 from congestion_mfg.bundles import load_solution, save_solution
 from congestion_mfg.cli import (
@@ -254,6 +260,37 @@ class TestCmdStudy:
             assert fpk_opts is not None
             assert fpk_opts.linear_tol == 1e-11
             assert fpk_opts.enforce_nonneg_check is False
+
+
+# option values solve and study must reject before solving, not crash on
+BAD_OPTIONS = {
+    "solve-linear_tol": ("solve", "linear_tol = 0\n"),
+    "solve-newton_tol": ("solve", "newton_tol = 0\n"),
+    "solve-rising_epsilons": ("solve", "continuation = true\nepsilons = 0.1, 0.2\n"),
+    "solve-negative_mu": ("solve", "continuation = true\nmus = 1.0, -0.5\n"),
+    "study-damping": ("study", "damping = 0\n"),
+    "study-linear_tol": ("study", "linear_tol = 0\n"),
+    "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
+}
+
+
+@pytest.mark.parametrize("command, options", BAD_OPTIONS.values(), ids=BAD_OPTIONS)
+def test_bad_options_are_rejected(tmp_path, command, options):
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, "n = 8\nnt = 8\n" + options + "output_dir = {out}\n", out=out_dir
+    )
+    src = str(Path(congestion_mfg.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "congestion_mfg.cli", command, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
+    assert any(line.startswith("rejected: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not out_dir.exists()
 
 
 class TestMain:

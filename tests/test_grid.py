@@ -104,6 +104,45 @@ class TestOneSidedDiffs:
         assert np.array_equal(np.roll(dplus[0], 2, axis=0), dplus_shifted[0])
 
 
+def _reference_one_sided_diffs(grid, u):
+    """The differences against rolled copies: the reference for the slice kernel."""
+    dplus = np.empty((grid.dim, *u.shape))
+    dminus = np.empty_like(dplus)
+    for ax in range(grid.dim):
+        dplus[ax] = (np.roll(u, -1, axis=ax) - u) / grid.h
+        dminus[ax] = np.roll(dplus[ax], 1, axis=ax)
+    return dplus, dminus
+
+
+def _hard_fields(grid, rng):
+    """Random, tied integer, signed-zero and 1e-12..1e12 magnitude fields."""
+    signed_zeros = np.where(rng.random(grid.shape) < 0.5, 0.0, -0.0)
+    scales = 10.0 ** rng.uniform(-12.0, 12.0, size=grid.shape)
+    return {
+        "normal": rng.normal(size=grid.shape),
+        "ties": rng.integers(-2, 3, size=grid.shape).astype(float),
+        "signed_zeros": signed_zeros,
+        "magnitudes": rng.choice([-1.0, 1.0], size=grid.shape) * scales,
+    }
+
+
+class TestSliceDiffsBitIdentical:
+    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 12), (1, 64), (2, 4), (2, 6), (2, 32)])
+    def test_equals_rolled_reference(self, dim, n):
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        for name, u in _hard_fields(grid, np.random.default_rng(n)).items():
+            got, ref = one_sided_diffs(grid, u), _reference_one_sided_diffs(grid, u)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g.view(np.int64), r.view(np.int64)), name
+
+    def test_signed_zero_differences_keep_their_sign(self):
+        grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
+        dplus, dminus = one_sided_diffs(grid, np.array([0.0, -0.0, 0.0, -0.0]))
+        # 0.0 - (-0.0) = +0.0, -0.0 - 0.0 = -0.0, wrap cell included
+        assert np.signbit(dplus[0]).tolist() == [True, False, True, False]
+        assert np.signbit(dminus[0]).tolist() == [False, True, False, True]
+
+
 class TestGradientSq:
     def test_spike_example(self):
         grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
@@ -162,6 +201,36 @@ class TestGaussianSmooth:
         f = np.cos(16 * np.pi * grid.axis_centers())
         out = gaussian_smooth(grid, f, 0.05)
         assert np.abs(out).max() < 0.1 * np.abs(f).max()
+
+
+def _reference_gaussian_smooth(grid, f, eps):
+    """Gaussian smoothing that rebuilds the kernel and its FFT on every call."""
+    offsets = np.arange(grid.n) * grid.h
+    images = np.arange(-4, 5)[:, None]
+    kern = np.exp(-((offsets[None, :] - images) ** 2) / (2.0 * eps**2)).sum(axis=0)
+    kern = kern / kern.sum()
+    out = np.asarray(f, dtype=float)
+    for ax in range(grid.dim):
+        kspec = np.fft.fft(kern)
+        if grid.dim == 2:
+            kspec = kspec[:, None] if ax == 0 else kspec[None, :]
+        out = np.real(np.fft.ifft(np.fft.fft(out, axis=ax) * kspec, axis=ax))
+    if np.all(np.asarray(f) >= 0.0):
+        out[(out < 0.0) & (out > -1e-12)] = 0.0
+    return out
+
+
+class TestGaussianSmoothCache:
+    @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
+    def test_equals_per_call_spectrum(self, grid):
+        rng = np.random.default_rng(7)
+        fields = {"signed": random_field(grid, rng), "density": rng.random(grid.shape)}
+        # each eps twice: the second call reads the cached spectrum
+        for eps in (0.02, 0.05, 0.1, 0.3, 0.05, 0.02):
+            for name, f in fields.items():
+                got = gaussian_smooth(grid, f, eps)
+                ref = _reference_gaussian_smooth(grid, f, eps)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (eps, name)
 
 
 class TestRestriction:

@@ -13,6 +13,7 @@ from congestion_mfg.model import (
     CouplingSpec,
     GridSearchSpec,
     ModelParams,
+    _power_law,
     check_structure,
     eval_H,
     eval_Hp,
@@ -115,6 +116,42 @@ class TestEvalHp:
                 1.0 + np.linalg.norm(grad) ** (p.beta - 1.0) / (m + p.mu) ** p.alpha
             )
             assert np.linalg.norm(hp) <= bound * (1 + 1e-12)
+
+
+def _reference_power_law(q, den, exponent, scale=1.0):
+    """Gather/scatter on the ``q > 0`` cells: the reference for the in-place kernel."""
+    q, den = np.broadcast_arrays(q, den)
+    out = np.zeros(q.shape)
+    mask = q > 0.0
+    out[mask] = q[mask] ** exponent / (scale * den[mask])
+    return out
+
+
+class TestPowerLawBitIdentical:
+    @pytest.mark.parametrize("beta", [1.2, 1.5, 2.0, 3.0])
+    def test_equals_gather_scatter_reference(self, beta):
+        rng = np.random.default_rng(int(10 * beta))
+        q = rng.random(257) * 10.0 ** rng.uniform(-12.0, 12.0, size=257)
+        zeros = rng.random(257) < 0.3
+        q[zeros] = 0.0
+        q[:4] = 0.0  # a run of zero cells at the start
+        den = rng.random(257) + 0.1
+        den[zeros] = 0.0  # the singular regime: den may vanish where q does
+        cases = {"array_den": den, "scalar_den": 1.7, "row_den": den[None, :]}
+        for exponent, scale in ((beta / 2.0, beta), (beta / 2.0 - 1.0, 1.0)):
+            for name, d in cases.items():
+                # neither 0**negative nor x/0 may be formed
+                with np.errstate(divide="raise", invalid="raise"):
+                    got = _power_law(q, d, exponent, scale)
+                ref = _reference_power_law(q, d, exponent, scale)
+                assert got.shape == ref.shape, name
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+
+    def test_scalar_gradient(self):
+        for q in (0.0, 2.5):
+            got = _power_law(np.float64(q), np.float64(0.0 if q == 0 else 1.5), -0.25)
+            ref = _reference_power_law(q, 0.0 if q == 0 else 1.5, -0.25)
+            assert got.shape == () and got.view(np.int64) == ref.view(np.int64)
 
 
 class TestStructuralInvariants:
