@@ -149,7 +149,10 @@ def density_from_spec(spec: str, grid: GridSpec) -> np.ndarray:
         return bump
     from .grid import read_frame_csv
 
-    dim, n, frame = read_frame_csv(match.group(3))
+    try:
+        dim, n, frame = read_frame_csv(match.group(3))
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read density file: {exc}") from exc
     if (dim, n) != (grid.dim, grid.n):
         raise ConfigError("density file grid does not match the run grid")
     return frame

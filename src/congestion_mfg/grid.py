@@ -31,7 +31,8 @@ the caller's data, so it skips the constructor's checks, and shares the
 pattern's read-only index arrays.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
-:func:`implicit_heat_data` and the Gaussian kernel's spectrum in
+:func:`implicit_heat_data`, the Fourier symbols of the stencil's offsets in
+:func:`offset_symbols` and the Gaussian kernel's spectrum in
 :func:`gaussian_smooth` depend only on the grid and fixed parameters; they
 are cached and read-only, so a caller that needs to change one works on a
 copy.
@@ -53,6 +54,7 @@ __all__ = [
     "StencilPattern",
     "stencil_pattern",
     "implicit_heat_data",
+    "offset_symbols",
     "stencil_data",
     "one_sided_diffs",
     "upwind_parts",
@@ -135,10 +137,13 @@ class StencilPattern:
 
     Row ``i`` holds cell ``i`` and its ``2*dim`` neighbours with sorted
     column indices; ``GridSpec`` requires ``n >= 4``, so the neighbours are
-    distinct and every row has exactly ``2*dim + 1`` slots.  ``center[i]``,
-    ``lower[ax, i]`` and ``upper[ax, i]`` are the data slots of the entries
-    ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``; ``transpose[s]`` is
-    the slot of the entry mirrored across the diagonal from slot ``s``.
+    distinct and every row has exactly ``2*dim + 1`` slots.  ``slots[:, i]``
+    are the data slots of row ``i``'s offsets in a fixed order: the cell,
+    then its lower neighbour per axis, then its upper neighbour per axis.
+    ``center[i]``, ``lower[ax, i]`` and ``upper[ax, i]`` are the same slots by
+    offset: those of the entries ``(i, i)``, ``(i, i - e_ax)`` and
+    ``(i, i + e_ax)``.  ``transpose[s]`` is the slot of the entry mirrored
+    across the diagonal from slot ``s``.
     The pattern is symmetric, so the same ``indptr``/``indices`` also read
     as a CSC structure: data in CSR slot order, read as CSC, is the
     transpose at no cost.  All arrays are read-only, as the pattern is
@@ -154,11 +159,21 @@ class StencilPattern:
 
     indptr: np.ndarray
     indices: np.ndarray
-    center: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    slots: np.ndarray  # (2*dim + 1, ncells): cell, lower per axis, upper per axis
     transpose: np.ndarray
     laplacian: np.ndarray  # data of the Laplacian on the pattern
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.slots[0]
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.slots[1 : 1 + len(self.slots) // 2]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.slots[1 + len(self.slots) // 2 :]
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         return self._with_data(self._csr_shell, data)
@@ -203,8 +218,10 @@ def stencil_pattern(grid: GridSpec) -> StencilPattern:
     # one column per stencil offset: the cell, then its lower and upper neighbours
     cols = np.column_stack([idx.ravel(), *lower_nbr, *upper_nbr])
     order = np.argsort(cols, axis=1)
-    # slot of each offset: row start plus the offset's rank in the sorted row
-    slots = np.argsort(order, axis=1).T + width * np.arange(ncells)
+    # slot of each offset: row start plus the offset's rank in the sorted row;
+    # one contiguous row of slots per offset
+    ranks = np.ascontiguousarray(np.argsort(order, axis=1).T)
+    slots = ranks + width * np.arange(ncells)
     center, lower, upper = slots[0], slots[1 : 1 + grid.dim], slots[1 + grid.dim :]
     transpose = np.empty(ncells * width, dtype=np.intp)
     transpose[center] = center
@@ -215,9 +232,7 @@ def stencil_pattern(grid: GridSpec) -> StencilPattern:
     arrays = dict(
         indptr=np.arange(0, ncells * width + 1, width, dtype=np.int32),
         indices=np.take_along_axis(cols, order, axis=1).ravel().astype(np.int32),
-        center=center,
-        lower=lower,
-        upper=upper,
+        slots=slots,
         transpose=transpose,
         # scaled as scipy scales ``csr / h**2``: by the reciprocal
         laplacian=laplacian * (1 / grid.h**2),
@@ -246,6 +261,27 @@ def implicit_heat_data(grid: GridSpec, nu: float) -> np.ndarray:
     data = data - nu * pattern.laplacian
     data.flags.writeable = False
     return data
+
+
+@functools.lru_cache(maxsize=32)
+def offset_symbols(grid: GridSpec) -> np.ndarray:
+    """Fourier symbols of the stencil's offsets on the ``rfftn`` half spectrum.
+
+    Row ``j`` is the factor by which the shift ``f -> f(x + d_j)`` multiplies
+    the ``rfftn`` coefficients of a field, for the offsets ``d_j`` in
+    :attr:`StencilPattern.slots` order: ``0``, then ``-h e_ax`` per axis,
+    then ``+h e_ax`` per axis.  A shift by ``+h e_ax`` has the factor
+    ``exp(2 pi i k_ax / n)``.  Shape ``(2*dim + 1, *half)`` with
+    ``half = grid.shape[:-1] + (n // 2 + 1,)``.  So the constant-coefficient
+    matrix with data ``c_j`` in slot group ``j`` has the symbol
+    ``sum_j c_j * offset_symbols(grid)[j]``.  Cached per ``GridSpec`` and
+    read-only.
+    """
+    half = (*grid.shape[:-1], grid.n // 2 + 1)
+    phases = np.exp(2j * np.pi / grid.n * np.indices(half))
+    symbols = np.concatenate([np.ones((1, *half)), phases.conj(), phases])
+    symbols.flags.writeable = False
+    return symbols
 
 
 def stencil_data(grid: GridSpec, mat) -> np.ndarray:

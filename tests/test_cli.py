@@ -274,21 +274,43 @@ BAD_OPTIONS = {
 }
 
 
+def run_cli(command, path):
+    """``python -m congestion_mfg.cli <command> <path>`` in a subprocess."""
+    src = str(Path(congestion_mfg.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, "-m", "congestion_mfg.cli", command, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("command, options", BAD_OPTIONS.values(), ids=BAD_OPTIONS)
 def test_bad_options_are_rejected(tmp_path, command, options):
     out_dir = tmp_path / "out"
     path = write_config(
         tmp_path, "n = 8\nnt = 8\n" + options + "output_dir = {out}\n", out=out_dir
     )
-    src = str(Path(congestion_mfg.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "congestion_mfg.cli", command, path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli(command, path)
     assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
     assert any(line.startswith("rejected: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("key", ["m0", "init_m"])
+def test_missing_density_file_is_a_config_error(tmp_path, command, key):
+    out_dir = tmp_path / "out"
+    missing = tmp_path / "no_such_density.csv"
+    path = write_config(
+        tmp_path,
+        "n = 8\nnt = 8\n" + f"{key} = file({missing})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    proc = run_cli(command, path)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert any(line.startswith("config error: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
 

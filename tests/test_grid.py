@@ -9,9 +9,11 @@ from congestion_mfg.grid import (
     integrate,
     laplacian,
     laplacian_matrix,
+    offset_symbols,
     one_sided_diffs,
     read_field_csv,
     restrict_traj,
+    stencil_pattern,
     upwind_parts,
     write_field_csv,
 )
@@ -231,6 +233,48 @@ class TestGaussianSmoothCache:
                 got = gaussian_smooth(grid, f, eps)
                 ref = _reference_gaussian_smooth(grid, f, eps)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (eps, name)
+
+
+class TestOffsetSymbols:
+    @pytest.mark.parametrize("dim, n", [(1, 5), (1, 8), (2, 5), (2, 6)])
+    def test_symbols_multiply_rfftn_of_shifted_fields(self, dim, n):
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        f = random_field(grid, np.random.default_rng(n))
+        axes = tuple(range(dim))
+        symbols = offset_symbols(grid)
+        assert symbols.shape == (2 * dim + 1, *grid.shape[:-1], n // 2 + 1)
+        spectrum = np.fft.rfftn(f, axes=axes)
+        assert np.array_equal(symbols[0], np.ones(symbols.shape[1:]))
+        for ax in range(dim):
+            # f(x - h e_ax), then f(x + h e_ax): the pattern's slot order
+            for row, step in ((1 + ax, 1), (1 + dim + ax, -1)):
+                shifted = np.fft.rfftn(np.roll(f, step, axis=ax), axes=axes)
+                assert np.allclose(shifted, symbols[row] * spectrum, atol=1e-12)
+
+    def test_cached_and_read_only(self):
+        grid = GridSpec(dim=2, n=8, nt=4, horizon=1.0)
+        symbols = offset_symbols(grid)
+        assert offset_symbols(grid) is symbols
+        with pytest.raises(ValueError):
+            symbols[0, 0, 0] = 2.0
+
+
+class TestStencilSlots:
+    @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
+    def test_slots_group_the_offsets(self, grid):
+        pattern = stencil_pattern(grid)
+        width = 2 * grid.dim + 1
+        assert pattern.slots.shape == (width, grid.ncells)
+        every_slot = np.arange(width * grid.ncells)
+        assert np.array_equal(np.sort(pattern.slots.ravel()), every_slot)
+        # each slot sits in its own row and holds its offset's column
+        cells = np.arange(grid.ncells).reshape(grid.shape)
+        neighbours = [cells.ravel()]
+        neighbours += [np.roll(cells, 1, axis=ax).ravel() for ax in range(grid.dim)]
+        neighbours += [np.roll(cells, -1, axis=ax).ravel() for ax in range(grid.dim)]
+        rows = np.broadcast_to(cells.ravel(), (width, grid.ncells))
+        assert np.array_equal(pattern.slots // width, rows)
+        assert np.array_equal(pattern.indices[pattern.slots], np.stack(neighbours))
 
 
 class TestRestriction:
