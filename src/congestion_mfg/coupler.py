@@ -5,9 +5,9 @@ One outer iteration relaxes a density trajectory m toward its best response
     m  <-  m + omega * (FPK(HJB(m)) - m),
 
 where the backward HJB sweep runs against the frozen m and the forward
-Kolmogorov sweep is driven by the resulting transport.  The relaxation
-factor omega is capped at the configured damping and adapted per cell (see
-FixedPointOptions).  Iteration stops when the undamped best-response
+Kolmogorov sweep is driven by the resulting generator matrices.  The
+relaxation factor omega is capped at the configured damping and adapted per
+cell (see FixedPointOptions).  Iteration stops when the undamped best-response
 residual drops below tolerance in L1(Q_T).  On top of the plain fixed point
 sit the regularization ladder (truncation and
 :func:`congestion_mfg.grid.gaussian_smooth` mollification width eps) and
@@ -247,11 +247,11 @@ def solve_mfg(
 
     backward = solve_hjb_backward(grid, m_cur, eff_params, coupling, hjb_opts)
     worst_newton = max(worst_newton, backward.max_newton_residual)
-    policy = np.zeros((grid.nt + 1, grid.dim, *grid.shape))
-    for k, transport in enumerate(backward.transports):
-        policy[k] = transport.drift
-    policy[grid.nt] = drift_field(
-        grid, backward.u[grid.nt], m_cur[grid.nt], eff_params, eps
+    policy = np.stack(
+        [
+            drift_field(grid, backward.u[k], m_cur[k], eff_params, eps)
+            for k in range(grid.nt + 1)
+        ]
     )
 
     meta = {

@@ -4,14 +4,15 @@ Each implicit Euler step solves
 
     (m - m_prev)/dt - nu L m + A^T m = 0
 
-where ``A`` is the upwind advection generator emitted by the HJB step.
-Because ``A`` has zero row sums, nonnegative diagonal and nonpositive
-off-diagonal entries, the system matrix is an M-matrix with column sums
-``1/dt``: total mass is conserved to roundoff and nonnegative data stays
-nonnegative.  Transposing the assembled matrix (rather than discretizing the
-divergence independently) is what makes ``<A u, m> = <u, A^T m>`` exact,
-the discrete counterpart of testing each equation against the other
-solution in the energy and uniqueness arguments.
+where ``A`` is the upwind advection generator emitted by the HJB step,
+handed to each step as the sparse matrix itself (``transport``).  Because
+``A`` has zero row sums, nonnegative diagonal and nonpositive off-diagonal
+entries, the system matrix is an M-matrix with column sums ``1/dt``: total
+mass is conserved to roundoff and nonnegative data stays nonnegative.
+Transposing the assembled matrix (rather than discretizing the divergence
+independently) is what makes ``<A u, m> = <u, A^T m>`` exact, the discrete
+counterpart of testing each equation against the other solution in the
+energy and uniqueness arguments.
 
 The system is built as CSC on the grid's cached stencil pattern, with data
 ``heat + A.data``.  The pattern is symmetric, so ``A``'s data in CSR slot
@@ -26,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import LinearSolveFailed, NegativeDensity
 from .grid import GridSpec, implicit_heat_data, stencil_data, stencil_pattern
-from .hjb import UpwindTransport
 from .linalg import sparse_solve
 from .model import ModelParams
 
@@ -49,16 +50,16 @@ class FPKOptions:
 def fpk_step(
     grid: GridSpec,
     m_prev: np.ndarray,
-    transport: UpwindTransport,
+    transport: sp.spmatrix,
     params: ModelParams,
     opts: FPKOptions = FPKOptions(),
 ) -> np.ndarray:
-    """Advance the density one level with the transposed upwind transport."""
+    """Advance the density one level with the transposed generator ``transport``."""
     if np.any(m_prev < 0):
         raise ValueError("previous density frame must be nonnegative")
     # A's data in CSR slot order, read as CSC, is A^T; the heat part is symmetric
     system = stencil_pattern(grid).csc(
-        implicit_heat_data(grid, params.nu) + stencil_data(grid, transport.matrix)
+        implicit_heat_data(grid, params.nu) + stencil_data(grid, transport)
     )
     m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, tol=opts.linear_tol)
     m = m_vec.reshape(grid.shape)
@@ -71,12 +72,12 @@ def fpk_step(
 
 def solve_fpk_forward(
     grid: GridSpec,
-    transports: list[UpwindTransport],
+    transports: list[sp.spmatrix],
     m0: np.ndarray,
     params: ModelParams,
     opts: FPKOptions = FPKOptions(),
 ) -> np.ndarray:
-    """March the density from m0 through all levels; frame k+1 uses transport k."""
+    """March the density from m0 through all levels; frame k+1 uses generator k."""
     if len(transports) != grid.nt:
         raise ValueError(f"need {grid.nt} transport levels, got {len(transports)}")
     if np.any(m0 < 0):

@@ -49,7 +49,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
-    "laplacian",
     "laplacian_matrix",
     "StencilPattern",
     "stencil_pattern",
@@ -121,14 +120,6 @@ class GridSpec:
 
     def zeros_traj(self) -> np.ndarray:
         return np.zeros((self.nt + 1, *self.shape))
-
-
-def laplacian(grid: GridSpec, f: np.ndarray) -> np.ndarray:
-    """Second-order centered periodic Laplacian (3-point / 5-point stencil)."""
-    out = np.zeros_like(f, dtype=float)
-    for ax in range(grid.dim):
-        out += np.roll(f, -1, axis=ax) - 2.0 * f + np.roll(f, 1, axis=ax)
-    return out / grid.h**2
 
 
 @dataclass(frozen=True, eq=False)

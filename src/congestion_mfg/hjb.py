@@ -12,11 +12,33 @@ Hamiltonian is capped at ``1/eps`` (eps = 0 disables the cap), and ``F_eff``
 is the running cost smoothed on both sides by the periodic Gaussian mollifier
 when eps > 0 (the cap is never applied inside F).
 
-The step also emits the transport data of the linearized equation: the
-sparse advection generator ``A = dg/du`` (zero row sums, nonnegative
-diagonal) and the upwind drift ``-H_p``.  The forward Kolmogorov stepper
-consumes the exact transpose of ``A``, which is what makes the discrete
-energy identities of the diagnostics module close up to solver tolerances.
+Newton takes full steps; there is no line search.  At a fixed density frame
+a level is ``F(u) = (I/dt - nu L) u + g(u) - b = 0`` with ``F`` a convex
+M-function:
+
+* ``g`` is convex in ``u``: ``sqrt(q)`` is the Euclidean norm of the
+  nonnegative convex parts ``max(D- u, 0)`` and ``max(-D+ u, 0)``, its power
+  ``beta >= 1`` stays convex, and the density factor is fixed within a level;
+* every Newton matrix ``I/dt - nu L + A(u)`` is an M-matrix, as ``A = dg/du``
+  has zero row sums, a nonnegative diagonal and nonpositive off-diagonal
+  entries, so its inverse is entrywise nonnegative.
+
+With ``J_k`` the Newton matrix at ``u_k`` (a subgradient of ``F`` where
+``g`` has a kink), convexity gives ``F(u_{k+1}) >= F(u_k) + J_k (u_{k+1} -
+u_k) = 0`` after any full step.  So every correction after the first,
+``J^{-1} F``, is nonnegative: the iterates decrease monotonically onto the
+solution from any start (Ortega & Rheinboldt, *Iterative Solution of Nonlinear Equations*,
+§13.3; Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  A
+backtracking search has nothing to guard against, and exceeding
+``newton_max_iter`` raises :class:`~congestion_mfg.errors.NewtonDiverged`,
+the one way a level fails to converge.
+
+The step emits the sparse advection generator ``A`` at the converged state
+and nothing else of the linearization.  The forward Kolmogorov stepper
+consumes its exact transpose, which is what makes the discrete energy
+identities of the diagnostics module close up to solver tolerances.  The
+upwind drift ``-H_p`` is not built per level: the coupler computes it once
+from the returned solution with :func:`drift_field`.
 
 ``A`` lives on the grid's cached stencil pattern (see
 :func:`congestion_mfg.grid.stencil_pattern`): the Hamiltonian, ``A`` and the
@@ -48,7 +70,6 @@ from .model import CouplingSpec, ModelParams, _power_law, congestion_denominator
 
 __all__ = [
     "HJBOptions",
-    "UpwindTransport",
     "hjb_step",
     "solve_hjb_backward",
     "HJBBackwardResult",
@@ -69,16 +90,12 @@ class HJBOptions:
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-
-
-@dataclass(frozen=True)
-class UpwindTransport:
-    """Advection data of one HJB level: generator matrix and drift -H_p."""
-
-    matrix: sp.csr_matrix
-    drift: np.ndarray  # shape (dim, *grid.shape)
+        if self.linear_tol <= 0:
+            raise ValueError("linear_tol must be positive")
 
 
 def _upwind_weight(q, m, params: ModelParams, epsilon: float):
@@ -143,18 +160,16 @@ def hjb_step(
     grid: GridSpec,
     u_next: np.ndarray,
     m_frame: np.ndarray,
-    t: float,
     params: ModelParams,
     coupling: CouplingSpec,
     opts: HJBOptions,
-) -> tuple[np.ndarray, UpwindTransport, float]:
-    """One backward implicit Euler step; returns (u, transport, residual).
+) -> tuple[np.ndarray, sp.csr_matrix, float]:
+    """One backward implicit Euler step; returns (u, A, residual).
 
     ``u`` satisfies the per-cell Newton system to ``opts.newton_tol`` in
-    max norm; the transport is re-assembled at the converged state so the
-    Kolmogorov stepper and any later recomputation see identical data.
+    max norm; the generator ``A`` is re-assembled at the converged state so
+    the Kolmogorov stepper and any later recomputation see identical data.
     """
-    del t  # couplings are space-time homogeneous in this model family
     if np.any(m_frame < 0):
         raise ValueError("density frame must be nonnegative")
     dt = grid.dt
@@ -193,31 +208,20 @@ def hjb_step(
         )
         # I/dt - nu L + A as CSC: heat data is symmetric, A's is read mirrored
         system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
-        delta = sparse_solve(grid, system, res, tol=opts.linear_tol)
-        step = 1.0
-        for _ in range(30):
-            cand = uvec - step * delta
-            cand_res = residual(cand)
-            cand_norm = float(np.abs(cand_res).max())
-            if cand_norm < res_norm:
-                break
-            step *= 0.5
-        uvec, res, res_norm = cand, cand_res, cand_norm
+        uvec = uvec - sparse_solve(grid, system, res, tol=opts.linear_tol)
+        res = residual(uvec)
+        res_norm = float(np.abs(res).max())
         if not (np.all(np.isfinite(uvec)) and np.isfinite(res_norm)):
             raise NonFiniteState("HJB Newton iterate became non-finite")
 
     u = uvec.reshape(grid.shape)
-    transport = UpwindTransport(
-        matrix=transport_jacobian(grid, u, m_frame, params, opts.epsilon),
-        drift=drift_field(grid, u, m_frame, params, opts.epsilon),
-    )
-    return u, transport, res_norm
+    return u, transport_jacobian(grid, u, m_frame, params, opts.epsilon), res_norm
 
 
 @dataclass
 class HJBBackwardResult:
     u: np.ndarray  # (nt+1, *shape)
-    transports: list  # UpwindTransport per level 0..nt-1
+    transports: list  # generator matrix A per level 0..nt-1
     max_newton_residual: float
 
 
@@ -232,7 +236,7 @@ def solve_hjb_backward(
 
     The terminal frame is the (mollified) terminal cost of the final density;
     level k is produced by :func:`hjb_step` against the density frame of the
-    same level, whose transport then drives the forward step k -> k+1.
+    same level, whose generator then drives the forward step k -> k+1.
     """
     if m_traj.shape != (grid.nt + 1, *grid.shape):
         raise ValueError("density trajectory shape does not match the grid")
@@ -240,11 +244,11 @@ def solve_hjb_backward(
         raise ValueError("density trajectory must be nonnegative")
     u = grid.zeros_traj()
     u[grid.nt] = effective_cost(grid, m_traj[grid.nt], coupling.g, opts.epsilon)
-    transports: list[UpwindTransport | None] = [None] * grid.nt
+    transports: list[sp.csr_matrix | None] = [None] * grid.nt
     worst = 0.0
     for k in range(grid.nt - 1, -1, -1):
         u[k], transports[k], res = hjb_step(
-            grid, u[k + 1], m_traj[k], k * grid.dt, params, coupling, opts
+            grid, u[k + 1], m_traj[k], params, coupling, opts
         )
         worst = max(worst, res)
     return HJBBackwardResult(u=u, transports=transports, max_newton_residual=worst)

@@ -15,7 +15,7 @@ from congestion_mfg.grid import (
     stencil_data,
     stencil_pattern,
 )
-from congestion_mfg.hjb import HJBOptions, UpwindTransport, hjb_step, transport_jacobian
+from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams
 
 GRIDS = [(1, 4), (1, 64), (2, 4), (2, 8)]
@@ -96,7 +96,7 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
     system = first_system(
         monkeypatch,
         hjb,
-        lambda: hjb_step(grid, u_next, m, 0.0, params, CouplingSpec(), HJBOptions()),
+        lambda: hjb_step(grid, u_next, m, params, CouplingSpec(), HJBOptions()),
     )
     jac = transport_jacobian(grid, u_next, m, params, 0.0)
     if params.mu == 0.0:
@@ -110,7 +110,6 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
 def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
     grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
     u, m = frame(grid, params, seed=n + 1)
-    drift = np.zeros((grid.dim, *grid.shape))
     m_prev = np.ones(grid.shape)
     for mat in (
         transport_jacobian(grid, u, m, params, 0.0),
@@ -120,7 +119,7 @@ def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
         system = first_system(
             monkeypatch,
             fpk,
-            lambda: fpk_step(grid, m_prev, UpwindTransport(mat, drift), params),
+            lambda: fpk_step(grid, m_prev, mat, params),
         )
         assert system.format == "csc"
         assert_same(system, sparse_sum_system(grid, params, mat.T.tocsr()))
@@ -134,16 +133,13 @@ def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
 def test_off_stencil_transport_raises(dim, entry):
     grid = GridSpec(dim=dim, n=8, nt=4, horizon=1.0)
     mat = sp.csr_matrix(([-1.0], ([entry[0]], [entry[1]])), shape=(grid.ncells,) * 2)
-    bad = UpwindTransport(matrix=mat, drift=np.zeros((dim, *grid.shape)))
     with pytest.raises(ValueError, match="off the grid's stencil"):
-        fpk_step(grid, np.ones(grid.shape), bad, REGULAR)
+        fpk_step(grid, np.ones(grid.shape), mat, REGULAR)
 
 
 def test_wrong_size_transport_raises():
     grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
-    bad = UpwindTransport(
-        matrix=sp.identity(grid.ncells + 1, format="csr"), drift=np.zeros((1, grid.n))
-    )
+    bad = sp.identity(grid.ncells + 1, format="csr")
     with pytest.raises(ValueError, match="expected a 8x8 matrix"):
         fpk_step(grid, np.ones(grid.shape), bad, REGULAR)
 

@@ -147,10 +147,10 @@ class TestCmdSolve:
         assert meta["converged"] is False
 
     def test_solver_failure_exit_four(self, tmp_path):
-        # a zero Newton budget cannot satisfy a nonzero first residual
+        # one Newton iteration cannot reach newton_tol on the first HJB level
         out_dir = tmp_path / "fail"
         path = write_config(
-            tmp_path, REFERENCE_CONFIG + "newton_max_iter = 0\n", out=out_dir
+            tmp_path, REFERENCE_CONFIG + "newton_max_iter = 1\n", out=out_dir
         )
         assert cmd_solve(path) == EXIT_SOLVER
 
@@ -266,6 +266,7 @@ class TestCmdStudy:
 BAD_OPTIONS = {
     "solve-linear_tol": ("solve", "linear_tol = 0\n"),
     "solve-newton_tol": ("solve", "newton_tol = 0\n"),
+    "solve-newton_max_iter": ("solve", "newton_max_iter = 0\n"),
     "solve-rising_epsilons": ("solve", "continuation = true\nepsilons = 0.1, 0.2\n"),
     "solve-negative_mu": ("solve", "continuation = true\nmus = 1.0, -0.5\n"),
     "study-damping": ("study", "damping = 0\n"),

@@ -16,7 +16,7 @@ from congestion_mfg.coupler import _normalized
 from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
 from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time
-from congestion_mfg.hjb import HJBOptions, solve_hjb_backward
+from congestion_mfg.hjb import HJBOptions, drift_field, solve_hjb_backward
 
 from conftest import cosine_density, reference_params
 
@@ -78,6 +78,28 @@ class TestSolveMFG:
             sol.params,
         )
         assert np.abs(sol.m - heat).max() < 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_policy_is_drift_of_returned_solution(self, dim, n):
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.5, beta=1.5, alpha=1.0, mu=1.0, horizon=1.0)
+        eps = 0.05
+        m0 = np.zeros(grid.shape)
+        m0[(n // 2,) * dim] = 1.0
+        sol = solve_mfg(
+            grid, params, CouplingSpec(), FixedPointOptions(fp_tol=1e-6), eps=eps, m0=m0
+        )
+        assert sol.converged and sol.epsilon == eps
+        assert sol.policy.shape == (grid.nt + 1, grid.dim, *grid.shape)
+        for k in range(grid.nt + 1):
+            drift = drift_field(grid, sol.u[k], sol.m[k], sol.params, eps)
+            assert np.array_equal(sol.policy[k], drift)
+        if dim == 2:
+            # the mollified point mass exceeds the cap 1/eps, so a drift
+            # built without the truncation would differ at level 0
+            assert sol.m[0].max() > 1.0 / eps
+            uncapped = drift_field(grid, sol.u[0], sol.m[0], sol.params, 0.0)
+            assert not np.array_equal(sol.policy[0], uncapped)
 
     def test_solution_invariants(self, ref32):
         grid = ref32.grid

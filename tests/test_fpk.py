@@ -7,24 +7,18 @@ import scipy.sparse as sp
 from congestion_mfg.errors import NegativeDensity
 from congestion_mfg.fpk import fpk_step, solve_fpk_forward
 from congestion_mfg.grid import GridSpec, integrate
-from congestion_mfg.hjb import UpwindTransport, drift_field, transport_jacobian
+from congestion_mfg.hjb import transport_jacobian
 from congestion_mfg.model import ModelParams
 
 PARAMS = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 
 
 def transport_from_field(grid, u, m, params=PARAMS, eps=0.0):
-    return UpwindTransport(
-        matrix=transport_jacobian(grid, u, m, params, eps),
-        drift=drift_field(grid, u, m, params, eps),
-    )
+    return transport_jacobian(grid, u, m, params, eps)
 
 
 def zero_transport(grid):
-    return UpwindTransport(
-        matrix=sp.csr_matrix((grid.ncells, grid.ncells)),
-        drift=np.zeros((grid.dim, *grid.shape)),
-    )
+    return sp.csr_matrix((grid.ncells, grid.ncells))
 
 
 class TestFPKStep:
@@ -59,10 +53,7 @@ class TestFPKStep:
 
     def test_negative_density_check(self):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
-        bad = UpwindTransport(
-            matrix=sp.identity(grid.ncells, format="csr") * -40.0,
-            drift=np.zeros((1, grid.n)),
-        )
+        bad = sp.identity(grid.ncells, format="csr") * -40.0
         with pytest.raises(NegativeDensity):
             fpk_step(grid, np.abs(np.random.default_rng(2).random(grid.shape)), bad, PARAMS)
 
@@ -90,7 +81,7 @@ class TestDuality:
         rng = np.random.default_rng(7)
         u = rng.normal(size=grid.shape)
         m_arg = np.abs(rng.random(grid.shape)) + 0.1
-        jac = transport_from_field(grid, u, m_arg).matrix
+        jac = transport_from_field(grid, u, m_arg)
         jac_t = jac.T.tocsr()
         for _ in range(100):
             v = rng.normal(size=grid.ncells)

@@ -1,13 +1,15 @@
 """Backward HJB stepper: exactness, comparison, consistency, transport data."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from congestion_mfg import hjb
 from congestion_mfg.errors import NewtonDiverged, NonFiniteState
 from congestion_mfg.grid import GridSpec, restrict_traj
 from congestion_mfg.hjb import (
     HJBOptions,
-    drift_field,
     hjb_step,
     solve_hjb_backward,
     transport_jacobian,
@@ -29,7 +31,7 @@ class TestHJBStep:
         coupling = CouplingSpec(cf=0.0, offset_f=1.0, cg=0.0, offset_g=0.0)
         u_next = np.full(grid.shape, 3.0)
         m = np.full(grid.shape, 0.7)
-        u, _, res = hjb_step(grid, u_next, m, 0.0, PARAMS, coupling, HJBOptions())
+        u, _, res = hjb_step(grid, u_next, m, PARAMS, coupling, HJBOptions())
         assert np.abs(u - (3.0 + grid.dt)).max() < 1e-13
         assert res <= 1e-10
 
@@ -47,9 +49,37 @@ class TestHJBStep:
         m = np.abs(rng.random(grid.shape))
         with pytest.raises(NewtonDiverged):
             hjb_step(
-                grid, u_next, m, 0.0, PARAMS, COUPLING,
+                grid, u_next, m, PARAMS, COUPLING,
                 HJBOptions(newton_tol=1e-14, newton_max_iter=1),
             )
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 8)])
+    def test_newton_from_rough_starts_is_monotone(self, monkeypatch, dim, n):
+        # a level is a convex M-function, so full Newton steps converge from
+        # any start and every correction after the first is nonnegative: the
+        # iterates decrease onto the solution (up to roundoff in u)
+        corrections = []
+        solve = hjb.sparse_solve
+
+        def recording_solve(grid, mat, rhs, tol=1e-12):
+            corrections.append(solve(grid, mat, rhs, tol=tol))
+            return corrections[-1]
+
+        monkeypatch.setattr(hjb, "sparse_solve", recording_solve)
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        betas, mus, epsilons = (1.05, 1.2, 1.5, 2.0), (1.0, 0.1, 0.0), (0.0, 0.1)
+        for beta, mu, eps, seed in itertools.product(betas, mus, epsilons, range(2)):
+            params = ModelParams(nu=0.5, beta=beta, alpha=0.8, mu=mu, horizon=1.0)
+            rng = np.random.default_rng([seed, dim, n])
+            u_next = 5.0 * rng.normal(size=grid.shape)
+            m = rng.random(grid.shape) + 0.05
+            corrections.clear()
+            u, _, res = hjb_step(grid, u_next, m, params, COUPLING, HJBOptions(epsilon=eps))
+            assert res <= HJBOptions().newton_tol
+            assert 1 <= len(corrections) <= 20
+            roundoff = 16 * np.finfo(float).eps * np.abs(u).max()
+            for delta in corrections[1:]:
+                assert delta.min() >= -roundoff
 
     def test_lower_bound_c4(self):
         # F, G >= c4 = 0 propagates to u >= 0 by discrete comparison
@@ -59,6 +89,24 @@ class TestHJBStep:
         result = solve_hjb_backward(grid, m_traj, PARAMS, COUPLING, HJBOptions())
         assert COUPLING.c4 == 0.0
         assert result.u.min() >= COUPLING.c4 - 1e-12
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"newton_tol": 0.0},
+            {"newton_max_iter": 0},
+            {"newton_max_iter": -3},
+            {"epsilon": -0.1},
+            {"linear_tol": 0.0},
+            {"linear_tol": -1.0},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_invalid_options_rejected(self, bad):
+        with pytest.raises(ValueError):
+            HJBOptions(**bad)
 
 
 class TestBackwardSolve:
@@ -130,15 +178,6 @@ class TestBackwardSolve:
 
 
 class TestTransport:
-    def test_policy_recomputes_bitwise(self):
-        grid = GridSpec(dim=1, n=32, nt=8, horizon=1.0)
-        rng = np.random.default_rng(9)
-        m_traj = np.abs(rng.random((grid.nt + 1, grid.n))) + 0.1
-        result = solve_hjb_backward(grid, m_traj, PARAMS, COUPLING, HJBOptions())
-        for k, transport in enumerate(result.transports):
-            again = drift_field(grid, result.u[k], m_traj[k], PARAMS, 0.0)
-            assert np.array_equal(again, transport.drift)
-
     def test_jacobian_row_sums_and_signs(self):
         rng = np.random.default_rng(3)
         for grid in (GridSpec(dim=1, n=16, nt=2, horizon=1.0), GridSpec(dim=2, n=8, nt=2, horizon=1.0)):
@@ -183,4 +222,4 @@ class TestNonFiniteGuard:
         u_next = np.full(grid.shape, np.nan)
         m = np.ones(grid.shape)
         with pytest.raises(NonFiniteState):
-            hjb_step(grid, u_next, m, 0.0, PARAMS, COUPLING, HJBOptions())
+            hjb_step(grid, u_next, m, PARAMS, COUPLING, HJBOptions())

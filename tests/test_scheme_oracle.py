@@ -71,7 +71,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(12)
         u_next = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        u, _, _ = hjb_step(grid, u_next, m, 0.0, PARAMS, COUPLING, HJBOptions())
+        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING, HJBOptions())
         res = naive_hjb_residual_1d(grid, u, u_next, m, PARAMS, COUPLING.f(m))
         assert np.abs(res).max() <= 1e-9
 
@@ -107,13 +107,11 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(15)
         u_next = rng.normal(size=grid.shape)
         m_arg = np.abs(rng.random(grid.shape)) + 0.2
-        _, transport, _ = hjb_step(
-            grid, u_next, m_arg, 0.0, PARAMS, COUPLING, HJBOptions()
-        )
+        _, transport, _ = hjb_step(grid, u_next, m_arg, PARAMS, COUPLING, HJBOptions())
         m_prev = np.abs(rng.random(grid.shape)) + 0.1
         m = fpk_step(grid, m_prev, transport, PARAMS, FPKOptions())
         # naive adjoint residual: (m - m_prev)/dt - nu lap m + J^T m = 0
-        jac_dense = transport.matrix.toarray()
+        jac_dense = transport.toarray()
         n, h, dt = grid.n, grid.h, grid.dt
         res = np.zeros(n)
         for j in range(n):
@@ -129,12 +127,11 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(16)
         u_next = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        u, _, _ = hjb_step(grid, u_next, m, 0.0, PARAMS, COUPLING, HJBOptions())
+        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING, HJBOptions())
         u_s, _, _ = hjb_step(
             grid,
             np.roll(u_next, shift),
             np.roll(m, shift),
-            0.0,
             PARAMS,
             COUPLING,
             HJBOptions(),
