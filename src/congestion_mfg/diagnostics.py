@@ -75,16 +75,15 @@ def _check_same_grid(a: MFGSolution, b: MFGSolution) -> None:
 def _energy_terms(sol: MFGSolution, params: ModelParams, coupling: CouplingSpec):
     """(bracket, f_term, g_term, initial) of the energy identity."""
     grid, eps = sol.grid, sol.epsilon
+    costs = effective_cost(grid, sol.m, coupling.level_costs, eps)
     bracket = 0.0
     f_term = 0.0
     for k in range(grid.nt):
         h_vals = hamiltonian_values(grid, sol.u[k], sol.m[k], params, eps)
         # H_p.Du - H = (beta - 1) H for the power family, exactly
         bracket += grid.dt * _inner(grid, sol.m[k], (params.beta - 1.0) * h_vals)
-        f_eff = effective_cost(grid, sol.m[k], coupling.f, eps)
-        f_term += grid.dt * _inner(grid, f_eff, sol.m[k])
-    g_eff = effective_cost(grid, sol.m[grid.nt], coupling.g, eps)
-    g_term = _inner(grid, g_eff, sol.m[grid.nt])
+        f_term += grid.dt * _inner(grid, costs[k], sol.m[k])
+    g_term = _inner(grid, costs[grid.nt], sol.m[grid.nt])
     initial = _inner(grid, sol.u[0], sol.m[0])
     return bracket, f_term, g_term, initial
 
@@ -121,15 +120,14 @@ def crossed_energy_gap(
     eps_a, eps_b = sol_a.epsilon, sol_b.epsilon
     params_b = sol_b.params
 
+    costs_a = effective_cost(grid, sol_a.m, coupling.level_costs, eps_a)
     total = 0.0
     for k in range(grid.nt):
         g_a = hamiltonian_values(grid, sol_a.u[k], sol_a.m[k], params, eps_a)
         jac_b = transport_jacobian(grid, sol_b.u[k], sol_b.m[k], params_b, eps_b)
         advected = (jac_b @ sol_a.u[k].ravel()).reshape(grid.shape)
-        f_eff = effective_cost(grid, sol_a.m[k], coupling.f, eps_a)
-        total += grid.dt * _inner(grid, advected - g_a + f_eff, sol_b.m[k + 1])
-    g_eff = effective_cost(grid, sol_a.m[grid.nt], coupling.g, eps_a)
-    total += _inner(grid, g_eff, sol_b.m[grid.nt])
+        total += grid.dt * _inner(grid, advected - g_a + costs_a[k], sol_b.m[k + 1])
+    total += _inner(grid, costs_a[grid.nt], sol_b.m[grid.nt])
     total -= _inner(grid, sol_a.u[0], sol_b.m[0])
     return total
 

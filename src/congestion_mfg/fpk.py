@@ -36,6 +36,8 @@ from .model import ModelParams
 
 __all__ = ["FPKOptions", "fpk_step", "solve_fpk_forward"]
 
+NEGATIVE_TOL = 1e-12  # roundoff allowed below zero, on a step's input and output
+
 
 @dataclass(frozen=True)
 class FPKOptions:
@@ -55,7 +57,7 @@ def fpk_step(
     opts: FPKOptions = FPKOptions(),
 ) -> np.ndarray:
     """Advance the density one level with the transposed generator ``transport``."""
-    if np.any(m_prev < 0):
+    if float(m_prev.min()) < -NEGATIVE_TOL:
         raise ValueError("previous density frame must be nonnegative")
     # A's data in CSR slot order, read as CSC, is A^T; the heat part is symmetric
     system = stencil_pattern(grid).csc(
@@ -65,7 +67,7 @@ def fpk_step(
     m = m_vec.reshape(grid.shape)
     if not np.all(np.isfinite(m)):
         raise LinearSolveFailed("non-finite density after the implicit step")
-    if opts.enforce_nonneg_check and float(m.min()) < -1e-12:
+    if opts.enforce_nonneg_check and float(m.min()) < -NEGATIVE_TOL:
         raise NegativeDensity(f"min density {m.min():.3e} below tolerance")
     return m
 

@@ -9,6 +9,8 @@ Conventions used throughout the package:
   (``(n,)`` in 1D, ``(n, n)`` in 2D, row-major);
 * a space-time field is an array with a leading time axis of length
   ``nt + 1``, frame ``k`` holding the values at ``t_k = k * dt``;
+  :func:`gaussian_smooth` takes any leading axes as frames, so it smooths
+  a whole space-time field in one call, with per-frame results;
 * integrals over the torus are rectangle sums ``h**dim * sum(f)``, which is
   what makes the discrete summation-by-parts identities exact.
 
@@ -350,23 +352,31 @@ def upwind_parts(grid: GridSpec, u: np.ndarray):
 def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
     """Periodic Gaussian convolution of standard deviation ``eps``.
 
+    Smooths over the last ``grid.dim`` axes of ``f``; any leading axes hold
+    frames, smoothed independently, so a whole trajectory ``(nt + 1,
+    *grid.shape)`` costs one FFT pass per spatial axis.  numpy transforms
+    each frame of a stack exactly as it would transform that frame alone, so
+    every frame is bit-identical to a single-frame call.
+
     The kernel is the wrapped Gaussian sampled at cell offsets and normalized
     to unit sum, so constants and total mass are preserved exactly and
-    nonnegative fields stay nonnegative (up to FFT roundoff, which is clipped).
-    ``eps = 0`` is the identity.
+    nonnegative fields stay nonnegative up to FFT roundoff.  That roundoff,
+    values in ``(-1e-12, 0)``, is clipped to zero frame by frame, and only
+    in frames whose input is nonnegative.  ``eps = 0`` returns a copy.
     """
     if eps <= 0.0:
         return np.array(f, dtype=float, copy=True)
     kernel_spectrum = _kernel_spectrum(grid.n, grid.h, float(eps))
-    out = np.asarray(f, dtype=float)
-    for ax in range(grid.dim):
-        spectrum = np.fft.fft(out, axis=ax) * _shape_for_axis(
-            kernel_spectrum, ax, grid.dim
-        )
-        out = np.real(np.fft.ifft(spectrum, axis=ax))
-    if np.all(np.asarray(f) >= 0.0):
-        # kernel is positive, so negatives can only be roundoff
-        out[(out < 0.0) & (out > -1e-12)] = 0.0
+    out = f = np.asarray(f, dtype=float)
+    space = tuple(range(-grid.dim, 0))
+    for ax in space:
+        spectrum = np.fft.fft(out, axis=ax)
+        spectrum *= kernel_spectrum.reshape((-1,) + (1,) * (-1 - ax))
+        out = np.fft.ifft(spectrum, axis=ax).real
+    roundoff = (out < 0.0) & (out > -1e-12)
+    if roundoff.any():
+        # the kernel is positive, so negatives of a nonnegative frame are roundoff
+        out[roundoff & (f >= 0.0).all(axis=space, keepdims=True)] = 0.0
     return out
 
 
@@ -379,12 +389,6 @@ def _kernel_spectrum(n: int, h: float, eps: float) -> np.ndarray:
     spectrum = np.fft.fft(kern / kern.sum())
     spectrum.flags.writeable = False
     return spectrum
-
-
-def _shape_for_axis(v: np.ndarray, ax: int, dim: int) -> np.ndarray:
-    if dim == 1:
-        return v
-    return v[:, None] if ax == 0 else v[None, :]
 
 
 def integrate(grid: GridSpec, f: np.ndarray) -> float:

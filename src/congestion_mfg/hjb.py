@@ -10,7 +10,11 @@ where ``g`` is the Godunov numerical Hamiltonian: the congestion power law of
 :func:`congestion_mfg.grid.upwind_parts`.  The density inside the
 Hamiltonian is capped at ``1/eps`` (eps = 0 disables the cap), and ``F_eff``
 is the running cost smoothed on both sides by the periodic Gaussian mollifier
-when eps > 0 (the cap is never applied inside F).
+when eps > 0 (the cap is never applied inside F).  ``F_eff`` and the terminal
+``G_eff`` depend only on the frozen density trajectory, so
+:func:`solve_hjb_backward` builds them for every level at once, with two
+batched :func:`~congestion_mfg.grid.gaussian_smooth` calls per sweep, and
+:func:`hjb_step` takes its level's ``F_eff`` as the argument ``f_level``.
 
 Newton takes full steps; there is no line search.  At a fixed density frame
 a level is ``F(u) = (I/dt - nu L) u + g(u) - b = 0`` with ``F`` a convex
@@ -146,9 +150,12 @@ def drift_field(
 
 
 def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.ndarray:
-    """Coupling ``cost`` (``coupling.f`` or ``coupling.g``) seen by the scheme.
+    """Coupling ``cost`` seen by the scheme, on a density frame or a stack of them.
 
-    The plain cost at eps = 0, else the doubly mollified composition.
+    ``cost`` is ``coupling.f``, ``coupling.g`` or, for a whole trajectory,
+    ``coupling.level_costs``.  The plain cost at eps = 0, else the doubly
+    mollified composition; each smoothing is one batched call over all
+    frames, bit-identical frame by frame to per-frame calls.
     """
     if epsilon <= 0.0:
         return np.asarray(cost(m), dtype=float)
@@ -161,11 +168,13 @@ def hjb_step(
     u_next: np.ndarray,
     m_frame: np.ndarray,
     params: ModelParams,
-    coupling: CouplingSpec,
+    f_level: np.ndarray,
     opts: HJBOptions,
 ) -> tuple[np.ndarray, sp.csr_matrix, float]:
     """One backward implicit Euler step; returns (u, A, residual).
 
+    ``f_level`` is the level's effective running cost ``F_eff``, as
+    :func:`effective_cost` gives it for ``m_frame`` with ``opts.epsilon``.
     ``u`` satisfies the per-cell Newton system to ``opts.newton_tol`` in
     max norm; the generator ``A`` is re-assembled at the converged state so
     the Kolmogorov stepper and any later recomputation see identical data.
@@ -174,7 +183,7 @@ def hjb_step(
         raise ValueError("density frame must be nonnegative")
     dt = grid.dt
     lap = laplacian_matrix(grid)
-    f_src = effective_cost(grid, m_frame, coupling.f, opts.epsilon).ravel()
+    f_src = np.asarray(f_level, dtype=float).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
 
     def residual(uvec):
@@ -234,21 +243,25 @@ def solve_hjb_backward(
 ) -> HJBBackwardResult:
     """Backward sweep over all time levels for a frozen density trajectory.
 
-    The terminal frame is the (mollified) terminal cost of the final density;
-    level k is produced by :func:`hjb_step` against the density frame of the
-    same level, whose generator then drives the forward step k -> k+1.
+    The costs depend only on the frozen trajectory, so they are built once
+    per sweep by one :func:`effective_cost` call over all levels: two
+    batched smoothings when eps > 0.  The terminal frame is the (mollified)
+    terminal cost of the final density; level k is produced by
+    :func:`hjb_step` against the density frame and running cost of the same
+    level, whose generator then drives the forward step k -> k+1.
     """
     if m_traj.shape != (grid.nt + 1, *grid.shape):
         raise ValueError("density trajectory shape does not match the grid")
     if np.any(m_traj < 0):
         raise ValueError("density trajectory must be nonnegative")
+    costs = effective_cost(grid, m_traj, coupling.level_costs, opts.epsilon)
     u = grid.zeros_traj()
-    u[grid.nt] = effective_cost(grid, m_traj[grid.nt], coupling.g, opts.epsilon)
+    u[grid.nt] = costs[grid.nt]
     transports: list[sp.csr_matrix | None] = [None] * grid.nt
     worst = 0.0
     for k in range(grid.nt - 1, -1, -1):
         u[k], transports[k], res = hjb_step(
-            grid, u[k + 1], m_traj[k], params, coupling, opts
+            grid, u[k + 1], m_traj[k], params, costs[k], opts
         )
         worst = max(worst, res)
     return HJBBackwardResult(u=u, transports=transports, max_newton_residual=worst)

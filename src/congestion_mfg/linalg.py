@@ -18,8 +18,11 @@ Stat. Comput. 9, 1988).  The FFT diagonalises ``C``: its symbol on the
 
 with ``c_0`` the mean diagonal and ``c_+``/``c_-`` the mean coefficients of
 the ``+e_ax``/``-e_ax`` neighbours, so ``C^{-1} r = irfftn(rfftn(r) /
-lambda)`` costs one small FFT pair.  The heat part ``I/dt - nu L`` has
-constant coefficients and is reproduced exactly; only the transport's
+lambda)`` costs one small FFT pair.  The apply writes both transforms out
+as their 1D passes, ``rfft`` on the last axis and ``fft`` on the others
+(inverse in reverse order), which is bit-identical to ``rfftn``/``irfftn``
+and skips their per-call argument handling.  The heat part ``I/dt - nu L``
+has constant coefficients and is reproduced exactly; only the transport's
 deviation from its mean is left over.  At 2D n = 32 and nu = 0.5 that
 deviation is ``O(10)`` against ``4 nu/h^2 ~ 2000``, so ``C^{-1} M`` is the
 identity up to about 1% and BiCGStab meets the tolerance in about one
@@ -95,11 +98,16 @@ def averaged_stencil_inverse(grid: GridSpec, mat: sp.spmatrix):
     symbol = averaged_symbol(grid, mat)
     if not (np.isfinite(symbol).all() and symbol.all()):
         raise LinearSolveFailed("averaged stencil of the 2D system is singular")
-    shape, axes = grid.shape, tuple(range(grid.dim))
+    shape, n, lead = grid.shape, grid.n, range(grid.dim - 1)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfftn(r.reshape(shape), axes=axes) / symbol
-        return np.fft.irfftn(spectrum, s=shape, axes=axes).ravel()
+        spectrum = np.fft.rfft(r.reshape(shape))
+        for ax in reversed(lead):
+            spectrum = np.fft.fft(spectrum, axis=ax)
+        spectrum /= symbol
+        for ax in lead:
+            spectrum = np.fft.ifft(spectrum, axis=ax)
+        return np.fft.irfft(spectrum, n).ravel()
 
     return apply
 

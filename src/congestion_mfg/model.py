@@ -186,6 +186,10 @@ class CouplingSpec:
             out = np.interp(m, self.table_s, self.table_g)
         return out if out.ndim else float(out)
 
+    def level_costs(self, m_traj):
+        """F at every level of a density trajectory but the last, G at the last."""
+        return np.concatenate([self.f(m_traj[:-1]), self.g(m_traj[-1:])])
+
     @property
     def c4(self) -> float:
         """Common lower bound of F and G (attained at m = 0)."""

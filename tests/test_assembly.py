@@ -96,7 +96,7 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
     system = first_system(
         monkeypatch,
         hjb,
-        lambda: hjb_step(grid, u_next, m, params, CouplingSpec(), HJBOptions()),
+        lambda: hjb_step(grid, u_next, m, params, CouplingSpec().f(m), HJBOptions()),
     )
     jac = transport_jacobian(grid, u_next, m, params, 0.0)
     if params.mu == 0.0:

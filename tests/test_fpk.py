@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from congestion_mfg.coupler import FixedPointOptions, solve_mfg
 from congestion_mfg.errors import NegativeDensity
 from congestion_mfg.fpk import fpk_step, solve_fpk_forward
 from congestion_mfg.grid import GridSpec, integrate
 from congestion_mfg.hjb import transport_jacobian
-from congestion_mfg.model import ModelParams
+from congestion_mfg.model import CouplingSpec, ModelParams
 
 PARAMS = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 
@@ -56,6 +57,30 @@ class TestFPKStep:
         bad = sp.identity(grid.ncells, format="csr") * -40.0
         with pytest.raises(NegativeDensity):
             fpk_step(grid, np.abs(np.random.default_rng(2).random(grid.shape)), bad, PARAMS)
+
+    def test_input_check_allows_the_output_roundoff(self):
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        m_prev = np.ones(grid.shape)
+        m_prev[3] = -1e-17
+        m = fpk_step(grid, m_prev, zero_transport(grid), PARAMS)
+        assert m.min() >= -1e-12
+        m_prev[3] = -1e-11
+        with pytest.raises(ValueError, match="nonnegative"):
+            fpk_step(grid, m_prev, zero_transport(grid), PARAMS)
+
+    def test_forward_sweep_accepts_its_own_frames(self):
+        # 2D, nearly inviscid, indicator start: the first step returned a
+        # frame with min -7.8e-18 that the next step rejected as negative,
+        # an untyped ValueError out of solve_mfg
+        grid = GridSpec(dim=2, n=32, nt=32, horizon=1.0)
+        params = ModelParams(nu=0.001, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+        x, y = grid.coords()
+        m0 = (np.hypot(x - 0.5, y - 0.5) < 0.1).astype(float)
+        sol = solve_mfg(
+            grid, params, CouplingSpec(), FixedPointOptions(max_outer_iter=1), m0=m0
+        )
+        assert sol.meta["outer_iters"] == 1
+        assert sol.m.min() >= 0.0
 
 
 class TestComparison:

@@ -242,6 +242,45 @@ class TestGaussianSmoothCache:
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (eps, name)
 
 
+def _spike(grid, value=1.0):
+    f = np.zeros(grid.shape)
+    f[(1,) * grid.dim] = value
+    return f
+
+
+class TestBatchedGaussianSmooth:
+    @pytest.mark.parametrize("dim, n", [(1, 5), (1, 13), (1, 16), (1, 64), (2, 5), (2, 6), (2, 32)])
+    @pytest.mark.parametrize("eps", [0.02, 0.3])
+    def test_frames_equal_single_frame_calls(self, dim, n, eps):
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        rng = np.random.default_rng([dim, n])
+        # a spike smooths to FFT roundoff below zero; one frame carries a
+        # tiny negative entry, so its roundoff must survive the clip
+        signed = _spike(grid)
+        signed[(0,) * dim] = -1e-20
+        stack = np.stack([_spike(grid), rng.random(grid.shape), signed, _spike(grid, 3.0)])
+        got = gaussian_smooth(grid, stack, eps)
+        ref = np.stack([gaussian_smooth(grid, frame, eps) for frame in stack])
+        assert got.shape == stack.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert got[[0, 1, 3]].min() >= 0.0
+        if eps == 0.02:
+            assert ((got[2] < 0.0) & (got[2] > -1e-12)).any()
+
+    def test_leading_axes_are_all_frames(self):
+        grid = GridSpec(dim=2, n=6, nt=4, horizon=1.0)
+        stack = np.random.default_rng(3).random((2, 3, *grid.shape))
+        got = gaussian_smooth(grid, stack, 0.1)
+        ref = gaussian_smooth(grid, stack.reshape(6, *grid.shape), 0.1)
+        assert np.array_equal(got.reshape(ref.shape).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
+    def test_eps_zero_returns_a_copy(self, grid):
+        for f in (random_field(grid), np.stack([random_field(grid)] * 3)):
+            out = gaussian_smooth(grid, f, 0.0)
+            assert np.array_equal(out, f) and not np.shares_memory(out, f)
+
+
 class TestOffsetSymbols:
     @pytest.mark.parametrize("dim, n", [(1, 5), (1, 8), (2, 5), (2, 6)])
     def test_symbols_multiply_rfftn_of_shifted_fields(self, dim, n):

@@ -31,7 +31,7 @@ class TestHJBStep:
         coupling = CouplingSpec(cf=0.0, offset_f=1.0, cg=0.0, offset_g=0.0)
         u_next = np.full(grid.shape, 3.0)
         m = np.full(grid.shape, 0.7)
-        u, _, res = hjb_step(grid, u_next, m, PARAMS, coupling, HJBOptions())
+        u, _, res = hjb_step(grid, u_next, m, PARAMS, coupling.f(m), HJBOptions())
         assert np.abs(u - (3.0 + grid.dt)).max() < 1e-13
         assert res <= 1e-10
 
@@ -49,7 +49,7 @@ class TestHJBStep:
         m = np.abs(rng.random(grid.shape))
         with pytest.raises(NewtonDiverged):
             hjb_step(
-                grid, u_next, m, PARAMS, COUPLING,
+                grid, u_next, m, PARAMS, COUPLING.f(m),
                 HJBOptions(newton_tol=1e-14, newton_max_iter=1),
             )
 
@@ -74,7 +74,8 @@ class TestHJBStep:
             u_next = 5.0 * rng.normal(size=grid.shape)
             m = rng.random(grid.shape) + 0.05
             corrections.clear()
-            u, _, res = hjb_step(grid, u_next, m, params, COUPLING, HJBOptions(epsilon=eps))
+            f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)
+            u, _, res = hjb_step(grid, u_next, m, params, f_level, HJBOptions(epsilon=eps))
             assert res <= HJBOptions().newton_tol
             assert 1 <= len(corrections) <= 20
             roundoff = 16 * np.finfo(float).eps * np.abs(u).max()
@@ -107,6 +108,75 @@ class TestOptions:
     def test_invalid_options_rejected(self, bad):
         with pytest.raises(ValueError):
             HJBOptions(**bad)
+
+
+TABULATED = CouplingSpec(
+    family="tabulated",
+    table_s=(0.0, 1.0, 2.0, 4.0),
+    table_f=(0.0, 1.0, 1.5, 2.0),
+    table_g=(0.0, 0.5, 1.0, 3.0),
+)
+COST_CASES = list(
+    itertools.product(
+        [(1, 16), (2, 6)],
+        [0.0, 0.05],
+        [COUPLING, CouplingSpec(cf=0.5, qf=1.5, cg=2.0, qg=0.5), TABULATED],
+    )
+)
+
+
+def random_traj(grid, seed):
+    return np.random.default_rng(seed).random((grid.nt + 1, *grid.shape)) * 2.0 + 0.01
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestMollifiedCosts:
+    @pytest.mark.parametrize("grid_args, eps, coupling", COST_CASES)
+    def test_trajectory_equals_per_level_calls(self, grid_args, eps, coupling):
+        dim, n = grid_args
+        grid = GridSpec(dim=dim, n=n, nt=6, horizon=1.0)
+        m_traj = random_traj(grid, n)
+        for cost in (coupling.f, coupling.g):
+            per_level = [hjb.effective_cost(grid, frame, cost, eps) for frame in m_traj]
+            assert_bits_equal(hjb.effective_cost(grid, m_traj, cost, eps), np.stack(per_level))
+        level_costs = hjb.effective_cost(grid, m_traj, coupling.level_costs, eps)
+        for k in range(grid.nt):
+            assert_bits_equal(level_costs[k], hjb.effective_cost(grid, m_traj[k], coupling.f, eps))
+        assert_bits_equal(level_costs[-1], hjb.effective_cost(grid, m_traj[-1], coupling.g, eps))
+
+    @pytest.mark.parametrize("grid_args, eps, coupling", COST_CASES)
+    def test_sweep_equals_per_level_reference(self, grid_args, eps, coupling):
+        dim, n = grid_args
+        grid = GridSpec(dim=dim, n=n, nt=6, horizon=1.0)
+        m_traj = random_traj(grid, 2 * n)
+        opts = HJBOptions(epsilon=eps)
+        result = solve_hjb_backward(grid, m_traj, PARAMS, coupling, opts)
+        # the sweep as it was: each level smooths its own frame's costs
+        u = grid.zeros_traj()
+        u[grid.nt] = hjb.effective_cost(grid, m_traj[grid.nt], coupling.g, eps)
+        for k in range(grid.nt - 1, -1, -1):
+            f_level = hjb.effective_cost(grid, m_traj[k], coupling.f, eps)
+            u[k], transport, _ = hjb_step(grid, u[k + 1], m_traj[k], PARAMS, f_level, opts)
+            assert_bits_equal(result.transports[k].data, transport.data)
+        assert_bits_equal(result.u, u)
+
+    @pytest.mark.parametrize("eps, calls", [(0.0, 0), (0.05, 2)])
+    def test_sweep_smooths_all_levels_at_once(self, monkeypatch, eps, calls):
+        smoothed = []
+        smooth = hjb.gaussian_smooth
+
+        def counting_smooth(grid, f, eps):
+            smoothed.append(np.shape(f))
+            return smooth(grid, f, eps)
+
+        monkeypatch.setattr(hjb, "gaussian_smooth", counting_smooth)
+        grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
+        solve_hjb_backward(grid, random_traj(grid, 1), PARAMS, COUPLING, HJBOptions(epsilon=eps))
+        assert smoothed == [(grid.nt + 1, grid.n)] * calls
 
 
 class TestBackwardSolve:
@@ -222,4 +292,4 @@ class TestNonFiniteGuard:
         u_next = np.full(grid.shape, np.nan)
         m = np.ones(grid.shape)
         with pytest.raises(NonFiniteState):
-            hjb_step(grid, u_next, m, PARAMS, COUPLING, HJBOptions())
+            hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m), HJBOptions())

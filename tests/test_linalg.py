@@ -65,6 +65,18 @@ def test_preconditioner_inverts_constant_stencils(n):
         assert np.abs(mat @ apply(b) - b).max() <= 1e-12 * np.abs(b).max()
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 32])
+def test_preconditioner_passes_equal_rfftn_reference(n):
+    grid = GridSpec(dim=2, n=n, nt=8, horizon=1.0)
+    x = np.random.default_rng(n).normal(size=grid.ncells)
+    for mat in constant_systems(grid):
+        symbol = linalg.averaged_symbol(grid, mat)
+        spectrum = np.fft.rfftn(x.reshape(grid.shape), axes=(0, 1)) / symbol
+        ref = np.fft.irfftn(spectrum, s=grid.shape, axes=(0, 1)).ravel()
+        got = linalg.averaged_stencil_inverse(grid, mat)(x)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_symbol_of_a_matrix_off_the_pattern(n):
     """A matrix not built on the pattern is read through its entries."""

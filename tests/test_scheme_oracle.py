@@ -71,7 +71,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(12)
         u_next = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING, HJBOptions())
+        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m), HJBOptions())
         res = naive_hjb_residual_1d(grid, u, u_next, m, PARAMS, COUPLING.f(m))
         assert np.abs(res).max() <= 1e-9
 
@@ -107,7 +107,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(15)
         u_next = rng.normal(size=grid.shape)
         m_arg = np.abs(rng.random(grid.shape)) + 0.2
-        _, transport, _ = hjb_step(grid, u_next, m_arg, PARAMS, COUPLING, HJBOptions())
+        _, transport, _ = hjb_step(grid, u_next, m_arg, PARAMS, COUPLING.f(m_arg), HJBOptions())
         m_prev = np.abs(rng.random(grid.shape)) + 0.1
         m = fpk_step(grid, m_prev, transport, PARAMS, FPKOptions())
         # naive adjoint residual: (m - m_prev)/dt - nu lap m + J^T m = 0
@@ -127,13 +127,13 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(16)
         u_next = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING, HJBOptions())
+        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m), HJBOptions())
         u_s, _, _ = hjb_step(
             grid,
             np.roll(u_next, shift),
             np.roll(m, shift),
             PARAMS,
-            COUPLING,
+            COUPLING.f(np.roll(m, shift)),
             HJBOptions(),
         )
         assert np.abs(np.roll(u, shift) - u_s).max() <= 1e-11
