@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .fpk import FPKOptions, solve_fpk_forward
-from .grid import GridSpec, gaussian_smooth, integrate, l1_space_time
+from .grid import GridSpec, gaussian_smooth, integrate, l1_space_time, upwind_parts
 from .hjb import HJBOptions, drift_field, solve_hjb_backward
-from .model import CouplingSpec, ModelParams, check_structure
+from .model import CouplingSpec, ModelParams, check_structure, congestion_denominator
 
 __all__ = [
     "FixedPointOptions",
@@ -247,10 +247,11 @@ def solve_mfg(
 
     backward = solve_hjb_backward(grid, m_cur, eff_params, coupling, hjb_opts)
     worst_newton = max(worst_newton, backward.max_newton_residual)
+    congestion = [congestion_denominator(m_k, eff_params, eps) for m_k in m_cur]
     policy = np.stack(
         [
-            drift_field(grid, backward.u[k], m_cur[k], eff_params, eps)
-            for k in range(grid.nt + 1)
+            drift_field(grid, upwind_parts(grid, u_k), congestion_k, eff_params)
+            for u_k, congestion_k in zip(backward.u, congestion)
         ]
     )
 

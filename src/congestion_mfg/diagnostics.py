@@ -30,7 +30,7 @@ every Hamiltonian integrand carries the ``m > m_floor`` indicator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .model import (
     CouplingSpec,
     ModelParams,
     _guarded_h_hp,
+    congestion_denominator,
     uniqueness_integrand,
 )
 
@@ -72,20 +73,30 @@ def _check_same_grid(a: MFGSolution, b: MFGSolution) -> None:
         raise GridMismatch(f"grids differ: {ga} vs {gb}")
 
 
+def _kernel_inputs(sol: MFGSolution, k: int, params: ModelParams):
+    """(upwind parts, congestion factor) of level ``k``, as the HJB step has them."""
+    return (
+        upwind_parts(sol.grid, sol.u[k]),
+        congestion_denominator(sol.m[k], params, sol.epsilon),
+    )
+
+
 def _energy_terms(sol: MFGSolution, params: ModelParams, coupling: CouplingSpec):
-    """(bracket, f_term, g_term, initial) of the energy identity."""
-    grid, eps = sol.grid, sol.epsilon
-    costs = effective_cost(grid, sol.m, coupling.level_costs, eps)
+    """(bracket, f_term, g_term, initial, H per level) of the energy identity."""
+    grid = sol.grid
+    costs = effective_cost(grid, sol.m, coupling.level_costs, sol.epsilon)
     bracket = 0.0
     f_term = 0.0
+    hamiltonians = []
     for k in range(grid.nt):
-        h_vals = hamiltonian_values(grid, sol.u[k], sol.m[k], params, eps)
+        h_vals = hamiltonian_values(grid, *_kernel_inputs(sol, k, params), params)
+        hamiltonians.append(h_vals)
         # H_p.Du - H = (beta - 1) H for the power family, exactly
         bracket += grid.dt * _inner(grid, sol.m[k], (params.beta - 1.0) * h_vals)
         f_term += grid.dt * _inner(grid, costs[k], sol.m[k])
     g_term = _inner(grid, costs[grid.nt], sol.m[grid.nt])
     initial = _inner(grid, sol.u[0], sol.m[0])
-    return bracket, f_term, g_term, initial
+    return bracket, f_term, g_term, initial, hamiltonians
 
 
 def energy_identity_residual(
@@ -96,7 +107,7 @@ def energy_identity_residual(
     """|LHS - RHS| of the energy identity, natural same-level quadrature."""
     params = params or sol.params
     coupling = coupling or sol.coupling
-    bracket, f_term, g_term, initial = _energy_terms(sol, params, coupling)
+    bracket, f_term, g_term, initial, _ = _energy_terms(sol, params, coupling)
     return abs(bracket + f_term + g_term - initial)
 
 
@@ -117,14 +128,13 @@ def crossed_energy_gap(
     params = params or sol_a.params
     coupling = coupling or sol_a.coupling
     grid = sol_a.grid
-    eps_a, eps_b = sol_a.epsilon, sol_b.epsilon
     params_b = sol_b.params
 
-    costs_a = effective_cost(grid, sol_a.m, coupling.level_costs, eps_a)
+    costs_a = effective_cost(grid, sol_a.m, coupling.level_costs, sol_a.epsilon)
     total = 0.0
     for k in range(grid.nt):
-        g_a = hamiltonian_values(grid, sol_a.u[k], sol_a.m[k], params, eps_a)
-        jac_b = transport_jacobian(grid, sol_b.u[k], sol_b.m[k], params_b, eps_b)
+        g_a = hamiltonian_values(grid, *_kernel_inputs(sol_a, k, params), params)
+        jac_b = transport_jacobian(grid, *_kernel_inputs(sol_b, k, params_b), params_b)
         advected = (jac_b @ sol_a.u[k].ravel()).reshape(grid.shape)
         total += grid.dt * _inner(grid, advected - g_a + costs_a[k], sol_b.m[k + 1])
     total += _inner(grid, costs_a[grid.nt], sol_b.m[grid.nt])
@@ -253,24 +263,7 @@ class DiagnosticsReport:
     ok_u_lower: bool
 
     def to_flat_dict(self) -> dict[str, float]:
-        out = {}
-        for name in (
-            "energy_residual",
-            "crossed_gap",
-            "mass_drift",
-            "min_m",
-            "u_lower_slack",
-            "integ_HpDu_minus_H",
-            "integ_DuBeta",
-            "integ_mDuBeta",
-            "norm_m_power",
-            "integ_Fm",
-            "integ_Gm",
-        ):
-            out[name] = float(getattr(self, name))
-        for name in ("ok_min_m", "ok_mass", "ok_u_lower"):
-            out[name] = float(getattr(self, name))
-        return out
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 def apriori_report(
@@ -281,9 +274,9 @@ def apriori_report(
     """Fill every report entry by rectangle-rule quadrature and flag violations."""
     params = params or sol.params
     coupling = coupling or sol.coupling
-    grid, eps = sol.grid, sol.epsilon
+    grid = sol.grid
 
-    bracket, f_term, g_term, initial = _energy_terms(sol, params, coupling)
+    bracket, f_term, g_term, initial, h_levels = _energy_terms(sol, params, coupling)
     energy_residual = abs(bracket + f_term + g_term - initial)
     crossed = crossed_energy_gap(sol, sol, params, coupling)
 
@@ -296,8 +289,7 @@ def apriori_report(
     integ_mdu = 0.0
     power = 0.0
     r_exp = (grid.dim + 2.0) / grid.dim
-    for k in range(grid.nt):
-        h_vals = hamiltonian_values(grid, sol.u[k], sol.m[k], params, eps)
+    for k, h_vals in enumerate(h_levels):
         integ_du += grid.dt * integrate(grid, params.beta * h_vals)
         integ_mdu += grid.dt * integrate(grid, params.beta * h_vals * sol.m[k])
         power += grid.dt * integrate(

@@ -37,19 +37,20 @@ backtracking search has nothing to guard against, and exceeding
 ``newton_max_iter`` raises :class:`~congestion_mfg.errors.NewtonDiverged`,
 the one way a level fails to converge.
 
-The step emits the sparse advection generator ``A`` at the converged state
-and nothing else of the linearization.  The forward Kolmogorov stepper
-consumes its exact transpose, which is what makes the discrete energy
-identities of the diagnostics module close up to solver tolerances.  The
-upwind drift ``-H_p`` is not built per level: the coupler computes it once
-from the returned solution with :func:`drift_field`.
-
-``A`` lives on the grid's cached stencil pattern (see
-:func:`congestion_mfg.grid.stencil_pattern`): the Hamiltonian, ``A`` and the
-drift all come from ``upwind_parts`` and the model's power-law kernel, and
-``A`` is a data vector filled on the pattern.  Each Newton system
-``I/dt - nu L + A`` is one vector add on that pattern, built directly as CSC
-for the sparse solver.
+Within a level the density frame is frozen, so :func:`hjb_step` evaluates
+the congestion factor ``congestion_denominator(m_frame, params, eps)`` once
+per level and ``upwind_parts(grid, u)`` once per Newton iterate.  The
+kernels :func:`hamiltonian_values`, :func:`transport_jacobian` and
+:func:`drift_field` all take these as ``(grid, parts, congestion, params)``.
+The generator ``A`` at the converged state, built from the final residual's
+parts, is all the step emits of the linearization: the forward Kolmogorov
+stepper consumes its exact transpose, which closes the diagnostics' discrete
+energy identities up to solver tolerances, and the coupler computes the
+drift ``-H_p`` once from the returned solution.  ``A`` is a data vector on
+the grid's cached stencil pattern (:func:`~congestion_mfg.grid.stencil_pattern`),
+and each Newton system ``I/dt - nu L + A`` is one vector add on it, built
+directly as CSC.  Density entries in ``[-NEGATIVE_TOL, 0)``, the roundoff of
+the FPK sweep, count as 0; anything below raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NewtonDiverged, NonFiniteState
+from .fpk import NEGATIVE_TOL
 from .grid import (
     GridSpec,
     gaussian_smooth,
@@ -102,25 +104,28 @@ class HJBOptions:
             raise ValueError("linear_tol must be positive")
 
 
-def _upwind_weight(q, m, params: ModelParams, epsilon: float):
+def _upwind_weight(q, congestion, params: ModelParams):
     """q^{beta/2-1}/(T m + mu)^alpha with the singular floor and indicator."""
-    den, active = congestion_denominator(m, params, epsilon)
+    den, active = congestion
     w = _power_law(q, den, params.beta / 2.0 - 1.0)
     return w * active if active is not None else w
 
 
 def hamiltonian_values(
-    grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
+    grid: GridSpec, parts, congestion, params: ModelParams
 ) -> np.ndarray:
-    """Per-cell numerical Hamiltonian (1/beta) q^{beta/2}/(T m + mu)^alpha."""
-    _, _, q = upwind_parts(grid, u)
-    den, active = congestion_denominator(m, params, epsilon)
-    out = _power_law(q, den, params.beta / 2.0, params.beta)
+    """Per-cell numerical Hamiltonian (1/beta) q^{beta/2}/(T m + mu)^alpha.
+
+    ``parts = upwind_parts(grid, u)`` and ``congestion =
+    congestion_denominator(m, params, eps)``, as for every kernel here.
+    """
+    den, active = congestion
+    out = _power_law(parts[2], den, params.beta / 2.0, params.beta)
     return out * active if active is not None else out
 
 
 def transport_jacobian(
-    grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
+    grid: GridSpec, parts, congestion, params: ModelParams
 ) -> sp.csr_matrix:
     """Sparse dg/du of the numerical Hamiltonian at (u, m), on the stencil pattern.
 
@@ -128,8 +133,8 @@ def transport_jacobian(
     nonnegative and off-diagonal entries are nonpositive, and by Euler's
     identity for the beta-homogeneous g one has  A u = beta * g  exactly.
     """
-    dm, dp, q = upwind_parts(grid, u)
-    w = _upwind_weight(q, m, params, epsilon)
+    dm, dp, q = parts
+    w = _upwind_weight(q, congestion, params)
     am, ap = w * dm, w * dp
     pattern = stencil_pattern(grid)
     data = np.empty(len(pattern.indices))
@@ -142,11 +147,11 @@ def transport_jacobian(
 
 
 def drift_field(
-    grid: GridSpec, u: np.ndarray, m: np.ndarray, params: ModelParams, epsilon: float
+    grid: GridSpec, parts, congestion, params: ModelParams
 ) -> np.ndarray:
     """Upwind drift -H_p(T m, Du), one component per dimension."""
-    dm, dp, q = upwind_parts(grid, u)
-    return -_upwind_weight(q, m, params, epsilon) * (dm + dp)
+    dm, dp, q = parts
+    return -_upwind_weight(q, congestion, params) * (dm + dp)
 
 
 def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.ndarray:
@@ -163,6 +168,14 @@ def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.nd
     return gaussian_smooth(grid, np.asarray(cost(smoothed)), epsilon)
 
 
+def _nonnegative(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` with roundoff in ``[-NEGATIVE_TOL, 0)`` set to 0, uncopied if none."""
+    low = float(m.min())
+    if low < -NEGATIVE_TOL:
+        raise ValueError(f"{what} must be nonnegative")
+    return np.maximum(m, 0.0) if low < 0.0 else m
+
+
 def hjb_step(
     grid: GridSpec,
     u_next: np.ndarray,
@@ -176,29 +189,24 @@ def hjb_step(
     ``f_level`` is the level's effective running cost ``F_eff``, as
     :func:`effective_cost` gives it for ``m_frame`` with ``opts.epsilon``.
     ``u`` satisfies the per-cell Newton system to ``opts.newton_tol`` in
-    max norm; the generator ``A`` is re-assembled at the converged state so
-    the Kolmogorov stepper and any later recomputation see identical data.
+    max norm; the generator ``A`` is assembled at the converged state, from
+    the final residual's upwind parts, so the Kolmogorov stepper and any
+    later recomputation see identical data.
     """
-    if np.any(m_frame < 0):
-        raise ValueError("density frame must be nonnegative")
+    m_frame = _nonnegative(m_frame, "density frame")
     dt = grid.dt
     lap = laplacian_matrix(grid)
     f_src = np.asarray(f_level, dtype=float).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
+    congestion = congestion_denominator(m_frame, params, opts.epsilon)
 
     def residual(uvec):
-        h_vals = hamiltonian_values(
-            grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
-        )
-        return (
-            (uvec - u_next_vec) / dt
-            - params.nu * (lap @ uvec)
-            + h_vals.ravel()
-            - f_src
-        )
+        parts = upwind_parts(grid, uvec.reshape(grid.shape))
+        g = hamiltonian_values(grid, parts, congestion, params).ravel()
+        return parts, (uvec - u_next_vec) / dt - params.nu * (lap @ uvec) + g - f_src
 
     uvec = u_next_vec.copy()
-    res = residual(uvec)
+    parts, res = residual(uvec)
     res_norm = float(np.abs(res).max())
     if not np.isfinite(res_norm):
         raise NonFiniteState("non-finite HJB residual at the initial iterate")
@@ -212,19 +220,17 @@ def hjb_step(
                 f"after {opts.newton_max_iter} iterations"
             )
         iterations += 1
-        jac = transport_jacobian(
-            grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
-        )
+        jac = transport_jacobian(grid, parts, congestion, params)
         # I/dt - nu L + A as CSC: heat data is symmetric, A's is read mirrored
         system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
         uvec = uvec - sparse_solve(grid, system, res, tol=opts.linear_tol)
-        res = residual(uvec)
+        parts, res = residual(uvec)
         res_norm = float(np.abs(res).max())
         if not (np.all(np.isfinite(uvec)) and np.isfinite(res_norm)):
             raise NonFiniteState("HJB Newton iterate became non-finite")
 
     u = uvec.reshape(grid.shape)
-    return u, transport_jacobian(grid, u, m_frame, params, opts.epsilon), res_norm
+    return u, transport_jacobian(grid, parts, congestion, params), res_norm
 
 
 @dataclass
@@ -252,8 +258,7 @@ def solve_hjb_backward(
     """
     if m_traj.shape != (grid.nt + 1, *grid.shape):
         raise ValueError("density trajectory shape does not match the grid")
-    if np.any(m_traj < 0):
-        raise ValueError("density trajectory must be nonnegative")
+    m_traj = _nonnegative(m_traj, "density trajectory")
     costs = effective_cost(grid, m_traj, coupling.level_costs, opts.epsilon)
     u = grid.zeros_traj()
     u[grid.nt] = costs[grid.nt]

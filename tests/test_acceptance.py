@@ -25,9 +25,9 @@ from congestion_mfg import (
 )
 from congestion_mfg.cli import EXIT_OK, EXIT_STRUCTURAL, cmd_check
 from congestion_mfg.diagnostics import low_density_gradient_mass
-from congestion_mfg.grid import l1_space_time
+from congestion_mfg.grid import l1_space_time, upwind_parts
 from congestion_mfg.hjb import transport_jacobian
-from congestion_mfg.model import GridSearchSpec
+from congestion_mfg.model import GridSearchSpec, congestion_denominator
 
 from conftest import cosine_density, reference_params
 
@@ -189,7 +189,8 @@ def test_c04_discrete_duality():
         params = ModelParams(nu=0.5, beta=beta, alpha=1.0, mu=0.5, horizon=1.0)
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.05
-        operators.append((grid, transport_jacobian(grid, u, m, params, 0.0)))
+        parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params, 0.0)
+        operators.append((grid, transport_jacobian(grid, parts, congestion, params)))
     for grid, jac in operators:
         jac_t = jac.T.tocsr()
         for _ in range(100):

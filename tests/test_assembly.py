@@ -14,9 +14,10 @@ from congestion_mfg.grid import (
     laplacian_matrix,
     stencil_data,
     stencil_pattern,
+    upwind_parts,
 )
 from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
-from congestion_mfg.model import CouplingSpec, ModelParams
+from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
 
 GRIDS = [(1, 4), (1, 64), (2, 4), (2, 8)]
 REGULAR = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
@@ -98,7 +99,9 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
         hjb,
         lambda: hjb_step(grid, u_next, m, params, CouplingSpec().f(m), HJBOptions()),
     )
-    jac = transport_jacobian(grid, u_next, m, params, 0.0)
+    jac = transport_jacobian(
+        grid, upwind_parts(grid, u_next), congestion_denominator(m, params, 0.0), params
+    )
     if params.mu == 0.0:
         assert np.abs(jac.toarray()[m.ravel() == 0.0]).max() == 0.0
     assert system.format == "csc"
@@ -112,7 +115,9 @@ def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
     u, m = frame(grid, params, seed=n + 1)
     m_prev = np.ones(grid.shape)
     for mat in (
-        transport_jacobian(grid, u, m, params, 0.0),
+        transport_jacobian(
+            grid, upwind_parts(grid, u), congestion_denominator(m, params, 0.0), params
+        ),
         sp.csr_matrix((grid.ncells, grid.ncells)),
         sp.identity(grid.ncells, format="csr") * -40.0,
     ):

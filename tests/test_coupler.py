@@ -15,8 +15,9 @@ from congestion_mfg import (
 from congestion_mfg.coupler import _normalized
 from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
-from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time
+from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time, upwind_parts
 from congestion_mfg.hjb import HJBOptions, drift_field, solve_hjb_backward
+from congestion_mfg.model import congestion_denominator
 
 from conftest import cosine_density, reference_params
 
@@ -92,13 +93,17 @@ class TestSolveMFG:
         assert sol.converged and sol.epsilon == eps
         assert sol.policy.shape == (grid.nt + 1, grid.dim, *grid.shape)
         for k in range(grid.nt + 1):
-            drift = drift_field(grid, sol.u[k], sol.m[k], sol.params, eps)
+            parts = upwind_parts(grid, sol.u[k])
+            congestion = congestion_denominator(sol.m[k], sol.params, eps)
+            drift = drift_field(grid, parts, congestion, sol.params)
             assert np.array_equal(sol.policy[k], drift)
         if dim == 2:
             # the mollified point mass exceeds the cap 1/eps, so a drift
             # built without the truncation would differ at level 0
             assert sol.m[0].max() > 1.0 / eps
-            uncapped = drift_field(grid, sol.u[0], sol.m[0], sol.params, 0.0)
+            parts = upwind_parts(grid, sol.u[0])
+            congestion = congestion_denominator(sol.m[0], sol.params, 0.0)
+            uncapped = drift_field(grid, parts, congestion, sol.params)
             assert not np.array_equal(sol.policy[0], uncapped)
 
     def test_solution_invariants(self, ref32):

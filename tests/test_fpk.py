@@ -7,15 +7,16 @@ import scipy.sparse as sp
 from congestion_mfg.coupler import FixedPointOptions, solve_mfg
 from congestion_mfg.errors import NegativeDensity
 from congestion_mfg.fpk import fpk_step, solve_fpk_forward
-from congestion_mfg.grid import GridSpec, integrate
+from congestion_mfg.grid import GridSpec, integrate, upwind_parts
 from congestion_mfg.hjb import transport_jacobian
-from congestion_mfg.model import CouplingSpec, ModelParams
+from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
 
 PARAMS = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 
 
 def transport_from_field(grid, u, m, params=PARAMS, eps=0.0):
-    return transport_jacobian(grid, u, m, params, eps)
+    congestion = congestion_denominator(m, params, eps)
+    return transport_jacobian(grid, upwind_parts(grid, u), congestion, params)
 
 
 def zero_transport(grid):

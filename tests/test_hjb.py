@@ -7,14 +7,29 @@ import pytest
 
 from congestion_mfg import hjb
 from congestion_mfg.errors import NewtonDiverged, NonFiniteState
-from congestion_mfg.grid import GridSpec, restrict_traj
+from congestion_mfg.fpk import NEGATIVE_TOL, solve_fpk_forward
+from congestion_mfg.grid import (
+    GridSpec,
+    implicit_heat_data,
+    laplacian_matrix,
+    restrict_traj,
+    stencil_data,
+    stencil_pattern,
+    upwind_parts,
+)
 from congestion_mfg.hjb import (
     HJBOptions,
     hjb_step,
     solve_hjb_backward,
     transport_jacobian,
 )
-from congestion_mfg.model import CouplingSpec, ModelParams
+from congestion_mfg.linalg import sparse_solve
+from congestion_mfg.model import (
+    CouplingSpec,
+    ModelParams,
+    _power_law,
+    congestion_denominator,
+)
 
 PARAMS = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 COUPLING = CouplingSpec()  # F(m) = m, G(m) = m
@@ -179,6 +194,168 @@ class TestMollifiedCosts:
         assert smoothed == [(grid.nt + 1, grid.n)] * calls
 
 
+def reference_hamiltonian(grid, u, m, params, eps):
+    _, _, q = upwind_parts(grid, u)
+    den, active = congestion_denominator(m, params, eps)
+    out = _power_law(q, den, params.beta / 2.0, params.beta)
+    return out * active if active is not None else out
+
+
+def reference_jacobian(grid, u, m, params, eps):
+    dm, dp, q = upwind_parts(grid, u)
+    den, active = congestion_denominator(m, params, eps)
+    w = _power_law(q, den, params.beta / 2.0 - 1.0)
+    w = w * active if active is not None else w
+    am, ap = w * dm, w * dp
+    pattern = stencil_pattern(grid)
+    data = np.empty(len(pattern.indices))
+    data[pattern.lower] = (-am / grid.h).reshape(grid.dim, -1)
+    data[pattern.upper] = (ap / grid.h).reshape(grid.dim, -1)
+    data[pattern.center] = sum(
+        ((am[ax] - ap[ax]) / grid.h).ravel() for ax in range(grid.dim)
+    )
+    return pattern.csr(data)
+
+
+def reference_step(grid, u_next, m_frame, params, f_level, opts):
+    """hjb_step with per-call kernels: every residual and Jacobian evaluation
+    recomputes the upwind parts of u and the congestion factor of m."""
+    lap = laplacian_matrix(grid)
+    f_src = np.asarray(f_level, dtype=float).ravel()
+    u_next_vec = np.asarray(u_next, dtype=float).ravel()
+
+    def residual(uvec):
+        h_vals = reference_hamiltonian(
+            grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
+        )
+        return (
+            (uvec - u_next_vec) / grid.dt
+            - params.nu * (lap @ uvec)
+            + h_vals.ravel()
+            - f_src
+        )
+
+    uvec = u_next_vec.copy()
+    res = residual(uvec)
+    res_norm = float(np.abs(res).max())
+    pattern = stencil_pattern(grid)
+    heat = implicit_heat_data(grid, params.nu)
+    for _ in range(opts.newton_max_iter):
+        if res_norm <= opts.newton_tol:
+            break
+        jac = reference_jacobian(
+            grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
+        )
+        system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
+        uvec = uvec - sparse_solve(grid, system, res, tol=opts.linear_tol)
+        res = residual(uvec)
+        res_norm = float(np.abs(res).max())
+    u = uvec.reshape(grid.shape)
+    return u, reference_jacobian(grid, u, m_frame, params, opts.epsilon), res_norm
+
+
+def capped_frame(grid, seed):
+    """A density above the cap 1/0.05 in one cell and below m_floor in others."""
+    rng = np.random.default_rng(seed)
+    m = 30.0 * rng.random(grid.shape)
+    m[rng.random(grid.shape) < 0.25] = 0.0
+    m.flat[:3] = (30.0, 0.0, 1e-12)
+    return m
+
+
+class TestSharedKernelInputs:
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 8)])
+    def test_step_equals_per_call_reference(self, dim, n, eps, mu):
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
+        m = capped_frame(grid, [dim, n])
+        assert m.max() > 1.0 / 0.05 and (m <= params.m_floor).any()
+        u_next = 3.0 * np.random.default_rng([dim, n, 1]).normal(size=grid.shape)
+        opts = HJBOptions(epsilon=eps)
+        f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)
+        u, transport, res = hjb_step(grid, u_next, m, params, f_level, opts)
+        u_ref, transport_ref, res_ref = reference_step(
+            grid, u_next, m, params, f_level, opts
+        )
+        assert_bits_equal(u, u_ref)
+        assert_bits_equal(transport.data, transport_ref.data)
+        assert np.array_equal(transport.indices, transport_ref.indices)
+        assert np.array_equal(transport.indptr, transport_ref.indptr)
+        assert res == res_ref
+
+    def test_one_congestion_factor_per_level_one_gradient_per_iterate(
+        self, monkeypatch
+    ):
+        counts = {"upwind_parts": 0, "congestion_denominator": 0, "sparse_solve": 0}
+        for name in counts:
+            original = getattr(hjb, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hjb, name, counted)
+        per_step = []
+        step = hjb.hjb_step
+
+        def recording_step(*args, **kwargs):
+            counts.update(dict.fromkeys(counts, 0))
+            out = step(*args, **kwargs)
+            per_step.append(dict(counts))
+            return out
+
+        monkeypatch.setattr(hjb, "hjb_step", recording_step)
+        grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0)
+        solve_hjb_backward(grid, random_traj(grid, 3), params, COUPLING, HJBOptions(epsilon=0.05))
+        assert len(per_step) == grid.nt
+        for calls in per_step:
+            assert calls["sparse_solve"] >= 1
+            assert calls["upwind_parts"] == calls["sparse_solve"] + 1
+            assert calls["congestion_denominator"] == 1
+
+
+class TestDensityGuard:
+    def roundoff_trajectory(self):
+        # a BiCGStab-solved FPK sweep from an indicator density at nu = 0.001
+        # returns a few entries in (-1e-12, 0)
+        grid = GridSpec(dim=2, n=16, nt=16, horizon=1.0)
+        params = ModelParams(nu=0.001, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+        m0 = np.zeros(grid.shape)
+        m0[4:8, 4:8] = 1.0
+        m0 /= m0.sum() * grid.cell_volume
+        m_frozen = np.broadcast_to(m0, (grid.nt + 1, *grid.shape)).copy()
+        sweep = solve_hjb_backward(grid, m_frozen, params, COUPLING, HJBOptions())
+        m_traj = solve_fpk_forward(grid, sweep.transports, m0, params)
+        return grid, params, m_traj
+
+    def test_sweep_accepts_fpk_roundoff(self):
+        grid, params, m_traj = self.roundoff_trajectory()
+        assert -NEGATIVE_TOL <= m_traj.min() < 0.0
+        coupling = CouplingSpec(qf=0.5, qg=0.5)  # m**0.5 is NaN below zero
+        result = solve_hjb_backward(grid, m_traj, params, coupling, HJBOptions())
+        assert np.all(np.isfinite(result.u))
+        clipped = solve_hjb_backward(
+            grid, np.maximum(m_traj, 0.0), params, coupling, HJBOptions()
+        )
+        assert_bits_equal(result.u, clipped.u)
+
+    def test_negative_density_beyond_roundoff_rejected(self):
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        m_traj = uniform_traj(grid)
+        m_traj[2, 3] = -10 * NEGATIVE_TOL
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_hjb_backward(grid, m_traj, PARAMS, COUPLING, HJBOptions())
+        with pytest.raises(ValueError, match="nonnegative"):
+            hjb_step(grid, m_traj[0], m_traj[2], PARAMS, m_traj[2], HJBOptions())
+
+    def test_nonnegative_density_is_not_copied(self):
+        m = uniform_traj(GridSpec(dim=1, n=16, nt=4, horizon=1.0))
+        assert hjb._nonnegative(m, "density") is m
+
+
 class TestBackwardSolve:
     def test_uniform_density_linear_value(self):
         # m = 1, F(m) = G(m) = m: u(t) = 1 + (T - t) for any nu
@@ -238,7 +415,9 @@ class TestBackwardSolve:
 
             total = 0.0
             for k in range(grid.nt):
-                h_vals = hamiltonian_values(grid, res.u[k], m_traj[k], params, 0.1)
+                parts = upwind_parts(grid, res.u[k])
+                congestion = congestion_denominator(m_traj[k], params, 0.1)
+                h_vals = hamiltonian_values(grid, parts, congestion, params)
                 total += grid.dt * grid.h * float((params.beta * h_vals).sum())
             return total
 
@@ -253,7 +432,8 @@ class TestTransport:
         for grid in (GridSpec(dim=1, n=16, nt=2, horizon=1.0), GridSpec(dim=2, n=8, nt=2, horizon=1.0)):
             u = rng.normal(size=grid.shape)
             m = np.abs(rng.random(grid.shape))
-            jac = transport_jacobian(grid, u, m, PARAMS, 0.0)
+            congestion = congestion_denominator(m, PARAMS, 0.0)
+            jac = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS)
             assert np.abs(jac @ np.ones(grid.ncells)).max() < 1e-11
             assert jac.diagonal().min() >= 0.0
             off = jac - __import__("scipy.sparse", fromlist=["diags"]).diags(jac.diagonal())
@@ -269,8 +449,9 @@ class TestTransport:
             grid = GridSpec(dim=1, n=32, nt=2, horizon=1.0)
             u = rng.normal(size=grid.shape)
             m = np.abs(rng.random(grid.shape)) + 0.1
-            jac = transport_jacobian(grid, u, m, params, 0.0)
-            g = hamiltonian_values(grid, u, m, params, 0.0)
+            parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params, 0.0)
+            jac = transport_jacobian(grid, parts, congestion, params)
+            g = hamiltonian_values(grid, parts, congestion, params)
             lhs = jac @ u.ravel()
             assert np.allclose(lhs, beta * g.ravel(), rtol=1e-11, atol=1e-11)
 
@@ -281,8 +462,13 @@ class TestTransport:
         m = np.full(grid.shape, 50.0)  # above the cap 1/eps = 10
         from congestion_mfg.hjb import hamiltonian_values
 
-        capped = hamiltonian_values(grid, u, m, PARAMS, 0.1)
-        manual = hamiltonian_values(grid, u, np.full(grid.shape, 10.0), PARAMS, 0.0)
+        parts = upwind_parts(grid, u)
+        capped = hamiltonian_values(
+            grid, parts, congestion_denominator(m, PARAMS, 0.1), PARAMS
+        )
+        manual = hamiltonian_values(
+            grid, parts, congestion_denominator(np.full(grid.shape, 10.0), PARAMS, 0.0), PARAMS
+        )
         assert np.allclose(capped, manual, rtol=1e-14)
 
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from congestion_mfg.fpk import FPKOptions, fpk_step
-from congestion_mfg.grid import GridSpec
+from congestion_mfg.grid import GridSpec, upwind_parts
 from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
-from congestion_mfg.model import CouplingSpec, ModelParams
+from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
 
 
 def naive_upwind_q_1d(u, h):
@@ -80,7 +80,8 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(13)
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        fast = transport_jacobian(grid, u, m, PARAMS, 0.0).toarray()
+        congestion = congestion_denominator(m, PARAMS, 0.0)
+        fast = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS).toarray()
         slow = naive_jacobian_1d(grid, u, m, PARAMS)
         assert np.allclose(fast, slow, rtol=1e-13, atol=1e-13)
 
@@ -92,12 +93,17 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(14)
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        jac = transport_jacobian(grid, u, m, PARAMS, 0.0)
+        congestion = congestion_denominator(m, PARAMS, 0.0)
+        jac = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS)
         for _ in range(5):
             direction = rng.normal(size=grid.shape)
             step = 1e-7
-            plus = hamiltonian_values(grid, u + step * direction, m, PARAMS, 0.0)
-            minus = hamiltonian_values(grid, u - step * direction, m, PARAMS, 0.0)
+            plus = hamiltonian_values(
+                grid, upwind_parts(grid, u + step * direction), congestion, PARAMS
+            )
+            minus = hamiltonian_values(
+                grid, upwind_parts(grid, u - step * direction), congestion, PARAMS
+            )
             fd = (plus - minus) / (2.0 * step)
             analytic = (jac @ direction.ravel()).reshape(grid.shape)
             assert np.abs(fd - analytic).max() <= 1e-5 * (1.0 + np.abs(fd).max())
