@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fpk import FPKOptions, solve_fpk_forward
-from .grid import GridSpec, gaussian_smooth, integrate, l1_space_time, upwind_parts
+from .grid import GridSpec, _nonnegative, gaussian_smooth, integrate, l1_space_time
+from .grid import upwind_parts
 from .hjb import HJBOptions, drift_field, solve_hjb_backward
 from .model import CouplingSpec, ModelParams, check_structure, congestion_denominator
 
@@ -165,8 +166,7 @@ def _initial_trajectory(
         guess = np.asarray(fp_opts.init_m, dtype=float)
         if guess.shape != grid.shape:
             raise ConfigError("supplied init_m field shape does not match grid")
-        if np.any(guess < 0):
-            raise ConfigError("supplied init_m field must be nonnegative")
+        guess = _nonnegative(guess, "supplied init_m field", ConfigError)
         traj[1:] = _normalized(grid, guess)
     return traj
 
@@ -185,12 +185,13 @@ def solve_mfg(
 ) -> MFGSolution:
     """Damped Picard iteration for the coupled system at one (eps, mu) rung.
 
-    ``m0`` is the initial density (uniform when omitted); it is mollified
-    with the same width eps that caps the density inside the Hamiltonian and
-    smooths the couplings.  ``init_traj`` warm-starts the iteration, and is
-    required when ``mu`` is 0: the singular problem is reached only by
-    continuation.  A budget overrun is not an exception; the best iterate is
-    returned with ``meta['converged'] = False``.
+    ``m0`` is the initial density (uniform when omitted; a negative entry
+    beyond roundoff raises :class:`ConfigError`); it is mollified with the
+    same width eps that caps the density inside the Hamiltonian and smooths
+    the couplings.  ``init_traj`` warm-starts the iteration, and is required
+    when ``mu`` is 0: the singular problem is reached only by continuation.
+    A budget overrun is not an exception; the best iterate is returned with
+    ``meta['converged'] = False``.
     """
     fp_opts = fp_opts or FixedPointOptions()
     eff_params = params if mu_override is None else replace(params, mu=mu_override)
@@ -207,9 +208,8 @@ def solve_mfg(
     start = time.perf_counter()
     if m0 is None:
         m0 = np.ones(grid.shape)
-    m0_eps = _normalized(
-        grid, gaussian_smooth(grid, _normalized(grid, np.asarray(m0, float)), eps)
-    )
+    m0 = _nonnegative(np.asarray(m0, float), "initial density m0", ConfigError)
+    m0_eps = _normalized(grid, gaussian_smooth(grid, _normalized(grid, m0), eps))
 
     m_cur = _initial_trajectory(grid, m0_eps, fp_opts, init_traj)
     spatial_axes = tuple(range(1, m_cur.ndim))

@@ -30,13 +30,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import LinearSolveFailed, NegativeDensity
-from .grid import GridSpec, implicit_heat_data, stencil_data, stencil_pattern
+from .grid import NEGATIVE_TOL, GridSpec, _nonnegative, implicit_heat_data
+from .grid import stencil_data, stencil_pattern
 from .linalg import sparse_solve
 from .model import ModelParams
 
 __all__ = ["FPKOptions", "fpk_step", "solve_fpk_forward"]
-
-NEGATIVE_TOL = 1e-12  # roundoff allowed below zero, on a step's input and output
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def fpk_step(
     )
     m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, tol=opts.linear_tol)
     m = m_vec.reshape(grid.shape)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise LinearSolveFailed("non-finite density after the implicit step")
     if opts.enforce_nonneg_check and float(m.min()) < -NEGATIVE_TOL:
         raise NegativeDensity(f"min density {m.min():.3e} below tolerance")
@@ -82,10 +81,8 @@ def solve_fpk_forward(
     """March the density from m0 through all levels; frame k+1 uses generator k."""
     if len(transports) != grid.nt:
         raise ValueError(f"need {grid.nt} transport levels, got {len(transports)}")
-    if np.any(m0 < 0):
-        raise ValueError("initial density must be nonnegative")
     m = grid.zeros_traj()
-    m[0] = np.asarray(m0, dtype=float)
+    m[0] = _nonnegative(np.asarray(m0, dtype=float), "initial density")
     for k in range(grid.nt):
         m[k + 1] = fpk_step(grid, m[k], transports[k], params, opts)
     return m

@@ -15,10 +15,11 @@ Conventions used throughout the package:
   what makes the discrete summation-by-parts identities exact.
 
 All operators wrap around periodically; everything here is a pure function
-of its inputs.  :func:`one_sided_diffs` writes periodic slice differences
-into preallocated arrays, with no rolled copies.  :func:`upwind_parts` is
-the one home of the Godunov upwind gradient: the HJB solver and the
-diagnostics both read it.
+of its inputs.  :func:`one_sided_diffs` takes periodic differences with
+two cached gathers and no rolled copies.  :func:`upwind_parts` is the one
+home of the Godunov upwind gradient: the HJB solver and the diagnostics both
+read it.  :func:`_nonnegative` is the one density guard: roundoff in
+``[-NEGATIVE_TOL, 0)`` counts as 0, anything below raises.
 
 The Laplacian and the upwind transport of the solvers share one sparsity
 pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
@@ -28,9 +29,11 @@ The pattern relies on ``GridSpec``'s ``n >= 4``: the stencil neighbours of a
 cell are then distinct, so no two offsets share a slot.  It is symmetric,
 which is why data in CSR slot order, read as CSC, is the transpose for free.
 Each pattern validates one CSR and one CSC shell through scipy's constructor
-on first use; every matrix it hands out is a shallow copy of a shell with
-the caller's data, so it skips the constructor's checks, and shares the
-pattern's read-only index arrays.
+on first use; every matrix it hands out is a plain clone of a shell's
+``__dict__`` with the caller's data, so it skips the constructor's checks
+and shares the pattern's read-only index arrays.  The shells' canonical
+flags are set: sorted rows and distinct slots are facts of the pattern, so
+``splu`` never rescans a matrix for duplicates.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
 :func:`implicit_heat_data`, the Fourier symbols of the stencil's offsets in
@@ -42,7 +45,6 @@ copy.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -136,24 +138,27 @@ class StencilPattern:
     ``center[i]``, ``lower[ax, i]`` and ``upper[ax, i]`` are the same slots by
     offset: those of the entries ``(i, i)``, ``(i, i - e_ax)`` and
     ``(i, i + e_ax)``.  ``transpose[s]`` is the slot of the entry mirrored
-    across the diagonal from slot ``s``.
+    across the diagonal from slot ``s``; for a block shaped like ``slots``,
+    ``block.take(gather)`` is its data in slot order.
     The pattern is symmetric, so the same ``indptr``/``indices`` also read
     as a CSC structure: data in CSR slot order, read as CSC, is the
     transpose at no cost.  All arrays are read-only, as the pattern is
     shared by every matrix built on it.
 
     :meth:`csr` and :meth:`csc` validate one shell matrix each through
-    scipy's constructor, on first use, and then hand out shallow copies of
-    it carrying the caller's data vector (taken as is, not copied).  Every
-    such matrix shares the read-only ``indptr`` and ``indices``, so an
-    in-place change of its structure (``eliminate_zeros``, writing an
-    index) raises instead of corrupting the pattern.
+    scipy's constructor, on first use, and then hand out clones of its
+    ``__dict__`` carrying the caller's data vector (taken as is, not
+    copied), and its ``has_canonical_format`` flag, which the pattern
+    guarantees.  Every such matrix shares the read-only ``indptr`` and
+    ``indices``, so an in-place change of its structure (``eliminate_zeros``,
+    writing an index) raises instead of corrupting the pattern.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray  # (2*dim + 1, ncells): cell, lower per axis, upper per axis
     transpose: np.ndarray
+    gather: np.ndarray  # flat index into a slots-shaped block, per slot
     laplacian: np.ndarray  # data of the Laplacian on the pattern
 
     @property
@@ -175,6 +180,25 @@ class StencilPattern:
         """The transpose of ``csr(data)``, as a CSC matrix on the same arrays."""
         return self._with_data(self._csc_shell, data)
 
+    def laplacian_rows(self, u: np.ndarray) -> np.ndarray:
+        """``L u`` for a flat ``u``, bit-identical to the CSR product.
+
+        Like scipy, it sums each row's products from 0 in slot order.
+        """
+        cols, coeffs = self._laplacian_terms
+        terms = u.take(cols)
+        terms *= coeffs
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+    @functools.cached_property
+    def _laplacian_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and Laplacian data by (slot within the row, row); read-only."""
+        rows = (-1, len(self.slots))
+        cols = self.indices.reshape(rows).T.astype(np.intp, order="C")
+        coeffs = self.laplacian.reshape(rows).T.copy()
+        cols.flags.writeable = coeffs.flags.writeable = False
+        return cols, coeffs
+
     @functools.cached_property
     def _csr_shell(self) -> sp.csr_matrix:
         return self._shell(sp.csr_matrix)
@@ -189,6 +213,8 @@ class StencilPattern:
         shell = kind((data, self.indices, self.indptr), shape=(n, n))
         # the constructor may hand back equal copies; keep the shared arrays
         shell.indices, shell.indptr = self.indices, self.indptr
+        # sorted rows, distinct offsets: canonical whatever the data
+        shell.has_canonical_format = True
         return shell
 
     def _with_data(self, shell, data: np.ndarray):
@@ -196,8 +222,8 @@ class StencilPattern:
             raise ValueError(
                 f"expected {len(self.indices)} stencil entries, got shape {np.shape(data)}"
             )
-        mat = copy.copy(shell)
-        mat.data = data
+        mat = object.__new__(type(shell))
+        mat.__dict__ = {**shell.__dict__, "data": data}
         return mat
 
 
@@ -220,6 +246,7 @@ def stencil_pattern(grid: GridSpec) -> StencilPattern:
     transpose[center] = center
     transpose[lower] = np.take_along_axis(upper, lower_nbr, axis=1)
     transpose[upper] = np.take_along_axis(lower, upper_nbr, axis=1)
+    gather = np.argsort(slots, axis=None)
     laplacian = np.full(ncells * width, 1.0)
     laplacian[center] = -2.0 * grid.dim
     arrays = dict(
@@ -227,6 +254,7 @@ def stencil_pattern(grid: GridSpec) -> StencilPattern:
         indices=np.take_along_axis(cols, order, axis=1).ravel().astype(np.int32),
         slots=slots,
         transpose=transpose,
+        gather=gather,
         # scaled as scipy scales ``csr / h**2``: by the reciprocal
         laplacian=laplacian * (1 / grid.h**2),
     )
@@ -309,29 +337,21 @@ def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``dplus[i] = (u(x + h e_i) - u(x)) / h`` and
     ``dminus[i] = (u(x) - u(x - h e_i)) / h`` (periodic wraparound).
     """
-    dplus = np.empty((grid.dim, *u.shape))
-    dminus = np.empty_like(dplus)
-    slices = _AXIS_SLICES[grid.dim]
-    for ax, (head, tail, first, last) in enumerate(slices):
-        # u(x + h e_i) - u(x): the interior cells, then the wrap cell
-        np.subtract(u[tail], u[head], out=dplus[(ax, *head)])
-        np.subtract(u[first], u[last], out=dplus[(ax, *last)])
-    dplus /= grid.h
-    for ax, (head, tail, first, last) in enumerate(slices):
-        # dplus one cell on: bit-identical to (u - u(x - h e_i)) / h
-        dminus[(ax, *tail)] = dplus[(ax, *head)]
-        dminus[(ax, *first)] = dplus[(ax, *last)]
-    return dplus, dminus
+    upper, lower = _neighbours(grid.dim, grid.n)
+    dplus = (u.take(upper) - u) / grid.h
+    # dplus one cell on: bit-identical to (u - u(x - h e_i)) / h
+    return dplus, dplus.take(lower)
 
 
-def _axis_slices(ax: int):
-    """Index tuples of the cells ``[:-1]``, ``[1:]``, ``[:1]`` and ``[-1:]`` on ``ax``."""
-    lead = (slice(None),) * ax
-    parts = (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None))
-    return tuple(lead + (part,) for part in parts)
-
-
-_AXIS_SLICES = {dim: [_axis_slices(ax) for ax in range(dim)] for dim in (1, 2)}
+@functools.lru_cache(maxsize=32)
+def _neighbours(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of ``u(x + h e_i)`` in ``u`` and of ``dplus[i](x - h e_i)``
+    in a ``(dim, *shape)`` stack, both shaped ``(dim, *shape)``; read-only."""
+    idx = np.arange(n**dim).reshape((n,) * dim)
+    upper = np.stack([np.roll(idx, -1, axis=ax) for ax in range(dim)])
+    lower = np.stack([np.roll(idx, 1, axis=ax) + ax * idx.size for ax in range(dim)])
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 def upwind_parts(grid: GridSpec, u: np.ndarray):
@@ -346,7 +366,21 @@ def upwind_parts(grid: GridSpec, u: np.ndarray):
     """
     dplus, dminus = one_sided_diffs(grid, u)
     dm, dp = np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
+    if grid.dim == 1:  # a sum over one axis is its only term
+        return dm, dp, np.square(dm[0]) + np.square(dp[0])
     return dm, dp, (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
+
+
+NEGATIVE_TOL = 1e-12  # density roundoff allowed below zero
+
+
+def _nonnegative(m: np.ndarray, what: str, error: type = ValueError) -> np.ndarray:
+    """``m`` with roundoff in ``[-NEGATIVE_TOL, 0)`` set to 0, uncopied if none;
+    anything below raises ``error``."""
+    low = float(m.min())
+    if low < -NEGATIVE_TOL:
+        raise error(f"{what} must be nonnegative")
+    return np.maximum(m, 0.0) if low < 0.0 else m
 
 
 def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
@@ -361,7 +395,7 @@ def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
     The kernel is the wrapped Gaussian sampled at cell offsets and normalized
     to unit sum, so constants and total mass are preserved exactly and
     nonnegative fields stay nonnegative up to FFT roundoff.  That roundoff,
-    values in ``(-1e-12, 0)``, is clipped to zero frame by frame, and only
+    values in ``(-NEGATIVE_TOL, 0)``, is clipped to zero frame by frame, and only
     in frames whose input is nonnegative.  ``eps = 0`` returns a copy.
     """
     if eps <= 0.0:
@@ -373,7 +407,7 @@ def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
         spectrum = np.fft.fft(out, axis=ax)
         spectrum *= kernel_spectrum.reshape((-1,) + (1,) * (-1 - ax))
         out = np.fft.ifft(spectrum, axis=ax).real
-    roundoff = (out < 0.0) & (out > -1e-12)
+    roundoff = (out < 0.0) & (out > -NEGATIVE_TOL)
     if roundoff.any():
         # the kernel is positive, so negatives of a nonnegative frame are roundoff
         out[roundoff & (f >= 0.0).all(axis=space, keepdims=True)] = 0.0

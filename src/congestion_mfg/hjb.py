@@ -48,22 +48,25 @@ stepper consumes its exact transpose, which closes the diagnostics' discrete
 energy identities up to solver tolerances, and the coupler computes the
 drift ``-H_p`` once from the returned solution.  ``A`` is a data vector on
 the grid's cached stencil pattern (:func:`~congestion_mfg.grid.stencil_pattern`),
-and each Newton system ``I/dt - nu L + A`` is one vector add on it, built
-directly as CSC.  Density entries in ``[-NEGATIVE_TOL, 0)``, the roundoff of
-the FPK sweep, count as 0; anything below raises ``ValueError``.
+filled as one ``(2*dim + 1, ncells)`` block that one gather puts in slot order;
+each Newton system ``I/dt - nu L + A`` is one more gather and one vector add,
+as CSC.  ``L u`` is the pattern's row sums in 1D and scipy's product in 2D,
+bit-identical and each the faster in its dimension.  Density entries in
+``[-NEGATIVE_TOL, 0)`` (FPK roundoff) count as 0; lower ones raise ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NewtonDiverged, NonFiniteState
-from .fpk import NEGATIVE_TOL
 from .grid import (
     GridSpec,
+    _nonnegative,
     gaussian_smooth,
     implicit_heat_data,
     laplacian_matrix,
@@ -135,15 +138,19 @@ def transport_jacobian(
     """
     dm, dp, q = parts
     w = _upwind_weight(q, congestion, params)
-    am, ap = w * dm, w * dp
+    dim, h = grid.dim, grid.h
     pattern = stencil_pattern(grid)
-    data = np.empty(len(pattern.indices))
-    data[pattern.lower] = (-am / grid.h).reshape(grid.dim, -1)
-    data[pattern.upper] = (ap / grid.h).reshape(grid.dim, -1)
-    data[pattern.center] = sum(
-        ((am[ax] - ap[ax]) / grid.h).ravel() for ax in range(grid.dim)
-    )
-    return pattern.csr(data)
+    # one row per offset, as in ``pattern.slots``: cell, lower, upper
+    block = np.empty((2 * dim + 1, grid.ncells))
+    am = np.multiply(w, dm, out=block[1 : 1 + dim].reshape(dm.shape))
+    ap = np.multiply(w, dp, out=block[1 + dim :].reshape(dp.shape))
+    flux = am - ap
+    flux /= h
+    # the cell's entry sums the axes from 0, in axis order
+    np.add.reduce(flux, axis=0, initial=0.0, out=block[0].reshape(grid.shape))
+    np.negative(am, out=am)
+    block[1:] /= h
+    return pattern.csr(block.take(pattern.gather))
 
 
 def drift_field(
@@ -168,14 +175,6 @@ def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.nd
     return gaussian_smooth(grid, np.asarray(cost(smoothed)), epsilon)
 
 
-def _nonnegative(m: np.ndarray, what: str) -> np.ndarray:
-    """``m`` with roundoff in ``[-NEGATIVE_TOL, 0)`` set to 0, uncopied if none."""
-    low = float(m.min())
-    if low < -NEGATIVE_TOL:
-        raise ValueError(f"{what} must be nonnegative")
-    return np.maximum(m, 0.0) if low < 0.0 else m
-
-
 def hjb_step(
     grid: GridSpec,
     u_next: np.ndarray,
@@ -194,8 +193,8 @@ def hjb_step(
     later recomputation see identical data.
     """
     m_frame = _nonnegative(m_frame, "density frame")
-    dt = grid.dt
-    lap = laplacian_matrix(grid)
+    dt, nu, pattern = grid.dt, params.nu, stencil_pattern(grid)
+    laplacian = pattern.laplacian_rows if grid.dim == 1 else laplacian_matrix(grid).dot
     f_src = np.asarray(f_level, dtype=float).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
     congestion = congestion_denominator(m_frame, params, opts.epsilon)
@@ -203,15 +202,14 @@ def hjb_step(
     def residual(uvec):
         parts = upwind_parts(grid, uvec.reshape(grid.shape))
         g = hamiltonian_values(grid, parts, congestion, params).ravel()
-        return parts, (uvec - u_next_vec) / dt - params.nu * (lap @ uvec) + g - f_src
+        return parts, (uvec - u_next_vec) / dt - nu * laplacian(uvec) + g - f_src
 
     uvec = u_next_vec.copy()
     parts, res = residual(uvec)
     res_norm = float(np.abs(res).max())
-    if not np.isfinite(res_norm):
+    if not math.isfinite(res_norm):
         raise NonFiniteState("non-finite HJB residual at the initial iterate")
-    pattern = stencil_pattern(grid)
-    heat = implicit_heat_data(grid, params.nu)
+    heat = implicit_heat_data(grid, nu)
     iterations = 0
     while res_norm > opts.newton_tol:
         if iterations >= opts.newton_max_iter:
@@ -222,11 +220,12 @@ def hjb_step(
         iterations += 1
         jac = transport_jacobian(grid, parts, congestion, params)
         # I/dt - nu L + A as CSC: heat data is symmetric, A's is read mirrored
-        system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
+        system = pattern.csc(heat + stencil_data(grid, jac).take(pattern.transpose))
         uvec = uvec - sparse_solve(grid, system, res, tol=opts.linear_tol)
         parts, res = residual(uvec)
+        # a non-finite entry of uvec makes its residual entry non-finite too
         res_norm = float(np.abs(res).max())
-        if not (np.all(np.isfinite(uvec)) and np.isfinite(res_norm)):
+        if not math.isfinite(res_norm):
             raise NonFiniteState("HJB Newton iterate became non-finite")
 
     u = uvec.reshape(grid.shape)

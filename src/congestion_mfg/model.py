@@ -244,7 +244,7 @@ def _power_law(q, den, exponent: float, scale: float = 1.0):
         q, den = np.broadcast_arrays(q, den)
     mask = np.greater(q, 0.0)
     out = np.power(q, exponent, out=np.zeros(mask.shape), where=mask)
-    return np.divide(out, scale * den, out=out, where=mask)
+    return np.divide(out, den if scale == 1.0 else scale * den, out=out, where=mask)
 
 
 def eval_H(m, p, params: ModelParams):

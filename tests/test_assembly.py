@@ -230,3 +230,31 @@ def test_cached_heat_data_and_spectrum_are_read_only():
     assert implicit_heat_data(grid, params.nu) is heat
     assert grid_mod._kernel_spectrum(grid.n, grid.h, 0.05) is spectrum
     assert np.array_equal(heat, before[0]) and np.array_equal(spectrum, before[1])
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_pattern_matrices_are_canonical_without_a_scan(monkeypatch, n):
+    from scipy.sparse import _compressed
+    from scipy.sparse.linalg import splu
+
+    def no_scan(*args):
+        raise AssertionError("scanned the pattern's indices")
+
+    grid = GridSpec(dim=1, n=n, nt=4, horizon=1.0)
+    pattern = stencil_pattern(grid)
+    params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0)
+    u, m = frame(grid, params, seed=n)
+    jac = transport_jacobian(
+        grid, upwind_parts(grid, u), congestion_denominator(m, params, 0.0), params
+    )
+    data = implicit_heat_data(grid, params.nu) + jac.data[pattern.transpose]
+    rhs = np.random.default_rng(n).normal(size=grid.ncells)
+    reference = splu(sp.csc_matrix((data, pattern.indices, pattern.indptr))).solve(rhs)
+    monkeypatch.setattr(_compressed, "csr_has_canonical_format", no_scan)
+    monkeypatch.setattr(_compressed, "csr_has_sorted_indices", no_scan)
+    for mat in (pattern.csr(data), pattern.csc(data)):
+        assert mat.has_canonical_format and mat.has_sorted_indices
+        assert mat.indices is pattern.indices and mat.indptr is pattern.indptr
+        assert not (mat.indices.flags.writeable or mat.indptr.flags.writeable)
+    got = splu(pattern.csc(data)).solve(rhs)
+    assert np.array_equal(got.view(np.int64), reference.view(np.int64))

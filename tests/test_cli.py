@@ -27,6 +27,7 @@ from congestion_mfg.cli import (
     parse_config,
 )
 from congestion_mfg.errors import ConfigParseError
+from congestion_mfg.grid import GridSpec, write_field_csv
 
 REFERENCE_CONFIG = """
 # reference congestion instance
@@ -312,6 +313,25 @@ def test_missing_density_file_is_a_config_error(tmp_path, command, key):
     proc = run_cli(command, path)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert any(line.startswith("config error: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not out_dir.exists()
+
+
+def test_signed_initial_density_file_is_rejected(tmp_path):
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    frame = np.ones(grid.shape)
+    frame[2] = -0.2
+    density = tmp_path / "neg.csv"
+    write_field_csv(density, grid, frame)
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path,
+        "n = 8\nnt = 8\n" + f"m0 = file({density})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    proc = run_cli("solve", path)
+    assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
+    assert any(line.startswith("rejected: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
 

@@ -183,6 +183,27 @@ class TestSolveMFG:
         with pytest.raises(ConfigError):
             solve_mfg(grid, params, CouplingSpec())
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_signed_initial_density_rejected(self, eps):
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        m0 = cosine_density(grid)
+        m0[3] = -0.2
+        with pytest.raises(ConfigError, match="nonnegative"):
+            solve_mfg(grid, reference_params(), CouplingSpec(), m0=m0, eps=eps)
+
+    def test_initial_density_roundoff_counts_as_zero(self):
+        grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
+        m0 = cosine_density(grid)
+        m0[3] = 0.0
+        clean = solve_mfg(grid, reference_params(), CouplingSpec(), m0=m0)
+        m0[3] = -1e-15
+        rough = solve_mfg(grid, reference_params(), CouplingSpec(), m0=m0)
+        assert rough.converged
+        assert rough.meta["outer_iters"] == clean.meta["outer_iters"]
+        for name in ("u", "m", "policy"):
+            got, ref = getattr(rough, name), getattr(clean, name)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+
     def test_mollified_initial_density(self):
         grid = GridSpec(dim=1, n=32, nt=8, horizon=0.25)
         m0 = cosine_density(grid)

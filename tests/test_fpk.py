@@ -69,6 +69,19 @@ class TestFPKStep:
         with pytest.raises(ValueError, match="nonnegative"):
             fpk_step(grid, m_prev, zero_transport(grid), PARAMS)
 
+    def test_forward_sweep_guards_its_initial_density(self):
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        transports = [zero_transport(grid)] * grid.nt
+        m0 = np.ones(grid.shape)
+        m0[3] = 0.0
+        clean = solve_fpk_forward(grid, transports, m0, PARAMS)
+        m0[3] = -1e-15  # roundoff counts as 0
+        rough = solve_fpk_forward(grid, transports, m0, PARAMS)
+        assert np.array_equal(rough.view(np.int64), clean.view(np.int64))
+        m0[3] = -0.2
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_fpk_forward(grid, transports, m0, PARAMS)
+
     def test_forward_sweep_accepts_its_own_frames(self):
         # 2D, nearly inviscid, indicator start: the first step returned a
         # frame with min -7.8e-18 that the next step rejected as negative,

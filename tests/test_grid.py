@@ -135,14 +135,37 @@ def _hard_fields(grid, rng):
     }
 
 
+DIFF_GRIDS = [(1, 4), (1, 5), (1, 12), (1, 16), (1, 64), (2, 4), (2, 6), (2, 32)]
+
+
 class TestSliceDiffsBitIdentical:
-    @pytest.mark.parametrize("dim,n", [(1, 4), (1, 12), (1, 64), (2, 4), (2, 6), (2, 32)])
+    @pytest.mark.parametrize("dim,n", DIFF_GRIDS)
     def test_equals_rolled_reference(self, dim, n):
         grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
         for name, u in _hard_fields(grid, np.random.default_rng(n)).items():
             got, ref = one_sided_diffs(grid, u), _reference_one_sided_diffs(grid, u)
             for g, r in zip(got, ref):
                 assert np.array_equal(g.view(np.int64), r.view(np.int64)), name
+
+    @pytest.mark.parametrize("dim,n", DIFF_GRIDS)
+    def test_upwind_parts_equal_rolled_reference(self, dim, n):
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        for name, u in _hard_fields(grid, np.random.default_rng(n)).items():
+            dplus, dminus = _reference_one_sided_diffs(grid, u)
+            dm, dp = np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
+            ref = (dm, dp, (dm**2).sum(axis=0) + (dp**2).sum(axis=0))
+            for g, r in zip(upwind_parts(grid, u), ref):
+                assert g.shape == r.shape, name
+                assert np.array_equal(g.view(np.int64), r.view(np.int64)), name
+
+    @pytest.mark.parametrize("dim,n", DIFF_GRIDS)
+    def test_laplacian_row_sums_equal_the_sparse_product(self, dim, n):
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        pattern, lap = stencil_pattern(grid), laplacian_matrix(grid)
+        for name, u in _hard_fields(grid, np.random.default_rng(n)).items():
+            uvec = u.ravel()
+            got, ref = pattern.laplacian_rows(uvec), lap @ uvec
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
 
     def test_signed_zero_differences_keep_their_sign(self):
         grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)

@@ -266,7 +266,7 @@ def capped_frame(grid, seed):
 class TestSharedKernelInputs:
     @pytest.mark.parametrize("mu", [1.0, 0.0])
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 8)])
+    @pytest.mark.parametrize("dim,n", [(1, 5), (1, 16), (1, 64), (2, 5), (2, 8)])
     def test_step_equals_per_call_reference(self, dim, n, eps, mu):
         grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
         params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
@@ -284,6 +284,27 @@ class TestSharedKernelInputs:
         assert np.array_equal(transport.indices, transport_ref.indices)
         assert np.array_equal(transport.indptr, transport_ref.indptr)
         assert res == res_ref
+
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "dim,n", [(1, 5), (1, 16), (1, 64), (2, 5), (2, 8), (2, 32)]
+    )
+    def test_jacobian_equals_three_scatter_reference(self, dim, n, eps, mu):
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
+        m = capped_frame(grid, [dim, n])
+        congestion = congestion_denominator(m, params, eps)
+        rng = np.random.default_rng([dim, n, 2])
+        fields = {
+            "normal": 3.0 * rng.normal(size=grid.shape),
+            "ties": rng.integers(-2, 3, size=grid.shape).astype(float),
+            "signed_zeros": np.where(rng.random(grid.shape) < 0.5, 0.0, -0.0),
+        }
+        for name, u in fields.items():
+            got = transport_jacobian(grid, upwind_parts(grid, u), congestion, params)
+            ref = reference_jacobian(grid, u, m, params, eps)
+            assert np.array_equal(got.data.view(np.int64), ref.data.view(np.int64)), name
 
     def test_one_congestion_factor_per_level_one_gradient_per_iterate(
         self, monkeypatch
