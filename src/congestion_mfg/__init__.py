@@ -22,7 +22,7 @@ from .diagnostics import (
     energy_identity_residual,
     uniqueness_gap,
 )
-from .fpk import FPKOptions, fpk_step, solve_fpk_forward
+from .fpk import fpk_step, solve_fpk_forward
 from .grid import GridSpec
 from .hjb import HJBOptions, hjb_step, solve_hjb_backward
 from .model import (
@@ -44,7 +44,6 @@ __all__ = [
     "ContinuationSchedule",
     "CouplingSpec",
     "DiagnosticsReport",
-    "FPKOptions",
     "FixedPointOptions",
     "GridSearchSpec",
     "GridSpec",

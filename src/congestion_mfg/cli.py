@@ -1,24 +1,34 @@
 """Batch front-end: check / solve / diagnose / study.
 
 Run configurations are flat UTF-8 ``key = value`` files with ``#`` comments
-and no nesting; unknown keys are rejected with the offending line number.
-Exit codes form a stable contract:
+and no nesting; unknown keys, ``enforce_nonneg_check`` among them (density
+positivity is always checked), are rejected with the offending line number.
+``solve`` and ``study`` build every grid, initial density and option object
+in ``_load_run`` before any solve.  Exit codes form a stable contract, and
+``_EXIT_CODES`` maps exceptions to them the same way for every command:
 
     0  success
-    1  structural rejection (parameter ranges)
-    2  config or I/O error
+    1  structural rejection: parameter ranges, ``ConfigError``, or a
+       ``ValueError`` raised while the run is loaded
+    2  config or I/O error: ``ConfigParseError``, unreadable bundle
     3  iteration budget exhausted (bundle still written, flagged)
-    4  solver failure
-    5  grid mismatch between bundles
+    4  solver failure: any other ``CongestionMFGError``
+    5  grid mismatch between bundles: ``GridMismatch``
+
+A ``ValueError`` raised inside a solve is a defect, not a verdict on the
+config, and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,10 +39,10 @@ from .coupler import (
     solve_mfg,
     solve_with_continuation,
 )
-from .diagnostics import apriori_report, crossed_energy_gap, uniqueness_gap
+from .diagnostics import apriori_report, crossed_energy_gap, energy_identity_residual
+from .diagnostics import uniqueness_gap
 from .errors import ConfigError, ConfigParseError, CongestionMFGError, GridMismatch
-from .fpk import FPKOptions
-from .grid import GridSpec, l1_space_time, restrict_traj
+from .grid import GridSpec, l1_space_time, read_frame_csv, restrict_traj
 from .hjb import HJBOptions
 from .model import CouplingSpec, ModelParams, check_structure
 
@@ -87,7 +97,6 @@ _CONFIG: dict[str, tuple[object, object]] = {
     "newton_max_iter": (int, 50),
     "epsilon": (float, 0.0),
     "linear_tol": (float, 1e-12),
-    "enforce_nonneg_check": (_parse_bool, True),
     # continuation
     "continuation": (_parse_bool, False),
     "epsilons": (_parse_float_list, None),
@@ -147,8 +156,6 @@ def density_from_spec(spec: str, grid: GridSpec) -> np.ndarray:
             wave = wave * np.cos(2.0 * np.pi * x)
         bump += amp * wave
         return bump
-    from .grid import read_frame_csv
-
     try:
         dim, n, frame = read_frame_csv(match.group(3))
     except OSError as exc:
@@ -180,15 +187,13 @@ def _build(cfg: dict):
     return params, coupling, grid
 
 
-def _fixed_point_options(cfg: dict, grid: GridSpec) -> FixedPointOptions:
-    init = cfg["init_m"]
-    init_field = "uniform" if init == "uniform" else density_from_spec(init, grid)
-    return FixedPointOptions(
-        damping=cfg["damping"],
-        fp_tol=cfg["fp_tol"],
-        max_outer_iter=cfg["max_outer_iter"],
-        init_m=init_field,
-    )
+@contextmanager
+def _loading():
+    """A ``ValueError`` raised while a run is loaded rejects the config."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _continuation_schedule(cfg: dict) -> ContinuationSchedule:
@@ -203,19 +208,64 @@ def _continuation_schedule(cfg: dict) -> ContinuationSchedule:
     return ContinuationSchedule(**sched_kwargs)
 
 
-def _solver_options(cfg: dict) -> tuple[HJBOptions, FPKOptions]:
-    """HJB and FPK options of a run; ``solve`` and ``study`` share them."""
-    hjb_opts = HJBOptions(
-        newton_tol=cfg["newton_tol"],
-        newton_max_iter=cfg["newton_max_iter"],
-        epsilon=cfg["epsilon"],
-        linear_tol=cfg["linear_tol"],
-    )
-    fpk_opts = FPKOptions(
-        linear_tol=cfg["linear_tol"],
-        enforce_nonneg_check=cfg["enforce_nonneg_check"],
-    )
-    return hjb_opts, fpk_opts
+def _load_run(config_path, levels: int):
+    """Parse a config and build everything its solves need, before any solve.
+
+    Returns ``(cfg, params, coupling, hjb_opts, schedule, runs)``: one
+    ``(grid, m0, FixedPointOptions)`` per refinement level, level j on the
+    config's grid refined ``2**j`` times, and the continuation ladder or None.
+    The config's ``epsilon`` reaches each solve as ``solve_mfg``'s ``eps``.
+    """
+    cfg = parse_config(config_path)
+    if cfg["epsilon"] < 0:
+        raise ConfigError("epsilon must be nonnegative")
+    with _loading():
+        params, coupling, base = _build(cfg)
+        runs = []
+        for level in range(levels):
+            grid = replace(base, n=base.n * 2**level, nt=base.nt * 2**level)
+            m0 = density_from_spec(cfg["m0"], grid)
+            init = cfg["init_m"]
+            fp_opts = FixedPointOptions(
+                damping=cfg["damping"],
+                fp_tol=cfg["fp_tol"],
+                max_outer_iter=cfg["max_outer_iter"],
+                init_m="uniform" if init == "uniform" else density_from_spec(init, grid),
+            )
+            runs.append((grid, m0, fp_opts))
+        hjb_opts = HJBOptions(
+            newton_tol=cfg["newton_tol"],
+            newton_max_iter=cfg["newton_max_iter"],
+            linear_tol=cfg["linear_tol"],
+        )
+        schedule = _continuation_schedule(cfg) if cfg["continuation"] else None
+    return cfg, params, coupling, hjb_opts, schedule, runs
+
+
+# The one map from package exceptions to exit codes, shared by every command:
+# (exception type, message prefix, exit code), subclasses before their bases.
+_EXIT_CODES = (
+    (ConfigParseError, "config error", EXIT_CONFIG),
+    (ConfigError, "rejected", EXIT_STRUCTURAL),
+    (GridMismatch, "grid mismatch", EXIT_MISMATCH),
+    (CongestionMFGError, "solver error", EXIT_SOLVER),
+)
+
+
+def _exit_codes(command):
+    """Map the package exceptions a ``cmd_*`` function raises to exit codes."""
+
+    @functools.wraps(command)
+    def run(*args) -> int:
+        try:
+            return command(*args)
+        except CongestionMFGError as exc:
+            for kind, prefix, code in _EXIT_CODES:
+                if isinstance(exc, kind):
+                    print(f"{prefix}: {exc}", file=sys.stderr)
+                    return code
+
+    return run
 
 
 def _print_report(report) -> None:
@@ -227,76 +277,50 @@ def _print_report(report) -> None:
     print(f"hp2_sampled_ok: {str(report.hp2_sampled_ok).lower()}")
 
 
+@_exit_codes
 def cmd_check(config_path) -> int:
-    try:
-        cfg = parse_config(config_path)
+    cfg = parse_config(config_path)
+    with _loading():
         params, _, _ = _build(cfg)
-    except ConfigParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
     report = check_structure(params)
     _print_report(report)
     return EXIT_OK if report.valid_ranges else EXIT_STRUCTURAL
 
 
+@_exit_codes
 def cmd_solve(config_path) -> int:
-    try:
-        cfg = parse_config(config_path)
-        params, coupling, grid = _build(cfg)
-        m0 = density_from_spec(cfg["m0"], grid)
-        fp_opts = _fixed_point_options(cfg, grid)
-        hjb_opts, fpk_opts = _solver_options(cfg)
-        schedule = _continuation_schedule(cfg) if cfg["continuation"] else None
-    except ConfigParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ConfigError) as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+    cfg, params, coupling, hjb_opts, schedule, runs = _load_run(config_path, 1)
+    [(grid, m0, fp_opts)] = runs
     report = check_structure(params)
     if not report.valid_ranges:
         _print_report(report)
         return EXIT_STRUCTURAL
 
     out_dir = cfg["output_dir"]
-
-    try:
-        if schedule is not None:
-            result = solve_with_continuation(
-                grid, params, coupling, fp_opts, schedule, m0=m0,
-                hjb_opts=hjb_opts, fpk_opts=fpk_opts,
-            )
-            if result.failed_rung is not None:
-                print(f"rung {result.failed_rung} failed: {result.error}", file=sys.stderr)
-            for j, sol in enumerate(result.solutions):
-                sol.meta["seed"] = cfg["seed"]
-                save_solution(sol, os.path.join(out_dir, "rungs", f"rung_{j:02d}"))
-            if result.solutions:
-                save_solution(result.solutions[-1], out_dir)
-                with open(os.path.join(out_dir, "cauchy_table.json"), "w") as fh:
-                    json.dump(result.cauchy_table, fh, indent=2)
-            if result.failed_rung is not None:
-                return EXIT_SOLVER
-            budget_hit = any(not s.converged for s in result.solutions)
-            final = result.solutions[-1]
-        else:
-            final = solve_mfg(
-                grid, params, coupling, fp_opts,
-                eps=cfg["epsilon"], m0=m0,
-                hjb_opts=hjb_opts, fpk_opts=fpk_opts,
-            )
-            final.meta["seed"] = cfg["seed"]
-            save_solution(final, out_dir)
-            budget_hit = not final.converged
-    except ConfigError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except CongestionMFGError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if schedule is not None:
+        result = solve_with_continuation(
+            grid, params, coupling, fp_opts, schedule, m0=m0, hjb_opts=hjb_opts
+        )
+        if result.failed_rung is not None:
+            print(f"rung {result.failed_rung} failed: {result.error}", file=sys.stderr)
+        for j, sol in enumerate(result.solutions):
+            sol.meta["seed"] = cfg["seed"]
+            save_solution(sol, os.path.join(out_dir, "rungs", f"rung_{j:02d}"))
+        if result.solutions:
+            save_solution(result.solutions[-1], out_dir)
+            with open(os.path.join(out_dir, "cauchy_table.json"), "w") as fh:
+                json.dump(result.cauchy_table, fh, indent=2)
+        if result.failed_rung is not None:
+            return EXIT_SOLVER
+        budget_hit = any(not s.converged for s in result.solutions)
+        final = result.solutions[-1]
+    else:
+        final = solve_mfg(
+            grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0, hjb_opts=hjb_opts
+        )
+        final.meta["seed"] = cfg["seed"]
+        save_solution(final, out_dir)
+        budget_hit = not final.converged
 
     print(
         f"solve finished: outer_iters={final.meta['outer_iters']} "
@@ -307,6 +331,7 @@ def cmd_solve(config_path) -> int:
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
 
+@_exit_codes
 def cmd_diagnose(bundle_a, bundle_b=None) -> int:
     try:
         sol_a = load_solution(bundle_a)
@@ -314,20 +339,15 @@ def cmd_diagnose(bundle_a, bundle_b=None) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"cannot load bundle: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        report = apriori_report(sol_a)
-        out = report.to_flat_dict()
-        if sol_b is not None:
-            out["crossed_gap"] = crossed_energy_gap(sol_a, sol_b)
-            out["crossed_gap_reverse"] = crossed_energy_gap(sol_b, sol_a)
-            ug = uniqueness_gap(sol_a, sol_b)
-            out["uniqueness_gap"] = ug.gap
-            out["e_min_sampled"] = ug.e_min_sampled
-            out["l1_m_gap"] = l1_space_time(sol_a.grid, sol_a.m - sol_b.m)
-            out["l1_u_gap"] = l1_space_time(sol_a.grid, sol_a.u - sol_b.u)
-    except GridMismatch as exc:
-        print(f"grid mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    out = apriori_report(sol_a).to_flat_dict()
+    if sol_b is not None:
+        out["crossed_gap"] = crossed_energy_gap(sol_a, sol_b)
+        out["crossed_gap_reverse"] = crossed_energy_gap(sol_b, sol_a)
+        ug = uniqueness_gap(sol_a, sol_b)
+        out["uniqueness_gap"] = ug.gap
+        out["e_min_sampled"] = ug.e_min_sampled
+        out["l1_m_gap"] = l1_space_time(sol_a.grid, sol_a.m - sol_b.m)
+        out["l1_u_gap"] = l1_space_time(sol_a.grid, sol_a.u - sol_b.u)
 
     width = max(len(k) for k in out)
     for key, value in out.items():
@@ -339,56 +359,26 @@ def cmd_diagnose(bundle_a, bundle_b=None) -> int:
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_study(config_path, levels: int) -> int:
     if levels < 2:
         print("study needs at least 2 refinement levels", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        cfg = parse_config(config_path)
-        params, coupling, base_grid = _build(cfg)
-        hjb_opts, fpk_opts = _solver_options(cfg)
-        grids, runs = [], []
-        for level in range(levels):
-            factor = 2**level
-            grid = GridSpec(
-                dim=base_grid.dim,
-                n=base_grid.n * factor,
-                nt=base_grid.nt * factor,
-                horizon=base_grid.horizon,
-            )
-            grids.append(grid)
-            runs.append(
-                (density_from_spec(cfg["m0"], grid), _fixed_point_options(cfg, grid))
-            )
-    except ConfigParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ConfigError) as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+    cfg, params, coupling, hjb_opts, _, runs = _load_run(config_path, levels)
     report = check_structure(params)
     if not report.valid_ranges:
         _print_report(report)
         return EXIT_STRUCTURAL
 
-    from .diagnostics import energy_identity_residual
-
-    sols = []
-    try:
-        for grid, (m0, fp_opts) in zip(grids, runs):
-            sols.append(
-                solve_mfg(
-                    grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0,
-                    hjb_opts=hjb_opts, fpk_opts=fpk_opts,
-                )
-            )
-    except CongestionMFGError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    finest_grid, finest = grids[-1], sols[-1]
+    sols = [
+        solve_mfg(
+            grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0, hjb_opts=hjb_opts
+        )
+        for grid, m0, fp_opts in runs
+    ]
+    finest_grid, finest = runs[-1][0], sols[-1]
     rows = []
-    for level, (grid, sol) in enumerate(zip(grids, sols)):
+    for level, ((grid, _, _), sol) in enumerate(zip(runs, sols)):
         res = energy_identity_residual(sol)
         factor = 2 ** (levels - 1 - level)
         if factor == 1:

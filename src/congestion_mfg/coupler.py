@@ -5,9 +5,11 @@ One outer iteration relaxes a density trajectory m toward its best response
     m  <-  m + omega * (FPK(HJB(m)) - m),
 
 where the backward HJB sweep runs against the frozen m and the forward
-Kolmogorov sweep is driven by the resulting generator matrices.  The
-relaxation factor omega is capped at the configured damping and adapted per
-cell (see FixedPointOptions).  Iteration stops when the undamped best-response
+Kolmogorov sweep is driven by the resulting generator matrices; one linear
+tolerance, ``HJBOptions.linear_tol``, serves both, and the forward sweep's
+positivity check cannot be switched off.  The relaxation factor omega is
+capped at the configured damping and adapted per cell (see
+FixedPointOptions).  Iteration stops when the undamped best-response
 residual drops below tolerance in L1(Q_T).  On top of the plain fixed point
 sit the regularization ladder (truncation and
 :func:`congestion_mfg.grid.gaussian_smooth` mollification width eps) and
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fpk import FPKOptions, solve_fpk_forward
+from .fpk import solve_fpk_forward
 from .grid import GridSpec, _nonnegative, gaussian_smooth, integrate, l1_space_time
 from .grid import upwind_parts
 from .hjb import HJBOptions, drift_field, solve_hjb_backward
@@ -177,11 +179,9 @@ def solve_mfg(
     coupling: CouplingSpec,
     fp_opts: FixedPointOptions | None = None,
     eps: float = 0.0,
-    mu_override: float | None = None,
     m0: np.ndarray | None = None,
     init_traj: np.ndarray | None = None,
     hjb_opts: HJBOptions | None = None,
-    fpk_opts: FPKOptions | None = None,
 ) -> MFGSolution:
     """Damped Picard iteration for the coupled system at one (eps, mu) rung.
 
@@ -194,16 +194,14 @@ def solve_mfg(
     ``meta['converged'] = False``.
     """
     fp_opts = fp_opts or FixedPointOptions()
-    eff_params = params if mu_override is None else replace(params, mu=mu_override)
-    report = check_structure(eff_params)
+    report = check_structure(params)
     if not report.valid_ranges:
         raise ConfigError("; ".join(report.violations))
-    if eff_params.is_singular and init_traj is None:
+    if params.is_singular and init_traj is None:
         raise ConfigError(
             "cold-start solve at mu = 0 rejected; use continuation with warm starts"
         )
     hjb_opts = replace(hjb_opts or HJBOptions(), epsilon=float(eps))
-    fpk_opts = fpk_opts or FPKOptions()
 
     start = time.perf_counter()
     if m0 is None:
@@ -220,9 +218,11 @@ def solve_mfg(
     omega = np.full_like(m_cur, fp_opts.damping)
     prev_update = None
     for _ in range(fp_opts.max_outer_iter):
-        backward = solve_hjb_backward(grid, m_cur, eff_params, coupling, hjb_opts)
+        backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
         worst_newton = max(worst_newton, backward.max_newton_residual)
-        m_br = solve_fpk_forward(grid, backward.transports, m0_eps, eff_params, fpk_opts)
+        m_br = solve_fpk_forward(
+            grid, backward.transports, m0_eps, params, hjb_opts.linear_tol
+        )
         update = m_br - m_cur
         resid = l1_space_time(grid, update)
         residuals.append(resid)
@@ -245,19 +245,19 @@ def solve_mfg(
         increments.append(l1_space_time(grid, m_next - m_cur))
         m_cur = m_next
 
-    backward = solve_hjb_backward(grid, m_cur, eff_params, coupling, hjb_opts)
+    backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
     worst_newton = max(worst_newton, backward.max_newton_residual)
-    congestion = [congestion_denominator(m_k, eff_params, eps) for m_k in m_cur]
+    congestion = [congestion_denominator(m_k, params, eps) for m_k in m_cur]
     policy = np.stack(
         [
-            drift_field(grid, upwind_parts(grid, u_k), congestion_k, eff_params)
+            drift_field(grid, upwind_parts(grid, u_k), congestion_k, params)
             for u_k, congestion_k in zip(backward.u, congestion)
         ]
     )
 
     meta = {
         "epsilon": float(eps),
-        "mu": float(eff_params.mu),
+        "mu": float(params.mu),
         "outer_iters": len(increments),
         "increments": increments,
         "residuals": residuals,
@@ -267,7 +267,7 @@ def solve_mfg(
     }
     return MFGSolution(
         grid=grid,
-        params=eff_params,
+        params=params,
         coupling=coupling,
         u=backward.u,
         m=m_cur,
@@ -297,7 +297,6 @@ def solve_with_continuation(
     schedule: ContinuationSchedule | None = None,
     m0: np.ndarray | None = None,
     hjb_opts: HJBOptions | None = None,
-    fpk_opts: FPKOptions | None = None,
 ) -> ContinuationResult:
     """Run the (eps, mu) ladder, one converged solution per rung.
 
@@ -305,7 +304,8 @@ def solve_with_continuation(
     trajectory.  The cauchy_table rows hold the L1(Q_T) gaps between
     consecutive rung solutions; decreasing gaps are the numerical shadow of
     the compactness of the regularized family.  A failing rung aborts the
-    ladder; completed solutions are still returned.
+    ladder; completed solutions are still returned.  A :class:`ConfigError`
+    is not a rung failure: it rejects the run's inputs and propagates.
     """
     schedule = schedule or ContinuationSchedule()
     rungs = schedule.rungs(params)
@@ -317,16 +317,16 @@ def solve_with_continuation(
         try:
             sol = solve_mfg(
                 grid,
-                params,
+                replace(params, mu=mu_j),
                 coupling,
                 fp_opts=fp_opts,
                 eps=eps_j,
-                mu_override=mu_j,
                 m0=m0,
                 init_traj=init_traj if schedule.warm_start else None,
                 hjb_opts=hjb_opts,
-                fpk_opts=fpk_opts,
             )
+        except ConfigError:
+            raise
         except Exception as exc:  # noqa: BLE001 - rung failures are data
             failed, error = j, exc
             break

@@ -25,7 +25,9 @@ Three graded consistency checks are available for a computed equilibrium:
 All integrals use the grid's rectangle rule; gradients come from the
 solver's own upwind kernel, :func:`congestion_mfg.grid.upwind_parts`, and H,
 H_p from the model's guarded power law; in the singular regime (mu = 0)
-every Hamiltonian integrand carries the ``m > m_floor`` indicator.
+every Hamiltonian integrand carries the ``m > m_floor`` indicator.  Model
+parameters, couplings and the regularization width are read from the
+solutions themselves.
 """
 
 from __future__ import annotations
@@ -42,13 +44,7 @@ from .hjb import (
     hamiltonian_values,
     transport_jacobian,
 )
-from .model import (
-    CouplingSpec,
-    ModelParams,
-    _guarded_h_hp,
-    congestion_denominator,
-    uniqueness_integrand,
-)
+from .model import _guarded_h_hp, congestion_denominator, uniqueness_integrand
 
 __all__ = [
     "DiagnosticsReport",
@@ -73,23 +69,23 @@ def _check_same_grid(a: MFGSolution, b: MFGSolution) -> None:
         raise GridMismatch(f"grids differ: {ga} vs {gb}")
 
 
-def _kernel_inputs(sol: MFGSolution, k: int, params: ModelParams):
+def _kernel_inputs(sol: MFGSolution, k: int):
     """(upwind parts, congestion factor) of level ``k``, as the HJB step has them."""
     return (
         upwind_parts(sol.grid, sol.u[k]),
-        congestion_denominator(sol.m[k], params, sol.epsilon),
+        congestion_denominator(sol.m[k], sol.params, sol.epsilon),
     )
 
 
-def _energy_terms(sol: MFGSolution, params: ModelParams, coupling: CouplingSpec):
+def _energy_terms(sol: MFGSolution):
     """(bracket, f_term, g_term, initial, H per level) of the energy identity."""
-    grid = sol.grid
-    costs = effective_cost(grid, sol.m, coupling.level_costs, sol.epsilon)
+    grid, params = sol.grid, sol.params
+    costs = effective_cost(grid, sol.m, sol.coupling.level_costs, sol.epsilon)
     bracket = 0.0
     f_term = 0.0
     hamiltonians = []
     for k in range(grid.nt):
-        h_vals = hamiltonian_values(grid, *_kernel_inputs(sol, k, params), params)
+        h_vals = hamiltonian_values(grid, *_kernel_inputs(sol, k), params)
         hamiltonians.append(h_vals)
         # H_p.Du - H = (beta - 1) H for the power family, exactly
         bracket += grid.dt * _inner(grid, sol.m[k], (params.beta - 1.0) * h_vals)
@@ -99,24 +95,13 @@ def _energy_terms(sol: MFGSolution, params: ModelParams, coupling: CouplingSpec)
     return bracket, f_term, g_term, initial, hamiltonians
 
 
-def energy_identity_residual(
-    sol: MFGSolution,
-    params: ModelParams | None = None,
-    coupling: CouplingSpec | None = None,
-) -> float:
+def energy_identity_residual(sol: MFGSolution) -> float:
     """|LHS - RHS| of the energy identity, natural same-level quadrature."""
-    params = params or sol.params
-    coupling = coupling or sol.coupling
-    bracket, f_term, g_term, initial, _ = _energy_terms(sol, params, coupling)
+    bracket, f_term, g_term, initial, _ = _energy_terms(sol)
     return abs(bracket + f_term + g_term - initial)
 
 
-def crossed_energy_gap(
-    sol_a: MFGSolution,
-    sol_b: MFGSolution,
-    params: ModelParams | None = None,
-    coupling: CouplingSpec | None = None,
-) -> float:
+def crossed_energy_gap(sol_a: MFGSolution, sol_b: MFGSolution) -> float:
     """RHS - LHS of the crossed energy inequality, duality-exact pairing.
 
     The value-side data (Hamiltonian, couplings, initial pairing) come from
@@ -125,16 +110,12 @@ def crossed_energy_gap(
     slack, and it stays one-sidedly small for independent converged pairs.
     """
     _check_same_grid(sol_a, sol_b)
-    params = params or sol_a.params
-    coupling = coupling or sol_a.coupling
     grid = sol_a.grid
-    params_b = sol_b.params
-
-    costs_a = effective_cost(grid, sol_a.m, coupling.level_costs, sol_a.epsilon)
+    costs_a = effective_cost(grid, sol_a.m, sol_a.coupling.level_costs, sol_a.epsilon)
     total = 0.0
     for k in range(grid.nt):
-        g_a = hamiltonian_values(grid, *_kernel_inputs(sol_a, k, params), params)
-        jac_b = transport_jacobian(grid, *_kernel_inputs(sol_b, k, params_b), params_b)
+        g_a = hamiltonian_values(grid, *_kernel_inputs(sol_a, k), sol_a.params)
+        jac_b = transport_jacobian(grid, *_kernel_inputs(sol_b, k), sol_b.params)
         advected = (jac_b @ sol_a.u[k].ravel()).reshape(grid.shape)
         total += grid.dt * _inner(grid, advected - g_a + costs_a[k], sol_b.m[k + 1])
     total += _inner(grid, costs_a[grid.nt], sol_b.m[grid.nt])
@@ -154,12 +135,7 @@ class UniquenessGapResult:
     exclusive_b: float = 0.0
 
 
-def uniqueness_gap(
-    sol_a: MFGSolution,
-    sol_b: MFGSolution,
-    params: ModelParams | None = None,
-    coupling: CouplingSpec | None = None,
-) -> UniquenessGapResult:
+def uniqueness_gap(sol_a: MFGSolution, sol_b: MFGSolution) -> UniquenessGapResult:
     """Symmetric monotonicity sum of two solutions.
 
     gap = int (G(m_A) - G(m_B))(m_A - m_B) |_{t=T}
@@ -174,9 +150,7 @@ def uniqueness_gap(
     uniqueness bracket over all time levels.
     """
     _check_same_grid(sol_a, sol_b)
-    params = params or sol_a.params
-    coupling = coupling or sol_a.coupling
-    grid = sol_a.grid
+    grid, params, coupling = sol_a.grid, sol_a.params, sol_a.coupling
     singular = params.is_singular
 
     g_term = _inner(
@@ -266,24 +240,18 @@ class DiagnosticsReport:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
-def apriori_report(
-    sol: MFGSolution,
-    params: ModelParams | None = None,
-    coupling: CouplingSpec | None = None,
-) -> DiagnosticsReport:
+def apriori_report(sol: MFGSolution) -> DiagnosticsReport:
     """Fill every report entry by rectangle-rule quadrature and flag violations."""
-    params = params or sol.params
-    coupling = coupling or sol.coupling
-    grid = sol.grid
+    grid, params = sol.grid, sol.params
 
-    bracket, f_term, g_term, initial, h_levels = _energy_terms(sol, params, coupling)
+    bracket, f_term, g_term, initial, h_levels = _energy_terms(sol)
     energy_residual = abs(bracket + f_term + g_term - initial)
-    crossed = crossed_energy_gap(sol, sol, params, coupling)
+    crossed = crossed_energy_gap(sol, sol)
 
     masses = grid.cell_volume * sol.m.sum(axis=tuple(range(1, sol.m.ndim)))
     mass_drift = float(np.abs(masses - 1.0).max())
     min_m = float(sol.m.min())
-    u_lower_slack = float(sol.u.min() - coupling.c4)
+    u_lower_slack = float(sol.u.min() - sol.coupling.c4)
 
     integ_du = 0.0
     integ_mdu = 0.0

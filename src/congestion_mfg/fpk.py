@@ -19,12 +19,13 @@ The system is built as CSC on the grid's cached stencil pattern, with data
 order, read as CSC, is exactly ``A^T``: the transpose costs nothing, and
 ``I/dt - nu L`` is symmetric, so its data serves both orders.  A transport
 matrix not built on the pattern is scattered onto it, and one with an entry
-off the stencil is rejected with ``ValueError``.
+off the stencil is rejected with ``ValueError``.  The coupler passes its
+``HJBOptions.linear_tol`` as ``tol``: one linear tolerance for both sweeps.
+A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;
+it always raises :class:`NegativeDensity`, a check no option switches off.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,17 +36,7 @@ from .grid import stencil_data, stencil_pattern
 from .linalg import sparse_solve
 from .model import ModelParams
 
-__all__ = ["FPKOptions", "fpk_step", "solve_fpk_forward"]
-
-
-@dataclass(frozen=True)
-class FPKOptions:
-    linear_tol: float = 1e-12
-    enforce_nonneg_check: bool = True
-
-    def __post_init__(self):
-        if self.linear_tol <= 0:
-            raise ValueError("linear_tol must be positive")
+__all__ = ["fpk_step", "solve_fpk_forward"]
 
 
 def fpk_step(
@@ -53,7 +44,7 @@ def fpk_step(
     m_prev: np.ndarray,
     transport: sp.spmatrix,
     params: ModelParams,
-    opts: FPKOptions = FPKOptions(),
+    tol: float = 1e-12,
 ) -> np.ndarray:
     """Advance the density one level with the transposed generator ``transport``."""
     if float(m_prev.min()) < -NEGATIVE_TOL:
@@ -62,11 +53,11 @@ def fpk_step(
     system = stencil_pattern(grid).csc(
         implicit_heat_data(grid, params.nu) + stencil_data(grid, transport)
     )
-    m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, tol=opts.linear_tol)
+    m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, tol=tol)
     m = m_vec.reshape(grid.shape)
     if not np.isfinite(m).all():
         raise LinearSolveFailed("non-finite density after the implicit step")
-    if opts.enforce_nonneg_check and float(m.min()) < -NEGATIVE_TOL:
+    if float(m.min()) < -NEGATIVE_TOL:
         raise NegativeDensity(f"min density {m.min():.3e} below tolerance")
     return m
 
@@ -76,7 +67,7 @@ def solve_fpk_forward(
     transports: list[sp.spmatrix],
     m0: np.ndarray,
     params: ModelParams,
-    opts: FPKOptions = FPKOptions(),
+    tol: float = 1e-12,
 ) -> np.ndarray:
     """March the density from m0 through all levels; frame k+1 uses generator k."""
     if len(transports) != grid.nt:
@@ -84,5 +75,5 @@ def solve_fpk_forward(
     m = grid.zeros_traj()
     m[0] = _nonnegative(np.asarray(m0, dtype=float), "initial density")
     for k in range(grid.nt):
-        m[k + 1] = fpk_step(grid, m[k], transports[k], params, opts)
+        m[k + 1] = fpk_step(grid, m[k], transports[k], params, tol)
     return m

@@ -67,6 +67,12 @@ class TestConfigParsing:
             parse_config(path)
         assert err.value.line == 3
 
+    def test_positivity_switch_is_an_unknown_key(self, tmp_path):
+        path = write_config(tmp_path, "nu = 0.5\nenforce_nonneg_check = false\n")
+        with pytest.raises(ConfigParseError, match="unknown key") as err:
+            parse_config(path)
+        assert err.value.line == 2
+
     def test_lists_and_bools(self, tmp_path):
         path = write_config(
             tmp_path, "epsilons = 0.1, 0.05\nwarm_start = false\ncontinuation = true\n"
@@ -237,33 +243,36 @@ class TestCmdStudy:
 
 
     def test_solver_options_reach_both_sweeps(self, tmp_path, monkeypatch):
-        from congestion_mfg import cli
+        from congestion_mfg import cli, coupler
 
-        calls = []
+        calls, fpk_tols = [], []
         real_solve = cli.solve_mfg
+        real_forward = coupler.solve_fpk_forward
 
         def recording_solve(*args, **kwargs):
             calls.append(kwargs)
             return real_solve(*args, **kwargs)
 
+        def recording_forward(grid, transports, m0, params, tol=1e-12):
+            fpk_tols.append(tol)
+            return real_forward(grid, transports, m0, params, tol)
+
         monkeypatch.setattr(cli, "solve_mfg", recording_solve)
+        monkeypatch.setattr(coupler, "solve_fpk_forward", recording_forward)
         path = write_config(
             tmp_path,
-            "n = 4\nnt = 4\nm0 = uniform\nlinear_tol = 1e-11\n"
-            "enforce_nonneg_check = false\noutput_dir = {out}\n",
+            "n = 4\nnt = 4\nm0 = uniform\nlinear_tol = 1e-11\noutput_dir = {out}\n",
             out=tmp_path / "study",
         )
         assert cmd_study(path, 2) == EXIT_OK
         assert len(calls) == 2
         for kwargs in calls:
             assert kwargs["hjb_opts"].linear_tol == 1e-11
-            fpk_opts = kwargs.get("fpk_opts")
-            assert fpk_opts is not None
-            assert fpk_opts.linear_tol == 1e-11
-            assert fpk_opts.enforce_nonneg_check is False
+        assert fpk_tols
+        assert all(tol == 1e-11 for tol in fpk_tols)
 
 
-# option values solve and study must reject before solving, not crash on
+# configs solve and study must reject with exit 1, not crash on or fail as solves
 BAD_OPTIONS = {
     "solve-linear_tol": ("solve", "linear_tol = 0\n"),
     "solve-newton_tol": ("solve", "newton_tol = 0\n"),
@@ -273,6 +282,11 @@ BAD_OPTIONS = {
     "study-damping": ("study", "damping = 0\n"),
     "study-linear_tol": ("study", "linear_tol = 0\n"),
     "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
+    "solve-epsilon": ("solve", "epsilon = -0.1\n"),
+    "study-epsilon": ("study", "epsilon = -0.1\n"),
+    # solve_mfg's cold-start ConfigError, raised once the solve has started
+    "solve-cold_mu0": ("solve", "mu = 0\n"),
+    "study-cold_mu0": ("study", "mu = 0\n"),
 }
 
 
@@ -317,7 +331,10 @@ def test_missing_density_file_is_a_config_error(tmp_path, command, key):
     assert not out_dir.exists()
 
 
-def test_signed_initial_density_file_is_rejected(tmp_path):
+@pytest.mark.parametrize("ladder", ["", "continuation = true\nepsilons = 0.1\n"],
+                         ids=["single", "continuation"])
+def test_signed_initial_density_file_is_rejected(tmp_path, ladder):
+    # in a ladder the ConfigError comes from rung 0 and is no rung failure
     grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
     frame = np.ones(grid.shape)
     frame[2] = -0.2
@@ -326,7 +343,7 @@ def test_signed_initial_density_file_is_rejected(tmp_path):
     out_dir = tmp_path / "out"
     path = write_config(
         tmp_path,
-        "n = 8\nnt = 8\n" + f"m0 = file({density})\n" + "output_dir = {out}\n",
+        "n = 8\nnt = 8\n" + ladder + f"m0 = file({density})\n" + "output_dir = {out}\n",
         out=out_dir,
     )
     proc = run_cli("solve", path)

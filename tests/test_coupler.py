@@ -259,6 +259,16 @@ class TestContinuation:
         rungs = schedule.rungs(params)
         assert rungs == [(0.05, 1.0), (0.05, 0.0)]
 
+    def test_signed_initial_density_is_no_rung_failure(self):
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        m0 = cosine_density(grid)
+        m0[3] = -0.2
+        schedule = ContinuationSchedule(epsilons=(0.1,))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            solve_with_continuation(
+                grid, reference_params(), CouplingSpec(), schedule=schedule, m0=m0
+            )
+
     def test_failed_rung_returns_partial(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=0.5)
         params = ModelParams(nu=0.5, beta=2.0, alpha=2.0, mu=0.0, horizon=0.5)

@@ -58,6 +58,20 @@ class TestFPKStep:
         bad = sp.identity(grid.ncells, format="csr") * -40.0
         with pytest.raises(NegativeDensity):
             fpk_step(grid, np.abs(np.random.default_rng(2).random(grid.shape)), bad, PARAMS)
+        # the sweep raises the typed error at the frame that dips, not an
+        # untyped one at the next step: -3 on the diagonal, +3 on the upper
+        # neighbour is no M-matrix
+        grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
+        params = ModelParams(nu=0.01, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+        cells = np.arange(grid.ncells)
+        upper = sp.csr_matrix(
+            (np.full(grid.ncells, 3.0), (cells, (cells + 1) % grid.ncells)),
+            shape=(grid.ncells, grid.ncells),
+        )
+        bad = (upper - 3.0 * sp.identity(grid.ncells, format="csr")).tocsr()
+        m0 = np.abs(np.random.default_rng(2).random(grid.shape))
+        with pytest.raises(NegativeDensity):
+            solve_fpk_forward(grid, [bad] * grid.nt, m0, params)
 
     def test_input_check_allows_the_output_roundoff(self):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)

@@ -18,7 +18,7 @@ from congestion_mfg import (
     solve_mfg,
 )
 from congestion_mfg.errors import LinearSolveFailed
-from congestion_mfg.fpk import FPKOptions, solve_fpk_forward
+from congestion_mfg.fpk import solve_fpk_forward
 from congestion_mfg.grid import implicit_heat_data, stencil_pattern
 from congestion_mfg.hjb import HJBOptions, solve_hjb_backward
 
@@ -106,7 +106,7 @@ def captured():
         mp.setattr(fpk, "sparse_solve", recorder)
         back = solve_hjb_backward(grid, m, REFERENCE, CouplingSpec(), HJBOptions())
         n_hjb = len(seen)
-        solve_fpk_forward(grid, back.transports, m[0], REFERENCE, FPKOptions())
+        solve_fpk_forward(grid, back.transports, m[0], REFERENCE)
     assert 0 < n_hjb < len(seen)
     return seen
 

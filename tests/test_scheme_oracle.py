@@ -9,7 +9,7 @@ still be caught.
 import numpy as np
 import pytest
 
-from congestion_mfg.fpk import FPKOptions, fpk_step
+from congestion_mfg.fpk import fpk_step
 from congestion_mfg.grid import GridSpec, upwind_parts
 from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
@@ -115,7 +115,7 @@ class TestAgainstNaiveFormulas:
         m_arg = np.abs(rng.random(grid.shape)) + 0.2
         _, transport, _ = hjb_step(grid, u_next, m_arg, PARAMS, COUPLING.f(m_arg), HJBOptions())
         m_prev = np.abs(rng.random(grid.shape)) + 0.1
-        m = fpk_step(grid, m_prev, transport, PARAMS, FPKOptions())
+        m = fpk_step(grid, m_prev, transport, PARAMS)
         # naive adjoint residual: (m - m_prev)/dt - nu lap m + J^T m = 0
         jac_dense = transport.toarray()
         n, h, dt = grid.n, grid.h, grid.dt
