@@ -3,8 +3,9 @@
 Run configurations are flat UTF-8 ``key = value`` files with ``#`` comments
 and no nesting; unknown keys, ``enforce_nonneg_check`` among them (density
 positivity is always checked), are rejected with the offending line number.
-``solve`` and ``study`` build every grid, initial density and option object
-in ``_load_run`` before any solve.  Exit codes form a stable contract, and
+Every command that reads a config builds every grid, initial density and
+option object in ``_load_run`` before any solve, so ``check`` rejects what
+``solve`` and ``study`` reject.  Exit codes form a stable contract, and
 ``_EXIT_CODES`` maps exceptions to them the same way for every command:
 
     0  success
@@ -279,9 +280,7 @@ def _print_report(report) -> None:
 
 @_exit_codes
 def cmd_check(config_path) -> int:
-    cfg = parse_config(config_path)
-    with _loading():
-        params, _, _ = _build(cfg)
+    _, params, *_ = _load_run(config_path, 1)
     report = check_structure(params)
     _print_report(report)
     return EXIT_OK if report.valid_ranges else EXIT_STRUCTURAL

@@ -53,7 +53,7 @@ def fpk_step(
     system = stencil_pattern(grid).csc(
         implicit_heat_data(grid, params.nu) + stencil_data(grid, transport)
     )
-    m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, tol=tol)
+    m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, params.nu, tol=tol)
     m = m_vec.reshape(grid.shape)
     if not np.isfinite(m).all():
         raise LinearSolveFailed("non-finite density after the implicit step")

@@ -36,8 +36,7 @@ flags are set: sorted rows and distinct slots are facts of the pattern, so
 ``splu`` never rescans a matrix for duplicates.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
-:func:`implicit_heat_data`, the Fourier symbols of the stencil's offsets in
-:func:`offset_symbols` and the Gaussian kernel's spectrum in
+:func:`implicit_heat_data` and the Gaussian kernel's spectrum in
 :func:`gaussian_smooth` depend only on the grid and fixed parameters; they
 are cached and read-only, so a caller that needs to change one works on a
 copy.
@@ -57,7 +56,6 @@ __all__ = [
     "StencilPattern",
     "stencil_pattern",
     "implicit_heat_data",
-    "offset_symbols",
     "stencil_data",
     "one_sided_diffs",
     "upwind_parts",
@@ -282,27 +280,6 @@ def implicit_heat_data(grid: GridSpec, nu: float) -> np.ndarray:
     data = data - nu * pattern.laplacian
     data.flags.writeable = False
     return data
-
-
-@functools.lru_cache(maxsize=32)
-def offset_symbols(grid: GridSpec) -> np.ndarray:
-    """Fourier symbols of the stencil's offsets on the ``rfftn`` half spectrum.
-
-    Row ``j`` is the factor by which the shift ``f -> f(x + d_j)`` multiplies
-    the ``rfftn`` coefficients of a field, for the offsets ``d_j`` in
-    :attr:`StencilPattern.slots` order: ``0``, then ``-h e_ax`` per axis,
-    then ``+h e_ax`` per axis.  A shift by ``+h e_ax`` has the factor
-    ``exp(2 pi i k_ax / n)``.  Shape ``(2*dim + 1, *half)`` with
-    ``half = grid.shape[:-1] + (n // 2 + 1,)``.  So the constant-coefficient
-    matrix with data ``c_j`` in slot group ``j`` has the symbol
-    ``sum_j c_j * offset_symbols(grid)[j]``.  Cached per ``GridSpec`` and
-    read-only.
-    """
-    half = (*grid.shape[:-1], grid.n // 2 + 1)
-    phases = np.exp(2j * np.pi / grid.n * np.indices(half))
-    symbols = np.concatenate([np.ones((1, *half)), phases.conj(), phases])
-    symbols.flags.writeable = False
-    return symbols
 
 
 def stencil_data(grid: GridSpec, mat) -> np.ndarray:

@@ -221,7 +221,7 @@ def hjb_step(
         jac = transport_jacobian(grid, parts, congestion, params)
         # I/dt - nu L + A as CSC: heat data is symmetric, A's is read mirrored
         system = pattern.csc(heat + stencil_data(grid, jac).take(pattern.transpose))
-        uvec = uvec - sparse_solve(grid, system, res, tol=opts.linear_tol)
+        uvec = uvec - sparse_solve(grid, system, res, nu, tol=opts.linear_tol)
         parts, res = residual(uvec)
         # a non-finite entry of uvec makes its residual entry non-finite too
         res_norm = float(np.abs(res).max())

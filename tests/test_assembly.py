@@ -57,7 +57,7 @@ def first_system(monkeypatch, module, call):
     """The matrix ``call`` hands to ``module.sparse_solve`` first."""
     seen = []
 
-    def capture(grid, mat, rhs, tol=1e-12):
+    def capture(grid, mat, rhs, nu, tol=1e-12):
         seen.append(mat)
         raise _Captured
 

@@ -100,6 +100,16 @@ class TestCmdCheck:
         assert cmd_check(path) == EXIT_CONFIG
         assert "line 1" in capsys.readouterr().err
 
+    def test_builds_the_run_as_solve_does(self, tmp_path, capsys):
+        # a zero linear tolerance in a continuation run is no valid config
+        path = write_config(
+            tmp_path, "continuation = true\nepsilons = 0.1\nlinear_tol = 0\n"
+        )
+        assert cmd_check(path) == EXIT_STRUCTURAL
+        captured = capsys.readouterr()
+        assert "rejected: linear_tol must be positive" in captured.err
+        assert "valid_ranges" not in captured.out
+
     def test_gatekeeping_table(self, tmp_path, capsys):
         # the nine (beta, alpha) tuples of the structural gate
         for beta in (1.2, 2.0, 2.5):
@@ -272,8 +282,11 @@ class TestCmdStudy:
         assert all(tol == 1e-11 for tol in fpk_tols)
 
 
-# configs solve and study must reject with exit 1, not crash on or fail as solves
+# configs check, solve and study must reject with exit 1, not crash on or
+# fail as solves
 BAD_OPTIONS = {
+    "check-rising_epsilons": ("check", "continuation = true\nepsilons = 0.1, 0.2\n"),
+    "check-init_m": ("check", "init_m = cosine_bump(2)\n"),
     "solve-linear_tol": ("solve", "linear_tol = 0\n"),
     "solve-newton_tol": ("solve", "newton_tol = 0\n"),
     "solve-newton_max_iter": ("solve", "newton_max_iter = 0\n"),

@@ -10,6 +10,7 @@ from congestion_mfg import (
     ModelParams,
     apriori_report,
     crossed_energy_gap,
+    diagnostics,
     energy_identity_residual,
     solve_mfg,
     uniqueness_gap,
@@ -161,6 +162,29 @@ class TestUniquenessGap:
 
 
 class TestAprioriReport:
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)])
+    def test_crossed_gap_shares_the_energy_terms(self, dim, n, eps, monkeypatch):
+        # the report hands its costs, kernel inputs and Hamiltonians to the
+        # crossed gap: the standalone self-gap's bits, from one build of each
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        sol = solve_mfg(
+            grid, reference_params(), CouplingSpec(), eps=eps, m0=cosine_density(grid)
+        )
+        gap = crossed_energy_gap(sol, sol)
+        calls = {"effective_cost": 0, "hamiltonian_values": 0, "upwind_parts": 0}
+        for name in calls:
+            original = getattr(diagnostics, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(diagnostics, name, counted)
+        report = apriori_report(sol)
+        assert report.crossed_gap.hex() == gap.hex()
+        assert calls == {"effective_cost": 1, "hamiltonian_values": n, "upwind_parts": n}
+
     def test_constant_equilibrium_fields(self, constant_sol):
         report = apriori_report(constant_sol)
         assert report.mass_drift <= 1e-13

@@ -8,7 +8,6 @@ from congestion_mfg.grid import (
     gaussian_smooth,
     integrate,
     laplacian_matrix,
-    offset_symbols,
     one_sided_diffs,
     read_field_csv,
     restrict_traj,
@@ -302,30 +301,6 @@ class TestBatchedGaussianSmooth:
         for f in (random_field(grid), np.stack([random_field(grid)] * 3)):
             out = gaussian_smooth(grid, f, 0.0)
             assert np.array_equal(out, f) and not np.shares_memory(out, f)
-
-
-class TestOffsetSymbols:
-    @pytest.mark.parametrize("dim, n", [(1, 5), (1, 8), (2, 5), (2, 6)])
-    def test_symbols_multiply_rfftn_of_shifted_fields(self, dim, n):
-        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
-        f = random_field(grid, np.random.default_rng(n))
-        axes = tuple(range(dim))
-        symbols = offset_symbols(grid)
-        assert symbols.shape == (2 * dim + 1, *grid.shape[:-1], n // 2 + 1)
-        spectrum = np.fft.rfftn(f, axes=axes)
-        assert np.array_equal(symbols[0], np.ones(symbols.shape[1:]))
-        for ax in range(dim):
-            # f(x - h e_ax), then f(x + h e_ax): the pattern's slot order
-            for row, step in ((1 + ax, 1), (1 + dim + ax, -1)):
-                shifted = np.fft.rfftn(np.roll(f, step, axis=ax), axes=axes)
-                assert np.allclose(shifted, symbols[row] * spectrum, atol=1e-12)
-
-    def test_cached_and_read_only(self):
-        grid = GridSpec(dim=2, n=8, nt=4, horizon=1.0)
-        symbols = offset_symbols(grid)
-        assert offset_symbols(grid) is symbols
-        with pytest.raises(ValueError):
-            symbols[0, 0, 0] = 2.0
 
 
 class TestStencilSlots:

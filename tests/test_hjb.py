@@ -76,8 +76,8 @@ class TestHJBStep:
         corrections = []
         solve = hjb.sparse_solve
 
-        def recording_solve(grid, mat, rhs, tol=1e-12):
-            corrections.append(solve(grid, mat, rhs, tol=tol))
+        def recording_solve(grid, mat, rhs, nu, tol=1e-12):
+            corrections.append(solve(grid, mat, rhs, nu, tol=tol))
             return corrections[-1]
 
         monkeypatch.setattr(hjb, "sparse_solve", recording_solve)
@@ -247,7 +247,7 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
             grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
         )
         system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
-        uvec = uvec - sparse_solve(grid, system, res, tol=opts.linear_tol)
+        uvec = uvec - sparse_solve(grid, system, res, params.nu, tol=opts.linear_tol)
         res = residual(uvec)
         res_norm = float(np.abs(res).max())
     u = uvec.reshape(grid.shape)
@@ -340,10 +340,11 @@ class TestSharedKernelInputs:
 
 class TestDensityGuard:
     def roundoff_trajectory(self):
-        # a BiCGStab-solved FPK sweep from an indicator density at nu = 0.001
-        # returns a few entries in (-1e-12, 0)
+        # a BiCGStab-solved FPK sweep from an indicator density at nu = 1e-5
+        # returns entries in (-1e-12, 0) where the density is ~1e-22: the
+        # solve's relative tolerance, not a sign defect of the scheme
         grid = GridSpec(dim=2, n=16, nt=16, horizon=1.0)
-        params = ModelParams(nu=0.001, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+        params = ModelParams(nu=1e-5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
         m0 = np.zeros(grid.shape)
         m0[4:8, 4:8] = 1.0
         m0 /= m0.sum() * grid.cell_volume

@@ -1,13 +1,15 @@
-"""2D linear solves: the averaged-stencil preconditioner and BiCGStab around it."""
+"""2D linear solves: the heat-operator preconditioner and the BiCGStab loop."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, bicgstab
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
 from congestion_mfg import (
+    ContinuationSchedule,
     CouplingSpec,
     FixedPointOptions,
     GridSpec,
@@ -16,6 +18,7 @@ from congestion_mfg import (
     hjb,
     linalg,
     solve_mfg,
+    solve_with_continuation,
 )
 from congestion_mfg.errors import LinearSolveFailed
 from congestion_mfg.fpk import solve_fpk_forward
@@ -23,6 +26,9 @@ from congestion_mfg.grid import implicit_heat_data, stencil_pattern
 from congestion_mfg.hjb import HJBOptions, solve_hjb_backward
 
 REFERENCE = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+# low viscosity: the transport is no longer small against the heat operator,
+# so BiCGStab takes several iterations per solve
+LOW_VISCOSITY = ModelParams(nu=0.02, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 
 
 def c09_bump(grid):
@@ -30,35 +36,18 @@ def c09_bump(grid):
     return 1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
 
 
-def upwind_data(grid, speeds_lower, speeds_upper):
-    """CSR slot data of a constant upwind advection: ``sum_ax a (u_i - u_{i-e})
-    + b (u_i - u_{i+e})`` per axis, with ``h``-scaled speeds."""
+def heat_system(grid, nu):
     pattern = stencil_pattern(grid)
-    data = np.zeros(len(pattern.indices))
-    for ax, (a, b) in enumerate(zip(speeds_lower, speeds_upper)):
-        data[pattern.lower[ax]] = -a / grid.h
-        data[pattern.upper[ax]] = -b / grid.h
-        data[pattern.center] += (a + b) / grid.h
-    return data
-
-
-def constant_systems(grid):
-    """Heat alone and heat plus a nonsymmetric advection, each as CSC and as
-    its transpose (both on the stencil pattern)."""
-    pattern = stencil_pattern(grid)
-    heat = implicit_heat_data(grid, 0.3)
-    advected = heat + upwind_data(grid, (1.5, 0.0), (0.25, 2.5))
-    for data in (heat, advected):
-        yield pattern.csc(data)
-        yield pattern.csc(data[pattern.transpose])
+    return pattern.csc(implicit_heat_data(grid, nu))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 32])
 def test_preconditioner_inverts_constant_stencils(n):
+    """The heat inverse undoes ``I/dt - nu L``, on either side."""
     grid = GridSpec(dim=2, n=n, nt=8, horizon=1.0)
     x = np.random.default_rng(n).normal(size=grid.ncells)
-    for mat in constant_systems(grid):
-        apply = linalg.averaged_stencil_inverse(grid, mat)
+    for nu in (0.001, 0.3, 2.0):
+        mat, apply = heat_system(grid, nu), linalg.heat_inverse(grid, nu)
         scale = np.abs(x).max()
         assert np.abs(apply(mat @ x) - x).max() <= 1e-12 * scale
         b = mat @ x
@@ -69,81 +58,97 @@ def test_preconditioner_inverts_constant_stencils(n):
 def test_preconditioner_passes_equal_rfftn_reference(n):
     grid = GridSpec(dim=2, n=n, nt=8, horizon=1.0)
     x = np.random.default_rng(n).normal(size=grid.ncells)
-    for mat in constant_systems(grid):
-        symbol = linalg.averaged_symbol(grid, mat)
+    for nu in (0.001, 0.3, 2.0):
+        symbol = linalg.heat_symbol(grid, nu)
         spectrum = np.fft.rfftn(x.reshape(grid.shape), axes=(0, 1)) / symbol
         ref = np.fft.irfftn(spectrum, s=grid.shape, axes=(0, 1)).ravel()
-        got = linalg.averaged_stencil_inverse(grid, mat)(x)
+        got = linalg.heat_inverse(grid, nu)(x)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_symbol_of_a_matrix_off_the_pattern(n):
-    """A matrix not built on the pattern is read through its entries."""
-    grid = GridSpec(dim=2, n=n, nt=8, horizon=1.0)
-    for mat in constant_systems(grid):
-        assert np.allclose(
-            linalg.averaged_symbol(grid, sp.csr_matrix(mat.toarray())),
-            linalg.averaged_symbol(grid, mat),
-            rtol=1e-14,
-            atol=0.0,
-        )
+def test_symbol_real_part_at_least_one_over_dt():
+    for n, nt in itertools.product((4, 5, 32), (2, 8, 1000)):
+        grid = GridSpec(dim=2, n=n, nt=nt, horizon=1.0)
+        for nu in (0.0, 1e-3, 0.5, 1e3):
+            symbol = linalg.heat_symbol(grid, nu)
+            assert symbol.dtype == np.float64
+            assert symbol.shape == (n, n // 2 + 1)
+            assert symbol.min() >= 1 / grid.dt
+            assert symbol[0, 0] == 1 / grid.dt
+
+
+def test_heat_inverse_cached_per_grid_and_nu():
+    grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
+    apply = linalg.heat_inverse(grid, 0.5)
+    assert linalg.heat_inverse(grid, 0.5) is apply
+    assert linalg.heat_inverse(GridSpec(dim=2, n=8, nt=8, horizon=1.0), 0.5) is apply
+    assert linalg.heat_inverse(grid, 0.25) is not apply
 
 
 @pytest.fixture(scope="module")
 def captured():
-    """(grid, system, rhs, tol) of every solve in one 2D HJB + FPK sweep."""
+    """(grid, system, rhs, nu, tol) of every solve in one 2D HJB + FPK sweep,
+    at the reference and at a low viscosity."""
     grid = GridSpec(dim=2, n=32, nt=4, horizon=1.0)
     seen = []
 
-    def recorder(grid, mat, rhs, tol=1e-12):
-        seen.append((grid, mat, rhs, tol))
-        return linalg.sparse_solve(grid, mat, rhs, tol)
+    def recorder(grid, mat, rhs, nu, tol=1e-12):
+        seen.append((grid, mat, rhs, nu, tol))
+        return linalg.sparse_solve(grid, mat, rhs, nu, tol)
 
     m = np.broadcast_to(c09_bump(grid), (grid.nt + 1, *grid.shape)).copy()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hjb, "sparse_solve", recorder)
         mp.setattr(fpk, "sparse_solve", recorder)
-        back = solve_hjb_backward(grid, m, REFERENCE, CouplingSpec(), HJBOptions())
-        n_hjb = len(seen)
-        solve_fpk_forward(grid, back.transports, m[0], REFERENCE)
-    assert 0 < n_hjb < len(seen)
+        for params in (REFERENCE, LOW_VISCOSITY):
+            start = len(seen)
+            back = solve_hjb_backward(grid, m, params, CouplingSpec(), HJBOptions())
+            n_hjb = len(seen)
+            solve_fpk_forward(grid, back.transports, m[0], params)
+            assert start < n_hjb < len(seen)
     return seen
 
 
 def test_captured_systems_meet_tolerance(captured):
-    for grid, mat, rhs, tol in captured:
-        x = linalg.sparse_solve(grid, mat, rhs, tol)
+    for grid, mat, rhs, nu, tol in captured:
+        x = linalg.sparse_solve(grid, mat, rhs, nu, tol)
         assert np.linalg.norm(mat @ x - rhs) <= tol * (np.linalg.norm(rhs) + 1.0)
 
 
-def test_symbol_real_part_at_least_one_over_dt(captured):
-    for grid, mat, _, _ in captured:
-        symbol = linalg.averaged_symbol(grid, mat)
-        assert symbol.real.min() >= (1 / grid.dt) * (1 - 1e-12)
-
-
 def test_lean_operators_match_default_wrapping(captured, monkeypatch):
-    calls = []
+    """``linalg.bicgstab`` is scipy's BiCGStab without its operator wrapping:
+    bitwise the same solution, info and callback count."""
+    calls, loop = [], linalg.bicgstab
 
     def spy(A, b, **kwargs):
         calls.append(kwargs)
-        return bicgstab(A, b, **kwargs)
+        return loop(A, b, **kwargs)
 
     monkeypatch.setattr(linalg, "bicgstab", spy)
-    for grid, mat, rhs, tol in captured:
-        x = linalg.sparse_solve(grid, mat, rhs, tol)
+    iterations = []
+    for grid, mat, rhs, nu, tol in captured:
+        x = linalg.sparse_solve(grid, mat, rhs, nu, tol)
         kwargs = dict(calls[-1])
-        kwargs["M"] = LinearOperator(mat.shape, matvec=kwargs["M"].matvec)
-        ref, info = bicgstab(mat, rhs, **kwargs)
-        assert info == 0
-        assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+        assert kwargs["M"] is linalg.heat_inverse(grid, nu)
+        ours, scipys = [], []
+        got, info = loop(mat, rhs, **kwargs, callback=ours.append)
+        kwargs["M"] = LinearOperator(mat.shape, matvec=kwargs["M"])
+        ref, ref_info = scipy_bicgstab(mat, rhs, **kwargs, callback=scipys.append)
+        assert info == ref_info == 0
+        assert len(ours) == len(scipys)
+        for a in (x, got):
+            assert np.array_equal(a.view(np.int64), ref.view(np.int64))
+        iterations.append(len(ours))
+    # both regimes are covered: one-iteration solves and longer ones
+    assert min(iterations) <= 1 and max(iterations) >= 4
 
 
 @pytest.mark.parametrize("entry", [None, np.nan, np.inf])
 def test_singular_averaged_stencil_raises(entry):
-    """``I/dt - nu L - I/dt`` has lambda(0) = 0; a NaN or infinite entry makes
-    lambda non-finite."""
+    """``I/dt - nu L - I/dt = -nu L`` is a singular constant stencil; a NaN or
+    infinite entry makes the system non-finite.  Each raises at once, without
+    a warning: the plain loop runs a NaN system to ``maxiter`` and warns on an
+    infinite one."""
     grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
     pattern = stencil_pattern(grid)
     data = np.array(implicit_heat_data(grid, 0.5))
@@ -152,10 +157,45 @@ def test_singular_averaged_stencil_raises(entry):
     else:
         data[pattern.center[3]] = entry
     mat = pattern.csc(data)
+    rhs = np.ones(grid.ncells)
+    steps = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(LinearSolveFailed, match="singular"):
-            linalg.sparse_solve(grid, mat, np.ones(grid.ncells))
+        with pytest.raises(LinearSolveFailed):
+            linalg.sparse_solve(grid, mat, rhs, 0.5)
+        if entry is None:  # a breakdown: the loop returns scipy's info
+            _, info = linalg.bicgstab(mat, rhs, M=linalg.heat_inverse(grid, 0.5))
+            assert info < 0
+        else:
+            with pytest.raises(LinearSolveFailed, match="non-finite"):
+                linalg.bicgstab(mat, rhs, callback=steps.append)
+    assert steps == []
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_right_hand_side_raises(entry):
+    grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
+    rhs = np.ones(grid.ncells)
+    rhs[5] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinearSolveFailed, match="non-finite"):
+            linalg.sparse_solve(grid, heat_system(grid, 0.5), rhs, 0.5)
+
+
+def test_loop_defaults_follow_scipy():
+    """No preconditioner, default tolerances and ``maxiter``: still scipy's
+    iterates; a zero right-hand side returns itself."""
+    grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
+    mat = heat_system(grid, 0.5)
+    b = np.random.default_rng(3).normal(size=grid.ncells)
+    got, info = linalg.bicgstab(mat, b)
+    ref, ref_info = scipy_bicgstab(mat, b)
+    assert info == ref_info == 0
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    zero = np.zeros(grid.ncells)
+    x, info = linalg.bicgstab(mat, zero)
+    assert x is zero and info == 0
 
 
 def assert_structure(sol):
@@ -190,4 +230,27 @@ class TestBreakdownReproducers:
         sol = solve_mfg(
             grid, REFERENCE, CouplingSpec(), FixedPointOptions(fp_tol=1e-8), m0=m0
         )
+        assert_structure(sol)
+
+
+def test_c09_ladder_2d_converges_in_budget():
+    """The c09 (eps, mu) ladder of the 1D benchmark, on the 2D n = nt = 16 grid.
+
+    The tail of each rung is chaotic under perturbations at the linear
+    solver's tolerance, so a change of the 2D solve moves its outer-iteration
+    counts; every rung must still converge within the ladder's budget."""
+    grid = GridSpec(dim=2, n=16, nt=16, horizon=1.0)
+    result = solve_with_continuation(
+        grid,
+        ModelParams(nu=0.5, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0),
+        CouplingSpec(cf=0.5, cg=0.5),
+        FixedPointOptions(fp_tol=1e-6, max_outer_iter=400),
+        ContinuationSchedule(
+            epsilons=(0.05,), mus=(1.0, 0.5, 0.25, 0.1, 0.05), warm_start=True
+        ),
+        m0=c09_bump(grid),
+    )
+    assert result.ok and len(result.solutions) == 5
+    for sol in result.solutions:
+        assert sol.meta["outer_iters"] <= 400
         assert_structure(sol)
