@@ -190,7 +190,9 @@ def solve_mfg(
     same width eps that caps the density inside the Hamiltonian and smooths
     the couplings.  ``init_traj`` warm-starts the iteration, and is required
     when ``mu`` is 0: the singular problem is reached only by continuation.
-    A budget overrun is not an exception; the best iterate is returned with
+    ``hjb_opts.epsilon`` must be 0 or equal to ``eps``; any other width
+    raises :class:`ConfigError` rather than being replaced.  A budget
+    overrun is not an exception; the best iterate is returned with
     ``meta['converged'] = False``.
     """
     fp_opts = fp_opts or FixedPointOptions()
@@ -201,7 +203,13 @@ def solve_mfg(
         raise ConfigError(
             "cold-start solve at mu = 0 rejected; use continuation with warm starts"
         )
-    hjb_opts = replace(hjb_opts or HJBOptions(), epsilon=float(eps))
+    hjb_opts = hjb_opts or HJBOptions()
+    if hjb_opts.epsilon not in (0.0, eps):
+        raise ConfigError(
+            f"HJBOptions.epsilon = {hjb_opts.epsilon} differs from eps = {eps}; "
+            "the rung's width is the eps argument"
+        )
+    hjb_opts = replace(hjb_opts, epsilon=float(eps))
 
     start = time.perf_counter()
     if m0 is None:

@@ -1,32 +1,48 @@
 """Sparse linear solves shared by the two PDE steppers.
 
 1D systems go through a direct sparse LU factorization.  2D systems use
-BiCGStab preconditioned by the exact FFT inverse of the heat operator
+BiCGStab preconditioned by the exact inverse of the heat operator
 ``I/dt - nu L``.  Both steppers build their systems as CSC on the grid's
 stencil pattern, which ``splu`` takes as is and BiCGStab multiplies with
 directly, so no format copy is made.
 
 Every system is ``I/dt - nu L + T`` with the congestion transport ``T = A``
-(HJB) or ``A^T`` (Kolmogorov).  The FFT diagonalises the heat part; its
-symbol on the ``rfftn`` half spectrum,
-``1/dt + (4 nu/h^2) sum_ax sin^2(pi k_ax/n)``, is real and at least ``1/dt``
-by construction.  :func:`heat_inverse` is built once per ``(grid, nu)``; its
-apply writes ``rfftn``/``irfftn`` out as their 1D passes (``rfft`` on the
-last axis, ``fft`` on the others), bit-identical to them without their
-per-call argument handling.  At n = 32 and nu = 0.5 the transport is
-``O(10)`` against ``4 nu/h^2 ~ 2000``, so a solve takes about one
-iteration.  Folding the transport's cell average into the symbol (the
-averaged stencil, T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988) saved no
-iterations: 1047 with the heat operator against 1065 over a 2D n = 32
-reference solve, and per solve at (nu, n) = (0.005, 32) and (0.001, 32)
-28.6 against 33.5 and 37.6 against 50.7.
+(HJB) or ``A^T`` (Kolmogorov).  On the torus the heat part is diagonal in
+the orthonormal real Fourier basis ``Q`` of :func:`fourier_basis`: the
+columns ``1/sqrt(n)``, ``sqrt(2/n) cos(2 pi k j/n)`` and
+``sqrt(2/n) sin(2 pi k j/n)`` for ``k = 1..(n-1)//2``, and ``(-1)^j/sqrt(n)``
+when n is even.  Each column is an eigenvector of the periodic ``-L`` along
+one axis with eigenvalue ``4 sin^2(pi k/n)/h^2``, which is computed from the
+formula, not by an eigensolver.  The 2D symbol
+``1/dt + nu (lambda_i + lambda_j)`` is therefore real, at least ``1/dt``,
+and exactly ``1/dt`` on the constant mode.
+
+:func:`heat_inverse` builds ``Q`` and the inverse symbol once per
+``(grid, nu)``; its apply is four small matmuls, ``Q^T R Q``, a product
+with the inverse symbol, then ``Q Y Q^T``.  That is O(n^3) against the
+FFT's O(n^2 log n), but at the sizes used here (every 2D grid of the
+tests, demos and benchmark has n <= 64) the FFT apply's time is almost all
+per-call overhead.  On a 2-core x86 host with single-threaded OpenBLAS an
+apply takes about 10 us against the FFT passes' 50 us at n = 32, and 43
+against 94 us at n = 64; by n = 128 the cubic cost has crossed over, at
+about 400 us against 280 us.
+
+At n = 32 and nu = 0.5 the transport is ``O(10)`` against
+``4 nu/h^2 ~ 2000``, so a solve takes about one iteration.  Folding the
+transport's cell average into the symbol (T. Chan's averaged stencil,
+SIAM J. Sci. Stat. Comput. 9, 1988) saved no iterations: 1065 against 1047
+over a 2D n = 32 reference solve, and more at low viscosity.
 
 :func:`bicgstab` is scipy's loop from ``x = 0`` with the same float
 operations in the same order, so it is bitwise equal to scipy's for the
 same operator and preconditioner, without scipy's operator wrapping.  A
 non-finite entry of the system or the right-hand side raises
 :class:`LinearSolveFailed` in the first iteration, where the plain loop
-would run a NaN to ``maxiter`` and warn on an inf.
+would run a NaN to ``maxiter`` and warn on an inf.  The loop stops on its
+recursive residual, which can vanish while the true one does not: on a
+singular system such as ``-nu L`` it returns success with ``|x| ~ 1e16``.
+So :func:`sparse_solve` recomputes ``rhs - mat x`` once, at the cost of one
+matvec, and raises :class:`LinearSolveFailed` when it misses the tolerance.
 """
 
 from __future__ import annotations
@@ -52,31 +68,51 @@ def sparse_solve(
     x, info = bicgstab(mat, rhs, rtol=tol, atol=atol, M=M, maxiter=20 * len(rhs))
     if info != 0:
         raise LinearSolveFailed(f"bicgstab returned info={info}")
+    r = rhs - mat.dot(x)
+    resid = math.sqrt(r.dot(r))
+    if not resid <= atol:
+        raise LinearSolveFailed(f"bicgstab residual {resid:.3e} above {atol:.3e}")
     return x
 
 
+def fourier_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal real Fourier basis of a periodic axis of ``n`` cells, as
+    the columns of an ``(n, n)`` array, and the frequency ``k`` of each."""
+    j, k = np.arange(n), np.arange(1, (n - 1) // 2 + 1)
+    # k j reduced mod n exactly, so every angle lies in [0, 2 pi)
+    angle = (2 * np.pi / n) * (np.outer(j, k) % n)
+    columns = [np.full((n, 1), 1 / math.sqrt(n))]
+    columns += [math.sqrt(2 / n) * np.cos(angle), math.sqrt(2 / n) * np.sin(angle)]
+    freqs = [[0], k, k]
+    if n % 2 == 0:
+        columns.append(((-1.0) ** j / math.sqrt(n))[:, None])
+        freqs.append([n // 2])
+    return np.hstack(columns), np.concatenate(freqs)
+
+
 def heat_symbol(grid: GridSpec, nu: float) -> np.ndarray:
-    """Symbol of ``I/dt - nu L`` on the ``rfftn`` half spectrum: ``1/dt``
-    plus a sum of squares, so real and at least ``1/dt``."""
-    half = (*grid.shape[:-1], grid.n // 2 + 1)
-    squares = np.sin((np.pi / grid.n) * np.indices(half)) ** 2
-    return 1 / grid.dt + (4 * nu / grid.h**2) * squares.sum(axis=0)
+    """``(n, n)`` eigenvalues of ``I/dt - nu L`` on the 2D basis
+    ``Q x Q``: ``1/dt`` plus ``nu`` times a sum of squares, so real and at
+    least ``1/dt``."""
+    _, freqs = fourier_basis(grid.n)
+    lam = (4 / grid.h**2) * np.sin((np.pi / grid.n) * freqs) ** 2
+    return 1 / grid.dt + nu * (lam[:, None] + lam[None, :])
 
 
 @functools.lru_cache(maxsize=32)
 def heat_inverse(grid: GridSpec, nu: float):
     """``r -> (I/dt - nu L)^{-1} r`` on flat fields; cached per ``(grid, nu)``."""
-    symbol = heat_symbol(grid, nu)
-    shape, n, lead = grid.shape, grid.n, range(grid.dim - 1)
+    basis, _ = fourier_basis(grid.n)
+    # a contiguous transpose: BLAS reads it faster than the strided view
+    basis_t, inverse = basis.T.copy(), 1 / heat_symbol(grid, nu)
+    for array in (basis, basis_t, inverse):
+        array.flags.writeable = False
+    shape = grid.shape
 
     def apply(r: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft(r.reshape(shape))
-        for ax in reversed(lead):
-            spectrum = np.fft.fft(spectrum, axis=ax)
-        spectrum /= symbol
-        for ax in lead:
-            spectrum = np.fft.ifft(spectrum, axis=ax)
-        return np.fft.irfft(spectrum, n).ravel()
+        coeffs = basis_t.dot(r.reshape(shape)).dot(basis)
+        coeffs *= inverse
+        return basis.dot(coeffs).dot(basis_t).ravel()
 
     return apply
 

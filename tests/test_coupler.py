@@ -191,6 +191,29 @@ class TestSolveMFG:
         with pytest.raises(ConfigError, match="nonnegative"):
             solve_mfg(grid, reference_params(), CouplingSpec(), m0=m0, eps=eps)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_conflicting_hjb_epsilon_rejected(self, eps):
+        """A width in ``HJBOptions`` other than the rung's ``eps`` is an error,
+        not silently replaced by ``eps``."""
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
+            solve_mfg(
+                grid, reference_params(), CouplingSpec(), eps=eps,
+                hjb_opts=HJBOptions(epsilon=0.1),
+            )
+
+    def test_matching_hjb_epsilon_accepted(self):
+        grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
+        m0 = cosine_density(grid)
+        plain = solve_mfg(grid, reference_params(), CouplingSpec(), eps=0.05, m0=m0)
+        for opts in (HJBOptions(), HJBOptions(epsilon=0.05)):
+            sol = solve_mfg(
+                grid, reference_params(), CouplingSpec(), eps=0.05, m0=m0,
+                hjb_opts=opts,
+            )
+            assert sol.epsilon == 0.05
+            assert np.array_equal(sol.m, plain.m) and np.array_equal(sol.u, plain.u)
+
     def test_initial_density_roundoff_counts_as_zero(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
         m0 = cosine_density(grid)
@@ -267,6 +290,18 @@ class TestContinuation:
         with pytest.raises(ConfigError, match="nonnegative"):
             solve_with_continuation(
                 grid, reference_params(), CouplingSpec(), schedule=schedule, m0=m0
+            )
+
+    def test_conflicting_hjb_epsilon_is_no_rung_failure(self):
+        """The first rung matches ``HJBOptions.epsilon``; the second does not,
+        and its ``ConfigError`` propagates instead of being recorded as a
+        failed rung."""
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        schedule = ContinuationSchedule(epsilons=(0.1, 0.05))
+        with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
+            solve_with_continuation(
+                grid, reference_params(), CouplingSpec(), schedule=schedule,
+                m0=cosine_density(grid), hjb_opts=HJBOptions(epsilon=0.1),
             )
 
     def test_failed_rung_returns_partial(self):
