@@ -36,10 +36,10 @@ flags are set: sorted rows and distinct slots are facts of the pattern, so
 ``splu`` never rescans a matrix for duplicates.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
-:func:`implicit_heat_data` and the Gaussian kernel's spectrum in
-:func:`gaussian_smooth` depend only on the grid and fixed parameters; they
-are cached and read-only, so a caller that needs to change one works on a
-copy.
+:func:`implicit_heat_data`, the Gaussian kernel's spectrum in
+:func:`gaussian_smooth` and the coordinate text of :func:`write_field_csv`
+depend only on the grid and fixed parameters; they are cached and read-only,
+so a caller that needs to change one works on a copy.
 """
 
 from __future__ import annotations
@@ -438,7 +438,14 @@ def restrict_traj(fine: GridSpec, traj: np.ndarray, factor: int) -> np.ndarray:
 
 
 def write_field_csv(path, grid: GridSpec, traj: np.ndarray) -> None:
-    """Space-time field (or a single frame, written at t = 0) to CSV."""
+    """Space-time field (or a single frame, written at t = 0) to CSV.
+
+    Each frame is written as one string, formatted by a single ``%`` pass
+    over the frame's values: its time stamp, then the grid's cached row text
+    (:func:`_frame_rows`) with the stamp after each newline.  Only one frame's
+    text is held at a time.  ``%.17g`` and ``format(v, ".17g")`` print every
+    double alike, so the bytes are those of a per-value ``f"{v:.17g}"`` loop.
+    """
     traj = np.asarray(traj, dtype=float)
     if traj.shape == grid.shape:
         traj = traj[None]
@@ -448,28 +455,34 @@ def write_field_csv(path, grid: GridSpec, traj: np.ndarray) -> None:
     else:
         raise GridShapeError(grid, traj.shape)
     cols = ["t", "x", "value"] if grid.dim == 1 else ["t", "x", "y", "value"]
-    # each time stamp and each cell's coordinates are formatted once
-    points = [
-        ",".join(f"{c:.17g}" for c in cell)
-        for cell in zip(*(c.ravel().tolist() for c in grid.coords()))
-    ]
+    rows = _frame_rows(grid)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for t, frame in zip(times.tolist(), traj):
             stamp = f"{t:.17g}"
-            fh.writelines(
-                f"{stamp},{point},{v:.17g}\n"
-                for point, v in zip(points, frame.ravel().tolist())
-            )
+            fh.write((stamp + stamp.join(rows)) % tuple(frame.ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=32)
+def _frame_rows(grid: GridSpec) -> tuple[str, ...]:
+    """One ``",x[,y],%.17g\\n"`` line per cell, in row-major order; cached per grid."""
+    coords = zip(*(c.ravel().tolist() for c in grid.coords()))
+    return tuple(
+        "," + ",".join(f"{c:.17g}" for c in cell) + ",%.17g\n" for cell in coords
+    )
 
 
 def _read_field_rows(path):
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        dim = len(header) - 2
+        if header[0] != "t" or header[-1] != "value" or dim not in (1, 2):
+            raise ValueError(f"unexpected field CSV header {header!r}")
+        start = fh.tell()
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            raise ValueError("field CSV has no data rows")
+        fh.seek(start)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    dim = len(header) - 2
-    if header[0] != "t" or header[-1] != "value" or dim not in (1, 2):
-        raise ValueError(f"unexpected field CSV header {header!r}")
     times = np.unique(data[:, 0])
     nt = len(times) - 1
     n = round((data.shape[0] / (nt + 1)) ** (1.0 / dim))

@@ -366,6 +366,22 @@ def test_signed_initial_density_file_is_rejected(tmp_path, ladder):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("key", ["m0", "init_m"])
+def test_header_only_density_file_is_rejected(tmp_path, key):
+    density = tmp_path / "empty.csv"
+    density.write_text("t,x,value\n")
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path,
+        "n = 8\nnt = 8\n" + f"{key} = file({density})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    proc = run_cli("solve", path)
+    assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
+    assert proc.stderr.splitlines() == ["rejected: field CSV has no data rows"]
+    assert not out_dir.exists()
+
+
 class TestMain:
     def test_dispatch(self, tmp_path, capsys):
         path = write_config(tmp_path, "beta = 2.0\nalpha = 0.5\n")
@@ -385,6 +401,20 @@ class Test2DBundle:
         assert (tmp_path / "b2" / "policy_x.csv").exists()
         assert (tmp_path / "b2" / "policy_y.csv").exists()
         loaded = load_solution(tmp_path / "b2")
+        assert np.array_equal(loaded.u, sol.u)
         assert np.array_equal(loaded.m, sol.m)
         assert np.array_equal(loaded.policy, sol.policy)
         assert cmd_diagnose(str(tmp_path / "b2")) == EXIT_OK
+
+    def test_header_only_field_cannot_load(self, tmp_path):
+        from congestion_mfg import GridSpec, ModelParams, CouplingSpec, solve_mfg
+
+        grid = GridSpec(dim=2, n=8, nt=4, horizon=0.25)
+        params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=0.25)
+        save_solution(solve_mfg(grid, params, CouplingSpec()), tmp_path / "b2")
+        (tmp_path / "b2" / "u.csv").write_text("t,x,y,value\n")
+        proc = run_cli("diagnose", str(tmp_path / "b2"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "cannot load bundle: field CSV has no data rows"
+        ]

@@ -373,15 +373,27 @@ class TestFieldCSV:
         assert np.array_equal(got, traj)
 
     @pytest.mark.parametrize(
-        "grid, frame_only",
-        [(grids()[0], False), (grids()[1], False), (grids()[0], True)],
-        ids=["1d", "2d", "frame"],
+        "grid, frame_only, strided",
+        [
+            (grids()[0], False, False),
+            (grids()[1], False, False),
+            (grids()[0], True, False),
+            (grids()[1], True, False),
+            (grids()[1], False, True),
+        ],
+        ids=["1d", "2d", "frame", "2d-frame", "2d-strided"],
     )
-    def test_text_matches_per_value_loop(self, grid, frame_only, tmp_path):
+    def test_text_matches_per_value_loop(self, grid, frame_only, strided, tmp_path):
         shape = grid.shape if frame_only else (grid.nt + 1, *grid.shape)
         traj = RNG.normal(size=shape) * 10.0 ** RNG.integers(-12, 13, size=shape)
-        special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-12, -1e12, 1 / 3]
+        special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-12, -1e12, 1 / 3,
+                   np.nan, np.inf, -np.inf]
         traj.flat[: len(special)] = special
+        if strided:
+            # one component of a (nt + 1, dim, *shape) policy, as bundles write it
+            policy = np.stack([traj, -traj], axis=1)
+            traj = policy[:, 1]
+            assert not traj.flags.c_contiguous
         write_field_csv(tmp_path / "field.csv", grid, traj)
         _reference_write_field_csv(tmp_path / "reference.csv", grid, traj)
         assert (tmp_path / "field.csv").read_text() == (
@@ -395,6 +407,14 @@ class TestFieldCSV:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x,value"
         assert len(lines) == 1 + 3 * 4
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n"], ids=["bare", "blank", "blanks"])
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_is_rejected(self, body, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("t,x,y,value\n" + body)
+        with pytest.raises(ValueError, match="no data rows"):
+            read_field_csv(path)
 
 
 class TestEquivariance:
