@@ -7,7 +7,9 @@ components go to ``policy_x.csv`` and ``policy_y.csv`` (the mandated header
 has a single value column).  ``meta.json`` carries the solver metadata
 (epsilon, mu, outer_iters, increments, newton_residual_max,
 wall_time_seconds) plus the grid, model and coupling constants needed to
-re-run diagnostics from the bundle alone.
+re-run diagnostics from the bundle alone.  The width is ``model.epsilon``;
+a bundle written before the model held it has only the top-level
+``epsilon``, which :func:`load_solution` then reads.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def save_solution(sol: MFGSolution, directory) -> None:
             write_field_csv(os.path.join(directory, name), grid, sol.policy[:, ax])
 
     meta = dict(sol.meta)
-    meta.setdefault("epsilon", 0.0)
+    meta["epsilon"] = sol.params.epsilon
     meta["grid"] = asdict(grid)
     meta["model"] = asdict(sol.params)
     meta["coupling"] = asdict(sol.coupling)
@@ -49,7 +51,7 @@ def load_solution(directory) -> MFGSolution:
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     grid = GridSpec(**meta["grid"])
-    params = ModelParams(**meta["model"])
+    params = ModelParams(**{"epsilon": meta["epsilon"], **meta["model"]})
     cdict = dict(meta["coupling"])
     for key in ("table_s", "table_f", "table_g"):
         cdict[key] = tuple(cdict.get(key, ()))

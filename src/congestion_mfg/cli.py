@@ -174,6 +174,7 @@ def _build(cfg: dict):
         mu=cfg["mu"],
         horizon=cfg["horizon"],
         m_floor=cfg["m_floor"],
+        epsilon=cfg["epsilon"],
     )
     coupling = CouplingSpec(
         family=cfg["coupling_family"],
@@ -197,8 +198,8 @@ def _loading():
         raise ConfigError(str(exc)) from exc
 
 
-def _continuation_schedule(cfg: dict) -> ContinuationSchedule:
-    """The (eps, mu) ladder of a ``continuation = true`` run."""
+def _continuation_schedule(cfg: dict, params: ModelParams) -> ContinuationSchedule:
+    """The (eps, mu) ladder of a ``continuation = true`` run, checked on ``params``."""
     sched_kwargs = {"warm_start": cfg["warm_start"]}
     if cfg["epsilons"] is not None:
         sched_kwargs["epsilons"] = tuple(cfg["epsilons"])
@@ -206,7 +207,9 @@ def _continuation_schedule(cfg: dict) -> ContinuationSchedule:
         sched_kwargs["epsilons"] = (cfg["epsilon"],)
     if cfg["mus"] is not None:
         sched_kwargs["mus"] = tuple(cfg["mus"])
-    return ContinuationSchedule(**sched_kwargs)
+    schedule = ContinuationSchedule(**sched_kwargs)
+    schedule.rungs(params)  # the ladder's own ConfigError, before any solve
+    return schedule
 
 
 def _load_run(config_path, levels: int):
@@ -215,11 +218,8 @@ def _load_run(config_path, levels: int):
     Returns ``(cfg, params, coupling, hjb_opts, schedule, runs)``: one
     ``(grid, m0, FixedPointOptions)`` per refinement level, level j on the
     config's grid refined ``2**j`` times, and the continuation ladder or None.
-    The config's ``epsilon`` reaches each solve as ``solve_mfg``'s ``eps``.
     """
     cfg = parse_config(config_path)
-    if cfg["epsilon"] < 0:
-        raise ConfigError("epsilon must be nonnegative")
     with _loading():
         params, coupling, base = _build(cfg)
         runs = []
@@ -239,7 +239,7 @@ def _load_run(config_path, levels: int):
             newton_max_iter=cfg["newton_max_iter"],
             linear_tol=cfg["linear_tol"],
         )
-        schedule = _continuation_schedule(cfg) if cfg["continuation"] else None
+        schedule = _continuation_schedule(cfg, params) if cfg["continuation"] else None
     return cfg, params, coupling, hjb_opts, schedule, runs
 
 
@@ -314,9 +314,7 @@ def cmd_solve(config_path) -> int:
         budget_hit = any(not s.converged for s in result.solutions)
         final = result.solutions[-1]
     else:
-        final = solve_mfg(
-            grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0, hjb_opts=hjb_opts
-        )
+        final = solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
         final.meta["seed"] = cfg["seed"]
         save_solution(final, out_dir)
         budget_hit = not final.converged
@@ -370,9 +368,7 @@ def cmd_study(config_path, levels: int) -> int:
         return EXIT_STRUCTURAL
 
     sols = [
-        solve_mfg(
-            grid, params, coupling, fp_opts, eps=cfg["epsilon"], m0=m0, hjb_opts=hjb_opts
-        )
+        solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
         for grid, m0, fp_opts in runs
     ]
     finest_grid, finest = runs[-1][0], sols[-1]

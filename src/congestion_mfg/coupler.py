@@ -84,9 +84,9 @@ class ContinuationSchedule:
     """Decreasing ladders for the regularization width and congestion offset.
 
     Rungs run the eps ladder first (at mus[0]), then the mu ladder at the
-    final eps.  A terminal mu of 0 is only accepted with warm starts and
-    within the singular well-posedness window (beta < 2, or beta = 2 with
-    alpha < 2).
+    final eps, so ``params.epsilon`` must be 0 or the first width.  A
+    terminal mu of 0 is only accepted with warm starts and within the
+    singular well-posedness window (beta < 2, or beta = 2 with alpha < 2).
     """
 
     epsilons: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0125)
@@ -109,6 +109,8 @@ class ContinuationSchedule:
                 raise ValueError("mus must be strictly decreasing")
 
     def rungs(self, params: ModelParams) -> list[tuple[float, float]]:
+        if params.epsilon not in (0.0, self.epsilons[0]):
+            raise ConfigError(f"epsilon {params.epsilon} is not the first of epsilons")
         mus = self.mus if self.mus is not None else (params.mu,)
         out = [(e, mus[0]) for e in self.epsilons]
         out += [(self.epsilons[-1], m) for m in mus[1:]]
@@ -136,7 +138,7 @@ class MFGSolution:
 
     @property
     def epsilon(self) -> float:
-        return float(self.meta.get("epsilon", 0.0))
+        return self.params.epsilon
 
     @property
     def converged(self) -> bool:
@@ -178,22 +180,20 @@ def solve_mfg(
     params: ModelParams,
     coupling: CouplingSpec,
     fp_opts: FixedPointOptions | None = None,
-    eps: float = 0.0,
     m0: np.ndarray | None = None,
     init_traj: np.ndarray | None = None,
     hjb_opts: HJBOptions | None = None,
 ) -> MFGSolution:
     """Damped Picard iteration for the coupled system at one (eps, mu) rung.
 
-    ``m0`` is the initial density (uniform when omitted; a negative entry
-    beyond roundoff raises :class:`ConfigError`); it is mollified with the
-    same width eps that caps the density inside the Hamiltonian and smooths
-    the couplings.  ``init_traj`` warm-starts the iteration, and is required
-    when ``mu`` is 0: the singular problem is reached only by continuation.
-    ``hjb_opts.epsilon`` must be 0 or equal to ``eps``; any other width
-    raises :class:`ConfigError` rather than being replaced.  A budget
-    overrun is not an exception; the best iterate is returned with
-    ``meta['converged'] = False``.
+    Both widths come from ``params``.  ``m0`` is the initial density (uniform
+    when omitted; a negative entry beyond roundoff raises
+    :class:`ConfigError`); it is mollified with the same width
+    ``params.epsilon`` that caps the density inside the Hamiltonian and
+    smooths the couplings.  ``init_traj`` warm-starts the iteration, and is
+    required when ``mu`` is 0: the singular problem is reached only by
+    continuation.  A budget overrun is not an exception; the best iterate is
+    returned with ``meta['converged'] = False``.
     """
     fp_opts = fp_opts or FixedPointOptions()
     report = check_structure(params)
@@ -204,18 +204,13 @@ def solve_mfg(
             "cold-start solve at mu = 0 rejected; use continuation with warm starts"
         )
     hjb_opts = hjb_opts or HJBOptions()
-    if hjb_opts.epsilon not in (0.0, eps):
-        raise ConfigError(
-            f"HJBOptions.epsilon = {hjb_opts.epsilon} differs from eps = {eps}; "
-            "the rung's width is the eps argument"
-        )
-    hjb_opts = replace(hjb_opts, epsilon=float(eps))
 
     start = time.perf_counter()
     if m0 is None:
         m0 = np.ones(grid.shape)
     m0 = _nonnegative(np.asarray(m0, float), "initial density m0", ConfigError)
-    m0_eps = _normalized(grid, gaussian_smooth(grid, _normalized(grid, m0), eps))
+    m0_eps = gaussian_smooth(grid, _normalized(grid, m0), params.epsilon)
+    m0_eps = _normalized(grid, m0_eps)
 
     m_cur = _initial_trajectory(grid, m0_eps, fp_opts, init_traj)
     spatial_axes = tuple(range(1, m_cur.ndim))
@@ -255,7 +250,7 @@ def solve_mfg(
 
     backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
     worst_newton = max(worst_newton, backward.max_newton_residual)
-    congestion = [congestion_denominator(m_k, params, eps) for m_k in m_cur]
+    congestion = [congestion_denominator(m_k, params) for m_k in m_cur]
     policy = np.stack(
         [
             drift_field(grid, upwind_parts(grid, u_k), congestion_k, params)
@@ -264,7 +259,7 @@ def solve_mfg(
     )
 
     meta = {
-        "epsilon": float(eps),
+        "epsilon": float(params.epsilon),
         "mu": float(params.mu),
         "outer_iters": len(increments),
         "increments": increments,
@@ -312,8 +307,9 @@ def solve_with_continuation(
     trajectory.  The cauchy_table rows hold the L1(Q_T) gaps between
     consecutive rung solutions; decreasing gaps are the numerical shadow of
     the compactness of the regularized family.  A failing rung aborts the
-    ladder; completed solutions are still returned.  A :class:`ConfigError`
-    is not a rung failure: it rejects the run's inputs and propagates.
+    ladder; completed solutions are still returned.  Rung j runs on
+    ``replace(params, mu=mu_j, epsilon=eps_j)``.  A :class:`ConfigError` is
+    not a rung failure: it rejects the run's inputs and propagates.
     """
     schedule = schedule or ContinuationSchedule()
     rungs = schedule.rungs(params)
@@ -325,10 +321,9 @@ def solve_with_continuation(
         try:
             sol = solve_mfg(
                 grid,
-                replace(params, mu=mu_j),
+                replace(params, mu=mu_j, epsilon=eps_j),
                 coupling,
                 fp_opts=fp_opts,
-                eps=eps_j,
                 m0=m0,
                 init_traj=init_traj if schedule.warm_start else None,
                 hjb_opts=hjb_opts,

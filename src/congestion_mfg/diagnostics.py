@@ -26,8 +26,8 @@ All integrals use the grid's rectangle rule; gradients come from the
 solver's own upwind kernel, :func:`congestion_mfg.grid.upwind_parts`, and H,
 H_p from the model's guarded power law; in the singular regime (mu = 0)
 every Hamiltonian integrand carries the ``m > m_floor`` indicator.  Model
-parameters, couplings and the regularization width are read from the
-solutions themselves.
+parameters, the regularization width among them, and couplings are read
+from each solution's ``params`` and ``coupling``.
 """
 
 from __future__ import annotations
@@ -73,14 +73,14 @@ def _kernel_inputs(sol: MFGSolution, k: int):
     """(upwind parts, congestion factor) of level ``k``, as the HJB step has them."""
     return (
         upwind_parts(sol.grid, sol.u[k]),
-        congestion_denominator(sol.m[k], sol.params, sol.epsilon),
+        congestion_denominator(sol.m[k], sol.params),
     )
 
 
 def _value_terms(sol: MFGSolution):
     """(costs, kernel inputs per level, H per level) of the value side."""
     grid = sol.grid
-    costs = effective_cost(grid, sol.m, sol.coupling.level_costs, sol.epsilon)
+    costs = effective_cost(grid, sol.m, sol.coupling.level_costs, sol.params.epsilon)
     inputs = [_kernel_inputs(sol, k) for k in range(grid.nt)]
     hamiltonians = [hamiltonian_values(grid, *parts, sol.params) for parts in inputs]
     return costs, inputs, hamiltonians

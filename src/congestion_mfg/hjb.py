@@ -8,7 +8,7 @@ discretization,
 where ``g`` is the Godunov numerical Hamiltonian: the congestion power law of
 :mod:`congestion_mfg.model` evaluated at the composite upwind ``q`` of
 :func:`congestion_mfg.grid.upwind_parts`.  The density inside the
-Hamiltonian is capped at ``1/eps`` (eps = 0 disables the cap), and ``F_eff``
+Hamiltonian is capped at ``1/eps``, eps = ``params.epsilon`` (0: no cap), and ``F_eff``
 is the running cost smoothed on both sides by the periodic Gaussian mollifier
 when eps > 0 (the cap is never applied inside F).  ``F_eff`` and the terminal
 ``G_eff`` depend only on the frozen density trajectory, so
@@ -38,7 +38,7 @@ backtracking search has nothing to guard against, and exceeding
 the one way a level fails to converge.
 
 Within a level the density frame is frozen, so :func:`hjb_step` evaluates
-the congestion factor ``congestion_denominator(m_frame, params, eps)`` once
+the congestion factor ``congestion_denominator(m_frame, params)`` once
 per level and ``upwind_parts(grid, u)`` once per Newton iterate.  The
 kernels :func:`hamiltonian_values`, :func:`transport_jacobian` and
 :func:`drift_field` all take these as ``(grid, parts, congestion, params)``.
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NewtonDiverged, NonFiniteState
+from .errors import ConfigError, NewtonDiverged, NonFiniteState
 from .grid import (
     GridSpec,
     _nonnegative,
@@ -91,6 +91,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HJBOptions:
+    """Newton and linear-solve controls; ``epsilon`` only repeats the width.
+
+    The width is ``ModelParams.epsilon``: :func:`hjb_step` rejects an
+    ``epsilon`` here that is neither 0 nor that.  ``perfbench/workloads.py``
+    alone sets it; the field goes once that builds ``HJBOptions()``.
+    """
+
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     epsilon: float = 0.0
@@ -120,7 +127,7 @@ def hamiltonian_values(
     """Per-cell numerical Hamiltonian (1/beta) q^{beta/2}/(T m + mu)^alpha.
 
     ``parts = upwind_parts(grid, u)`` and ``congestion =
-    congestion_denominator(m, params, eps)``, as for every kernel here.
+    congestion_denominator(m, params)``, as for every kernel here.
     """
     den, active = congestion
     out = _power_law(parts[2], den, params.beta / 2.0, params.beta)
@@ -186,18 +193,20 @@ def hjb_step(
     """One backward implicit Euler step; returns (u, A, residual).
 
     ``f_level`` is the level's effective running cost ``F_eff``, as
-    :func:`effective_cost` gives it for ``m_frame`` with ``opts.epsilon``.
+    :func:`effective_cost` gives it for ``m_frame`` with ``params.epsilon``.
     ``u`` satisfies the per-cell Newton system to ``opts.newton_tol`` in
     max norm; the generator ``A`` is assembled at the converged state, from
     the final residual's upwind parts, so the Kolmogorov stepper and any
     later recomputation see identical data.
     """
+    if opts.epsilon not in (0.0, params.epsilon):
+        raise ConfigError(f"HJBOptions.epsilon {opts.epsilon} is not {params.epsilon}")
     m_frame = _nonnegative(m_frame, "density frame")
     dt, nu, pattern = grid.dt, params.nu, stencil_pattern(grid)
     laplacian = pattern.laplacian_rows if grid.dim == 1 else laplacian_matrix(grid).dot
     f_src = np.asarray(f_level, dtype=float).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
-    congestion = congestion_denominator(m_frame, params, opts.epsilon)
+    congestion = congestion_denominator(m_frame, params)
 
     def residual(uvec):
         parts = upwind_parts(grid, uvec.reshape(grid.shape))
@@ -258,7 +267,7 @@ def solve_hjb_backward(
     if m_traj.shape != (grid.nt + 1, *grid.shape):
         raise ValueError("density trajectory shape does not match the grid")
     m_traj = _nonnegative(m_traj, "density trajectory")
-    costs = effective_cost(grid, m_traj, coupling.level_costs, opts.epsilon)
+    costs = effective_cost(grid, m_traj, coupling.level_costs, params.epsilon)
     u = grid.zeros_traj()
     u[grid.nt] = costs[grid.nt]
     transports: list[sp.csr_matrix | None] = [None] * grid.nt

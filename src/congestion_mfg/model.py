@@ -16,7 +16,7 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "h_monotone_probe",
     "MonotoneProbeResult",
     "uniqueness_integrand",
-    "truncate_density",
     "congestion_denominator",
 ]
 
@@ -45,7 +44,8 @@ class ModelParams:
 
     ``beta`` is the gradient exponent, ``alpha`` the congestion exponent,
     ``mu`` the congestion offset (0 flags the singular regime), ``nu`` the
-    diffusion coefficient and ``horizon`` the time horizon T.  Derived
+    diffusion coefficient, ``horizon`` the time horizon T, and ``epsilon`` the
+    scheme's width: density cap ``1/epsilon`` inside H, coupling mollifier.  Derived
     quantities (Lagrangian exponent/normalization, sharp growth constants for
     the power family) are exposed as properties.  Out-of-range ``beta`` or
     ``alpha`` are representable so that :func:`check_structure` can report on
@@ -58,6 +58,7 @@ class ModelParams:
     mu: float
     horizon: float
     m_floor: float = 1e-10
+    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -66,6 +67,8 @@ class ModelParams:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.mu < 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if self.epsilon < 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.m_floor <= 0:
             raise ValueError(f"m_floor must be positive, got {self.m_floor}")
         if self.beta == 1.0:
@@ -270,34 +273,28 @@ def eval_Hp(m, p, params: ModelParams):
     return _power_law(pnorm2, den, params.beta / 2.0 - 1.0) * p
 
 
-def truncate_density(m, epsilon: float):
-    """Density cap min(m, 1/epsilon); epsilon = 0 disables the truncation."""
-    if epsilon <= 0.0:
-        return np.asarray(m, dtype=float)
-    return np.minimum(np.asarray(m, dtype=float), 1.0 / epsilon)
-
-
-def congestion_denominator(m, params: ModelParams, epsilon: float = 0.0):
+def congestion_denominator(m, params: ModelParams):
     """(den, active) pair used by the solvers and diagnostics.
 
-    ``den = (min(m, 1/eps) + mu)^alpha``.  In the singular regime the
-    denominator is floored at ``m_floor^alpha`` and ``active`` is the
-    indicator of ``m > m_floor`` (mirroring the 1_{m>0} factors of the weak
-    formulation); otherwise ``active`` is None, meaning identically one.
+    ``den = (min(m, 1/epsilon) + mu)^alpha``, no cap at epsilon = 0.  In the
+    singular regime the denominator is floored at ``m_floor^alpha`` and
+    ``active`` is the indicator of ``m > m_floor`` (mirroring the 1_{m>0}
+    factors of the weak formulation); otherwise ``active`` is None.
     """
-    tm = truncate_density(m, epsilon)
+    m = np.asarray(m, dtype=float)
+    tm = np.minimum(m, 1.0 / params.epsilon) if params.epsilon > 0.0 else m
     if params.mu > 0.0:
         return (tm + params.mu) ** params.alpha, None
     den = np.maximum(tm, params.m_floor) ** params.alpha
-    active = (np.asarray(m, dtype=float) > params.m_floor).astype(float)
+    active = (m > params.m_floor).astype(float)
     return den, active
 
 
 def _guarded_h_hp(m, p, params: ModelParams):
-    """Vectorized (H, H_p) with the singular floor guard; no exceptions."""
+    """Vectorized model (H, H_p), without the scheme's cap, floor-guarded."""
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
-    den, active = congestion_denominator(m, params)
+    den, active = congestion_denominator(m, replace(params, epsilon=0.0))
     hval = _power_law(pnorm2, den, params.beta / 2.0, params.beta)
     factor = _power_law(pnorm2, den, params.beta / 2.0 - 1.0)
     if active is not None:

@@ -189,7 +189,7 @@ def test_c04_discrete_duality():
         params = ModelParams(nu=0.5, beta=beta, alpha=1.0, mu=0.5, horizon=1.0)
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.05
-        parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params, 0.0)
+        parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params)
         operators.append((grid, transport_jacobian(grid, parts, congestion, params)))
     for grid, jac in operators:
         jac_t = jac.T.tocsr()

@@ -1,5 +1,7 @@
 """Fixed-pattern assembly: the systems match the sparse-sum construction exactly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -100,7 +102,7 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
         lambda: hjb_step(grid, u_next, m, params, CouplingSpec().f(m), HJBOptions()),
     )
     jac = transport_jacobian(
-        grid, upwind_parts(grid, u_next), congestion_denominator(m, params, 0.0), params
+        grid, upwind_parts(grid, u_next), congestion_denominator(m, params), params
     )
     if params.mu == 0.0:
         assert np.abs(jac.toarray()[m.ravel() == 0.0]).max() == 0.0
@@ -116,7 +118,7 @@ def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
     m_prev = np.ones(grid.shape)
     for mat in (
         transport_jacobian(
-            grid, upwind_parts(grid, u), congestion_denominator(m, params, 0.0), params
+            grid, upwind_parts(grid, u), congestion_denominator(m, params), params
         ),
         sp.csr_matrix((grid.ncells, grid.ncells)),
         sp.identity(grid.ncells, format="csr") * -40.0,
@@ -224,7 +226,8 @@ def test_cached_heat_data_and_spectrum_are_read_only():
             arr[0] = 0.0
     m0 = 1.0 + 0.5 * np.cos(2 * np.pi * grid.axis_centers())
     sol = solve_mfg(
-        grid, params, CouplingSpec(), FixedPointOptions(fp_tol=1e-6), eps=0.05, m0=m0
+        grid, replace(params, epsilon=0.05), CouplingSpec(),
+        FixedPointOptions(fp_tol=1e-6), m0=m0,
     )
     assert sol.converged
     assert implicit_heat_data(grid, params.nu) is heat
@@ -245,7 +248,7 @@ def test_pattern_matrices_are_canonical_without_a_scan(monkeypatch, n):
     params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0)
     u, m = frame(grid, params, seed=n)
     jac = transport_jacobian(
-        grid, upwind_parts(grid, u), congestion_denominator(m, params, 0.0), params
+        grid, upwind_parts(grid, u), congestion_denominator(m, params), params
     )
     data = implicit_heat_data(grid, params.nu) + jac.data[pattern.transpose]
     rhs = np.random.default_rng(n).normal(size=grid.ncells)

@@ -197,6 +197,26 @@ class TestCmdDiagnose:
         assert loaded.params == ref32.params
         assert loaded.coupling == ref32.coupling
 
+    def test_bundle_without_model_epsilon_loads(self, tmp_path):
+        """A bundle written before ``ModelParams`` carried the width keeps it
+        only in the top-level ``epsilon``, which the loader then reads."""
+        from dataclasses import replace
+
+        from congestion_mfg import CouplingSpec, GridSpec, apriori_report, solve_mfg
+        from conftest import cosine_density, reference_params
+
+        grid = GridSpec(dim=1, n=16, nt=16, horizon=1.0)
+        params = replace(reference_params(), epsilon=0.05)
+        sol = solve_mfg(grid, params, CouplingSpec(), m0=cosine_density(grid))
+        save_solution(sol, tmp_path / "old")
+        meta_path = tmp_path / "old" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["model"]["epsilon"]
+        meta_path.write_text(json.dumps(meta))
+        loaded = load_solution(tmp_path / "old")
+        assert loaded.params.epsilon == 0.05 and loaded.params == params
+        assert apriori_report(loaded).to_flat_dict() == apriori_report(sol).to_flat_dict()
+
     def test_single_bundle_report(self, ref32, tmp_path, capsys):
         save_solution(ref32, tmp_path / "b")
         assert cmd_diagnose(str(tmp_path / "b")) == EXIT_OK
@@ -297,6 +317,17 @@ BAD_OPTIONS = {
     "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
     "solve-epsilon": ("solve", "epsilon = -0.1\n"),
     "study-epsilon": ("study", "epsilon = -0.1\n"),
+    # a ladder whose first width is not the config's epsilon, which it
+    # would otherwise drop without a word
+    "solve-epsilon_and_epsilons": (
+        "solve", "continuation = true\nepsilon = 0.3\nepsilons = 0.1\n"
+    ),
+    "check-epsilon_and_epsilons": (
+        "check", "continuation = true\nepsilon = 0.3\nepsilons = 0.1\n"
+    ),
+    "check-cold_mu0_ladder": (
+        "check", "continuation = true\nwarm_start = false\nmus = 1.0, 0.0\n"
+    ),
     # solve_mfg's cold-start ConfigError, raised once the solve has started
     "solve-cold_mu0": ("solve", "mu = 0\n"),
     "study-cold_mu0": ("study", "mu = 0\n"),

@@ -1,5 +1,7 @@
 """Fixed-point iteration, mollifier, solution invariants, continuation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,13 +90,16 @@ class TestSolveMFG:
         m0 = np.zeros(grid.shape)
         m0[(n // 2,) * dim] = 1.0
         sol = solve_mfg(
-            grid, params, CouplingSpec(), FixedPointOptions(fp_tol=1e-6), eps=eps, m0=m0
+            grid, replace(params, epsilon=eps), CouplingSpec(),
+            FixedPointOptions(fp_tol=1e-6), m0=m0,
         )
         assert sol.converged and sol.epsilon == eps
         assert sol.policy.shape == (grid.nt + 1, grid.dim, *grid.shape)
         for k in range(grid.nt + 1):
             parts = upwind_parts(grid, sol.u[k])
-            congestion = congestion_denominator(sol.m[k], sol.params, eps)
+            congestion = congestion_denominator(
+                sol.m[k], replace(sol.params, epsilon=eps)
+            )
             drift = drift_field(grid, parts, congestion, sol.params)
             assert np.array_equal(sol.policy[k], drift)
         if dim == 2:
@@ -102,7 +107,9 @@ class TestSolveMFG:
             # built without the truncation would differ at level 0
             assert sol.m[0].max() > 1.0 / eps
             parts = upwind_parts(grid, sol.u[0])
-            congestion = congestion_denominator(sol.m[0], sol.params, 0.0)
+            congestion = congestion_denominator(
+                sol.m[0], replace(sol.params, epsilon=0.0)
+            )
             uncapped = drift_field(grid, parts, congestion, sol.params)
             assert not np.array_equal(sol.policy[0], uncapped)
 
@@ -189,28 +196,26 @@ class TestSolveMFG:
         m0 = cosine_density(grid)
         m0[3] = -0.2
         with pytest.raises(ConfigError, match="nonnegative"):
-            solve_mfg(grid, reference_params(), CouplingSpec(), m0=m0, eps=eps)
+            solve_mfg(grid, replace(reference_params(), epsilon=eps), CouplingSpec(), m0=m0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_conflicting_hjb_epsilon_rejected(self, eps):
-        """A width in ``HJBOptions`` other than the rung's ``eps`` is an error,
-        not silently replaced by ``eps``."""
+        """A width in ``HJBOptions`` other than the model's ``epsilon`` is an
+        error, not silently replaced by it."""
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
         with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
             solve_mfg(
-                grid, reference_params(), CouplingSpec(), eps=eps,
+                grid, replace(reference_params(), epsilon=eps), CouplingSpec(),
                 hjb_opts=HJBOptions(epsilon=0.1),
             )
 
     def test_matching_hjb_epsilon_accepted(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
         m0 = cosine_density(grid)
-        plain = solve_mfg(grid, reference_params(), CouplingSpec(), eps=0.05, m0=m0)
+        params = replace(reference_params(), epsilon=0.05)
+        plain = solve_mfg(grid, params, CouplingSpec(), m0=m0)
         for opts in (HJBOptions(), HJBOptions(epsilon=0.05)):
-            sol = solve_mfg(
-                grid, reference_params(), CouplingSpec(), eps=0.05, m0=m0,
-                hjb_opts=opts,
-            )
+            sol = solve_mfg(grid, params, CouplingSpec(), m0=m0, hjb_opts=opts)
             assert sol.epsilon == 0.05
             assert np.array_equal(sol.m, plain.m) and np.array_equal(sol.u, plain.u)
 
@@ -230,7 +235,9 @@ class TestSolveMFG:
     def test_mollified_initial_density(self):
         grid = GridSpec(dim=1, n=32, nt=8, horizon=0.25)
         m0 = cosine_density(grid)
-        sol = solve_mfg(grid, reference_params(0.25), CouplingSpec(), m0=m0, eps=0.1)
+        sol = solve_mfg(
+            grid, replace(reference_params(0.25), epsilon=0.1), CouplingSpec(), m0=m0
+        )
         expected = _normalized(grid, gaussian_smooth(grid, _normalized(grid, m0), 0.1))
         assert np.allclose(sol.m[0], expected, atol=1e-14)
         assert sol.epsilon == 0.1
@@ -245,7 +252,7 @@ class TestContinuation:
             grid, reference_params(0.5), CouplingSpec(), schedule=schedule, m0=m0
         )
         direct = solve_mfg(
-            grid, reference_params(0.5), CouplingSpec(), eps=0.05, m0=m0
+            grid, replace(reference_params(0.5), epsilon=0.05), CouplingSpec(), m0=m0
         )
         assert res.ok and len(res.solutions) == 1
         assert np.array_equal(res.solutions[0].m, direct.m)
@@ -303,6 +310,27 @@ class TestContinuation:
                 grid, reference_params(), CouplingSpec(), schedule=schedule,
                 m0=cosine_density(grid), hjb_opts=HJBOptions(epsilon=0.1),
             )
+
+    def test_conflicting_model_epsilon_is_no_rung_failure(self):
+        """A ``params.epsilon`` other than 0 or the first rung's width is not
+        dropped by the ladder: its ``ConfigError`` propagates instead of being
+        recorded as a failed rung."""
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        schedule = ContinuationSchedule(epsilons=(0.1, 0.05))
+        with pytest.raises(ConfigError, match="first of epsilons"):
+            solve_with_continuation(
+                grid, replace(reference_params(), epsilon=0.3), CouplingSpec(),
+                schedule=schedule, m0=cosine_density(grid),
+            )
+        runs = [
+            solve_with_continuation(
+                grid, replace(reference_params(), epsilon=eps), CouplingSpec(),
+                schedule=schedule, m0=cosine_density(grid),
+            )
+            for eps in (0.0, 0.1)
+        ]
+        for zero, first in zip(*(run.solutions for run in runs)):
+            assert np.array_equal(zero.m, first.m) and np.array_equal(zero.u, first.u)
 
     def test_failed_rung_returns_partial(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=0.5)

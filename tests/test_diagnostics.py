@@ -1,5 +1,7 @@
 """Energy identity, crossed inequality, uniqueness functionals, a-priori report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,10 +63,9 @@ class TestEnergyIdentity:
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
         sol = solve_mfg(
             grid,
-            reference_params(),
+            replace(reference_params(), epsilon=0.1),
             CouplingSpec(),
             m0=cosine_density(grid),
-            eps=0.1,
         )
         res = energy_identity_residual(sol)
         assert np.isfinite(res)
@@ -169,7 +170,8 @@ class TestAprioriReport:
         # crossed gap: the standalone self-gap's bits, from one build of each
         grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
         sol = solve_mfg(
-            grid, reference_params(), CouplingSpec(), eps=eps, m0=cosine_density(grid)
+            grid, replace(reference_params(), epsilon=eps), CouplingSpec(),
+            m0=cosine_density(grid),
         )
         gap = crossed_energy_gap(sol, sol)
         calls = {"effective_cost": 0, "hamiltonian_values": 0, "upwind_parts": 0}

@@ -14,8 +14,8 @@ from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominat
 PARAMS = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 
 
-def transport_from_field(grid, u, m, params=PARAMS, eps=0.0):
-    congestion = congestion_denominator(m, params, eps)
+def transport_from_field(grid, u, m, params=PARAMS):
+    congestion = congestion_denominator(m, params)
     return transport_jacobian(grid, upwind_parts(grid, u), congestion, params)
 
 

@@ -1,6 +1,7 @@
 """Backward HJB stepper: exactness, comparison, consistency, transport data."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,13 +85,15 @@ class TestHJBStep:
         grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
         betas, mus, epsilons = (1.05, 1.2, 1.5, 2.0), (1.0, 0.1, 0.0), (0.0, 0.1)
         for beta, mu, eps, seed in itertools.product(betas, mus, epsilons, range(2)):
-            params = ModelParams(nu=0.5, beta=beta, alpha=0.8, mu=mu, horizon=1.0)
+            params = ModelParams(
+                nu=0.5, beta=beta, alpha=0.8, mu=mu, horizon=1.0, epsilon=eps
+            )
             rng = np.random.default_rng([seed, dim, n])
             u_next = 5.0 * rng.normal(size=grid.shape)
             m = rng.random(grid.shape) + 0.05
             corrections.clear()
             f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)
-            u, _, res = hjb_step(grid, u_next, m, params, f_level, HJBOptions(epsilon=eps))
+            u, _, res = hjb_step(grid, u_next, m, params, f_level, HJBOptions())
             assert res <= HJBOptions().newton_tol
             assert 1 <= len(corrections) <= 20
             roundoff = 16 * np.finfo(float).eps * np.abs(u).max()
@@ -168,14 +171,14 @@ class TestMollifiedCosts:
         dim, n = grid_args
         grid = GridSpec(dim=dim, n=n, nt=6, horizon=1.0)
         m_traj = random_traj(grid, 2 * n)
-        opts = HJBOptions(epsilon=eps)
-        result = solve_hjb_backward(grid, m_traj, PARAMS, coupling, opts)
+        params, opts = replace(PARAMS, epsilon=eps), HJBOptions()
+        result = solve_hjb_backward(grid, m_traj, params, coupling, opts)
         # the sweep as it was: each level smooths its own frame's costs
         u = grid.zeros_traj()
         u[grid.nt] = hjb.effective_cost(grid, m_traj[grid.nt], coupling.g, eps)
         for k in range(grid.nt - 1, -1, -1):
             f_level = hjb.effective_cost(grid, m_traj[k], coupling.f, eps)
-            u[k], transport, _ = hjb_step(grid, u[k + 1], m_traj[k], PARAMS, f_level, opts)
+            u[k], transport, _ = hjb_step(grid, u[k + 1], m_traj[k], params, f_level, opts)
             assert_bits_equal(result.transports[k].data, transport.data)
         assert_bits_equal(result.u, u)
 
@@ -190,20 +193,21 @@ class TestMollifiedCosts:
 
         monkeypatch.setattr(hjb, "gaussian_smooth", counting_smooth)
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
-        solve_hjb_backward(grid, random_traj(grid, 1), PARAMS, COUPLING, HJBOptions(epsilon=eps))
+        params = replace(PARAMS, epsilon=eps)
+        solve_hjb_backward(grid, random_traj(grid, 1), params, COUPLING, HJBOptions())
         assert smoothed == [(grid.nt + 1, grid.n)] * calls
 
 
 def reference_hamiltonian(grid, u, m, params, eps):
     _, _, q = upwind_parts(grid, u)
-    den, active = congestion_denominator(m, params, eps)
+    den, active = congestion_denominator(m, replace(params, epsilon=eps))
     out = _power_law(q, den, params.beta / 2.0, params.beta)
     return out * active if active is not None else out
 
 
 def reference_jacobian(grid, u, m, params, eps):
     dm, dp, q = upwind_parts(grid, u)
-    den, active = congestion_denominator(m, params, eps)
+    den, active = congestion_denominator(m, replace(params, epsilon=eps))
     w = _power_law(q, den, params.beta / 2.0 - 1.0)
     w = w * active if active is not None else w
     am, ap = w * dm, w * dp
@@ -226,7 +230,7 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
 
     def residual(uvec):
         h_vals = reference_hamiltonian(
-            grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
+            grid, uvec.reshape(grid.shape), m_frame, params, params.epsilon
         )
         return (
             (uvec - u_next_vec) / grid.dt
@@ -244,14 +248,14 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
         if res_norm <= opts.newton_tol:
             break
         jac = reference_jacobian(
-            grid, uvec.reshape(grid.shape), m_frame, params, opts.epsilon
+            grid, uvec.reshape(grid.shape), m_frame, params, params.epsilon
         )
         system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
         uvec = uvec - sparse_solve(grid, system, res, params.nu, tol=opts.linear_tol)
         res = residual(uvec)
         res_norm = float(np.abs(res).max())
     u = uvec.reshape(grid.shape)
-    return u, reference_jacobian(grid, u, m_frame, params, opts.epsilon), res_norm
+    return u, reference_jacobian(grid, u, m_frame, params, params.epsilon), res_norm
 
 
 def capped_frame(grid, seed):
@@ -269,11 +273,13 @@ class TestSharedKernelInputs:
     @pytest.mark.parametrize("dim,n", [(1, 5), (1, 16), (1, 64), (2, 5), (2, 8)])
     def test_step_equals_per_call_reference(self, dim, n, eps, mu):
         grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
-        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
+        params = ModelParams(
+            nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0, epsilon=eps
+        )
         m = capped_frame(grid, [dim, n])
         assert m.max() > 1.0 / 0.05 and (m <= params.m_floor).any()
         u_next = 3.0 * np.random.default_rng([dim, n, 1]).normal(size=grid.shape)
-        opts = HJBOptions(epsilon=eps)
+        opts = HJBOptions()
         f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)
         u, transport, res = hjb_step(grid, u_next, m, params, f_level, opts)
         u_ref, transport_ref, res_ref = reference_step(
@@ -294,7 +300,7 @@ class TestSharedKernelInputs:
         grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
         params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
         m = capped_frame(grid, [dim, n])
-        congestion = congestion_denominator(m, params, eps)
+        congestion = congestion_denominator(m, replace(params, epsilon=eps))
         rng = np.random.default_rng([dim, n, 2])
         fields = {
             "normal": 3.0 * rng.normal(size=grid.shape),
@@ -329,8 +335,8 @@ class TestSharedKernelInputs:
 
         monkeypatch.setattr(hjb, "hjb_step", recording_step)
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
-        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0)
-        solve_hjb_backward(grid, random_traj(grid, 3), params, COUPLING, HJBOptions(epsilon=0.05))
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0, epsilon=0.05)
+        solve_hjb_backward(grid, random_traj(grid, 3), params, COUPLING, HJBOptions())
         assert len(per_step) == grid.nt
         for calls in per_step:
             assert calls["sparse_solve"] >= 1
@@ -432,13 +438,17 @@ class TestBackwardSolve:
             grid = GridSpec(dim=1, n=64, nt=nt, horizon=1.0)
             x = grid.axis_centers()
             m_traj = np.tile(1.0 + 0.5 * np.cos(2 * np.pi * x), (grid.nt + 1, 1))
-            res = solve_hjb_backward(grid, m_traj, params, COUPLING, HJBOptions(epsilon=0.1))
+            res = solve_hjb_backward(
+                grid, m_traj, replace(params, epsilon=0.1), COUPLING, HJBOptions()
+            )
             from congestion_mfg.hjb import hamiltonian_values
 
             total = 0.0
             for k in range(grid.nt):
                 parts = upwind_parts(grid, res.u[k])
-                congestion = congestion_denominator(m_traj[k], params, 0.1)
+                congestion = congestion_denominator(
+                    m_traj[k], replace(params, epsilon=0.1)
+                )
                 h_vals = hamiltonian_values(grid, parts, congestion, params)
                 total += grid.dt * grid.h * float((params.beta * h_vals).sum())
             return total
@@ -454,7 +464,7 @@ class TestTransport:
         for grid in (GridSpec(dim=1, n=16, nt=2, horizon=1.0), GridSpec(dim=2, n=8, nt=2, horizon=1.0)):
             u = rng.normal(size=grid.shape)
             m = np.abs(rng.random(grid.shape))
-            congestion = congestion_denominator(m, PARAMS, 0.0)
+            congestion = congestion_denominator(m, PARAMS)
             jac = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS)
             assert np.abs(jac @ np.ones(grid.ncells)).max() < 1e-11
             assert jac.diagonal().min() >= 0.0
@@ -471,7 +481,7 @@ class TestTransport:
             grid = GridSpec(dim=1, n=32, nt=2, horizon=1.0)
             u = rng.normal(size=grid.shape)
             m = np.abs(rng.random(grid.shape)) + 0.1
-            parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params, 0.0)
+            parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params)
             jac = transport_jacobian(grid, parts, congestion, params)
             g = hamiltonian_values(grid, parts, congestion, params)
             lhs = jac @ u.ravel()
@@ -486,10 +496,10 @@ class TestTransport:
 
         parts = upwind_parts(grid, u)
         capped = hamiltonian_values(
-            grid, parts, congestion_denominator(m, PARAMS, 0.1), PARAMS
+            grid, parts, congestion_denominator(m, replace(PARAMS, epsilon=0.1)), PARAMS
         )
         manual = hamiltonian_values(
-            grid, parts, congestion_denominator(np.full(grid.shape, 10.0), PARAMS, 0.0), PARAMS
+            grid, parts, congestion_denominator(np.full(grid.shape, 10.0), PARAMS), PARAMS
         )
         assert np.allclose(capped, manual, rtol=1e-14)
 

@@ -1,5 +1,7 @@
 """Hamiltonian family, structural checkers, Legendre and monotonicity probes."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from congestion_mfg.model import (
     ModelParams,
     _power_law,
     check_structure,
+    congestion_denominator,
     eval_H,
     eval_Hp,
     h_monotone_probe,
@@ -49,6 +52,8 @@ class TestDerivedConstants:
             make_params(beta=1.0)
         with pytest.raises(ValueError):
             ModelParams(nu=1.0, beta=2.0, alpha=1.0, mu=-0.5, horizon=1.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            ModelParams(nu=1.0, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0, epsilon=-0.1)
 
 
 class TestEvalH:
@@ -317,6 +322,27 @@ class TestUniquenessIntegrand:
         p2 = p1 + 0.01 * rng.normal(size=(1, 1000))
         vals = uniqueness_integrand(np.abs(m1), p1, np.abs(m2), p2, p, coupling)
         assert vals.min() >= -1e-10
+
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    def test_scheme_cap_stays_out_of_the_model_h(self, mu):
+        """The bracket evaluates the paper's H: the scheme's density cap
+        ``1/epsilon`` must not reach it, bit for bit."""
+        rng = np.random.default_rng(5)
+        p = make_params(beta=1.5, alpha=0.8, mu=mu)
+        capped = replace(p, epsilon=0.5)
+        m1 = 10 ** rng.uniform(-2, 2, 1000)
+        m2 = m1 * (1.0 + 0.1 * rng.random(1000))
+        assert (m1 > 1.0 / capped.epsilon).mean() > 0.25
+        p1 = rng.normal(size=(1, 1000))
+        p2 = p1 + 0.1 * rng.normal(size=(1, 1000))
+        args = (m1, p1, m2, p2)
+        got = uniqueness_integrand(*args, capped, CouplingSpec())
+        ref = uniqueness_integrand(*args, p, CouplingSpec())
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # while the scheme's denominator does see the cap
+        assert not np.array_equal(
+            congestion_denominator(m1, capped)[0], congestion_denominator(m1, p)[0]
+        )
 
 
 class TestTabulatedCoupling:

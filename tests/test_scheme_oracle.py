@@ -80,7 +80,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(13)
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        congestion = congestion_denominator(m, PARAMS, 0.0)
+        congestion = congestion_denominator(m, PARAMS)
         fast = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS).toarray()
         slow = naive_jacobian_1d(grid, u, m, PARAMS)
         assert np.allclose(fast, slow, rtol=1e-13, atol=1e-13)
@@ -93,7 +93,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(14)
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        congestion = congestion_denominator(m, PARAMS, 0.0)
+        congestion = congestion_denominator(m, PARAMS)
         jac = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS)
         for _ in range(5):
             direction = rng.normal(size=grid.shape)
