@@ -186,7 +186,8 @@ def solve_mfg(
 ) -> MFGSolution:
     """Damped Picard iteration for the coupled system at one (eps, mu) rung.
 
-    Both widths come from ``params``.  ``m0`` is the initial density (uniform
+    Both widths come from ``params``, whose ``horizon`` must be the grid's
+    (else :class:`ConfigError`).  ``m0`` is the initial density (uniform
     when omitted; a negative entry beyond roundoff raises
     :class:`ConfigError`); it is mollified with the same width
     ``params.epsilon`` that caps the density inside the Hamiltonian and
@@ -199,6 +200,10 @@ def solve_mfg(
     report = check_structure(params)
     if not report.valid_ranges:
         raise ConfigError("; ".join(report.violations))
+    if params.horizon != grid.horizon:
+        raise ConfigError(
+            f"model horizon {params.horizon} differs from the grid's {grid.horizon}"
+        )
     if params.is_singular and init_traj is None:
         raise ConfigError(
             "cold-start solve at mu = 0 rejected; use continuation with warm starts"

@@ -38,13 +38,13 @@ import numpy as np
 
 from .coupler import MFGSolution
 from .errors import GridMismatch
-from .grid import GridSpec, integrate, upwind_parts
+from .grid import integrate, upwind_parts
 from .hjb import (
     effective_cost,
     hamiltonian_values,
     transport_jacobian,
 )
-from .model import _guarded_h_hp, congestion_denominator, uniqueness_integrand
+from .model import _uniqueness_bracket, congestion_denominator
 
 __all__ = [
     "DiagnosticsReport",
@@ -55,10 +55,6 @@ __all__ = [
     "apriori_report",
     "low_density_gradient_mass",
 ]
-
-
-def _inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
-    return float(grid.cell_volume * np.sum(a * b))
 
 
 def _check_same_grid(a: MFGSolution, b: MFGSolution) -> None:
@@ -93,10 +89,10 @@ def _energy_terms(sol: MFGSolution):
     bracket = f_term = 0.0
     for k, h_vals in enumerate(hamiltonians):
         # H_p.Du - H = (beta - 1) H for the power family, exactly
-        bracket += grid.dt * _inner(grid, sol.m[k], (params.beta - 1.0) * h_vals)
-        f_term += grid.dt * _inner(grid, costs[k], sol.m[k])
-    g_term = _inner(grid, costs[grid.nt], sol.m[grid.nt])
-    initial = _inner(grid, sol.u[0], sol.m[0])
+        bracket += grid.dt * integrate(grid, sol.m[k] * ((params.beta - 1.0) * h_vals))
+        f_term += grid.dt * integrate(grid, costs[k] * sol.m[k])
+    g_term = integrate(grid, costs[grid.nt] * sol.m[grid.nt])
+    initial = integrate(grid, sol.u[0] * sol.m[0])
     return bracket, f_term, g_term, initial, terms
 
 
@@ -126,9 +122,11 @@ def crossed_energy_gap(
         inputs_b = inputs_a[k] if sol_b is sol_a else _kernel_inputs(sol_b, k)
         jac_b = transport_jacobian(grid, *inputs_b, sol_b.params)
         advected = (jac_b @ sol_a.u[k].ravel()).reshape(grid.shape)
-        total += grid.dt * _inner(grid, advected - h_a[k] + costs_a[k], sol_b.m[k + 1])
-    total += _inner(grid, costs_a[grid.nt], sol_b.m[grid.nt])
-    total -= _inner(grid, sol_a.u[0], sol_b.m[0])
+        total += grid.dt * integrate(
+            grid, (advected - h_a[k] + costs_a[k]) * sol_b.m[k + 1]
+        )
+    total += integrate(grid, costs_a[grid.nt] * sol_b.m[grid.nt])
+    total -= integrate(grid, sol_a.u[0] * sol_b.m[0])
     return total
 
 
@@ -162,12 +160,6 @@ def uniqueness_gap(sol_a: MFGSolution, sol_b: MFGSolution) -> UniquenessGapResul
     grid, params, coupling = sol_a.grid, sol_a.params, sol_a.coupling
     singular = params.is_singular
 
-    g_term = _inner(
-        grid,
-        np.asarray(coupling.g(sol_a.m[-1])) - np.asarray(coupling.g(sol_b.m[-1])),
-        sol_a.m[-1] - sol_b.m[-1],
-    )
-
     f_term = 0.0
     bracket_ab = 0.0
     bracket_ba = 0.0
@@ -180,38 +172,33 @@ def uniqueness_gap(sol_a: MFGSolution, sol_b: MFGSolution) -> UniquenessGapResul
         da = dm + dp
         dm, dp, _ = upwind_parts(grid, sol_b.u[k])
         db = dm + dp
-        ha, hpa = _guarded_h_hp(ma, da, params)
-        hb, hpb = _guarded_h_hp(mb, db, params)
-        e_vals = uniqueness_integrand(ma, da, mb, db, params, coupling)
+        e_vals, (ha, hpa), (hb, hpb) = _uniqueness_bracket(
+            ma, da, mb, db, params, coupling
+        )
         e_min = min(e_min, float(e_vals.min()))
         if k == grid.nt:
+            g_term = integrate(grid, (coupling.g(ma) - coupling.g(mb)) * (ma - mb))
             break
         weight = grid.dt
-        f_term += weight * _inner(
-            grid,
-            np.asarray(coupling.f(ma)) - np.asarray(coupling.f(mb)),
-            ma - mb,
+        f_term += weight * integrate(
+            grid, (coupling.f(ma) - coupling.f(mb)) * (ma - mb)
         )
         both = 1.0
         if singular:
             both = ((ma > params.m_floor) & (mb > params.m_floor)).astype(float)
             only_a = ((ma > params.m_floor) & (mb <= params.m_floor)).astype(float)
             only_b = ((mb > params.m_floor) & (ma <= params.m_floor)).astype(float)
-            excl_a += weight * _inner(
-                grid, only_a * ma, ((hpa * da).sum(axis=0) - ha)
+            excl_a += weight * integrate(
+                grid, only_a * ma * ((hpa * da).sum(axis=0) - ha)
             )
-            excl_b += weight * _inner(
-                grid, only_b * mb, ((hpb * db).sum(axis=0) - hb)
+            excl_b += weight * integrate(
+                grid, only_b * mb * ((hpb * db).sum(axis=0) - hb)
             )
-        bracket_ba += weight * _inner(
-            grid,
-            both * mb,
-            ha - hb - (hpb * (da - db)).sum(axis=0),
+        bracket_ba += weight * integrate(
+            grid, both * mb * (ha - hb - (hpb * (da - db)).sum(axis=0))
         )
-        bracket_ab += weight * _inner(
-            grid,
-            both * ma,
-            hb - ha - (hpa * (db - da)).sum(axis=0),
+        bracket_ab += weight * integrate(
+            grid, both * ma * (hb - ha - (hpa * (db - da)).sum(axis=0))
         )
     gap = g_term + f_term + bracket_ab + bracket_ba + excl_a + excl_b
     return UniquenessGapResult(

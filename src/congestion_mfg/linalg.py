@@ -149,7 +149,6 @@ def bicgstab(A, b, *, rtol=1e-5, atol=0.0, M=None, maxiter=None, callback=None):
             p *= beta
             p += r
         else:
-            s = np.empty_like(r)
             p = r.copy()
         phat = psolve(p)
         v = A.dot(phat)
@@ -161,13 +160,13 @@ def bicgstab(A, b, *, rtol=1e-5, atol=0.0, M=None, maxiter=None, callback=None):
             return x, -11
         alpha = rho / rv
         r -= alpha * v
-        s[:] = r[:]
-        if math.sqrt(s.dot(s)) < atol:
+        # scipy copies r into s here; r is not changed until omega is formed
+        if math.sqrt(r.dot(r)) < atol:
             x += alpha * phat
             return x, 0
-        shat = psolve(s)
+        shat = psolve(r)
         t = A.dot(shat)
-        omega = t.dot(s) / t.dot(t)
+        omega = t.dot(r) / t.dot(t)
         x += alpha * phat
         x += omega * shat
         r -= omega * t

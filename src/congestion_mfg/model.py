@@ -140,9 +140,9 @@ class CouplingSpec:
     The power family is ``F(m) = cf m^qf + offset_f`` and
     ``G(m) = cg m^qg + offset_g`` with nonnegative coefficients and
     exponents; a tabulated family interpolates a nondecreasing table
-    linearly.  Both are bounded below by ``c4 = min(F(0), G(0))``, and with
-    ``f(s) = cf s^qf`` the envelope condition holds with ``lam = 1`` and
-    ``kappa = |offset_f| +`` slack.
+    linearly.  Both are bounded below by ``c4 = min(F(0), G(0))``.  F and
+    G share one evaluation: F reads the ``f`` coefficients and table, G the
+    ``g`` ones.
     """
 
     family: str = "power"
@@ -171,23 +171,21 @@ class CouplingSpec:
             if np.any(np.diff(self.table_s) <= 0):
                 raise ValueError("table abscissae must be strictly increasing")
 
-    def f(self, m):
-        """Running cost F(m)."""
+    def _cost(self, m, coeff, power, offset, table):
         m = np.asarray(m, dtype=float)
         if self.family == "power":
-            out = self.cf * m**self.qf + self.offset_f
+            out = coeff * m**power + offset
         else:
-            out = np.interp(m, self.table_s, self.table_f)
+            out = np.interp(m, self.table_s, table)
         return out if out.ndim else float(out)
+
+    def f(self, m):
+        """Running cost F(m)."""
+        return self._cost(m, self.cf, self.qf, self.offset_f, self.table_f)
 
     def g(self, m):
         """Terminal cost G(m)."""
-        m = np.asarray(m, dtype=float)
-        if self.family == "power":
-            out = self.cg * m**self.qg + self.offset_g
-        else:
-            out = np.interp(m, self.table_s, self.table_g)
-        return out if out.ndim else float(out)
+        return self._cost(m, self.cg, self.qg, self.offset_g, self.table_g)
 
     def level_costs(self, m_traj):
         """F at every level of a density trajectory but the last, G at the last."""
@@ -197,14 +195,6 @@ class CouplingSpec:
     def c4(self) -> float:
         """Common lower bound of F and G (attained at m = 0)."""
         return min(self.f(0.0), self.g(0.0))
-
-    @property
-    def lam(self) -> float:
-        return 1.0
-
-    @property
-    def kappa(self) -> float:
-        return max(abs(self.offset_f), abs(self.offset_g)) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +211,16 @@ def _as_density_gradient(m, p):
     return m, p
 
 
-def _check_singular(m, pnorm2, params: ModelParams):
+def _paper_h_parts(m, p, params: ModelParams):
+    """``(p, |p|^2, (m + mu)^alpha)`` of the paper's H, which is undefined
+    where ``mu = 0``, ``m = 0`` and ``p != 0``."""
+    m, p = _as_density_gradient(m, p)
+    pnorm2 = (p**2).sum(axis=0)
     if params.mu == 0.0 and np.any((m <= 0.0) & (pnorm2 > 0.0)):
         raise SingularEvaluation(
             "H undefined: mu = 0 with zero density and nonzero gradient"
         )
+    return p, pnorm2, (m + params.mu) ** params.alpha
 
 
 def _power_law(q, den, exponent: float, scale: float = 1.0):
@@ -256,20 +251,14 @@ def eval_H(m, p, params: ModelParams):
     ``p`` has the component axis first; scalars broadcast.  Raises
     :class:`SingularEvaluation` in the singular regime at ``m = 0, p != 0``.
     """
-    m, p = _as_density_gradient(m, p)
-    pnorm2 = (p**2).sum(axis=0)
-    _check_singular(m, pnorm2, params)
-    den = (m + params.mu) ** params.alpha
+    _, pnorm2, den = _paper_h_parts(m, p, params)
     out = _power_law(pnorm2, den, params.beta / 2.0, params.beta)
     return float(out) if out.ndim == 0 else out
 
 
 def eval_Hp(m, p, params: ModelParams):
     """Gradient H_p = |p|^{beta-2} p / (m + mu)^alpha, extended by 0 at p = 0."""
-    m, p = _as_density_gradient(m, p)
-    pnorm2 = (p**2).sum(axis=0)
-    _check_singular(m, pnorm2, params)
-    den = (m + params.mu) ** params.alpha
+    p, pnorm2, den = _paper_h_parts(m, p, params)
     return _power_law(pnorm2, den, params.beta / 2.0 - 1.0) * p
 
 
@@ -478,6 +467,22 @@ def h_monotone_probe(
     )
 
 
+def _uniqueness_bracket(m1, p1, m2, p2, params: ModelParams, coupling: CouplingSpec):
+    """``(E, (H1, H_p1), (H2, H_p2))``: the bracket of
+    :func:`uniqueness_integrand` with the guarded values it is built from."""
+    m1, p1 = _as_density_gradient(m1, p1)
+    m2, p2 = _as_density_gradient(m2, p2)
+    h1, hp1 = _guarded_h_hp(m1, p1, params)
+    h2, hp2 = _guarded_h_hp(m2, p2, params)
+    flux = ((m1 * hp1 - m2 * hp2) * (p1 - p2)).sum(axis=0)
+    e_vals = (
+        -(h1 - h2) * (m1 - m2)
+        + flux
+        + (coupling.f(m1) - coupling.f(m2)) * (m1 - m2)
+    )
+    return e_vals, (h1, hp1), (h2, hp2)
+
+
 def uniqueness_integrand(m1, p1, m2, p2, params: ModelParams, coupling: CouplingSpec):
     """Pointwise uniqueness bracket
 
@@ -488,13 +493,4 @@ def uniqueness_integrand(m1, p1, m2, p2, params: ModelParams, coupling: Coupling
     Vectorized over trailing axes; gradients carry the component axis first.
     Singular-regime inputs are evaluated with the floor guard.
     """
-    m1, p1 = _as_density_gradient(m1, p1)
-    m2, p2 = _as_density_gradient(m2, p2)
-    h1, hp1 = _guarded_h_hp(m1, p1, params)
-    h2, hp2 = _guarded_h_hp(m2, p2, params)
-    flux = ((m1 * hp1 - m2 * hp2) * (p1 - p2)).sum(axis=0)
-    return (
-        -(h1 - h2) * (m1 - m2)
-        + flux
-        + (coupling.f(m1) - coupling.f(m2)) * (m1 - m2)
-    )
+    return _uniqueness_bracket(m1, p1, m2, p2, params, coupling)[0]

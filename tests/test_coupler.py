@@ -190,6 +190,13 @@ class TestSolveMFG:
         with pytest.raises(ConfigError):
             solve_mfg(grid, params, CouplingSpec())
 
+    def test_second_horizon_rejected(self):
+        """The solve runs on the grid's horizon, so a model horizon that
+        differs would be saved with a solution it did not describe."""
+        grid = GridSpec(dim=1, n=8, nt=8, horizon=2.0)
+        with pytest.raises(ConfigError, match="horizon"):
+            solve_mfg(grid, reference_params(horizon=1.0), CouplingSpec())
+
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_signed_initial_density_rejected(self, eps):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)

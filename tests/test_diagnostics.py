@@ -1,6 +1,6 @@
 """Energy identity, crossed inequality, uniqueness functionals, a-priori report."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,13 +14,16 @@ from congestion_mfg import (
     crossed_energy_gap,
     diagnostics,
     energy_identity_residual,
+    model,
     solve_mfg,
     uniqueness_gap,
     uniqueness_integrand,
 )
+from congestion_mfg.coupler import MFGSolution
 from congestion_mfg.diagnostics import low_density_gradient_mass
 from congestion_mfg.errors import GridMismatch
-from congestion_mfg.grid import integrate
+from congestion_mfg.grid import integrate, upwind_parts
+from congestion_mfg.model import _guarded_h_hp
 
 from conftest import cosine_density, reference_params
 
@@ -113,7 +116,116 @@ class TestCrossedGap:
             crossed_energy_gap(ref32, ref64)
 
 
+def _reference_uniqueness_gap(sol_a, sol_b):
+    """Reference ``uniqueness_gap``: the guarded H and H_p of each side are
+    evaluated on their own, and the pointwise bracket is spelled out."""
+    grid, params, coupling = sol_a.grid, sol_a.params, sol_a.coupling
+    singular = params.is_singular
+
+    g_term = integrate(
+        grid,
+        (coupling.g(sol_a.m[-1]) - coupling.g(sol_b.m[-1])) * (sol_a.m[-1] - sol_b.m[-1]),
+    )
+    f_term = bracket_ab = bracket_ba = excl_a = excl_b = 0.0
+    e_min = np.inf
+    for k in range(grid.nt + 1):
+        ma, mb = sol_a.m[k], sol_b.m[k]
+        dm, dp, _ = upwind_parts(grid, sol_a.u[k])
+        da = dm + dp
+        dm, dp, _ = upwind_parts(grid, sol_b.u[k])
+        db = dm + dp
+        ha, hpa = _guarded_h_hp(ma, da, params)
+        hb, hpb = _guarded_h_hp(mb, db, params)
+        e_vals = (
+            -(ha - hb) * (ma - mb)
+            + ((ma * hpa - mb * hpb) * (da - db)).sum(axis=0)
+            + (coupling.f(ma) - coupling.f(mb)) * (ma - mb)
+        )
+        e_min = min(e_min, float(e_vals.min()))
+        if k == grid.nt:
+            break
+        weight = grid.dt
+        f_term += weight * integrate(grid, (coupling.f(ma) - coupling.f(mb)) * (ma - mb))
+        both = 1.0
+        if singular:
+            both = ((ma > params.m_floor) & (mb > params.m_floor)).astype(float)
+            only_a = ((ma > params.m_floor) & (mb <= params.m_floor)).astype(float)
+            only_b = ((mb > params.m_floor) & (ma <= params.m_floor)).astype(float)
+            excl_a += weight * integrate(grid, only_a * ma * ((hpa * da).sum(axis=0) - ha))
+            excl_b += weight * integrate(grid, only_b * mb * ((hpb * db).sum(axis=0) - hb))
+        bracket_ba += weight * integrate(
+            grid, both * mb * (ha - hb - (hpb * (da - db)).sum(axis=0))
+        )
+        bracket_ab += weight * integrate(
+            grid, both * ma * (hb - ha - (hpa * (db - da)).sum(axis=0))
+        )
+    gap = g_term + f_term + bracket_ab + bracket_ba + excl_a + excl_b
+    return diagnostics.UniquenessGapResult(
+        gap, e_min, g_term, f_term, bracket_ab, bracket_ba, excl_a, excl_b
+    )
+
+
+def _singular_pair():
+    """Two mu = 0 states on an n = nt = 8 grid whose densities vanish on
+    different cells, so both exclusive-support brackets are nonzero."""
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    params = ModelParams(nu=0.5, beta=1.5, alpha=0.6, mu=0.0, horizon=1.0)
+    rng = np.random.default_rng(11)
+    pair = []
+    for zero_cells in (slice(0, None, 3), slice(1, None, 4)):
+        m = rng.uniform(0.5, 1.5, (grid.nt + 1, grid.n))
+        m[:, zero_cells] = 0.0
+        pair.append(
+            MFGSolution(
+                grid, params, CouplingSpec(cf=0.5, cg=0.5),
+                u=rng.normal(size=m.shape), m=m, policy=np.zeros((grid.nt + 1, 1, grid.n)),
+            )
+        )
+    return pair
+
+
+@pytest.fixture(scope="module")
+def gap_pairs(ref32):
+    bump = solve_mfg(
+        ref32.grid, reference_params(), CouplingSpec(), m0=cosine_density(ref32.grid, 0.8)
+    )
+    grid2 = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
+    flat2, bump2 = (
+        solve_mfg(grid2, reference_params(), CouplingSpec(), m0=m0)
+        for m0 in (None, cosine_density(grid2))
+    )
+    return {"1d": (ref32, bump), "2d": (flat2, bump2), "singular": _singular_pair()}
+
+
+def _bits(result):
+    return np.array([getattr(result, f.name) for f in fields(result)]).view(np.int64)
+
+
 class TestUniquenessGap:
+    @pytest.mark.parametrize("pair", ["1d", "2d", "singular"])
+    def test_matches_the_reference_bit_for_bit(self, gap_pairs, pair):
+        sol_a, sol_b = gap_pairs[pair]
+        for a, b in ((sol_a, sol_b), (sol_b, sol_a)):
+            got = uniqueness_gap(a, b)
+            assert _bits(got).tolist() == _bits(_reference_uniqueness_gap(a, b)).tolist()
+            if pair == "singular":
+                assert got.exclusive_a > 0.0 and got.exclusive_b > 0.0
+
+    def test_two_guarded_evaluations_per_level(self, gap_pairs, monkeypatch):
+        # a guarded (H, H_p) makes two power-law calls; the bracket and the
+        # two convexity brackets share one evaluation per solution and level
+        sol_a, sol_b = gap_pairs["singular"]
+        calls = []
+        original = model._power_law
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_power_law", counted)
+        uniqueness_gap(sol_a, sol_b)
+        assert len(calls) == 4 * (sol_a.grid.nt + 1)
+
     def test_zero_on_identical(self, ref32):
         res = uniqueness_gap(ref32, ref32)
         assert abs(res.gap) <= 1e-12
