@@ -19,6 +19,7 @@ singular regime is only ever approached by continuation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -193,8 +194,10 @@ def solve_mfg(
     ``params.epsilon`` that caps the density inside the Hamiltonian and
     smooths the couplings.  ``init_traj`` warm-starts the iteration, and is
     required when ``mu`` is 0: the singular problem is reached only by
-    continuation.  A budget overrun is not an exception; the best iterate is
-    returned with ``meta['converged'] = False``.
+    continuation.  A budget overrun is not an exception: it returns the
+    iterate with the lowest measured residual, the last one measured by one
+    more FPK sweep, with ``meta['converged'] = False``.
+    ``meta['residual']`` is the returned iterate's residual.
     """
     fp_opts = fp_opts or FixedPointOptions()
     report = check_structure(params)
@@ -223,6 +226,9 @@ def solve_mfg(
     residuals: list[float] = []
     worst_newton = 0.0
     converged = False
+    # the iterate with the lowest measured residual; no iterate is mutated
+    # once it is m_cur, so a reference is enough
+    best_resid, best_m = math.inf, m_cur
     omega = np.full_like(m_cur, fp_opts.damping)
     prev_update = None
     for _ in range(fp_opts.max_outer_iter):
@@ -238,6 +244,8 @@ def solve_mfg(
             increments.append(resid)
             converged = True
             break
+        if resid < best_resid:
+            best_resid, best_m = resid, m_cur
         if prev_update is not None:
             flipped = update * prev_update < 0.0
             omega = np.where(flipped, omega * 0.5, omega * OMEGA_GROWTH)
@@ -255,6 +263,17 @@ def solve_mfg(
 
     backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
     worst_newton = max(worst_newton, backward.max_newton_residual)
+    if not converged:
+        # the last iterate is unmeasured: one FPK sweep measures it
+        m_br = solve_fpk_forward(
+            grid, backward.transports, m0_eps, params, hjb_opts.linear_tol
+        )
+        resid = l1_space_time(grid, m_br - m_cur)
+        residuals.append(resid)
+        if best_resid < resid:
+            resid, m_cur = best_resid, best_m
+            backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
+            worst_newton = max(worst_newton, backward.max_newton_residual)
     congestion = [congestion_denominator(m_k, params) for m_k in m_cur]
     policy = np.stack(
         [
@@ -269,6 +288,7 @@ def solve_mfg(
         "outer_iters": len(increments),
         "increments": increments,
         "residuals": residuals,
+        "residual": resid,
         "newton_residual_max": worst_newton,
         "wall_time_seconds": time.perf_counter() - start,
         "converged": converged,

@@ -172,7 +172,7 @@ def uniqueness_gap(sol_a: MFGSolution, sol_b: MFGSolution) -> UniquenessGapResul
         da = dm + dp
         dm, dp, _ = upwind_parts(grid, sol_b.u[k])
         db = dm + dp
-        e_vals, (ha, hpa), (hb, hpb) = _uniqueness_bracket(
+        e_vals, f_vals, (ha, hpa), (hb, hpb) = _uniqueness_bracket(
             ma, da, mb, db, params, coupling
         )
         e_min = min(e_min, float(e_vals.min()))
@@ -180,9 +180,7 @@ def uniqueness_gap(sol_a: MFGSolution, sol_b: MFGSolution) -> UniquenessGapResul
             g_term = integrate(grid, (coupling.g(ma) - coupling.g(mb)) * (ma - mb))
             break
         weight = grid.dt
-        f_term += weight * integrate(
-            grid, (coupling.f(ma) - coupling.f(mb)) * (ma - mb)
-        )
+        f_term += weight * integrate(grid, f_vals)
         both = 1.0
         if singular:
             both = ((ma > params.m_floor) & (mb > params.m_floor)).astype(float)

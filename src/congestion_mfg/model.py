@@ -468,19 +468,17 @@ def h_monotone_probe(
 
 
 def _uniqueness_bracket(m1, p1, m2, p2, params: ModelParams, coupling: CouplingSpec):
-    """``(E, (H1, H_p1), (H2, H_p2))``: the bracket of
-    :func:`uniqueness_integrand` with the guarded values it is built from."""
+    """``(E, (F1 - F2)(m1 - m2), (H1, H_p1), (H2, H_p2))``: the bracket of
+    :func:`uniqueness_integrand` with its coupling term and the guarded
+    values it is built from."""
     m1, p1 = _as_density_gradient(m1, p1)
     m2, p2 = _as_density_gradient(m2, p2)
     h1, hp1 = _guarded_h_hp(m1, p1, params)
     h2, hp2 = _guarded_h_hp(m2, p2, params)
     flux = ((m1 * hp1 - m2 * hp2) * (p1 - p2)).sum(axis=0)
-    e_vals = (
-        -(h1 - h2) * (m1 - m2)
-        + flux
-        + (coupling.f(m1) - coupling.f(m2)) * (m1 - m2)
-    )
-    return e_vals, (h1, hp1), (h2, hp2)
+    f_vals = (coupling.f(m1) - coupling.f(m2)) * (m1 - m2)
+    e_vals = -(h1 - h2) * (m1 - m2) + flux + f_vals
+    return e_vals, f_vals, (h1, hp1), (h2, hp2)
 
 
 def uniqueness_integrand(m1, p1, m2, p2, params: ModelParams, coupling: CouplingSpec):

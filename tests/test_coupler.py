@@ -11,6 +11,7 @@ from congestion_mfg import (
     FixedPointOptions,
     GridSpec,
     ModelParams,
+    coupler,
     solve_mfg,
     solve_with_continuation,
 )
@@ -177,6 +178,67 @@ class TestSolveMFG:
         )
         assert not sol.converged
         assert sol.meta["outer_iters"] == 1
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        calls = {"solve_hjb_backward": 0, "solve_fpk_forward": 0}
+
+        def counting(name):
+            original = getattr(coupler, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(coupler, name, counted)
+
+        for name in calls:
+            counting(name)
+        return calls
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["converged", "last-is-best"])
+    def test_sweeps_per_solve(self, budget, monkeypatch):
+        # a converged solve re-runs the HJB sweep once; an overrun whose last
+        # iterate is its best measures that iterate with one more FPK sweep
+        calls = self._count_sweeps(monkeypatch)
+        grid = GridSpec(dim=1, n=16, nt=16, horizon=1.0)
+        fp_opts = FixedPointOptions(max_outer_iter=budget or 500)
+        sol = solve_mfg(
+            grid, reference_params(), CouplingSpec(), fp_opts, m0=cosine_density(grid)
+        )
+        iters, residuals = sol.meta["outer_iters"], sol.meta["residuals"]
+        assert sol.converged is (budget is None)
+        extra = 0 if sol.converged else 1
+        assert len(residuals) == iters + extra
+        assert sol.meta["residual"] == residuals[-1] == min(residuals)
+        assert calls == {
+            "solve_hjb_backward": iters + 1, "solve_fpk_forward": iters + extra
+        }
+
+    def test_budget_overrun_returns_the_best_iterate(self, monkeypatch):
+        # c09 rung 0: the Picard tail is not monotone, and at a budget of 100
+        # the best measured iterate (iteration 81) beats the last one
+        grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
+        params = ModelParams(
+            nu=0.5, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0, epsilon=0.05
+        )
+        coupling = CouplingSpec(cf=0.5, cg=0.5)
+        calls = self._count_sweeps(monkeypatch)
+        sol = solve_mfg(
+            grid, params, coupling,
+            FixedPointOptions(fp_tol=1e-6, max_outer_iter=100), m0=cosine_density(grid),
+        )
+        residuals = sol.meta["residuals"]
+        assert not sol.converged and sol.meta["outer_iters"] == 100
+        assert len(residuals) == 101
+        assert sol.meta["residual"] == min(residuals) < residuals[-1]
+        # the last iterate is measured, then the winner's HJB sweep re-run
+        assert calls == {"solve_hjb_backward": 102, "solve_fpk_forward": 101}
+        monkeypatch.undo()
+        backward = solve_hjb_backward(grid, sol.m, params, coupling, HJBOptions())
+        m_br = solve_fpk_forward(grid, backward.transports, sol.m[0], params)
+        assert l1_space_time(grid, m_br - sol.m) == sol.meta["residual"]
+        assert np.array_equal(backward.u, sol.u)
 
     def test_singular_cold_start_rejected(self):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)

@@ -213,18 +213,26 @@ class TestUniquenessGap:
 
     def test_two_guarded_evaluations_per_level(self, gap_pairs, monkeypatch):
         # a guarded (H, H_p) makes two power-law calls; the bracket and the
-        # two convexity brackets share one evaluation per solution and level
+        # two convexity brackets share one evaluation per solution and level,
+        # and the bracket's coupling term is the F addend of the gap: one
+        # cost evaluation per solution and level, F below T and G at T too
         sol_a, sol_b = gap_pairs["singular"]
-        calls = []
-        original = model._power_law
+        calls = {"_power_law": 0, "_cost": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(owner, name):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(model, "_power_law", counted)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(model, "_power_law")
+        counting(model.CouplingSpec, "_cost")
         uniqueness_gap(sol_a, sol_b)
-        assert len(calls) == 4 * (sol_a.grid.nt + 1)
+        levels = sol_a.grid.nt + 1
+        assert calls == {"_power_law": 4 * levels, "_cost": 2 * levels + 2}
 
     def test_zero_on_identical(self, ref32):
         res = uniqueness_gap(ref32, ref32)

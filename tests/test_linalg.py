@@ -1,13 +1,20 @@
-"""2D linear solves: the heat-operator preconditioner and the BiCGStab loop."""
+"""2D linear solves: the heat-operator preconditioner and the BiCGStab loop;
+the 1D sparse LU, whose scipy module loads on the first factorization."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
+import congestion_mfg
 from congestion_mfg import (
     ContinuationSchedule,
     CouplingSpec,
@@ -316,3 +323,65 @@ def test_c09_ladder_2d_converges_in_budget():
     for sol in result.solutions:
         assert sol.meta["outer_iters"] <= 400
         assert_structure(sol)
+
+
+# Run in a fresh interpreter: the test process has scipy's solvers loaded.
+IMPORT_TRAFFIC = """
+import json, os, sys
+import numpy as np
+from congestion_mfg import CouplingSpec, GridSpec, ModelParams, apriori_report
+from congestion_mfg import fpk, hjb, linalg, load_solution, save_solution, solve_mfg
+from congestion_mfg.cli import main
+
+loaded = lambda: sorted({"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules))
+out, tmp = {"import": loaded()}, sys.argv[1]
+params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
+x, y = grid.coords()
+m0 = 1.0 + 0.5 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+sol = solve_mfg(grid, params, CouplingSpec(), m0=m0)
+out["solve_2d"] = loaded()
+bundle = os.path.join(tmp, "bundle2d")
+save_solution(sol, bundle)
+apriori_report(load_solution(bundle))
+out["bundle_2d"] = loaded()
+config = os.path.join(tmp, "small.cfg")
+with open(config, "w") as fh:
+    fh.write("n = 8\\nnt = 8\\n")
+out["check"] = [main(["check", config]), loaded()]
+out["diagnose"] = [main(["diagnose", bundle]), loaded()]
+
+counts = {"splu": 0, "solves": 0}
+def counting(module, name, key):
+    original = getattr(module, name)
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    setattr(module, name, counted)
+    return counted
+wrapper = counting(linalg, "splu", "splu")
+counting(hjb, "sparse_solve", "solves")
+counting(fpk, "sparse_solve", "solves")
+solve_mfg(GridSpec(dim=1, n=8, nt=8, horizon=1.0), params, CouplingSpec())
+out.update(counts, solve_1d=loaded(), wrapper_kept=linalg.splu is wrapper)
+print(json.dumps(out))
+"""
+
+
+def test_only_a_1d_factorization_imports_the_sparse_lu(tmp_path):
+    src = str(Path(congestion_mfg.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_TRAFFIC, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    # neither scipy.sparse.linalg nor the scipy.linalg it brings; the CLI
+    # commands exit 0
+    assert [out[key] for key in ("import", "solve_2d", "bundle_2d")] == [[]] * 3
+    assert out["check"] == out["diagnose"] == [0, []]
+    # one factorization per 1D linear solve, through the traceable name
+    assert "scipy.sparse.linalg" in out["solve_1d"] and out["wrapper_kept"]
+    assert out["splu"] == out["solves"] > 0
