@@ -32,8 +32,11 @@ Each pattern validates one CSR and one CSC shell through scipy's constructor
 on first use; every matrix it hands out is a plain clone of a shell's
 ``__dict__`` with the caller's data, so it skips the constructor's checks
 and shares the pattern's read-only index arrays.  The shells' canonical
-flags are set: sorted rows and distinct slots are facts of the pattern, so
-``splu`` never rescans a matrix for duplicates.
+flags are set: sorted rows and distinct slots are facts of the pattern.  No
+solver here reads the flag (the 1D LU reads its bands by slot, and 2D
+systems are only multiplied), but it costs nothing per matrix, so it stays:
+a scipy routine that checks it, such as scipy's own sparse LU, never
+rescans a pattern matrix for duplicates.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
 :func:`implicit_heat_data`, the Gaussian kernel's spectrum in

@@ -18,7 +18,8 @@ from congestion_mfg import (
 from congestion_mfg.coupler import _normalized
 from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
-from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time, upwind_parts
+from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time, restrict_traj
+from congestion_mfg.grid import upwind_parts
 from congestion_mfg.hjb import HJBOptions, drift_field, solve_hjb_backward
 from congestion_mfg.model import congestion_denominator
 
@@ -166,6 +167,28 @@ class TestSolveMFG:
             m0=m0,
         )
         assert l1_space_time(grid, uniform.m - bump.m) <= 1e-6
+
+    def test_equilibrium_converges_at_first_order(self):
+        """The reference equilibrium at n = nt = 32/64/128/256: the L1(Q_T)
+        gaps of m and of u against the next level, restricted, fall with
+        ratios in c05's window [1.5, 3.0].  The scheme is first-order
+        consistent in h and dt, so halving both about halves the error."""
+        sols = []
+        for n in (32, 64, 128, 256):
+            grid = GridSpec(dim=1, n=n, nt=n, horizon=1.0)
+            opts = FixedPointOptions(fp_tol=1e-8)
+            sol = solve_mfg(
+                grid, reference_params(), CouplingSpec(), opts, m0=cosine_density(grid)
+            )
+            assert sol.converged
+            sols.append(sol)
+        for field in ("m", "u"):
+            gaps = []
+            for coarse, fine in zip(sols, sols[1:]):
+                gap = getattr(coarse, field) - restrict_traj(fine.grid, getattr(fine, field), 2)
+                gaps.append(l1_space_time(coarse.grid, gap))
+            ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+            assert all(1.5 <= r <= 3.0 for r in ratios), (field, gaps)
 
     def test_budget_exhaustion_flagged(self):
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
