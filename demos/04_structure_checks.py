@@ -12,7 +12,6 @@ from congestion_mfg import (
     CouplingSpec,
     ModelParams,
     check_structure,
-    h_monotone_probe,
     legendre_residual,
     uniqueness_integrand,
 )
@@ -39,10 +38,15 @@ for beta, alpha, mu in ((2.0, 1.0, 0.0), (1.5, 1.0, 0.1), (1.8, 0.5, 1.0)):
     )
     print(f"  beta={beta} alpha={alpha} mu={mu}: worst residual {worst:.2e}")
 
-print("\nmonotonicity probe h(s) on a segment (power model in the regime):")
+print("\nmonotonicity of h(s) on a segment (power model in the regime):")
+# E on consecutive samples is step times the increment of h(s), so h is
+# increasing where every E is positive and its least slope is min E / step^2
 p = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
-res = h_monotone_probe(1.0, 1.0, [1.0, 0.0], [1.0, 0.0], p, CouplingSpec())
-print(f"  monotone={res.monotone}, min slope={res.min_slope:.4f}")
+s = np.linspace(0.0, 1.0, 101)
+ms, ps = 1.0 + s, np.stack([1.0 + s, 0.0 * s])
+e = uniqueness_integrand(ms[1:], ps[:, 1:], ms[:-1], ps[:, :-1], p, CouplingSpec())
+slope = e.min() / (s[1] - s[0]) ** 2
+print(f"  monotone={bool(np.all(e > 0.0))}, min slope={slope:.4f}")
 
 print("\nE-bracket sign above the threshold (beta=2, alpha=3 > 2):")
 p_bad = ModelParams(nu=0.5, beta=2.0, alpha=3.0, mu=1.0, horizon=1.0)

@@ -33,7 +33,6 @@ from .model import (
     check_structure,
     eval_H,
     eval_Hp,
-    h_monotone_probe,
     legendre_residual,
     uniqueness_integrand,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "eval_H",
     "eval_Hp",
     "fpk_step",
-    "h_monotone_probe",
     "hjb_step",
     "legendre_residual",
     "load_solution",

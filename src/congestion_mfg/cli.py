@@ -103,9 +103,8 @@ _CONFIG: dict[str, tuple[object, object]] = {
     "epsilons": (_parse_float_list, None),
     "mus": (_parse_float_list, None),
     "warm_start": (_parse_bool, True),
-    # data / misc
+    # data and output
     "m0": (str, "uniform"),
-    "seed": (int, 42),
     "output_dir": (str, "out"),
 }
 
@@ -303,7 +302,6 @@ def cmd_solve(config_path) -> int:
         if result.failed_rung is not None:
             print(f"rung {result.failed_rung} failed: {result.error}", file=sys.stderr)
         for j, sol in enumerate(result.solutions):
-            sol.meta["seed"] = cfg["seed"]
             save_solution(sol, os.path.join(out_dir, "rungs", f"rung_{j:02d}"))
         if result.solutions:
             save_solution(result.solutions[-1], out_dir)
@@ -315,7 +313,6 @@ def cmd_solve(config_path) -> int:
         final = result.solutions[-1]
     else:
         final = solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
-        final.meta["seed"] = cfg["seed"]
         save_solution(final, out_dir)
         budget_hit = not final.converged
 

@@ -13,10 +13,6 @@ class SearchBoxTooSmall(CongestionMFGError):
     """Conjugate grid search ended on the boundary of the search box."""
 
 
-class DegenerateDirection(CongestionMFGError):
-    """Monotonicity probe called with the zero direction (z, r) = (0, 0)."""
-
-
 class NewtonDiverged(CongestionMFGError):
     """Newton iteration failed to reduce the residual below tolerance."""
 

@@ -23,6 +23,8 @@ off the stencil is rejected with ``ValueError``.  The coupler passes its
 ``HJBOptions.linear_tol`` as ``tol``: one linear tolerance for both sweeps.
 A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;
 it always raises :class:`NegativeDensity`, a check no option switches off.
+A non-finite frame never comes back: :func:`sparse_solve` raises
+:class:`~congestion_mfg.errors.LinearSolveFailed` on one, in 1D and 2D.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LinearSolveFailed, NegativeDensity
+from .errors import NegativeDensity
 from .grid import NEGATIVE_TOL, GridSpec, _nonnegative, implicit_heat_data
 from .grid import stencil_data, stencil_pattern
 from .linalg import sparse_solve
@@ -55,8 +57,6 @@ def fpk_step(
     )
     m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, params.nu, tol=tol)
     m = m_vec.reshape(grid.shape)
-    if not np.isfinite(m).all():
-        raise LinearSolveFailed("non-finite density after the implicit step")
     if float(m.min()) < -NEGATIVE_TOL:
         raise NegativeDensity(f"min density {m.min():.3e} below tolerance")
     return m

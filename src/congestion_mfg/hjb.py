@@ -5,9 +5,10 @@ discretization,
 
     (u - u_next)/dt - nu L u + g(T_{1/eps} m, D u) = F_eff(m)
 
-where ``g`` is the Godunov numerical Hamiltonian: the congestion power law of
-:mod:`congestion_mfg.model` evaluated at the composite upwind ``q`` of
-:func:`congestion_mfg.grid.upwind_parts`.  The density inside the
+where ``g`` is the Godunov numerical Hamiltonian: the congestion power law,
+whose one home is :mod:`congestion_mfg.model` (``_congestion_h`` gives ``g``,
+``_congestion_weight`` the factor of ``H_p``), evaluated at the composite
+upwind ``q`` of :func:`congestion_mfg.grid.upwind_parts`.  The density inside the
 Hamiltonian is capped at ``1/eps``, eps = ``params.epsilon`` (0: no cap), and ``F_eff``
 is the running cost smoothed on both sides by the periodic Gaussian mollifier
 when eps > 0 (the cap is never applied inside F).  ``F_eff`` and the terminal
@@ -75,7 +76,8 @@ from .grid import (
     upwind_parts,
 )
 from .linalg import sparse_solve
-from .model import CouplingSpec, ModelParams, _power_law, congestion_denominator
+from .model import CouplingSpec, ModelParams, congestion_denominator
+from .model import _congestion_h, _congestion_weight
 
 __all__ = [
     "HJBOptions",
@@ -114,13 +116,6 @@ class HJBOptions:
             raise ValueError("linear_tol must be positive")
 
 
-def _upwind_weight(q, congestion, params: ModelParams):
-    """q^{beta/2-1}/(T m + mu)^alpha with the singular floor and indicator."""
-    den, active = congestion
-    w = _power_law(q, den, params.beta / 2.0 - 1.0)
-    return w * active if active is not None else w
-
-
 def hamiltonian_values(
     grid: GridSpec, parts, congestion, params: ModelParams
 ) -> np.ndarray:
@@ -129,9 +124,7 @@ def hamiltonian_values(
     ``parts = upwind_parts(grid, u)`` and ``congestion =
     congestion_denominator(m, params)``, as for every kernel here.
     """
-    den, active = congestion
-    out = _power_law(parts[2], den, params.beta / 2.0, params.beta)
-    return out * active if active is not None else out
+    return _congestion_h(parts[2], congestion, params)
 
 
 def transport_jacobian(
@@ -144,7 +137,7 @@ def transport_jacobian(
     identity for the beta-homogeneous g one has  A u = beta * g  exactly.
     """
     dm, dp, q = parts
-    w = _upwind_weight(q, congestion, params)
+    w = _congestion_weight(q, congestion, params)
     dim, h = grid.dim, grid.h
     pattern = stencil_pattern(grid)
     # one row per offset, as in ``pattern.slots``: cell, lower, upper
@@ -165,7 +158,7 @@ def drift_field(
 ) -> np.ndarray:
     """Upwind drift -H_p(T m, Du), one component per dimension."""
     dm, dp, q = parts
-    return -_upwind_weight(q, congestion, params) * (dm + dp)
+    return -_congestion_weight(q, congestion, params) * (dm + dp)
 
 
 def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.ndarray:

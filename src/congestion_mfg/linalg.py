@@ -13,11 +13,12 @@ strictly diagonally dominant, the HJB ones by rows (nonpositive
 off-diagonals, row sums ``1/dt``) and the Kolmogorov ones by columns, so it
 is nonsingular and its pivoted LU is stable.  Any other system, such as a
 caller's own, is checked on its true residual as a 2D one is, and one with
-a non-finite entry raises :class:`LinearSolveFailed`.  :func:`splu` loads
-LAPACK on the first 1D factorization, through a cached loader, at about
-0.1 us a call: a 2D solve, bundle save and load, ``apriori_report``,
-``check`` and ``diagnose`` never import ``scipy.linalg`` and the
-scipy-bundled BLAS it brings, which is 10 MB of a 2D run's peak RSS.
+a non-finite entry raises :class:`LinearSolveFailed`, as does a non-finite
+solution, such as a NaN or an infinity in the right-hand side gives.
+:func:`splu` loads LAPACK on the first 1D factorization, through a cached
+loader, at about 0.1 us a call: a 2D solve, bundle save and load,
+``apriori_report``, ``check`` and ``diagnose`` never import ``scipy.linalg``
+and the scipy-bundled BLAS it brings, which is 10 MB of a 2D run's peak RSS.
 
 2D systems use BiCGStab preconditioned by the exact inverse of the heat
 operator ``I/dt - nu L``.
@@ -79,11 +80,15 @@ def sparse_solve(
     """Solve ``mat x = rhs`` for a system ``I/dt - nu L + T`` on ``grid``.
 
     A 2D solve, and a 1D one whose system is not strictly diagonally
-    dominant, must meet ``tol`` on its true residual.
+    dominant, must meet ``tol`` on its true residual; a non-finite solution
+    raises :class:`LinearSolveFailed` in both dimensions.
     """
     if grid.dim == 1:
         lu = splu(grid, mat)
         x = lu.solve(rhs)
+        # x.dot(x) is finite for finite entries below about 1e150; isfinite settles the rest
+        if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):
+            raise LinearSolveFailed("non-finite solution of the 1D system")
         if lu.dominant:
             return x
     atol = tol * (math.sqrt(rhs.dot(rhs)) + 1.0)
@@ -160,7 +165,7 @@ class PeriodicTridiagonalLU:
         w = np.zeros(len(diag))
         w[0], w[-1] = gamma, lower_corner
         z, _ = self._dgttrs(*self._factors, w, overwrite_b=1)
-        self._ratio = upper_corner / gamma
+        self._ratio = float(upper_corner / gamma)
         denominator = 1.0 + z[0] + self._ratio * z[-1]
         if denominator == 0:
             raise LinearSolveFailed("singular periodic tridiagonal system")
@@ -170,7 +175,8 @@ class PeriodicTridiagonalLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``B^{-1} rhs`` for a flat ``rhs``."""
         y, _ = self._dgttrs(*self._factors, rhs)
-        y -= (y[0] + self._ratio * y[-1]) * self._correction
+        # in Python floats, 0 * inf is NaN without a warning; the caller checks y
+        y -= (y.item(0) + self._ratio * y.item(-1)) * self._correction
         return y
 
 

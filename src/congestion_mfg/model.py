@@ -10,6 +10,11 @@ whose convex conjugate is the movement cost
 regime where H is undefined at ``m = 0``; guarded evaluations floor the
 density at ``m_floor`` and carry an ``m > m_floor`` activity indicator.
 
+The power law lives here once: :func:`_congestion_h` gives H and
+:func:`_congestion_weight` the factor of ``H_p`` on a ``(den, active)`` pair,
+masked by ``active``; ``eval_H``, ``eval_Hp``, the guarded evaluation and the
+HJB kernels all call them.
+
 Everything in this module is a pure function of its arguments and safe to
 call concurrently.
 """
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateDirection, SearchBoxTooSmall, SingularEvaluation
+from .errors import SearchBoxTooSmall, SingularEvaluation
 
 __all__ = [
     "ModelParams",
@@ -31,8 +36,6 @@ __all__ = [
     "eval_Hp",
     "check_structure",
     "legendre_residual",
-    "h_monotone_probe",
-    "MonotoneProbeResult",
     "uniqueness_integrand",
     "congestion_denominator",
 ]
@@ -46,10 +49,10 @@ class ModelParams:
     ``mu`` the congestion offset (0 flags the singular regime), ``nu`` the
     diffusion coefficient, ``horizon`` the time horizon T, and ``epsilon`` the
     scheme's width: density cap ``1/epsilon`` inside H, coupling mollifier.  Derived
-    quantities (Lagrangian exponent/normalization, sharp growth constants for
-    the power family) are exposed as properties.  Out-of-range ``beta`` or
-    ``alpha`` are representable so that :func:`check_structure` can report on
-    them; the solvers reject them at entry.
+    quantities (Lagrangian exponent/normalization, the gradient-square
+    constants of the power family) are exposed as properties.  Out-of-range
+    ``beta`` or ``alpha`` are representable so that :func:`check_structure`
+    can report on them; the solvers reject them at entry.
     """
 
     nu: float
@@ -92,30 +95,6 @@ class ModelParams:
     @property
     def is_singular(self) -> bool:
         return self.mu == 0.0
-
-    # -- sharp structural constants for the power family ------------------
-    @property
-    def c0(self) -> float:
-        """Coercivity constant: H >= c0 |p|^beta/(m+mu)^alpha."""
-        return 1.0 / self.beta
-
-    @property
-    def c1(self) -> float:
-        return 0.0
-
-    @property
-    def c2(self) -> float:
-        """Gradient growth constant: |H_p| <= c2 (1 + |p|^{beta-1}/(m+mu)^alpha)."""
-        return 1.0
-
-    @property
-    def c3(self) -> float:
-        return 0.0
-
-    @property
-    def sigma(self) -> float:
-        """Convexity surplus: H_p . p = (1 + sigma) H exactly, sigma = beta - 1."""
-        return self.beta - 1.0
 
     @property
     def hp2_constants(self) -> tuple[float, float, float]:
@@ -212,31 +191,26 @@ def _as_density_gradient(m, p):
 
 
 def _paper_h_parts(m, p, params: ModelParams):
-    """``(p, |p|^2, (m + mu)^alpha)`` of the paper's H, which is undefined
-    where ``mu = 0``, ``m = 0`` and ``p != 0``."""
+    """``(p, |p|^2, ((m + mu)^alpha, None))`` of the paper's H, which is
+    undefined where ``mu = 0``, ``m = 0`` and ``p != 0``."""
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
     if params.mu == 0.0 and np.any((m <= 0.0) & (pnorm2 > 0.0)):
         raise SingularEvaluation(
             "H undefined: mu = 0 with zero density and nonzero gradient"
         )
-    return p, pnorm2, (m + params.mu) ** params.alpha
+    return p, pnorm2, ((m + params.mu) ** params.alpha, None)
 
 
 def _power_law(q, den, exponent: float, scale: float = 1.0):
-    """``q**exponent / (scale * den)`` where ``q > 0``, else 0.
-
-    The one evaluation of the congestion power law, with ``q = |p|^2``:
-    exponent ``beta/2`` and scale ``beta`` give H, exponent ``beta/2 - 1``
-    gives the factor of ``H_p = factor * p``.  Cells with ``q = 0`` get the
-    ``p = 0`` extension 0 without reading ``den``, which may vanish there in
-    the singular regime.  Each caller supplies its own denominator.
+    """``q**exponent / (scale * den)`` where ``q > 0``, else 0: the congestion
+    power law at ``q = |p|^2``, extended by 0 at ``p = 0``.
 
     Evaluated in place on a zero-initialised output with ``where=q > 0``:
     the power and the division run only on the positive cells, so
-    ``0**negative`` is never formed and ``den`` is never read where
-    ``q = 0``, and no masked copies are gathered or scattered.  The operands
-    are broadcast only when their shapes differ.
+    ``0**negative`` is never formed and ``den``, which may vanish there in
+    the singular regime, is never read where ``q = 0``.  The operands are
+    broadcast only when their shapes differ.
     """
     if np.shape(q) != np.shape(den):
         q, den = np.broadcast_arrays(q, den)
@@ -245,21 +219,35 @@ def _power_law(q, den, exponent: float, scale: float = 1.0):
     return np.divide(out, den if scale == 1.0 else scale * den, out=out, where=mask)
 
 
+def _congestion_h(q, congestion, params: ModelParams):
+    """H = q^{beta/2}/(beta den) on a ``(den, active)`` pair, masked by ``active``."""
+    den, active = congestion
+    out = _power_law(q, den, params.beta / 2.0, params.beta)
+    return out * active if active is not None else out
+
+
+def _congestion_weight(q, congestion, params: ModelParams):
+    """Factor q^{beta/2-1}/den of ``H_p = factor * p``, masked likewise."""
+    den, active = congestion
+    out = _power_law(q, den, params.beta / 2.0 - 1.0)
+    return out * active if active is not None else out
+
+
 def eval_H(m, p, params: ModelParams):
     """H(m, p) = (1/beta) |p|^beta / (m + mu)^alpha, with H(m, 0) = 0.
 
     ``p`` has the component axis first; scalars broadcast.  Raises
     :class:`SingularEvaluation` in the singular regime at ``m = 0, p != 0``.
     """
-    _, pnorm2, den = _paper_h_parts(m, p, params)
-    out = _power_law(pnorm2, den, params.beta / 2.0, params.beta)
+    _, pnorm2, congestion = _paper_h_parts(m, p, params)
+    out = _congestion_h(pnorm2, congestion, params)
     return float(out) if out.ndim == 0 else out
 
 
 def eval_Hp(m, p, params: ModelParams):
     """Gradient H_p = |p|^{beta-2} p / (m + mu)^alpha, extended by 0 at p = 0."""
-    p, pnorm2, den = _paper_h_parts(m, p, params)
-    return _power_law(pnorm2, den, params.beta / 2.0 - 1.0) * p
+    p, pnorm2, congestion = _paper_h_parts(m, p, params)
+    return _congestion_weight(pnorm2, congestion, params) * p
 
 
 def congestion_denominator(m, params: ModelParams):
@@ -283,13 +271,9 @@ def _guarded_h_hp(m, p, params: ModelParams):
     """Vectorized model (H, H_p), without the scheme's cap, floor-guarded."""
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
-    den, active = congestion_denominator(m, replace(params, epsilon=0.0))
-    hval = _power_law(pnorm2, den, params.beta / 2.0, params.beta)
-    factor = _power_law(pnorm2, den, params.beta / 2.0 - 1.0)
-    if active is not None:
-        hval = hval * active
-        factor = factor * active
-    return hval, factor * p
+    congestion = congestion_denominator(m, replace(params, epsilon=0.0))
+    hval = _congestion_h(pnorm2, congestion, params)
+    return hval, _congestion_weight(pnorm2, congestion, params) * p
 
 
 # ---------------------------------------------------------------------------
@@ -424,47 +408,8 @@ def legendre_residual(
 
 
 # ---------------------------------------------------------------------------
-# Uniqueness monotonicity probes
+# Uniqueness bracket
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotoneProbeResult:
-    monotone: bool
-    min_slope: float
-
-
-def h_monotone_probe(
-    m: float,
-    z: float,
-    p,
-    r,
-    params: ModelParams,
-    coupling: CouplingSpec,
-    n_samples: int = 101,
-) -> MonotoneProbeResult:
-    """Sample h(s) = -z H(m_s, p_s) + m_s H_p(m_s, p_s).r + z F(m_s) on [0, 1].
-
-    ``m_s = m + s z``, ``p_s = p + s r``.  Monotone means every consecutive
-    difference is positive; ``min_slope`` is the smallest difference quotient.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if z == 0.0 and not np.any(r):
-        raise DegenerateDirection("probe direction (z, r) = (0, 0)")
-    if z < -m:
-        raise ValueError("z >= -m required so the segment density stays nonnegative")
-    s = np.linspace(0.0, 1.0, n_samples)
-    ms = m + s * z
-    ps = p[:, None] + r[:, None] * s
-    hvals = eval_H(ms, ps, params)
-    hp = eval_Hp(ms, ps, params)
-    h = -z * hvals + ms * (hp * r[:, None]).sum(axis=0) + z * coupling.f(ms)
-    diffs = np.diff(h)
-    step = s[1] - s[0]
-    return MonotoneProbeResult(
-        monotone=bool(np.all(diffs > 0.0)), min_slope=float(diffs.min() / step)
-    )
 
 
 def _uniqueness_bracket(m1, p1, m2, p2, params: ModelParams, coupling: CouplingSpec):
@@ -487,7 +432,9 @@ def uniqueness_integrand(m1, p1, m2, p2, params: ModelParams, coupling: Coupling
         E = -(H1 - H2)(m1 - m2) + (m1 H_p1 - m2 H_p2).(p1 - p2)
             + (F(m1) - F(m2))(m1 - m2),
 
-    nonnegative exactly when the segment monotonicity condition holds.
+    nonnegative exactly when the segment monotonicity condition holds: on
+    consecutive samples ``s + delta, s`` of ``(m + s z, p + s r)`` it is
+    ``delta`` times the increment of ``h(s) = -z H + m_s H_p.r + z F(m_s)``.
     Vectorized over trailing axes; gradients carry the component axis first.
     Singular-regime inputs are evaluated with the floor guard.
     """

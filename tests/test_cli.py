@@ -73,6 +73,18 @@ class TestConfigParsing:
             parse_config(path)
         assert err.value.line == 2
 
+    def test_seed_is_an_unknown_key(self, tmp_path):
+        # nothing in a solve is random; the key was only copied into meta.json
+        out_dir = tmp_path / "out"
+        path = write_config(
+            tmp_path, "n = 8\nnt = 8\nseed = 1\noutput_dir = {out}\n", out=out_dir
+        )
+        proc = run_cli("solve", path)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "line 3: unknown key 'seed'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out_dir.exists()
+
     def test_lists_and_bools(self, tmp_path):
         path = write_config(
             tmp_path, "epsilons = 0.1, 0.05\nwarm_start = false\ncontinuation = true\n"
@@ -142,6 +154,7 @@ class TestCmdSolve:
         assert meta["converged"] is True
         assert {"epsilon", "mu", "increments", "newton_residual_max",
                 "wall_time_seconds"} <= set(meta)
+        assert "seed" not in meta
         for name in ("u.csv", "m.csv", "policy.csv"):
             assert (out_dir / name).exists()
 
@@ -216,6 +229,15 @@ class TestCmdDiagnose:
         loaded = load_solution(tmp_path / "old")
         assert loaded.params.epsilon == 0.05 and loaded.params == params
         assert apriori_report(loaded).to_flat_dict() == apriori_report(sol).to_flat_dict()
+
+    def test_bundle_with_seed_loads(self, ref32, tmp_path):
+        """Bundles written while the CLI had a ``seed`` key keep it in meta."""
+        save_solution(ref32, tmp_path / "old")
+        meta_path = tmp_path / "old" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "seed": 42}))
+        assert load_solution(tmp_path / "old").meta["seed"] == 42
+        assert cmd_diagnose(str(tmp_path / "old")) == EXIT_OK
 
     def test_single_bundle_report(self, ref32, tmp_path, capsys):
         save_solution(ref32, tmp_path / "b")

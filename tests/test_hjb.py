@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from congestion_mfg import hjb
+from congestion_mfg import hjb, model
 from congestion_mfg.errors import NewtonDiverged, NonFiniteState
 from congestion_mfg.fpk import NEGATIVE_TOL, solve_fpk_forward
 from congestion_mfg.grid import (
@@ -342,6 +342,29 @@ class TestSharedKernelInputs:
             assert calls["sparse_solve"] >= 1
             assert calls["upwind_parts"] == calls["sparse_solve"] + 1
             assert calls["congestion_denominator"] == 1
+
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_one_power_law_call_per_kernel(self, monkeypatch, dim, n, mu):
+        # the congestion power law has one home, in ``model``: each kernel
+        # evaluates the one thing it uses, H or the factor of H_p
+        calls = {"_power_law": 0}
+        original = model._power_law
+
+        def counted(*args, **kwargs):
+            calls["_power_law"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_power_law", counted)
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
+        congestion = congestion_denominator(capped_frame(grid, [dim, n]), params)
+        u = np.random.default_rng([dim, n, 3]).normal(size=grid.shape)
+        parts = upwind_parts(grid, u)
+        for kernel in (hjb.hamiltonian_values, hjb.transport_jacobian, hjb.drift_field):
+            calls["_power_law"] = 0
+            kernel(grid, parts, congestion, params)
+            assert calls == {"_power_law": 1}, kernel.__name__
 
 
 class TestDensityGuard:

@@ -277,13 +277,24 @@ def test_true_residual_is_checked(monkeypatch):
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_non_finite_right_hand_side_raises(entry):
-    grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
-    rhs = np.ones(grid.ncells)
-    rhs[5] = entry
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(LinearSolveFailed, match="non-finite"):
-            linalg.sparse_solve(grid, heat_system(grid, 0.5), rhs, 0.5)
+    """A NaN or infinite entry of ``rhs``, first, interior or last, raises
+    :class:`LinearSolveFailed` without a warning in either dimension.  The
+    1D LU returned an all-NaN ``x`` on the heat system; on a diagonal system
+    a NaN stays in its own entry of ``x``."""
+    for dim, system in ((1, "heat"), (1, "diagonal"), (2, "heat")):
+        grid = GridSpec(dim=dim, n=8, nt=8, horizon=1.0)
+        mat = heat_system(grid, 0.5)
+        if system == "diagonal":
+            data = np.zeros(mat.nnz)
+            data[stencil_pattern(grid).center] = 1 / grid.dt
+            mat = stencil_pattern(grid).csc(data)
+        for where in (0, 5, grid.ncells - 1):
+            rhs = np.ones(grid.ncells)
+            rhs[where] = entry
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(LinearSolveFailed, match="non-finite"):
+                    linalg.sparse_solve(grid, mat, rhs, 0.5)
 
 
 def test_loop_defaults_follow_scipy():

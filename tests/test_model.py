@@ -1,4 +1,4 @@
-"""Hamiltonian family, structural checkers, Legendre and monotonicity probes."""
+"""Hamiltonian family, structural checkers, Legendre probe, uniqueness bracket."""
 
 from dataclasses import replace
 
@@ -6,11 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from congestion_mfg.errors import (
-    DegenerateDirection,
-    SearchBoxTooSmall,
-    SingularEvaluation,
-)
+from congestion_mfg.errors import SearchBoxTooSmall, SingularEvaluation
 from congestion_mfg.model import (
     CouplingSpec,
     GridSearchSpec,
@@ -20,7 +16,6 @@ from congestion_mfg.model import (
     congestion_denominator,
     eval_H,
     eval_Hp,
-    h_monotone_probe,
     legendre_residual,
     uniqueness_integrand,
 )
@@ -39,11 +34,14 @@ class TestDerivedConstants:
         assert p.c_beta == pytest.approx(1.0 / p.beta_prime)
 
     def test_sharp_growth_constants(self):
+        # H >= c0 |p|^beta/(m+mu)^alpha - c1 with the sharp c0 = 1/beta, c1 = 0:
+        # the power family attains the bound with equality
         p = make_params(beta=1.8, alpha=0.5)
-        assert p.c0 == pytest.approx(1.0 / 1.8)
-        assert p.c1 == 0.0 and p.c3 == 0.0
-        assert p.c2 == 1.0
-        assert p.sigma == pytest.approx(0.8)
+        m = np.array([0.0, 0.3, 1.0, 7.5])
+        grad = np.array([[0.5, -2.0, 11.0, 1e-3], [1.0, 0.0, -4.0, 2e-3]])
+        pnorm = np.sqrt((grad**2).sum(axis=0))
+        expected = (1.0 / 1.8) * pnorm**1.8 / (m + 1.0) ** 0.5
+        assert np.allclose(eval_H(m, grad, p), expected, rtol=1e-14, atol=0.0)
 
     def test_constructor_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -111,13 +109,15 @@ class TestEvalHp:
         assert lhs == pytest.approx(expected, rel=1e-14)
 
     def test_growth_bound_sampled(self):
+        # |H_p| <= c2 (1 + |p|^{beta-1}/(m+mu)^alpha) + c3, sharp c2 = 1, c3 = 0
         rng = np.random.default_rng(0)
         p = make_params(beta=1.7, alpha=1.2, mu=0.3)
+        c2 = 1.0
         for _ in range(200):
             m = rng.uniform(0, 10)
             grad = rng.normal(size=2) * 10 ** rng.uniform(-3, 2)
             hp = eval_Hp(m, grad, p)
-            bound = p.c2 * (
+            bound = c2 * (
                 1.0 + np.linalg.norm(grad) ** (p.beta - 1.0) / (m + p.mu) ** p.alpha
             )
             assert np.linalg.norm(hp) <= bound * (1 + 1e-12)
@@ -173,8 +173,9 @@ class TestStructuralInvariants:
         hp = eval_Hp(m, grad, p)
         bracket = (hp * grad).sum(axis=0) - h
         assert np.all(bracket >= -1e-12)
-        # the convexity surplus with sigma = beta-1 holds with equality
-        assert np.allclose((hp * grad).sum(axis=0), (1.0 + p.sigma) * h, rtol=1e-12)
+        # H_p.p = (1 + sigma) H with the convexity surplus sigma = beta - 1
+        sigma = beta - 1.0
+        assert np.allclose((hp * grad).sum(axis=0), (1.0 + sigma) * h, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "beta,alpha,mu",
@@ -268,15 +269,22 @@ class TestLegendreResidual:
             legendre_residual(0.2, [50.0], p, GridSearchSpec(radius=1.0))
 
 
+def segment_brackets(m, z, p, r, params, coupling, n_samples=101):
+    """E on consecutive samples of the segment ``(m + s z, p + s r)``,
+    ``s`` in [0, 1]: ``delta`` times the increments of
+    ``h(s) = -z H + m_s H_p.r + z F(m_s)``, so h is increasing along the
+    segment exactly when every value is positive."""
+    s = np.linspace(0.0, 1.0, n_samples)
+    ms = m + s * z
+    ps = np.asarray(p, dtype=float)[:, None] + np.asarray(r, dtype=float)[:, None] * s
+    return uniqueness_integrand(ms[1:], ps[:, 1:], ms[:-1], ps[:, :-1], params, coupling)
+
+
 class TestMonotoneProbe:
     def test_power_model_in_regime(self):
         p = make_params(beta=2.0, alpha=1.0, mu=1.0)
-        res = h_monotone_probe(1.0, 1.0, [1.0, 0.0], [1.0, 0.0], p, CouplingSpec())
-        assert res.monotone and res.min_slope > 0.0
-
-    def test_degenerate_direction(self):
-        with pytest.raises(DegenerateDirection):
-            h_monotone_probe(1.0, 0.0, [0.0], [0.0], make_params(), CouplingSpec())
+        e = segment_brackets(1.0, 1.0, [1.0, 0.0], [1.0, 0.0], p, CouplingSpec())
+        assert np.all(e > 0.0)
 
     def test_violation_found_above_threshold(self):
         # alpha = 3 > 2 = 4(beta-1)/beta for beta = 2: search finds a witness.
@@ -293,17 +301,14 @@ class TestMonotoneProbe:
             grad = np.array([rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(1.5, 3.0)])
             ratio = 1.5 * abs(grad[0]) / (m + 1.0) * 10 ** rng.uniform(-0.3, 0.3)
             r = ratio * z * np.sign(grad)
-            res = h_monotone_probe(m, z, grad, r, p, coupling)
-            if not res.monotone:
-                witness = (m, z, tuple(grad), tuple(r))
+            if not np.all(segment_brackets(m, z, grad, r, p, coupling) > 0.0):
+                witness = (m, z, grad, r)
                 break
         assert witness is not None
         # and the same tuple is fine below the threshold
-        ok = h_monotone_probe(
-            witness[0], witness[1], list(witness[2]), list(witness[3]),
-            make_params(beta=2.0, alpha=2.0, mu=1.0), coupling,
-        )
-        assert ok.monotone
+        below = make_params(beta=2.0, alpha=2.0, mu=1.0)
+        ok = segment_brackets(*witness, below, coupling)
+        assert np.all(ok > 0.0)
 
 
 class TestUniquenessIntegrand:
