@@ -74,6 +74,8 @@ class FixedPointOptions:
             raise ValueError("damping must lie in (0, 1]")
         if self.fp_tol <= 0:
             raise ValueError("fp_tol must be positive")
+        if self.max_outer_iter < 1:
+            raise ValueError("max_outer_iter must be at least 1")
         if self.damping < OMEGA_MIN:
             raise ValueError(f"damping must be at least {OMEGA_MIN:g}")
         if isinstance(self.init_m, str) and self.init_m != "uniform":

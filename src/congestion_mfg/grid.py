@@ -80,14 +80,25 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
+        if not all(isinstance(k, (int, np.integer)) for k in (self.dim, self.n, self.nt)):
+            raise ValueError(f"dim, n and nt must be integers, got {self.dim}, {self.n}, {self.nt}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 4:
             raise ValueError(f"need n >= 4 cells, got {self.n}")
         if self.nt < 2:
             raise ValueError(f"need nt >= 2 time steps, got {self.nt}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        # the caches key on grids: hash the fields once, as the dataclass would
+        object.__setattr__(self, "_hash", hash((self.dim, self.n, self.nt, self.horizon)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled grid hashes in its own process
+        return GridSpec, (self.dim, self.n, self.nt, self.horizon)
 
     @property
     def h(self) -> float:

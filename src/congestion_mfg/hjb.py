@@ -49,10 +49,10 @@ stepper consumes its exact transpose, which closes the diagnostics' discrete
 energy identities up to solver tolerances, and the coupler computes the
 drift ``-H_p`` once from the returned solution.  ``A`` is a data vector on
 the grid's cached stencil pattern (:func:`~congestion_mfg.grid.stencil_pattern`),
-filled as one ``(2*dim + 1, ncells)`` block that one gather puts in slot order;
-each Newton system ``I/dt - nu L + A`` is one more gather and one vector add,
-as CSC.  ``L u`` is the pattern's row sums in 1D and scipy's product in 2D,
-bit-identical and each the faster in its dimension.  Density entries in
+filled as one ``(2*dim + 1, *shape)`` block that one gather puts in slot order;
+each Newton system ``I/dt - nu L + A`` is one more gather of ``A``'s data and
+one vector add, as CSC.  ``L u`` is the pattern's row sums in 1D and scipy's
+product in 2D, bit-identical and each the faster in its dimension.  Density entries in
 ``[-NEGATIVE_TOL, 0)`` (FPK roundoff) count as 0; lower ones raise ``ValueError``.
 """
 
@@ -71,7 +71,6 @@ from .grid import (
     gaussian_smooth,
     implicit_heat_data,
     laplacian_matrix,
-    stencil_data,
     stencil_pattern,
     upwind_parts,
 )
@@ -140,14 +139,15 @@ def transport_jacobian(
     w = _congestion_weight(q, congestion, params)
     dim, h = grid.dim, grid.h
     pattern = stencil_pattern(grid)
-    # one row per offset, as in ``pattern.slots``: cell, lower, upper
-    block = np.empty((2 * dim + 1, grid.ncells))
-    am = np.multiply(w, dm, out=block[1 : 1 + dim].reshape(dm.shape))
-    ap = np.multiply(w, dp, out=block[1 + dim :].reshape(dp.shape))
-    flux = am - ap
-    flux /= h
-    # the cell's entry sums the axes from 0, in axis order
-    np.add.reduce(flux, axis=0, initial=0.0, out=block[0].reshape(grid.shape))
+    # one field per offset, as in ``pattern.slots``: cell, lower, upper
+    block = np.empty((2 * dim + 1, *grid.shape))
+    am = np.multiply(w, dm, out=block[1 : 1 + dim])
+    ap = np.multiply(w, dp, out=block[1 + dim :])
+    # the cell's entry sums the axes' (am - ap)/h in axis order: one in 1D
+    cell = np.subtract(am[0], ap[0], out=block[0])
+    cell /= h
+    for ax in range(1, dim):
+        cell += (am[ax] - ap[ax]) / h
     np.negative(am, out=am)
     block[1:] /= h
     return pattern.csr(block.take(pattern.gather))
@@ -221,8 +221,8 @@ def hjb_step(
             )
         iterations += 1
         jac = transport_jacobian(grid, parts, congestion, params)
-        # I/dt - nu L + A as CSC: heat data is symmetric, A's is read mirrored
-        system = pattern.csc(heat + stencil_data(grid, jac).take(pattern.transpose))
+        # I/dt - nu L + A as CSC: heat data is symmetric, A's own data is read mirrored
+        system = pattern.csc(heat + jac.data.take(pattern.transpose))
         uvec = uvec - sparse_solve(grid, system, res, nu, tol=opts.linear_tol)
         parts, res = residual(uvec)
         # a non-finite entry of uvec makes its residual entry non-finite too

@@ -66,8 +66,8 @@ class ModelParams:
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.mu < 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.epsilon < 0:

@@ -353,6 +353,9 @@ BAD_OPTIONS = {
     # solve_mfg's cold-start ConfigError, raised once the solve has started
     "solve-cold_mu0": ("solve", "mu = 0\n"),
     "study-cold_mu0": ("study", "mu = 0\n"),
+    # no Picard iteration: it wrote a bundle and exited 3
+    "check-max_outer_iter": ("check", "max_outer_iter = 0\n"),
+    "solve-max_outer_iter": ("solve", "max_outer_iter = 0\n"),
 }
 
 
@@ -377,6 +380,22 @@ def test_bad_options_are_rejected(tmp_path, command, options):
     assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
     assert any(line.startswith("rejected: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_non_finite_horizon_is_rejected(tmp_path, command, horizon):
+    """``check`` accepted both; ``solve`` said a nan horizon differed from
+    the grid's nan, and failed a linear solve at an infinite one."""
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"n = 8\nnt = 8\nhorizon = {horizon}\n" + "output_dir = {out}\n", out=out_dir
+    )
+    proc = run_cli(command, path)
+    assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
+    expected = f"rejected: horizon must be positive and finite, got {horizon}"
+    assert expected in proc.stderr.splitlines()
     assert not out_dir.exists()
 
 

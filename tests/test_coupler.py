@@ -275,6 +275,12 @@ class TestSolveMFG:
         with pytest.raises(ConfigError):
             solve_mfg(grid, params, CouplingSpec())
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_empty_picard_budget_rejected(self, budget):
+        # a zero budget ran no iteration and reported a finished solve
+        with pytest.raises(ValueError, match="max_outer_iter must be at least 1"):
+            FixedPointOptions(max_outer_iter=budget)
+
     def test_second_horizon_rejected(self):
         """The solve runs on the grid's horizon, so a model horizon that
         differs would be saved with a solution it did not describe."""

@@ -1,5 +1,9 @@
 """Discrete operator contracts: stencils, upwind differences, smoothing, CSV."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, asdict, replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +53,42 @@ class TestGridSpec:
             GridSpec(dim=1, n=3, nt=4, horizon=1.0)
         with pytest.raises(ValueError):
             GridSpec(dim=1, n=8, nt=1, horizon=1.0)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # nan passed every check and then differed from itself; inf gave
+        # dt = inf and a linear solve that missed its residual by 1e13
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            GridSpec(dim=1, n=8, nt=8, horizon=horizon)
+
+    @pytest.mark.parametrize("field, value", [("n", 8.5), ("nt", 8.5), ("dim", 1.0)])
+    def test_non_integral_counts_rejected(self, field, value):
+        args = {"dim": 1, "n": 8, "nt": 8, "horizon": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be integers"):
+            GridSpec(**args)
+
+    def test_numpy_integers_accepted(self):
+        grid = GridSpec(dim=np.int64(1), n=np.int64(8), nt=np.int32(8), horizon=1.0)
+        assert grid == GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+
+    def test_hash_equality_replace_and_pickle(self):
+        """The hash is computed once, at construction; it is the dataclass
+        hash of the fields, equal grids share it, and ``replace``, copies
+        and pickles rebuild it."""
+        grid = GridSpec(dim=2, n=8, nt=4, horizon=2.0)
+        assert hash(grid) == hash((2, 8, 4, 2.0))
+        same = GridSpec(dim=2, n=8, nt=4, horizon=2.0)
+        assert grid == same and hash(grid) == hash(same) and {grid: 1}[same] == 1
+        assert grid != GridSpec(dim=2, n=8, nt=4, horizon=1.0)
+        finer = replace(grid, n=16)
+        assert finer == GridSpec(dim=2, n=16, nt=4, horizon=2.0)
+        assert hash(finer) == hash((2, 16, 4, 2.0))
+        for copied in (pickle.loads(pickle.dumps(grid)), copy.copy(grid), copy.deepcopy(grid)):
+            assert copied == grid and hash(copied) == hash(grid)
+        assert asdict(grid) == dict(dim=2, n=8, nt=4, horizon=2.0)
+        assert repr(grid) == "GridSpec(dim=2, n=8, nt=4, horizon=2.0)"
+        with pytest.raises(FrozenInstanceError):
+            grid.n = 16
 
 
 class TestLaplacian:

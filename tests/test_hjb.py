@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from congestion_mfg import hjb, model
+from congestion_mfg import fpk, hjb, linalg, model
 from congestion_mfg.errors import NewtonDiverged, NonFiniteState
 from congestion_mfg.fpk import NEGATIVE_TOL, solve_fpk_forward
 from congestion_mfg.grid import (
@@ -365,6 +365,104 @@ class TestSharedKernelInputs:
             calls["_power_law"] = 0
             kernel(grid, parts, congestion, params)
             assert calls == {"_power_law": 1}, kernel.__name__
+
+
+def parent_transport_data(grid, parts, congestion, params):
+    """``transport_jacobian``'s data as first written: a ``(dim, n)`` flux,
+    summed into the cell's entry from 0 by ``add.reduce``, which turns a
+    ``-0.0`` into ``+0.0``."""
+    dm, dp, q = parts
+    w = model._congestion_weight(q, congestion, params)
+    dim, h, pattern = grid.dim, grid.h, stencil_pattern(grid)
+    block = np.empty((2 * dim + 1, grid.ncells))
+    am = np.multiply(w, dm, out=block[1 : 1 + dim].reshape(dm.shape))
+    ap = np.multiply(w, dp, out=block[1 + dim :].reshape(dp.shape))
+    flux = am - ap
+    flux /= h
+    np.add.reduce(flux, axis=0, initial=0.0, out=block[0].reshape(grid.shape))
+    np.negative(am, out=am)
+    block[1:] /= h
+    return block.take(pattern.gather)
+
+
+def stencil_data_systems(grid, data, nu):
+    """The Newton and Kolmogorov systems assembled through ``stencil_data``
+    from the generator data ``data``, as CSC data vectors."""
+    pattern, heat = stencil_pattern(grid), implicit_heat_data(grid, nu)
+    generator = stencil_data(grid, pattern.csr(data))
+    return heat + generator.take(pattern.transpose), heat + generator
+
+
+class TestAssemblyParity:
+    """The Newton system reads the generator's data as it stands, and the
+    generator's cell entry is its axes' differences without a sum from 0:
+    the systems equal the ``stencil_data`` assembly of the generator as
+    first written, bit for bit, and the generator equals it as values."""
+
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    @pytest.mark.parametrize("dim,n", [(1, 5), (1, 16), (1, 64), (2, 5), (2, 8)])
+    def test_systems_equal_the_reference_assembly(self, monkeypatch, dim, n, mu):
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0)
+        rng = np.random.default_rng([dim, n, 5])
+        m = capped_frame(grid, [dim, n, 5])
+        u_next = rng.normal(size=grid.shape)
+        u_next[rng.random(grid.shape) < 0.4] = -0.0
+        if mu == 0.0:
+            assert (m == 0.0).any()
+        generators, solves = [], {"hjb": [], "fpk": []}
+        jacobian = hjb.transport_jacobian
+
+        def recording_jacobian(*args):
+            generators.append((args, jacobian(*args)))
+            return generators[-1][1]
+
+        monkeypatch.setattr(hjb, "transport_jacobian", recording_jacobian)
+        for name, module in (("hjb", hjb), ("fpk", fpk)):
+            def recording_solve(grid, mat, rhs, nu, tol, _solves=solves[name]):
+                _solves.append(mat)
+                return sparse_solve(grid, mat, rhs, nu, tol=tol)
+
+            monkeypatch.setattr(module, "sparse_solve", recording_solve)
+        f_level = COUPLING.f(m)
+        _, transport, _ = hjb_step(grid, u_next, m, params, f_level, HJBOptions())
+        fpk.fpk_step(grid, m, transport, params)
+        # one generator per Newton system, and one at the converged state
+        assert len(generators) == len(solves["hjb"]) + 1 >= 2
+        band_slots = linalg._band_slots(stencil_pattern(grid))
+        for (args, jac), newton in zip(generators, solves["hjb"] + [None]):
+            parent = parent_transport_data(*args)
+            assert np.array_equal(jac.data, parent)
+            ref_newton, ref_kolmogorov = stencil_data_systems(grid, parent, params.nu)
+            if newton is None:
+                [newton] = solves["fpk"]
+                ref_newton = ref_kolmogorov
+            assert_bits_equal(newton.data, ref_newton)
+            if dim == 1:
+                assert_bits_equal(newton.data.take(band_slots), ref_newton.take(band_slots))
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_signed_zero_parts_give_equal_values(self, dim, n):
+        """Hand-made parts with ``-0.0`` differences: the cell entry keeps
+        the sign a direct difference gives, equal as a value, and the
+        systems built on it are those of the sum from 0, bit for bit."""
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0)
+        rng = np.random.default_rng([dim, n, 6])
+        shape = (dim, *grid.shape)
+        dm = np.where(rng.random(shape) < 0.5, -0.0, rng.random(shape))
+        dp = np.where(rng.random(shape) < 0.5, 0.0, -rng.random(shape))
+        parts = (dm, dp, (dm**2 + dp**2).sum(axis=0))
+        congestion = congestion_denominator(1.0 + rng.random(grid.shape), params)
+        got = transport_jacobian(grid, parts, congestion, params).data
+        parent = parent_transport_data(grid, parts, congestion, params)
+        assert np.array_equal(got, parent)
+        assert (np.signbit(got) != np.signbit(parent)).any()
+        for system, ref in zip(
+            stencil_data_systems(grid, got, params.nu),
+            stencil_data_systems(grid, parent, params.nu),
+        ):
+            assert_bits_equal(system, ref)
 
 
 class TestDensityGuard:

@@ -265,6 +265,122 @@ def test_1d_solves_match_superlu(n):
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+class ReferencePeriodicLU(linalg.PeriodicTridiagonalLU):
+    """The factorization as first written: both margin sets reduced at once,
+    rows and columns alike, and the scalars as numpy 0-d values."""
+
+    def __init__(self, bands):
+        diag, upper_corner, lower_corner = bands[0], bands[1, 0], bands[3, -1]
+        size = np.abs(bands)
+        margins = size[0] - size[1:3] - size[3:]
+        self.dominant = margins.min(axis=1).max() > 0 and margins.max() < np.inf
+        if not (self.dominant or np.isfinite(bands).all()):
+            raise LinearSolveFailed("non-finite entry in the 1D system")
+        gamma = -diag[0] if diag[0] else -1.0
+        diag[0] -= gamma
+        diag[-1] -= lower_corner * upper_corner / gamma
+        dgttrf, self._dgttrs = linalg._lapack()
+        *self._factors, info = dgttrf(bands[4, :-1], diag, bands[3, :-1], 1, 1, 1)
+        if info != 0:
+            raise LinearSolveFailed(f"dgttrf returned info={info}")
+        w = np.zeros(len(diag))
+        w[0], w[-1] = gamma, lower_corner
+        z, _ = self._dgttrs(*self._factors, w, overwrite_b=1)
+        self._ratio = float(upper_corner / gamma)
+        denominator = 1.0 + z[0] + self._ratio * z[-1]
+        if denominator == 0:
+            raise LinearSolveFailed("singular periodic tridiagonal system")
+        z /= denominator
+        self._correction = z
+
+
+def periodic_bands(lower, diag, upper):
+    """The ``(5, n)`` bands of the periodic tridiagonal with ``B[i,i-1] =
+    lower[i]``, ``B[i,i] = diag[i]`` and ``B[i,i+1] = upper[i]``."""
+    return np.stack([diag, lower, np.roll(upper, 1), upper, np.roll(lower, -1)])
+
+
+def certificate_cases(n):
+    """Named seeded bands: dominant by rows only, by columns only and by
+    neither; non-finite entries on and off the diagonal; margins that
+    overflow, exact ties, zero rows, signed zeros; and unrelated bands."""
+    rng = np.random.default_rng(n)
+    lower, upper = -rng.random(n) - 0.5, -rng.random(n) - 0.5
+    lower[0] = -4.0  # B[0,n-1]: row 0 carries it, column n-1 cannot
+    rows = lower + upper
+    cols = np.roll(lower, -1) + np.roll(upper, 1)
+    cases = {
+        "rows": periodic_bands(lower, 0.25 - rows, upper),
+        "columns": periodic_bands(lower, 0.25 - rows, upper)[[0, 2, 1, 4, 3]],
+        "neither": periodic_bands(lower, 0.5 * (-rows - cols), upper),
+        "tie": periodic_bands(-np.ones(n), np.full(n, 2.0), -np.ones(n)),
+        # (1 - 0.7) - 0.3 > 0 while 1 - (0.7 + 0.3) == 0: the subtraction order
+        # counts; row 0's larger margin keeps the matrix nonsingular
+        "rounding_tie": periodic_bands(
+            np.full(n, -0.7), np.ones(n), np.where(np.arange(n) == 0, -0.1, -0.3)
+        ),
+        "zero_row": periodic_bands(lower, 0.25 - rows, upper),
+        "signed_zeros": periodic_bands(np.full(n, -0.0), np.full(n, 1.0), np.zeros(n)),
+        "negative_zero_corner": periodic_bands(np.full(n, -0.0), np.full(n, -0.0), upper),
+        "overflow": periodic_bands(np.full(n, -1.5e308), np.full(n, 1e308), np.full(n, -1.5e308)),
+        "huge_dominant": periodic_bands(lower, np.full(n, 1.7e308), upper),
+        "unrelated": rng.normal(size=(5, n)),
+        "unrelated_heavy_diagonal": rng.normal(size=(5, n)) + [[2.0 * n], [0], [0], [0], [0]],
+    }
+    cases["zero_row"][:, 0] = 0.0
+    dominant = cases["rows"]
+    for name, zero in (("zero_first_diagonal", 0.0), ("negative_zero_first_diagonal", -0.0)):
+        cases[name] = dominant.copy()
+        cases[name][0, 0] = zero  # the corner correction's gamma falls back to -1
+    # bands that no matrix has: a column's entry apart from its row's copy
+    for name, row, entry in (("nan_column_only", 2, np.nan), ("inf_column_only", 4, np.inf)):
+        cases[name] = dominant.copy()
+        cases[name][row, 1] = entry
+    for entry in (np.nan, np.inf, -np.inf):
+        for row, col, where in ((0, 2, "diagonal"), (1, 2, "lower"), (3, n - 1, "corner")):
+            bands = dominant.copy()
+            bands[row, col] = entry
+            cases[f"{entry}_{where}"] = bands
+        # an infinite diagonal entry beside an infinite neighbour: inf - inf
+        bands = dominant.copy()
+        bands[0, 1] = bands[1, 1] = entry
+        cases[f"{entry}_diagonal_and_lower"] = bands
+    return cases
+
+
+def outcome(kind, bands, rhs):
+    """``(dominant, solution bits)`` of a factorization and solve, or the
+    error they raise, with numpy's floating-point warnings off for both."""
+    with np.errstate(all="ignore"):
+        try:
+            lu = kind(bands.copy())
+        except LinearSolveFailed as exc:
+            return str(exc)
+        return lu.dominant, lu.solve(rhs.copy()).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_certificate_matches_the_reference_margins(n):
+    """Rows first, then columns: on every case the dominance flag and the
+    raise or solve are those of the formula that reduced both margin sets."""
+    cases = certificate_cases(n)
+    for name, by_rows_by_columns in [
+        ("rows", [True, False]), ("columns", [False, True]), ("neither", [False, False])
+    ]:
+        size = np.abs(cases[name])
+        margins = size[0] - size[1:3] - size[3:]
+        assert list(margins.min(axis=1) > 0) == by_rows_by_columns
+    rhs = np.random.default_rng(n + 1).normal(size=n)
+    got = {}
+    for name, bands in cases.items():
+        got[name] = outcome(linalg.PeriodicTridiagonalLU, bands, rhs)
+        assert got[name] == outcome(ReferencePeriodicLU, bands, rhs), name
+    assert got["rows"][0] and got["columns"][0] and not got["neither"][0]
+    assert got["huge_dominant"][0] and got["rounding_tie"][0] and not got["overflow"][0]
+    assert got["nan_lower"] == got["inf_diagonal"] == "non-finite entry in the 1D system"
+    assert got["nan_column_only"] == got["nan_lower"] and got["inf_column_only"][0]
+
+
 def test_true_residual_is_checked(monkeypatch):
     """A loop that reports success with a wrong or NaN ``x`` is caught."""
     grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)

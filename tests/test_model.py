@@ -53,6 +53,11 @@ class TestDerivedConstants:
         with pytest.raises(ValueError, match="epsilon"):
             ModelParams(nu=1.0, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0, epsilon=-0.1)
 
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            make_params(horizon=horizon)
+
 
 class TestEvalH:
     def test_zero_gradient(self):
