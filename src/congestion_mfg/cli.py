@@ -33,7 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bundles import load_solution, save_solution
+from .bundles import load_solution, read_frame_csv, save_solution
 from .coupler import (
     ContinuationSchedule,
     FixedPointOptions,
@@ -43,7 +43,7 @@ from .coupler import (
 from .diagnostics import apriori_report, crossed_energy_gap, energy_identity_residual
 from .diagnostics import uniqueness_gap
 from .errors import ConfigError, ConfigParseError, CongestionMFGError, GridMismatch
-from .grid import GridSpec, l1_space_time, read_frame_csv, restrict_traj
+from .grid import GridSpec, l1_space_time, restrict_traj
 from .hjb import HJBOptions
 from .model import CouplingSpec, ModelParams, check_structure
 
@@ -139,7 +139,7 @@ _DENSITY_SPEC = re.compile(r"^(uniform|cosine_bump\(([^)]*)\)|file\(([^)]*)\))$"
 
 
 def density_from_spec(spec: str, grid: GridSpec) -> np.ndarray:
-    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV)."""
+    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV on ``grid``)."""
     match = _DENSITY_SPEC.match(spec.strip())
     if not match:
         raise ConfigError(f"bad density spec {spec!r}")
@@ -157,12 +157,9 @@ def density_from_spec(spec: str, grid: GridSpec) -> np.ndarray:
         bump += amp * wave
         return bump
     try:
-        dim, n, frame = read_frame_csv(match.group(3))
+        return read_frame_csv(match.group(3), grid)
     except OSError as exc:
         raise ConfigParseError(f"cannot read density file: {exc}") from exc
-    if (dim, n) != (grid.dim, grid.n):
-        raise ConfigError("density file grid does not match the run grid")
-    return frame
 
 
 def _build(cfg: dict):

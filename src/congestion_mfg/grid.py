@@ -39,10 +39,10 @@ a scipy routine that checks it, such as scipy's own sparse LU, never
 rescans a pattern matrix for duplicates.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
-:func:`implicit_heat_data`, the Gaussian kernel's spectrum in
-:func:`gaussian_smooth` and the coordinate text of :func:`write_field_csv`
-depend only on the grid and fixed parameters; they are cached and read-only,
-so a caller that needs to change one works on a copy.
+:func:`implicit_heat_data` and the Gaussian kernel's spectrum in
+:func:`gaussian_smooth` depend only on the grid and fixed parameters; they
+are cached and read-only, so a caller that needs to change one works on a
+copy.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ __all__ = [
     "gaussian_smooth",
     "integrate",
     "l1_space_time",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 
@@ -443,82 +441,3 @@ def restrict_traj(fine: GridSpec, traj: np.ndarray, factor: int) -> np.ndarray:
     if fine.dim == 1:
         return sub.reshape(sub.shape[0], nc, factor).mean(axis=2)
     return sub.reshape(sub.shape[0], nc, factor, nc, factor).mean(axis=(2, 4))
-
-
-# ---------------------------------------------------------------------------
-# CSV export: header ``t,x[,y],value``, one row per cell per time level,
-# 17 significant digits so stored doubles reparse bit-identically.
-# ---------------------------------------------------------------------------
-
-
-def write_field_csv(path, grid: GridSpec, traj: np.ndarray) -> None:
-    """Space-time field (or a single frame, written at t = 0) to CSV.
-
-    Each frame is written as one string, formatted by a single ``%`` pass
-    over the frame's values: its time stamp, then the grid's cached row text
-    (:func:`_frame_rows`) with the stamp after each newline.  Only one frame's
-    text is held at a time.  ``%.17g`` and ``format(v, ".17g")`` print every
-    double alike, so the bytes are those of a per-value ``f"{v:.17g}"`` loop.
-    """
-    traj = np.asarray(traj, dtype=float)
-    if traj.shape == grid.shape:
-        traj = traj[None]
-        times = np.zeros(1)
-    elif traj.shape == (grid.nt + 1, *grid.shape):
-        times = grid.times()
-    else:
-        raise GridShapeError(grid, traj.shape)
-    cols = ["t", "x", "value"] if grid.dim == 1 else ["t", "x", "y", "value"]
-    rows = _frame_rows(grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, frame in zip(times.tolist(), traj):
-            stamp = f"{t:.17g}"
-            fh.write((stamp + stamp.join(rows)) % tuple(frame.ravel().tolist()))
-
-
-@functools.lru_cache(maxsize=32)
-def _frame_rows(grid: GridSpec) -> tuple[str, ...]:
-    """One ``",x[,y],%.17g\\n"`` line per cell, in row-major order; cached per grid."""
-    coords = zip(*(c.ravel().tolist() for c in grid.coords()))
-    return tuple(
-        "," + ",".join(f"{c:.17g}" for c in cell) + ",%.17g\n" for cell in coords
-    )
-
-
-def _read_field_rows(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        dim = len(header) - 2
-        if header[0] != "t" or header[-1] != "value" or dim not in (1, 2):
-            raise ValueError(f"unexpected field CSV header {header!r}")
-        start = fh.tell()
-        if not any(line.strip() for line in iter(fh.readline, "")):
-            raise ValueError("field CSV has no data rows")
-        fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    times = np.unique(data[:, 0])
-    nt = len(times) - 1
-    n = round((data.shape[0] / (nt + 1)) ** (1.0 / dim))
-    shape = (n,) * dim
-    return dim, n, nt, float(times.max()), data[:, -1].reshape(nt + 1, *shape)
-
-
-def read_field_csv(path) -> tuple[GridSpec, np.ndarray]:
-    """Inverse of :func:`write_field_csv`; reconstructs the grid from the rows."""
-    dim, n, nt, horizon, traj = _read_field_rows(path)
-    grid = GridSpec(dim=dim, n=n, nt=nt, horizon=horizon)
-    return grid, traj
-
-
-def read_frame_csv(path) -> tuple[int, int, np.ndarray]:
-    """First time level of a field CSV; accepts single-frame files too."""
-    dim, n, _, _, traj = _read_field_rows(path)
-    return dim, n, traj[0]
-
-
-class GridShapeError(ValueError):
-    def __init__(self, grid: GridSpec, shape):
-        super().__init__(
-            f"expected trajectory shape {(grid.nt + 1, *grid.shape)}, got {shape}"
-        )

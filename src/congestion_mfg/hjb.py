@@ -105,13 +105,13 @@ class HJBOptions:
     linear_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
+        if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.linear_tol <= 0:
+        if not self.linear_tol > 0:
             raise ValueError("linear_tol must be positive")
 
 

@@ -64,15 +64,15 @@ class ModelParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.m_floor <= 0:
+        if not self.m_floor > 0:
             raise ValueError(f"m_floor must be positive, got {self.m_floor}")
         if self.beta == 1.0:
             raise ValueError("beta = 1 is outside the model family")
@@ -139,15 +139,15 @@ class CouplingSpec:
         if self.family not in ("power", "tabulated"):
             raise ValueError(f"unknown coupling family {self.family!r}")
         if self.family == "power":
-            if min(self.cf, self.cg, self.qf, self.qg) < 0:
+            if not all(c >= 0 for c in (self.cf, self.cg, self.qf, self.qg)):
                 raise ValueError("power coupling needs nonnegative cf, cg, qf, qg")
         else:
             for tab in (self.table_f, self.table_g):
                 if len(tab) != len(self.table_s) or len(tab) < 2:
                     raise ValueError("tabulated coupling needs matching tables")
-                if np.any(np.diff(tab) < 0):
+                if not np.all(np.diff(tab) >= 0):
                     raise ValueError("tabulated coupling must be nondecreasing")
-            if np.any(np.diff(self.table_s) <= 0):
+            if not np.all(np.diff(self.table_s) > 0):
                 raise ValueError("table abscissae must be strictly increasing")
 
     def _cost(self, m, coeff, power, offset, table):
@@ -349,7 +349,7 @@ class GridSearchSpec:
     n_refine: int = 200
 
     def __post_init__(self):
-        if self.radius <= 0 or self.n_points < 3:
+        if not self.radius > 0 or self.n_points < 3:
             raise ValueError("need radius > 0 and at least 3 grid points")
 
 

@@ -24,6 +24,13 @@ def cosine_density(grid, amplitude=0.5):
     return 1.0 + amplitude * wave
 
 
+def y_major_rows(path, n):
+    """Rewrite a 2D field CSV with each frame's rows in y-major order (y slowest)."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    frames = np.array(rows, dtype=object).reshape(-1, n, n).transpose(0, 2, 1)
+    path.write_text(header + "".join(frames.ravel()))
+
+
 @pytest.fixture(scope="session")
 def ref32():
     """Converged reference instance on the 32 x 32 space-time grid."""

@@ -11,7 +11,7 @@ import pytest
 
 import congestion_mfg
 
-from congestion_mfg.bundles import load_solution, save_solution
+from congestion_mfg.bundles import load_solution, save_solution, write_field_csv
 from congestion_mfg.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -27,7 +27,9 @@ from congestion_mfg.cli import (
     parse_config,
 )
 from congestion_mfg.errors import ConfigParseError
-from congestion_mfg.grid import GridSpec, write_field_csv
+from congestion_mfg.grid import GridSpec
+
+from conftest import y_major_rows
 
 REFERENCE_CONFIG = """
 # reference congestion instance
@@ -254,6 +256,19 @@ class TestCmdDiagnose:
         assert abs(report["uniqueness_gap"]) <= 1e-12
         assert report["l1_m_gap"] == 0.0
 
+    def test_uneven_time_stamps_cannot_load(self, ref32, tmp_path, capsys):
+        """m.csv stamped t_k = (k dt)^2 once loaded onto the uniform grid."""
+        save_solution(ref32, tmp_path / "b")
+        m_path = tmp_path / "b" / "m.csv"
+        header, *rows = m_path.read_text().splitlines(keepends=True)
+        stamped = (row.split(",", 1) for row in rows)
+        m_path.write_text(header + "".join(f"{float(t) ** 2!r},{rest}" for t, rest in stamped))
+        assert cmd_diagnose(str(tmp_path / "b")) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"cannot load bundle: {m_path}: data row 33 has t = 0.0009765625, "
+            "expected 0.03125 within 0.0078125"
+        ]
+
     def test_missing_bundle_exit_two(self, tmp_path):
         assert cmd_diagnose(str(tmp_path / "nope")) == EXIT_CONFIG
 
@@ -384,6 +399,24 @@ def test_bad_options_are_rejected(tmp_path, command, options):
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize(
+    "option, message",
+    [("mu", "mu must be nonnegative, got nan"), ("newton_tol", "newton_tol must be positive")],
+    ids=["mu", "newton_tol"],
+)
+def test_nan_option_is_rejected(tmp_path, capsys, command, option, message):
+    """NaN fails no ``x <= 0`` test: ``mu = nan`` solved on the singular
+    mu = 0 branch, and ``newton_tol = nan`` accepted every Newton iterate."""
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"n = 8\nnt = 8\n{option} = nan\n" + "output_dir = {out}\n", out=out_dir
+    )
+    assert main([command, path]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err.splitlines() == [f"rejected: {message}"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_non_finite_horizon_is_rejected(tmp_path, command, horizon):
     """``check`` accepted both; ``solve`` said a nan horizon differed from
@@ -454,6 +487,48 @@ def test_header_only_density_file_is_rejected(tmp_path, key):
     assert not out_dir.exists()
 
 
+def test_y_major_density_file_is_rejected(tmp_path, capsys):
+    """The rows of a 2D frame with y slowest once loaded, and solved, as its
+    transpose."""
+    grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
+    x, _ = grid.coords()
+    density = tmp_path / "m0.csv"
+    write_field_csv(density, grid, 1.0 + 0.5 * np.cos(2.0 * np.pi * x))
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"dim = 2\nn = 8\nnt = 8\nm0 = file({density})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    assert main(["check", path]) == EXIT_OK
+    y_major_rows(density, grid.n)
+    capsys.readouterr()
+    assert main(["solve", path]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"rejected: {density}: data row 2 has x = 0.1875, expected 0.0625 within 0.03125"
+    ]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["m0", "init_m"])
+def test_two_frame_density_file_is_rejected(tmp_path, key, capsys):
+    """A density file is one frame at t = 0; the first of two was taken."""
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    density = tmp_path / "two.csv"
+    write_field_csv(density, grid, np.ones(grid.shape))
+    header, *rows = density.read_text().splitlines(keepends=True)
+    density.write_text(header + "".join(rows) + "".join("0.125" + row[1:] for row in rows))
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"n = 8\nnt = 8\n{key} = file({density})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    assert main(["solve", path]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"rejected: {density}: expected 1 frame(s) of 8 rows of 3 values, got 16 rows of 3"
+    ]
+    assert not out_dir.exists()
+
+
 class TestMain:
     def test_dispatch(self, tmp_path, capsys):
         path = write_config(tmp_path, "beta = 2.0\nalpha = 0.5\n")
@@ -477,6 +552,20 @@ class Test2DBundle:
         assert np.array_equal(loaded.m, sol.m)
         assert np.array_equal(loaded.policy, sol.policy)
         assert cmd_diagnose(str(tmp_path / "b2")) == EXIT_OK
+
+    def test_y_major_field_cannot_load(self, tmp_path, capsys):
+        from congestion_mfg import CouplingSpec, ModelParams, solve_mfg
+
+        grid = GridSpec(dim=2, n=8, nt=4, horizon=0.25)
+        params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=0.25)
+        save_solution(solve_mfg(grid, params, CouplingSpec()), tmp_path / "b2")
+        u_path = tmp_path / "b2" / "u.csv"
+        y_major_rows(u_path, grid.n)
+        assert cmd_diagnose(str(tmp_path / "b2")) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"cannot load bundle: {u_path}: data row 2 has x = 0.1875, "
+            "expected 0.0625 within 0.03125"
+        ]
 
     def test_header_only_field_cannot_load(self, tmp_path):
         from congestion_mfg import GridSpec, ModelParams, CouplingSpec, solve_mfg

@@ -16,6 +16,7 @@ from congestion_mfg import (
     solve_with_continuation,
 )
 from congestion_mfg.coupler import _normalized
+from congestion_mfg.diagnostics import uniqueness_gap
 from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
 from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time, restrict_traj
@@ -168,14 +169,33 @@ class TestSolveMFG:
         )
         assert l1_space_time(grid, uniform.m - bump.m) <= 1e-6
 
-    def test_equilibrium_converges_at_first_order(self):
-        """The reference equilibrium at n = nt = 32/64/128/256: the L1(Q_T)
+    def test_initialization_invariance_at_a_long_horizon(self):
+        """c06's two starts and bounds at T = 4, nt = 128 (dt = 1/32): the
+        paper's uniqueness holds with no restriction on the horizon."""
+        grid = GridSpec(dim=1, n=32, nt=128, horizon=4.0)
+        m0 = cosine_density(grid)
+        uniform, bump = (
+            solve_mfg(
+                grid, reference_params(4.0), CouplingSpec(),
+                FixedPointOptions(init_m=init), m0=m0,
+            )
+            for init in ("uniform", cosine_density(grid, 0.3))
+        )
+        assert uniform.converged and bump.converged
+        assert l1_space_time(grid, uniform.m - bump.m) <= 1e-6
+        assert uniqueness_gap(uniform, bump).gap <= 1e-8
+
+    @pytest.mark.parametrize(
+        "dim, sizes", [(1, (32, 64, 128, 256)), (2, (8, 16, 32, 64))], ids=["1d", "2d"]
+    )
+    def test_equilibrium_converges_at_first_order(self, dim, sizes):
+        """The reference equilibrium at n = nt = ``sizes``: the L1(Q_T)
         gaps of m and of u against the next level, restricted, fall with
         ratios in c05's window [1.5, 3.0].  The scheme is first-order
         consistent in h and dt, so halving both about halves the error."""
         sols = []
-        for n in (32, 64, 128, 256):
-            grid = GridSpec(dim=1, n=n, nt=n, horizon=1.0)
+        for n in sizes:
+            grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
             opts = FixedPointOptions(fp_tol=1e-8)
             sol = solve_mfg(
                 grid, reference_params(), CouplingSpec(), opts, m0=cosine_density(grid)

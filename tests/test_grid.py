@@ -2,23 +2,25 @@
 
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
+from congestion_mfg.bundles import read_field_csv, read_frame_csv, write_field_csv
 from congestion_mfg.grid import (
     GridSpec,
     gaussian_smooth,
     integrate,
     laplacian_matrix,
     one_sided_diffs,
-    read_field_csv,
     restrict_traj,
     stencil_pattern,
     upwind_parts,
-    write_field_csv,
 )
+
+from conftest import y_major_rows
 
 RNG = np.random.default_rng(42)
 
@@ -382,6 +384,11 @@ class TestRestriction2D:
         assert coarse[1, 0, 1] == pytest.approx(manual, rel=1e-15)
 
 
+# a valid single frame on the 1D grid n = 4
+ROWS = "0,0.125,1\n0,0.375,1\n0,0.625,1\n0,0.875,1\n"
+FRAME_OF_4 = "expected 1 frame(s) of 4 rows of 3 values"
+
+
 def _reference_write_field_csv(path, grid, traj):
     """The per-value loop writer the CSV format was defined by."""
     traj = np.asarray(traj, dtype=float)
@@ -408,9 +415,7 @@ class TestFieldCSV:
         traj = RNG.normal(size=(grid.nt + 1, *grid.shape))
         path = tmp_path / "field.csv"
         write_field_csv(path, grid, traj)
-        got_grid, got = read_field_csv(path)
-        assert (got_grid.dim, got_grid.n, got_grid.nt) == (grid.dim, grid.n, grid.nt)
-        assert np.array_equal(got, traj)
+        assert np.array_equal(read_field_csv(path, grid), traj)
 
     @pytest.mark.parametrize(
         "grid, frame_only, strided",
@@ -454,7 +459,61 @@ class TestFieldCSV:
         path = tmp_path / "field.csv"
         path.write_text("t,x,y,value\n" + body)
         with pytest.raises(ValueError, match="no data rows"):
-            read_field_csv(path)
+            read_field_csv(path, GridSpec(dim=2, n=4, nt=2, horizon=1.0))
+
+    @pytest.mark.parametrize("read", [read_field_csv, read_frame_csv], ids=["field", "frame"])
+    def test_y_major_rows_are_rejected(self, read, tmp_path):
+        """The same rows with y slowest once loaded as the transposed field."""
+        grid = grids()[1]
+        shape = grid.shape if read is read_frame_csv else (grid.nt + 1, *grid.shape)
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, RNG.normal(size=shape))
+        y_major_rows(path, grid.n)
+        expected = f"{path}: data row 2 has x = 0.1875, expected 0.0625 within 0.03125"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            read(path, grid)
+
+    def test_uneven_time_stamps_are_rejected(self, tmp_path):
+        """Rows stamped t = 0, 0.1, 1 once loaded as the uniform grid nt = 2."""
+        grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
+        path = tmp_path / "field.csv"
+        rows = (f"{t},{x},1\n" for t in (0, 0.1, 1) for x in grid.axis_centers())
+        path.write_text("t,x,value\n" + "".join(rows))
+        expected = f"{path}: data row 5 has t = 0.1, expected 0.5 within 0.125"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            read_field_csv(path, grid)
+
+    @pytest.mark.parametrize("col", ["t", "x", "y"])
+    @pytest.mark.parametrize("shift", [-0.26, -0.24, 0.24, 0.26])
+    def test_rows_are_placed_to_a_quarter_step_or_cell(self, col, shift, tmp_path):
+        grid = GridSpec(dim=2, n=4, nt=2, horizon=1.0)
+        path = tmp_path / "m0.csv"
+        write_field_csv(path, grid, np.ones(grid.shape))
+        header, *rows = path.read_text().splitlines(keepends=True)
+        cells = [row.split(",") for row in rows]
+        j = "txy".index(col)
+        cells[-1][j] = repr(float(cells[-1][j]) + shift * (grid.dt if col == "t" else grid.h))
+        path.write_text(header + "".join(",".join(cell) for cell in cells))
+        if abs(shift) < 0.25:
+            assert np.array_equal(read_frame_csv(path, grid), np.ones(grid.shape))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: data row 16 "):
+                read_frame_csv(path, grid)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x,y,value\n" + ROWS, "expected the header 't,x,value', got 't,x,y,value'"),
+            ("t,x,value\n" + ROWS * 2, f"{FRAME_OF_4}, got 8 rows of 3"),
+            ("t,x,value\n" + ROWS.replace("\n", ",1\n"), f"{FRAME_OF_4}, got 4 rows of 4"),
+        ],
+        ids=["header", "frames", "columns"],
+    )
+    def test_malformed_frame_is_rejected(self, text, message, tmp_path):
+        path = tmp_path / "m0.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_frame_csv(path, GridSpec(dim=1, n=4, nt=2, horizon=1.0))
 
 
 class TestEquivariance:
@@ -476,12 +535,8 @@ class TestEquivariance:
 
 class TestSingleFrameCSV:
     def test_write_and_read_frame(self, tmp_path):
-        from congestion_mfg.grid import read_frame_csv
-
         grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
         frame = RNG.normal(size=grid.shape)
         path = tmp_path / "m0.csv"
         write_field_csv(path, grid, frame)
-        dim, n, got = read_frame_csv(path)
-        assert (dim, n) == (1, 8)
-        assert np.array_equal(got, frame)
+        assert np.array_equal(read_frame_csv(path, grid), frame)

@@ -6,7 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from congestion_mfg.coupler import ContinuationSchedule, FixedPointOptions
 from congestion_mfg.errors import SearchBoxTooSmall, SingularEvaluation
+from congestion_mfg.hjb import HJBOptions
 from congestion_mfg.model import (
     CouplingSpec,
     GridSearchSpec,
@@ -57,6 +59,33 @@ class TestDerivedConstants:
     def test_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             make_params(horizon=horizon)
+
+
+NAN = float("nan")
+MODEL = dict(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+TABLES = dict(family="tabulated", table_s=(0.0, 1.0, 2.0), table_f=(0.0, 1.0, 2.0),
+              table_g=(0.0, 1.0, 2.0))
+# every range-checked float field, with a value holding a NaN: a comparison
+# with NaN is False, so a check written as ``x <= 0`` let each of them through
+NAN_FIELDS = {
+    **{f"ModelParams.{key}": (ModelParams, {**MODEL, key: NAN})
+       for key in ("nu", "mu", "epsilon", "m_floor")},
+    "FixedPointOptions.fp_tol": (FixedPointOptions, {"fp_tol": NAN}),
+    **{f"HJBOptions.{key}": (HJBOptions, {key: NAN})
+       for key in ("newton_tol", "epsilon", "linear_tol")},
+    **{f"CouplingSpec.{key}": (CouplingSpec, {key: NAN}) for key in ("cf", "cg", "qf", "qg")},
+    **{f"CouplingSpec.{key}": (CouplingSpec, {**TABLES, key: (0.0, NAN, 2.0)})
+       for key in ("table_s", "table_f", "table_g")},
+    "ContinuationSchedule.epsilons": (ContinuationSchedule, {"epsilons": (0.1, NAN)}),
+    "ContinuationSchedule.mus": (ContinuationSchedule, {"mus": (1.0, NAN)}),
+    "GridSearchSpec.radius": (GridSearchSpec, {"radius": NAN}),
+}
+
+
+@pytest.mark.parametrize("kind, kwargs", NAN_FIELDS.values(), ids=NAN_FIELDS)
+def test_nan_fails_the_range_check(kind, kwargs):
+    with pytest.raises(ValueError):
+        kind(**kwargs)
 
 
 class TestEvalH:
