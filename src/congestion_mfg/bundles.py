@@ -131,9 +131,12 @@ def _read_field(path, grid: GridSpec, times: np.ndarray) -> np.ndarray:
             raise ValueError(f"{path}: expected the header {header!r}, got {got!r}")
         start = fh.tell()
         if not any(line.strip() for line in iter(fh.readline, "")):
-            raise ValueError("field CSV has no data rows")
+            raise ValueError(f"{path}: field CSV has no data rows")
         fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     names = header.split(",")
     if data.shape != (len(times) * grid.ncells, len(names)):
         raise ValueError(

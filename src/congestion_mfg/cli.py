@@ -138,17 +138,20 @@ def parse_config(path) -> dict:
 _DENSITY_SPEC = re.compile(r"^(uniform|cosine_bump\(([^)]*)\)|file\(([^)]*)\))$")
 
 
-def density_from_spec(spec: str, grid: GridSpec) -> np.ndarray:
-    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV on ``grid``)."""
+def density_from_spec(spec: str, grid: GridSpec, key: str) -> np.ndarray:
+    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV on ``grid``).
+
+    ``key`` is the config key the spec came from; every rejection names it.
+    """
     match = _DENSITY_SPEC.match(spec.strip())
     if not match:
-        raise ConfigError(f"bad density spec {spec!r}")
+        raise ConfigError(f"{key}: bad density spec {spec!r}")
     if spec.strip() == "uniform":
         return np.ones(grid.shape)
     if match.group(2) is not None:
         amp = float(match.group(2))
         if not 0.0 <= amp < 1.0:
-            raise ConfigError("cosine bump amplitude must lie in [0, 1)")
+            raise ConfigError(f"{key}: cosine bump amplitude must lie in [0, 1)")
         coords = grid.coords()
         bump = np.ones(grid.shape)
         wave = np.ones(grid.shape)
@@ -159,7 +162,9 @@ def density_from_spec(spec: str, grid: GridSpec) -> np.ndarray:
     try:
         return read_frame_csv(match.group(3), grid)
     except OSError as exc:
-        raise ConfigParseError(f"cannot read density file: {exc}") from exc
+        raise ConfigParseError(f"{key}: cannot read density file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _build(cfg: dict):
@@ -221,13 +226,13 @@ def _load_run(config_path, levels: int):
         runs = []
         for level in range(levels):
             grid = replace(base, n=base.n * 2**level, nt=base.nt * 2**level)
-            m0 = density_from_spec(cfg["m0"], grid)
+            m0 = density_from_spec(cfg["m0"], grid, "m0")
             init = cfg["init_m"]
             fp_opts = FixedPointOptions(
                 damping=cfg["damping"],
                 fp_tol=cfg["fp_tol"],
                 max_outer_iter=cfg["max_outer_iter"],
-                init_m="uniform" if init == "uniform" else density_from_spec(init, grid),
+                init_m="uniform" if init == "uniform" else density_from_spec(init, grid, "init_m"),
             )
             runs.append((grid, m0, fp_opts))
         hjb_opts = HJBOptions(

@@ -316,7 +316,8 @@ class ContinuationResult:
 
     @property
     def ok(self) -> bool:
-        return self.failed_rung is None
+        """No rung raised and every rung converged."""
+        return self.failed_rung is None and all(s.converged for s in self.solutions)
 
 
 def solve_with_continuation(

@@ -121,7 +121,7 @@ def crossed_energy_gap(
     for k in range(grid.nt):
         inputs_b = inputs_a[k] if sol_b is sol_a else _kernel_inputs(sol_b, k)
         jac_b = transport_jacobian(grid, *inputs_b, sol_b.params)
-        advected = (jac_b @ sol_a.u[k].ravel()).reshape(grid.shape)
+        advected = jac_b.dot(sol_a.u[k].ravel()).reshape(grid.shape)
         total += grid.dt * integrate(
             grid, (advected - h_a[k] + costs_a[k]) * sol_b.m[k + 1]
         )

@@ -5,21 +5,18 @@ Each implicit Euler step solves
     (m - m_prev)/dt - nu L m + A^T m = 0
 
 where ``A`` is the upwind advection generator emitted by the HJB step,
-handed to each step as the sparse matrix itself (``transport``).  Because
-``A`` has zero row sums, nonnegative diagonal and nonpositive off-diagonal
-entries, the system matrix is an M-matrix with column sums ``1/dt``: total
-mass is conserved to roundoff and nonnegative data stays nonnegative.
-Transposing the assembled matrix (rather than discretizing the divergence
-independently) is what makes ``<A u, m> = <u, A^T m>`` exact, the discrete
-counterpart of testing each equation against the other solution in the
-energy and uniqueness arguments.
+handed to each step as the :class:`~congestion_mfg.grid.StencilOperator`
+itself (``transport``).  Because ``A`` has zero row sums, nonnegative
+diagonal and nonpositive off-diagonal entries, the system matrix is an
+M-matrix with column sums ``1/dt``: total mass is conserved to roundoff and
+nonnegative data stays nonnegative.  Transposing the assembled matrix
+(rather than discretizing the divergence independently) is what makes
+``<A u, m> = <u, A^T m>`` exact, the discrete counterpart of testing each
+equation against the other solution in the energy and uniqueness arguments.
 
-The system is built as CSC on the grid's cached stencil pattern, with data
-``heat + A.data``.  The pattern is symmetric, so ``A``'s data in CSR slot
-order, read as CSC, is exactly ``A^T``: the transpose costs nothing, and
-``I/dt - nu L`` is symmetric, so its data serves both orders.  A transport
-matrix not built on the pattern is scattered onto it, and one with an entry
-off the stencil is rejected with ``ValueError``.  The coupler passes its
+The system is ``heat + A`` on the grid's cached stencil pattern, transposed
+by one gather of its data.  A transport whose data is not shaped like the
+pattern's raises ``ValueError``.  The coupler passes its
 ``HJBOptions.linear_tol`` as ``tol``: one linear tolerance for both sweeps.
 A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;
 it always raises :class:`NegativeDensity`, a check no option switches off.
@@ -30,11 +27,10 @@ A non-finite frame never comes back: :func:`sparse_solve` raises
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NegativeDensity
-from .grid import NEGATIVE_TOL, GridSpec, _nonnegative, implicit_heat_data
-from .grid import stencil_data, stencil_pattern
+from .grid import NEGATIVE_TOL, GridSpec, StencilOperator, _nonnegative
+from .grid import implicit_heat_data, stencil_pattern
 from .linalg import sparse_solve
 from .model import ModelParams
 
@@ -44,17 +40,19 @@ __all__ = ["fpk_step", "solve_fpk_forward"]
 def fpk_step(
     grid: GridSpec,
     m_prev: np.ndarray,
-    transport: sp.spmatrix,
+    transport: StencilOperator,
     params: ModelParams,
     tol: float = 1e-12,
 ) -> np.ndarray:
     """Advance the density one level with the transposed generator ``transport``."""
     if float(m_prev.min()) < -NEGATIVE_TOL:
         raise ValueError("previous density frame must be nonnegative")
-    # A's data in CSR slot order, read as CSC, is A^T; the heat part is symmetric
-    system = stencil_pattern(grid).csc(
-        implicit_heat_data(grid, params.nu) + stencil_data(grid, transport)
-    )
+    heat = implicit_heat_data(grid, params.nu)
+    if np.shape(transport.data) != heat.shape:
+        raise ValueError(
+            f"expected transport data of shape {heat.shape}, got {np.shape(transport.data)}"
+        )
+    system = StencilOperator(stencil_pattern(grid), heat + transport.data).T
     m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, params.nu, tol=tol)
     m = m_vec.reshape(grid.shape)
     if float(m.min()) < -NEGATIVE_TOL:
@@ -64,7 +62,7 @@ def fpk_step(
 
 def solve_fpk_forward(
     grid: GridSpec,
-    transports: list[sp.spmatrix],
+    transports: list[StencilOperator],
     m0: np.ndarray,
     params: ModelParams,
     tol: float = 1e-12,

@@ -23,20 +23,12 @@ read it.  :func:`_nonnegative` is the one density guard: roundoff in
 
 The Laplacian and the upwind transport of the solvers share one sparsity
 pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
-it once per ``GridSpec`` and caches it; matrices on it differ only in their
-data vector, so the HJB and Kolmogorov systems are assembled by vector adds.
-The pattern relies on ``GridSpec``'s ``n >= 4``: the stencil neighbours of a
-cell are then distinct, so no two offsets share a slot.  It is symmetric,
-which is why data in CSR slot order, read as CSC, is the transpose for free.
-Each pattern validates one CSR and one CSC shell through scipy's constructor
-on first use; every matrix it hands out is a plain clone of a shell's
-``__dict__`` with the caller's data, so it skips the constructor's checks
-and shares the pattern's read-only index arrays.  The shells' canonical
-flags are set: sorted rows and distinct slots are facts of the pattern.  No
-solver here reads the flag (the 1D LU reads its bands by slot, and 2D
-systems are only multiplied), but it costs nothing per matrix, so it stays:
-a scipy routine that checks it, such as scipy's own sparse LU, never
-rescans a pattern matrix for duplicates.
+it once per ``GridSpec`` and caches it.  A matrix on it is a
+:class:`StencilOperator`: a ``(2*dim+1, ncells)`` data block, slot axis first,
+with a product, a transpose and an entry count, so the HJB and Kolmogorov
+systems are assembled by block adds.  The pattern relies on ``GridSpec``'s
+``n >= 4``: the stencil neighbours of a cell are then distinct, so no two
+offsets share a slot.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
 :func:`implicit_heat_data` and the Gaussian kernel's spectrum in
@@ -51,15 +43,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
-    "laplacian_matrix",
     "StencilPattern",
+    "StencilOperator",
     "stencil_pattern",
     "implicit_heat_data",
-    "stencil_data",
     "one_sided_diffs",
     "upwind_parts",
     "gaussian_smooth",
@@ -138,34 +128,25 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class StencilPattern:
-    """CSR structure of a grid's (2*dim+1)-point periodic stencil.
+    """Structure of a grid's (2*dim+1)-point periodic stencil, slot axis first.
 
-    Row ``i`` holds cell ``i`` and its ``2*dim`` neighbours with sorted
-    column indices; ``GridSpec`` requires ``n >= 4``, so the neighbours are
-    distinct and every row has exactly ``2*dim + 1`` slots.  ``slots[:, i]``
-    are the data slots of row ``i``'s offsets in a fixed order: the cell,
-    then its lower neighbour per axis, then its upper neighbour per axis.
-    ``center[i]``, ``lower[ax, i]`` and ``upper[ax, i]`` are the same slots by
-    offset: those of the entries ``(i, i)``, ``(i, i - e_ax)`` and
-    ``(i, i + e_ax)``.  ``transpose[s]`` is the slot of the entry mirrored
-    across the diagonal from slot ``s``; for a block shaped like ``slots``,
-    ``block.take(gather)`` is its data in slot order.
-    The pattern is symmetric, so the same ``indptr``/``indices`` also read
-    as a CSC structure: data in CSR slot order, read as CSC, is the
-    transpose at no cost.  All arrays are read-only, as the pattern is
-    shared by every matrix built on it.
-
-    :meth:`csr` and :meth:`csc` validate one shell matrix each through
-    scipy's constructor, on first use, and then hand out clones of its
-    ``__dict__`` carrying the caller's data vector (taken as is, not
-    copied), and its ``has_canonical_format`` flag, which the pattern
-    guarantees.  Every such matrix shares the read-only ``indptr`` and
-    ``indices``, so an in-place change of its structure (``eliminate_zeros``,
-    writing an index) raises instead of corrupting the pattern.
+    A matrix on the pattern is its ``(2*dim + 1, ncells)`` data block:
+    ``data[r, i]`` is row ``i``'s entry in column ``cols[r, i]``, and each
+    row's columns are sorted, so a product sums a row's terms in the order
+    scipy's CSR product does.  ``GridSpec`` requires ``n >= 4``, so the
+    neighbours of a cell are distinct and every row has exactly
+    ``2*dim + 1`` slots.  ``slots[:, i]`` are the flat slots of row ``i``'s
+    offsets in a fixed order: the cell, then its lower neighbour per axis,
+    then its upper neighbour per axis.  ``center[i]``, ``lower[ax, i]`` and
+    ``upper[ax, i]`` are the same slots by offset: those of the entries
+    ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``.  ``transpose[r, i]``
+    is the flat slot of the entry mirrored across the diagonal from slot
+    ``(r, i)``, so ``data.take(transpose)`` is the transpose's data; for a
+    block shaped like ``slots``, ``block.take(gather)`` is its data.  All
+    arrays are read-only, as the pattern is shared by every operator on it.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    cols: np.ndarray  # (2*dim + 1, ncells): column of each slot
     slots: np.ndarray  # (2*dim + 1, ncells): cell, lower per axis, upper per axis
     transpose: np.ndarray
     gather: np.ndarray  # flat index into a slots-shaped block, per slot
@@ -183,89 +164,75 @@ class StencilPattern:
     def upper(self) -> np.ndarray:
         return self.slots[1 + len(self.slots) // 2 :]
 
-    def csr(self, data: np.ndarray) -> sp.csr_matrix:
-        return self._with_data(self._csr_shell, data)
-
-    def csc(self, data: np.ndarray) -> sp.csc_matrix:
-        """The transpose of ``csr(data)``, as a CSC matrix on the same arrays."""
-        return self._with_data(self._csc_shell, data)
-
     def laplacian_rows(self, u: np.ndarray) -> np.ndarray:
-        """``L u`` for a flat ``u``, bit-identical to the CSR product.
+        """``L u`` for a flat ``u``, summed as :meth:`StencilOperator.dot` sums."""
+        return _rows_dot(self.cols, self.laplacian, u)
 
-        Like scipy, it sums each row's products from 0 in slot order.
-        """
-        cols, coeffs = self._laplacian_terms
-        terms = u.take(cols)
-        terms *= coeffs
-        return np.add.reduce(terms, axis=0, initial=0.0)
 
-    @functools.cached_property
-    def _laplacian_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns and Laplacian data by (slot within the row, row); read-only."""
-        rows = (-1, len(self.slots))
-        cols = self.indices.reshape(rows).T.astype(np.intp, order="C")
-        coeffs = self.laplacian.reshape(rows).T.copy()
-        cols.flags.writeable = coeffs.flags.writeable = False
-        return cols, coeffs
+class StencilOperator:
+    """The ``ncells x ncells`` matrix with ``data`` on ``pattern``.
 
-    @functools.cached_property
-    def _csr_shell(self) -> sp.csr_matrix:
-        return self._shell(sp.csr_matrix)
+    ``data`` is taken as is, not copied, and must be shaped like
+    ``pattern.cols``.  :meth:`dot` gathers ``x`` by column, multiplies and
+    sums each row's terms from 0 in column order: scipy's CSR product, bit
+    for bit.  :attr:`T` is the transpose, one gather of the data.
+    """
 
-    @functools.cached_property
-    def _csc_shell(self) -> sp.csc_matrix:
-        return self._shell(sp.csc_matrix)
+    __slots__ = ("pattern", "data")
 
-    def _shell(self, kind):
-        n = len(self.indptr) - 1
-        data = np.zeros(len(self.indices))
-        shell = kind((data, self.indices, self.indptr), shape=(n, n))
-        # the constructor may hand back equal copies; keep the shared arrays
-        shell.indices, shell.indptr = self.indices, self.indptr
-        # sorted rows, distinct offsets: canonical whatever the data
-        shell.has_canonical_format = True
-        return shell
-
-    def _with_data(self, shell, data: np.ndarray):
-        if np.shape(data) != self.indices.shape:
+    def __init__(self, pattern: StencilPattern, data: np.ndarray):
+        if data.shape != pattern.cols.shape:
             raise ValueError(
-                f"expected {len(self.indices)} stencil entries, got shape {np.shape(data)}"
+                f"expected stencil data of shape {pattern.cols.shape}, got {data.shape}"
             )
-        mat = object.__new__(type(shell))
-        mat.__dict__ = {**shell.__dict__, "data": data}
-        return mat
+        self.pattern, self.data = pattern, data
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def T(self) -> StencilOperator:
+        return StencilOperator(self.pattern, self.data.take(self.pattern.transpose))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for a flat ``x``."""
+        return _rows_dot(self.pattern.cols, self.data, x)
+
+
+def _rows_dot(cols: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    terms = x.take(cols)
+    terms *= data
+    # over the slot axis: each row's sum runs from 0 in column order
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 @functools.lru_cache(maxsize=32)
 def stencil_pattern(grid: GridSpec) -> StencilPattern:
     """The cached stencil pattern of ``grid``."""
-    ncells, width = grid.ncells, 2 * grid.dim + 1
+    ncells = grid.ncells
     idx = np.arange(ncells).reshape(grid.shape)
     lower_nbr = np.stack([np.roll(idx, 1, axis=ax).ravel() for ax in range(grid.dim)])
     upper_nbr = np.stack([np.roll(idx, -1, axis=ax).ravel() for ax in range(grid.dim)])
-    # one column per stencil offset: the cell, then its lower and upper neighbours
-    cols = np.column_stack([idx.ravel(), *lower_nbr, *upper_nbr])
-    order = np.argsort(cols, axis=1)
-    # slot of each offset: row start plus the offset's rank in the sorted row;
-    # one contiguous row of slots per offset
-    ranks = np.ascontiguousarray(np.argsort(order, axis=1).T)
-    slots = ranks + width * np.arange(ncells)
+    # one row per stencil offset: the cell, then its lower and upper neighbours
+    offsets = np.stack([idx.ravel(), *lower_nbr, *upper_nbr])
+    order = np.argsort(offsets, axis=0)
+    # flat slot of each offset in a (2*dim + 1, ncells) block: (rank in its row, cell)
+    cells = np.arange(ncells)
+    slots = np.argsort(order, axis=0) * ncells + cells
     center, lower, upper = slots[0], slots[1 : 1 + grid.dim], slots[1 + grid.dim :]
-    transpose = np.empty(ncells * width, dtype=np.intp)
-    transpose[center] = center
-    transpose[lower] = np.take_along_axis(upper, lower_nbr, axis=1)
-    transpose[upper] = np.take_along_axis(lower, upper_nbr, axis=1)
-    gather = np.argsort(slots, axis=None)
-    laplacian = np.full(ncells * width, 1.0)
-    laplacian[center] = -2.0 * grid.dim
+    transpose = np.empty(slots.shape, dtype=np.intp)
+    transpose.flat[center] = center
+    transpose.flat[lower] = np.take_along_axis(upper, lower_nbr, axis=1)
+    transpose.flat[upper] = np.take_along_axis(lower, upper_nbr, axis=1)
+    laplacian = np.full(slots.shape, 1.0)
+    laplacian.flat[center] = -2.0 * grid.dim
     arrays = dict(
-        indptr=np.arange(0, ncells * width + 1, width, dtype=np.int32),
-        indices=np.take_along_axis(cols, order, axis=1).ravel().astype(np.int32),
+        cols=np.take_along_axis(offsets, order, axis=0),
         slots=slots,
         transpose=transpose,
-        gather=gather,
-        # scaled as scipy scales ``csr / h**2``: by the reciprocal
+        gather=order * ncells + cells,
+        # times 1/h**2, as scipy divides a sparse matrix by h**2
         laplacian=laplacian * (1 / grid.h**2),
     )
     for arr in arrays.values():
@@ -274,48 +241,16 @@ def stencil_pattern(grid: GridSpec) -> StencilPattern:
 
 
 @functools.lru_cache(maxsize=32)
-def laplacian_matrix(grid: GridSpec) -> sp.csr_matrix:
-    """The same stencil as a sparse matrix acting on row-major flattened fields."""
-    pattern = stencil_pattern(grid)
-    return pattern.csr(pattern.laplacian)
-
-
-@functools.lru_cache(maxsize=32)
 def implicit_heat_data(grid: GridSpec, nu: float) -> np.ndarray:
-    """Data of ``I/dt - nu L`` on the stencil pattern, in its slot order.
+    """Data of ``I/dt - nu L`` on the stencil pattern.
 
     Cached per ``(grid, nu)`` and read-only.
     """
     pattern = stencil_pattern(grid)
-    data = np.zeros(len(pattern.indices))
-    data[pattern.center] = 1 / grid.dt
+    data = np.zeros(pattern.cols.shape)
+    data.flat[pattern.center] = 1 / grid.dt
     data = data - nu * pattern.laplacian
     data.flags.writeable = False
-    return data
-
-
-def stencil_data(grid: GridSpec, mat) -> np.ndarray:
-    """Entries of an ``ncells x ncells`` matrix in the stencil pattern's slot order.
-
-    A CSR matrix built on the cached pattern, recognised by its shared
-    read-only ``indptr``, is read as is, without a copy.  Any other matrix
-    is scattered onto the pattern, summing duplicate entries; a stored entry
-    off the stencil raises ``ValueError`` rather than being dropped.
-    """
-    pattern = stencil_pattern(grid)
-    if sp.issparse(mat) and mat.format == "csr" and mat.indptr is pattern.indptr:
-        return mat.data
-    coo = sp.coo_matrix(mat)
-    if coo.shape != (grid.ncells, grid.ncells):
-        raise ValueError(
-            f"expected a {grid.ncells}x{grid.ncells} matrix, got {coo.shape}"
-        )
-    width = 2 * grid.dim + 1
-    hits = pattern.indices.reshape(-1, width)[coo.row] == coo.col[:, None]
-    if not hits.any(axis=1).all():
-        raise ValueError("matrix has entries off the grid's stencil")
-    data = np.zeros(len(pattern.indices))
-    np.add.at(data, width * coo.row + hits.argmax(axis=1), coo.data)
     return data
 
 

@@ -47,12 +47,11 @@ The generator ``A`` at the converged state, built from the final residual's
 parts, is all the step emits of the linearization: the forward Kolmogorov
 stepper consumes its exact transpose, which closes the diagnostics' discrete
 energy identities up to solver tolerances, and the coupler computes the
-drift ``-H_p`` once from the returned solution.  ``A`` is a data vector on
-the grid's cached stencil pattern (:func:`~congestion_mfg.grid.stencil_pattern`),
-filled as one ``(2*dim + 1, *shape)`` block that one gather puts in slot order;
-each Newton system ``I/dt - nu L + A`` is one more gather of ``A``'s data and
-one vector add, as CSC.  ``L u`` is the pattern's row sums in 1D and scipy's
-product in 2D, bit-identical and each the faster in its dimension.  Density entries in
+drift ``-H_p`` once from the returned solution.  ``A`` is a
+:class:`~congestion_mfg.grid.StencilOperator` on the grid's cached stencil
+pattern, filled as one ``(2*dim + 1, *shape)`` block that one gather puts in
+slot order; each Newton system ``I/dt - nu L + A`` is one block add.  ``L u``
+is the pattern's row sums, bit-identical to scipy's CSR product.  Density entries in
 ``[-NEGATIVE_TOL, 0)`` (FPK roundoff) count as 0; lower ones raise ``ValueError``.
 """
 
@@ -62,15 +61,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, NewtonDiverged, NonFiniteState
 from .grid import (
     GridSpec,
+    StencilOperator,
     _nonnegative,
     gaussian_smooth,
     implicit_heat_data,
-    laplacian_matrix,
     stencil_pattern,
     upwind_parts,
 )
@@ -128,8 +126,8 @@ def hamiltonian_values(
 
 def transport_jacobian(
     grid: GridSpec, parts, congestion, params: ModelParams
-) -> sp.csr_matrix:
-    """Sparse dg/du of the numerical Hamiltonian at (u, m), on the stencil pattern.
+) -> StencilOperator:
+    """dg/du of the numerical Hamiltonian at (u, m), on the stencil pattern.
 
     Row sums vanish (g depends on differences only), the diagonal is
     nonnegative and off-diagonal entries are nonpositive, and by Euler's
@@ -150,7 +148,7 @@ def transport_jacobian(
         cell += (am[ax] - ap[ax]) / h
     np.negative(am, out=am)
     block[1:] /= h
-    return pattern.csr(block.take(pattern.gather))
+    return StencilOperator(pattern, block.take(pattern.gather))
 
 
 def drift_field(
@@ -182,7 +180,7 @@ def hjb_step(
     params: ModelParams,
     f_level: np.ndarray,
     opts: HJBOptions,
-) -> tuple[np.ndarray, sp.csr_matrix, float]:
+) -> tuple[np.ndarray, StencilOperator, float]:
     """One backward implicit Euler step; returns (u, A, residual).
 
     ``f_level`` is the level's effective running cost ``F_eff``, as
@@ -196,7 +194,7 @@ def hjb_step(
         raise ConfigError(f"HJBOptions.epsilon {opts.epsilon} is not {params.epsilon}")
     m_frame = _nonnegative(m_frame, "density frame")
     dt, nu, pattern = grid.dt, params.nu, stencil_pattern(grid)
-    laplacian = pattern.laplacian_rows if grid.dim == 1 else laplacian_matrix(grid).dot
+    laplacian = pattern.laplacian_rows
     f_src = np.asarray(f_level, dtype=float).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
     congestion = congestion_denominator(m_frame, params)
@@ -221,8 +219,7 @@ def hjb_step(
             )
         iterations += 1
         jac = transport_jacobian(grid, parts, congestion, params)
-        # I/dt - nu L + A as CSC: heat data is symmetric, A's own data is read mirrored
-        system = pattern.csc(heat + jac.data.take(pattern.transpose))
+        system = StencilOperator(pattern, heat + jac.data)
         uvec = uvec - sparse_solve(grid, system, res, nu, tol=opts.linear_tol)
         parts, res = residual(uvec)
         # a non-finite entry of uvec makes its residual entry non-finite too
@@ -237,7 +234,7 @@ def hjb_step(
 @dataclass
 class HJBBackwardResult:
     u: np.ndarray  # (nt+1, *shape)
-    transports: list  # generator matrix A per level 0..nt-1
+    transports: list  # generator A per level 0..nt-1, a StencilOperator
     max_newton_residual: float
 
 
@@ -263,7 +260,7 @@ def solve_hjb_backward(
     costs = effective_cost(grid, m_traj, coupling.level_costs, params.epsilon)
     u = grid.zeros_traj()
     u[grid.nt] = costs[grid.nt]
-    transports: list[sp.csr_matrix | None] = [None] * grid.nt
+    transports: list[StencilOperator | None] = [None] * grid.nt
     worst = 0.0
     for k in range(grid.nt - 1, -1, -1):
         u[k], transports[k], res = hjb_step(

@@ -1,8 +1,9 @@
 """Sparse linear solves shared by the two PDE steppers.
 
-Both steppers build their systems as CSC on the grid's stencil pattern, and
-neither solver copies them into another format.  1D systems are periodic
-tridiagonal: :func:`splu` reads the five bands from the pattern's slots and
+Both steppers build their systems as
+:class:`~congestion_mfg.grid.StencilOperator` data on the grid's stencil
+pattern, and neither solver copies them into another format.  1D systems are
+periodic tridiagonal: :func:`splu` reads the five bands by a cached index and
 factors the system with LAPACK's tridiagonal LU ``dgttrf``, the two corner
 entries moved into a rank-one Sherman-Morrison correction, so a solve is one
 ``dgttrs`` and a rank-one update.  It replaced scipy's general sparse LU
@@ -25,7 +26,8 @@ loader, at about 0.1 us a call: a 2D solve, bundle save and load,
 and the scipy-bundled BLAS it brings, which is 10 MB of a 2D run's peak RSS.
 
 2D systems use BiCGStab preconditioned by the exact inverse of the heat
-operator ``I/dt - nu L``.
+operator ``I/dt - nu L``; the system's product is the operator's gather and
+sum over the slot axis, bit-identical to scipy's CSR product.
 
 Every system is ``I/dt - nu L + T`` with the congestion transport ``T = A``
 (HJB) or ``A^T`` (Kolmogorov).  On the torus the heat part is diagonal in
@@ -72,14 +74,13 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LinearSolveFailed
-from .grid import GridSpec, StencilPattern, stencil_pattern
+from .grid import GridSpec, StencilOperator, StencilPattern, stencil_pattern
 
 
 def sparse_solve(
-    grid: GridSpec, mat: sp.spmatrix, rhs: np.ndarray, nu: float, tol: float = 1e-12
+    grid: GridSpec, mat: StencilOperator, rhs: np.ndarray, nu: float, tol: float = 1e-12
 ) -> np.ndarray:
     """Solve ``mat x = rhs`` for a system ``I/dt - nu L + T`` on ``grid``.
 
@@ -108,22 +109,22 @@ def sparse_solve(
     return x
 
 
-def splu(grid: GridSpec, mat: sp.csc_matrix) -> PeriodicTridiagonalLU:
-    """LU factors of a 1D system ``mat``, CSC on the grid's stencil pattern,
-    as the periodic tridiagonal it is: the one 1D factorization."""
+def splu(grid: GridSpec, mat: StencilOperator) -> PeriodicTridiagonalLU:
+    """LU factors of a 1D system ``mat`` on the grid's stencil pattern, as
+    the periodic tridiagonal it is: the one 1D factorization."""
     pattern = stencil_pattern(grid)
-    if mat.indptr is not pattern.indptr:
+    if mat.pattern is not pattern:
         raise ValueError("a 1D system must be built on the grid's stencil pattern")
     return PeriodicTridiagonalLU(mat.data.take(_band_slots(pattern)))
 
 
 @functools.lru_cache(maxsize=32)
 def _band_slots(pattern: StencilPattern) -> np.ndarray:
-    """For ``B = pattern.csc(data)``, the data slots of ``B[i,i]``,
+    """For ``B`` with data on ``pattern``, the flat slots of ``B[i,i]``,
     ``B[i,i-1]``, ``B[i-1,i]``, ``B[i,i+1]`` and ``B[i+1,i]``, one row each
     and read-only."""
-    lower, upper, mirror = pattern.lower[0], pattern.upper[0], pattern.transpose
-    slots = np.stack([pattern.center, mirror[lower], lower, mirror[upper], upper])
+    lower, upper, mirror = pattern.lower[0], pattern.upper[0], pattern.transpose.ravel()
+    slots = np.stack([pattern.center, lower, mirror[lower], upper, mirror[upper]])
     slots.flags.writeable = False
     return slots
 

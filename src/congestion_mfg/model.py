@@ -210,9 +210,10 @@ def _power_law(q, den, exponent: float, scale: float = 1.0):
     the power and the division run only on the positive cells, so
     ``0**negative`` is never formed and ``den``, which may vanish there in
     the singular regime, is never read where ``q = 0``.  The operands are
-    broadcast only when their shapes differ.
+    broadcast only when their shapes differ; ``q`` is an array or a numpy
+    scalar, ``den`` may also be a Python float.
     """
-    if np.shape(q) != np.shape(den):
+    if q.shape != getattr(den, "shape", ()):
         q, den = np.broadcast_arrays(q, den)
     mask = np.greater(q, 0.0)
     out = np.power(q, exponent, out=np.zeros(mask.shape), where=mask)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from congestion_mfg import (
     CouplingSpec,
@@ -10,6 +11,7 @@ from congestion_mfg import (
     ModelParams,
     solve_mfg,
 )
+from congestion_mfg.grid import StencilOperator, stencil_pattern
 
 
 def reference_params(horizon=1.0):
@@ -22,6 +24,28 @@ def cosine_density(grid, amplitude=0.5):
     for x in coords:
         wave = wave * np.cos(2.0 * np.pi * x)
     return 1.0 + amplitude * wave
+
+
+def as_csr(op):
+    """The scipy CSR matrix of a ``StencilOperator``: the oracle's copy, with
+    each row's columns sorted as the operator stores them."""
+    width, ncells = op.data.shape
+    indptr = np.arange(0, width * ncells + 1, width)
+    return sp.csr_matrix(
+        (op.data.T.ravel(), op.pattern.cols.T.ravel(), indptr), shape=(ncells, ncells)
+    )
+
+
+def from_csr(grid, mat):
+    """The ``StencilOperator`` of a scipy matrix whose entries lie on ``grid``'s
+    stencil; an entry off it fails the test."""
+    pattern = stencil_pattern(grid)
+    coo = sp.coo_matrix(mat)
+    hits = pattern.cols[:, coo.row] == coo.col
+    assert hits.any(axis=0).all(), "entry off the stencil"
+    data = np.zeros(pattern.cols.shape)
+    np.add.at(data, (hits.argmax(axis=0), coo.row), coo.data)
+    return StencilOperator(pattern, data)
 
 
 def y_major_rows(path, n):

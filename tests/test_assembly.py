@@ -1,25 +1,28 @@
-"""Fixed-pattern assembly: the systems match the sparse-sum construction exactly."""
+"""Fixed-pattern assembly: the systems match the sparse-sum construction exactly,
+and the stencil operator matches scipy's CSR matrix as an oracle."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from congestion_mfg import fpk, grid as grid_mod, hjb
+from congestion_mfg import fpk, grid as grid_mod, hjb, linalg
 from congestion_mfg.coupler import FixedPointOptions, solve_mfg
 from congestion_mfg.fpk import fpk_step
 from congestion_mfg.grid import (
     GridSpec,
+    StencilOperator,
     gaussian_smooth,
     implicit_heat_data,
-    laplacian_matrix,
-    stencil_data,
     stencil_pattern,
     upwind_parts,
 )
 from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
+
+from conftest import as_csr, from_csr
 
 GRIDS = [(1, 4), (1, 64), (2, 4), (2, 8)]
 REGULAR = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
@@ -79,6 +82,7 @@ def frame(grid, params, seed):
 
 
 def assert_same(a, b):
+    a, b = (as_csr(x) if isinstance(x, StencilOperator) else x for x in (a, b))
     assert a.shape == b.shape
     assert np.array_equal(a.toarray(), b.toarray())
 
@@ -86,7 +90,8 @@ def assert_same(a, b):
 @pytest.mark.parametrize("dim,n", GRIDS)
 def test_laplacian_unchanged(dim, n):
     grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
-    lap, ref = laplacian_matrix(grid), coo_laplacian(grid)
+    pattern = stencil_pattern(grid)
+    lap, ref = StencilOperator(pattern, pattern.laplacian), coo_laplacian(grid)
     assert lap.nnz == ref.nnz
     assert_same(lap, ref)
 
@@ -101,12 +106,14 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
         hjb,
         lambda: hjb_step(grid, u_next, m, params, CouplingSpec().f(m), HJBOptions()),
     )
-    jac = transport_jacobian(
-        grid, upwind_parts(grid, u_next), congestion_denominator(m, params), params
+    jac = as_csr(
+        transport_jacobian(
+            grid, upwind_parts(grid, u_next), congestion_denominator(m, params), params
+        )
     )
     if params.mu == 0.0:
         assert np.abs(jac.toarray()[m.ravel() == 0.0]).max() == 0.0
-    assert system.format == "csc"
+    assert isinstance(system, StencilOperator)
     assert_same(system, sparse_sum_system(grid, params, jac))
 
 
@@ -120,16 +127,16 @@ def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
         transport_jacobian(
             grid, upwind_parts(grid, u), congestion_denominator(m, params), params
         ),
-        sp.csr_matrix((grid.ncells, grid.ncells)),
-        sp.identity(grid.ncells, format="csr") * -40.0,
+        from_csr(grid, sp.csr_matrix((grid.ncells, grid.ncells))),
+        from_csr(grid, sp.identity(grid.ncells, format="csr") * -40.0),
     ):
         system = first_system(
             monkeypatch,
             fpk,
             lambda: fpk_step(grid, m_prev, mat, params),
         )
-        assert system.format == "csc"
-        assert_same(system, sparse_sum_system(grid, params, mat.T.tocsr()))
+        assert isinstance(system, StencilOperator)
+        assert_same(system, sparse_sum_system(grid, params, as_csr(mat).T.tocsr()))
 
 
 @pytest.mark.parametrize(
@@ -138,80 +145,103 @@ def test_fpk_system_equals_sparse_sum(monkeypatch, dim, n, params):
     ids=["1d-second-neighbour", "2d-diagonal-neighbour"],
 )
 def test_off_stencil_transport_raises(dim, entry):
+    """A transport is stencil data: a scipy matrix, here one with an entry
+    off the stencil, is rejected rather than scattered or dropped."""
     grid = GridSpec(dim=dim, n=8, nt=4, horizon=1.0)
     mat = sp.csr_matrix(([-1.0], ([entry[0]], [entry[1]])), shape=(grid.ncells,) * 2)
-    with pytest.raises(ValueError, match="off the grid's stencil"):
+    with pytest.raises(ValueError, match="expected transport data of shape"):
         fpk_step(grid, np.ones(grid.shape), mat, REGULAR)
 
 
 def test_wrong_size_transport_raises():
     grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
-    bad = sp.identity(grid.ncells + 1, format="csr")
-    with pytest.raises(ValueError, match="expected a 8x8 matrix"):
+    other = stencil_pattern(GridSpec(dim=1, n=9, nt=4, horizon=1.0))
+    bad = StencilOperator(other, np.ones(other.cols.shape))
+    with pytest.raises(ValueError, match=re.escape("data of shape (3, 8), got (3, 9)")):
         fpk_step(grid, np.ones(grid.shape), bad, REGULAR)
 
 
-def validated(kind, pattern, data):
-    """The matrix scipy's checking constructor builds on the pattern's arrays."""
-    n = len(pattern.indptr) - 1
-    return kind((data, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n))
+ORACLE_GRIDS = [(dim, n) for dim in (1, 2) for n in (4, 6, 12, 32, 64)]
 
 
-@pytest.mark.parametrize("dim,n", GRIDS)
-def test_shells_equal_validated_construction(dim, n):
+def extreme_data(rng, shape):
+    """Signed values with magnitudes from 1e-8 to 1e4, and some exact zeros."""
+    data = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 4.0, size=shape)
+    data[rng.random(shape) < 0.1] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+def test_operator_matches_scipy_csr(dim, n):
+    """The operator against scipy's validated CSR on the same entries: its
+    product bit for bit, its transpose and its entry count."""
     grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
     pattern = stencil_pattern(grid)
-    data = np.random.default_rng(n).normal(size=len(pattern.indices))
-    for build, kind in ((pattern.csr, sp.csr_matrix), (pattern.csc, sp.csc_matrix)):
-        got, ref = build(data), validated(kind, pattern, data)
-        assert type(got) is type(ref) and got.format == ref.format
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert np.array_equal(got.indices, ref.indices)
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert got.data is data
-        assert_same(got, ref)
-    # the identity fast path of the off-stencil guard still recognises them
-    assert stencil_data(grid, pattern.csr(data)) is data
+    rng = np.random.default_rng([dim, n])
+    for _ in range(5):
+        op = StencilOperator(pattern, extreme_data(rng, pattern.cols.shape))
+        ref = as_csr(op)
+        ref.check_format(full_check=True)
+        assert ref.has_canonical_format and op.nnz == ref.nnz
+        x = extreme_data(rng, grid.ncells)
+        assert np.array_equal(op.dot(x).view(np.int64), ref.dot(x).view(np.int64))
+        assert_same(op.T, ref.T)
+        assert np.array_equal(op.T.T.data, op.data)
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 32, 64])
+def test_1d_bands_match_scipy(n):
+    """``splu`` reads ``B[i,i]``, ``B[i,i-1]``, ``B[i-1,i]``, ``B[i,i+1]``
+    and ``B[i+1,i]`` (indices mod n) out of the operator's data."""
+    grid = GridSpec(dim=1, n=n, nt=4, horizon=1.0)
+    pattern = stencil_pattern(grid)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        op = StencilOperator(pattern, extreme_data(rng, pattern.cols.shape))
+        for mat in (op, op.T):
+            dense, i = as_csr(mat).toarray(), np.arange(n)
+            up, down = (i + 1) % n, (i - 1) % n
+            bands = np.stack(
+                [dense[i, i], dense[i, down], dense[down, i], dense[i, up], dense[up, i]]
+            )
+            got = mat.data.take(linalg._band_slots(pattern))
+            assert np.array_equal(got.view(np.int64), bands.view(np.int64))
 
 
 def test_shell_matrices_share_no_data():
+    """Two operators share no data, and a transpose is a copy."""
     grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
     pattern = stencil_pattern(grid)
-    ones, twos = np.ones(len(pattern.indices)), np.full(len(pattern.indices), 2.0)
-    for build in (pattern.csr, pattern.csc):
-        a, b = build(ones), build(twos)
-        assert not np.shares_memory(a.data, b.data)
-        a.data[0] = 5.0
-        assert b.data[0] == 2.0 and build(twos).data[0] == 2.0
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda mat: mat.indices.__setitem__(0, 1),
-        lambda mat: mat.indptr.__setitem__(1, 0),
-        lambda mat: mat.eliminate_zeros(),
-    ],
-    ids=["indices", "indptr", "eliminate_zeros"],
-)
-@pytest.mark.parametrize("fmt", ["csr", "csc"])
-def test_shell_structure_is_read_only(fmt, mutate):
-    grid = GridSpec(dim=2, n=4, nt=4, horizon=1.0)
-    pattern = stencil_pattern(grid)
-    build = getattr(pattern, fmt)
-    data = np.arange(len(pattern.indices), dtype=float)  # slot 0 holds a zero
-    with pytest.raises(ValueError):
-        mutate(build(data.copy()))
-    kind = sp.csr_matrix if fmt == "csr" else sp.csc_matrix
-    fresh = build(data.copy())
-    assert fresh.nnz == len(pattern.indices)
-    assert_same(fresh, validated(kind, pattern, data))
+    ones, twos = np.ones(pattern.cols.shape), np.full(pattern.cols.shape, 2.0)
+    a, b = StencilOperator(pattern, ones), StencilOperator(pattern, twos)
+    for other in (b, b.T):
+        assert not np.shares_memory(a.data, other.data)
+    a.data[0, 0] = 5.0
+    assert b.data[0, 0] == 2.0 and b.T.data[0, 0] == 2.0
 
 
 def test_shell_rejects_wrong_data_length():
     pattern = stencil_pattern(GridSpec(dim=1, n=8, nt=4, horizon=1.0))
-    with pytest.raises(ValueError, match="stencil entries"):
-        pattern.csr(np.ones(len(pattern.indices) - 1))
+    for shape in ((3, 7), (24,), (8, 3)):
+        with pytest.raises(ValueError, match="stencil data of shape"):
+            StencilOperator(pattern, np.ones(shape))
+
+
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_shared_structure_is_read_only(dim, n):
+    """Every operator shares its pattern's arrays, so writing one raises
+    instead of corrupting the pattern for all."""
+    grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+    pattern = stencil_pattern(grid)
+    op = StencilOperator(pattern, np.ones(pattern.cols.shape))
+    shared = (pattern.cols, pattern.slots, pattern.transpose, pattern.gather, pattern.laplacian)
+    for arr in (*shared, implicit_heat_data(grid, 0.5)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[1]
+    assert op.pattern is stencil_pattern(grid) and op.T.pattern is pattern
+    if dim == 1:
+        with pytest.raises(ValueError, match="read-only"):
+            linalg._band_slots(pattern)[0, 0] = 0
 
 
 def test_cached_heat_data_and_spectrum_are_read_only():
@@ -233,31 +263,3 @@ def test_cached_heat_data_and_spectrum_are_read_only():
     assert implicit_heat_data(grid, params.nu) is heat
     assert grid_mod._kernel_spectrum(grid.n, grid.h, 0.05) is spectrum
     assert np.array_equal(heat, before[0]) and np.array_equal(spectrum, before[1])
-
-
-@pytest.mark.parametrize("n", [4, 5, 16, 64])
-def test_pattern_matrices_are_canonical_without_a_scan(monkeypatch, n):
-    from scipy.sparse import _compressed
-    from scipy.sparse.linalg import splu
-
-    def no_scan(*args):
-        raise AssertionError("scanned the pattern's indices")
-
-    grid = GridSpec(dim=1, n=n, nt=4, horizon=1.0)
-    pattern = stencil_pattern(grid)
-    params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0)
-    u, m = frame(grid, params, seed=n)
-    jac = transport_jacobian(
-        grid, upwind_parts(grid, u), congestion_denominator(m, params), params
-    )
-    data = implicit_heat_data(grid, params.nu) + jac.data[pattern.transpose]
-    rhs = np.random.default_rng(n).normal(size=grid.ncells)
-    reference = splu(sp.csc_matrix((data, pattern.indices, pattern.indptr))).solve(rhs)
-    monkeypatch.setattr(_compressed, "csr_has_canonical_format", no_scan)
-    monkeypatch.setattr(_compressed, "csr_has_sorted_indices", no_scan)
-    for mat in (pattern.csr(data), pattern.csc(data)):
-        assert mat.has_canonical_format and mat.has_sorted_indices
-        assert mat.indices is pattern.indices and mat.indptr is pattern.indptr
-        assert not (mat.indices.flags.writeable or mat.indptr.flags.writeable)
-    got = splu(pattern.csc(data)).solve(rhs)
-    assert np.array_equal(got.view(np.int64), reference.view(np.int64))

@@ -483,7 +483,27 @@ def test_header_only_density_file_is_rejected(tmp_path, key):
     )
     proc = run_cli("solve", path)
     assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
-    assert proc.stderr.splitlines() == ["rejected: field CSV has no data rows"]
+    assert proc.stderr.splitlines() == [f"rejected: {key}: {density}: field CSV has no data rows"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["m0", "init_m"])
+def test_unparseable_density_file_is_named(tmp_path, key, capsys):
+    """Values numpy cannot parse, here printed with numpy 2's ``repr``: the
+    parse error names the file and the key that read it."""
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    density = tmp_path / "repr.csv"
+    write_field_csv(density, grid, np.ones(grid.shape))
+    header, *rows = density.read_text().splitlines(keepends=True)
+    density.write_text(header + "".join(row.replace(",1\n", ",np.float64(1.0)\n") for row in rows))
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"n = 8\nnt = 8\n{key} = file({density})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    assert main(["solve", path]) == EXIT_STRUCTURAL
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"rejected: {key}: {density}: could not convert string")
     assert not out_dir.exists()
 
 
@@ -504,7 +524,7 @@ def test_y_major_density_file_is_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", path]) == EXIT_STRUCTURAL
     assert capsys.readouterr().err.splitlines() == [
-        f"rejected: {density}: data row 2 has x = 0.1875, expected 0.0625 within 0.03125"
+        f"rejected: m0: {density}: data row 2 has x = 0.1875, expected 0.0625 within 0.03125"
     ]
     assert not out_dir.exists()
 
@@ -524,7 +544,7 @@ def test_two_frame_density_file_is_rejected(tmp_path, key, capsys):
     )
     assert main(["solve", path]) == EXIT_STRUCTURAL
     assert capsys.readouterr().err.splitlines() == [
-        f"rejected: {density}: expected 1 frame(s) of 8 rows of 3 values, got 16 rows of 3"
+        f"rejected: {key}: {density}: expected 1 frame(s) of 8 rows of 3 values, got 16 rows of 3"
     ]
     assert not out_dir.exists()
 
@@ -577,5 +597,5 @@ class Test2DBundle:
         proc = run_cli("diagnose", str(tmp_path / "b2"))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.splitlines() == [
-            "cannot load bundle: field CSV has no data rows"
+            f"cannot load bundle: {tmp_path / 'b2' / 'u.csv'}: field CSV has no data rows"
         ]

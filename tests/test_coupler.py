@@ -407,6 +407,21 @@ class TestContinuation:
         rungs = schedule.rungs(params)
         assert rungs == [(0.05, 1.0), (0.05, 0.0)]
 
+    def test_unconverged_rung_fails_the_ladder(self):
+        """c09's parameters on a 3-iteration budget: no rung converges, none
+        raises, and the ladder is not ``ok``."""
+        grid = GridSpec(dim=1, n=16, nt=16, horizon=1.0)
+        params = ModelParams(nu=0.5, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0)
+        schedule = ContinuationSchedule(epsilons=(0.05,), mus=(1.0, 0.5, 0.0))
+        res = solve_with_continuation(
+            grid, params, CouplingSpec(cf=0.5, cg=0.5),
+            FixedPointOptions(fp_tol=1e-6, max_outer_iter=3), schedule,
+            m0=cosine_density(grid),
+        )
+        assert res.failed_rung is None and len(res.solutions) == 3
+        assert not any(s.converged for s in res.solutions)
+        assert not res.ok
+
     def test_signed_initial_density_is_no_rung_failure(self):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
         m0 = cosine_density(grid)

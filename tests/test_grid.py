@@ -12,15 +12,15 @@ from congestion_mfg.bundles import read_field_csv, read_frame_csv, write_field_c
 from congestion_mfg.grid import (
     GridSpec,
     gaussian_smooth,
+    StencilOperator,
     integrate,
-    laplacian_matrix,
     one_sided_diffs,
     restrict_traj,
     stencil_pattern,
     upwind_parts,
 )
 
-from conftest import y_major_rows
+from conftest import as_csr, y_major_rows
 
 RNG = np.random.default_rng(42)
 
@@ -114,7 +114,9 @@ class TestLaplacian:
     @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
     def test_matrix_matches_stencil(self, grid):
         f = random_field(grid)
-        via_matrix = (laplacian_matrix(grid) @ f.ravel()).reshape(grid.shape)
+        pattern = stencil_pattern(grid)
+        lap = StencilOperator(pattern, pattern.laplacian)
+        via_matrix = lap.dot(f.ravel()).reshape(grid.shape)
         assert np.allclose(via_matrix, laplacian(grid, f), rtol=1e-13, atol=1e-10)
 
     @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
@@ -202,7 +204,8 @@ class TestSliceDiffsBitIdentical:
     @pytest.mark.parametrize("dim,n", DIFF_GRIDS)
     def test_laplacian_row_sums_equal_the_sparse_product(self, dim, n):
         grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
-        pattern, lap = stencil_pattern(grid), laplacian_matrix(grid)
+        pattern = stencil_pattern(grid)
+        lap = as_csr(StencilOperator(pattern, pattern.laplacian))
         for name, u in _hard_fields(grid, np.random.default_rng(n)).items():
             uvec = u.ravel()
             got, ref = pattern.laplacian_rows(uvec), lap @ uvec
@@ -359,8 +362,10 @@ class TestStencilSlots:
         neighbours += [np.roll(cells, 1, axis=ax).ravel() for ax in range(grid.dim)]
         neighbours += [np.roll(cells, -1, axis=ax).ravel() for ax in range(grid.dim)]
         rows = np.broadcast_to(cells.ravel(), (width, grid.ncells))
-        assert np.array_equal(pattern.slots // width, rows)
-        assert np.array_equal(pattern.indices[pattern.slots], np.stack(neighbours))
+        assert np.array_equal(pattern.slots % grid.ncells, rows)
+        assert np.array_equal(pattern.cols.flat[pattern.slots], np.stack(neighbours))
+        # each row's columns are sorted
+        assert (np.diff(pattern.cols, axis=0) > 0).all()
 
 
 class TestRestriction:

@@ -11,10 +11,9 @@ from congestion_mfg.errors import NewtonDiverged, NonFiniteState
 from congestion_mfg.fpk import NEGATIVE_TOL, solve_fpk_forward
 from congestion_mfg.grid import (
     GridSpec,
+    StencilOperator,
     implicit_heat_data,
-    laplacian_matrix,
     restrict_traj,
-    stencil_data,
     stencil_pattern,
     upwind_parts,
 )
@@ -31,6 +30,8 @@ from congestion_mfg.model import (
     _power_law,
     congestion_denominator,
 )
+
+from conftest import as_csr
 
 PARAMS = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 COUPLING = CouplingSpec()  # F(m) = m, G(m) = m
@@ -212,19 +213,20 @@ def reference_jacobian(grid, u, m, params, eps):
     w = w * active if active is not None else w
     am, ap = w * dm, w * dp
     pattern = stencil_pattern(grid)
-    data = np.empty(len(pattern.indices))
-    data[pattern.lower] = (-am / grid.h).reshape(grid.dim, -1)
-    data[pattern.upper] = (ap / grid.h).reshape(grid.dim, -1)
-    data[pattern.center] = sum(
+    data = np.empty(pattern.cols.shape)
+    data.flat[pattern.lower] = (-am / grid.h).reshape(grid.dim, -1)
+    data.flat[pattern.upper] = (ap / grid.h).reshape(grid.dim, -1)
+    data.flat[pattern.center] = sum(
         ((am[ax] - ap[ax]) / grid.h).ravel() for ax in range(grid.dim)
     )
-    return pattern.csr(data)
+    return StencilOperator(pattern, data)
 
 
 def reference_step(grid, u_next, m_frame, params, f_level, opts):
     """hjb_step with per-call kernels: every residual and Jacobian evaluation
     recomputes the upwind parts of u and the congestion factor of m."""
-    lap = laplacian_matrix(grid)
+    pattern = stencil_pattern(grid)
+    lap = as_csr(StencilOperator(pattern, pattern.laplacian))
     f_src = np.asarray(f_level, dtype=float).ravel()
     u_next_vec = np.asarray(u_next, dtype=float).ravel()
 
@@ -242,7 +244,6 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
     uvec = u_next_vec.copy()
     res = residual(uvec)
     res_norm = float(np.abs(res).max())
-    pattern = stencil_pattern(grid)
     heat = implicit_heat_data(grid, params.nu)
     for _ in range(opts.newton_max_iter):
         if res_norm <= opts.newton_tol:
@@ -250,7 +251,7 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
         jac = reference_jacobian(
             grid, uvec.reshape(grid.shape), m_frame, params, params.epsilon
         )
-        system = pattern.csc(heat + stencil_data(grid, jac)[pattern.transpose])
+        system = StencilOperator(pattern, heat + jac.data)
         uvec = uvec - sparse_solve(grid, system, res, params.nu, tol=opts.linear_tol)
         res = residual(uvec)
         res_norm = float(np.abs(res).max())
@@ -287,8 +288,7 @@ class TestSharedKernelInputs:
         )
         assert_bits_equal(u, u_ref)
         assert_bits_equal(transport.data, transport_ref.data)
-        assert np.array_equal(transport.indices, transport_ref.indices)
-        assert np.array_equal(transport.indptr, transport_ref.indptr)
+        assert transport.pattern is transport_ref.pattern
         assert res == res_ref
 
     @pytest.mark.parametrize("mu", [1.0, 0.0])
@@ -385,18 +385,18 @@ def parent_transport_data(grid, parts, congestion, params):
     return block.take(pattern.gather)
 
 
-def stencil_data_systems(grid, data, nu):
-    """The Newton and Kolmogorov systems assembled through ``stencil_data``
-    from the generator data ``data``, as CSC data vectors."""
-    pattern, heat = stencil_pattern(grid), implicit_heat_data(grid, nu)
-    generator = stencil_data(grid, pattern.csr(data))
-    return heat + generator.take(pattern.transpose), heat + generator
+def reference_systems(grid, data, nu):
+    """The data of the Newton system ``I/dt - nu L + A`` and of the
+    Kolmogorov system, its transpose, for the generator data ``data``;
+    the Kolmogorov one transposes ``A`` alone, as the heat part is symmetric."""
+    heat = implicit_heat_data(grid, nu)
+    return heat + data, heat + data.take(stencil_pattern(grid).transpose)
 
 
 class TestAssemblyParity:
     """The Newton system reads the generator's data as it stands, and the
     generator's cell entry is its axes' differences without a sum from 0:
-    the systems equal the ``stencil_data`` assembly of the generator as
+    the systems equal the reference assembly of the generator as
     first written, bit for bit, and the generator equals it as values."""
 
     @pytest.mark.parametrize("mu", [1.0, 0.0])
@@ -433,7 +433,7 @@ class TestAssemblyParity:
         for (args, jac), newton in zip(generators, solves["hjb"] + [None]):
             parent = parent_transport_data(*args)
             assert np.array_equal(jac.data, parent)
-            ref_newton, ref_kolmogorov = stencil_data_systems(grid, parent, params.nu)
+            ref_newton, ref_kolmogorov = reference_systems(grid, parent, params.nu)
             if newton is None:
                 [newton] = solves["fpk"]
                 ref_newton = ref_kolmogorov
@@ -459,8 +459,8 @@ class TestAssemblyParity:
         assert np.array_equal(got, parent)
         assert (np.signbit(got) != np.signbit(parent)).any()
         for system, ref in zip(
-            stencil_data_systems(grid, got, params.nu),
-            stencil_data_systems(grid, parent, params.nu),
+            reference_systems(grid, got, params.nu),
+            reference_systems(grid, parent, params.nu),
         ):
             assert_bits_equal(system, ref)
 
@@ -586,7 +586,7 @@ class TestTransport:
             u = rng.normal(size=grid.shape)
             m = np.abs(rng.random(grid.shape))
             congestion = congestion_denominator(m, PARAMS)
-            jac = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS)
+            jac = as_csr(transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS))
             assert np.abs(jac @ np.ones(grid.ncells)).max() < 1e-11
             assert jac.diagonal().min() >= 0.0
             off = jac - __import__("scipy.sparse", fromlist=["diags"]).diags(jac.diagonal())
@@ -605,7 +605,7 @@ class TestTransport:
             parts, congestion = upwind_parts(grid, u), congestion_denominator(m, params)
             jac = transport_jacobian(grid, parts, congestion, params)
             g = hamiltonian_values(grid, parts, congestion, params)
-            lhs = jac @ u.ravel()
+            lhs = jac.dot(u.ravel())
             assert np.allclose(lhs, beta * g.ravel(), rtol=1e-11, atol=1e-11)
 
     def test_truncation_enters_denominator(self):

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import bicgstab as scipy_bicgstab
 
@@ -32,9 +31,12 @@ from congestion_mfg import (
 )
 from congestion_mfg.errors import LinearSolveFailed
 from congestion_mfg.fpk import solve_fpk_forward
-from congestion_mfg.grid import implicit_heat_data, stencil_pattern, upwind_parts
+from congestion_mfg.grid import StencilOperator, implicit_heat_data, stencil_pattern
+from congestion_mfg.grid import upwind_parts
 from congestion_mfg.hjb import HJBOptions, solve_hjb_backward
 from congestion_mfg.model import congestion_denominator
+
+from conftest import as_csr
 
 REFERENCE = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 # low viscosity: the transport is no longer small against the heat operator,
@@ -48,8 +50,7 @@ def c09_bump(grid):
 
 
 def heat_system(grid, nu):
-    pattern = stencil_pattern(grid)
-    return pattern.csc(implicit_heat_data(grid, nu))
+    return StencilOperator(stencil_pattern(grid), implicit_heat_data(grid, nu))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 32, 64])
@@ -60,9 +61,9 @@ def test_preconditioner_inverts_constant_stencils(n):
     for nu in (0.001, 0.3, 2.0):
         mat, apply = heat_system(grid, nu), linalg.heat_inverse(grid, nu)
         scale = np.abs(x).max()
-        assert np.abs(apply(mat @ x) - x).max() <= 1e-12 * scale
-        b = mat @ x
-        assert np.abs(mat @ apply(b) - b).max() <= 1e-12 * np.abs(b).max()
+        assert np.abs(apply(mat.dot(x)) - x).max() <= 1e-12 * scale
+        b = mat.dot(x)
+        assert np.abs(mat.dot(apply(b)) - b).max() <= 1e-12 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 32, 64])
@@ -122,7 +123,20 @@ def captured():
 def test_captured_systems_meet_tolerance(captured):
     for grid, mat, rhs, nu, tol in captured:
         x = linalg.sparse_solve(grid, mat, rhs, nu, tol)
-        assert np.linalg.norm(mat @ x - rhs) <= tol * (np.linalg.norm(rhs) + 1.0)
+        assert np.linalg.norm(mat.dot(x) - rhs) <= tol * (np.linalg.norm(rhs) + 1.0)
+
+
+def test_captured_products_match_scipy(captured):
+    """The HJB systems and the transposed Kolmogorov ones of a 2D sweep: each
+    product is scipy's CSR product on the same entries, bit for bit."""
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for grid, mat, rhs, nu, tol in captured:
+        ref = as_csr(mat)
+        for x in (rhs, rng.normal(size=grid.ncells), linalg.heat_inverse(grid, nu)(rhs)):
+            assert np.array_equal(mat.dot(x).view(np.int64), ref.dot(x).view(np.int64))
+        kinds.add(np.array_equal(mat.T.data, mat.data))
+    assert kinds == {False}
 
 
 def test_lean_operators_match_default_wrapping(captured, monkeypatch):
@@ -142,8 +156,8 @@ def test_lean_operators_match_default_wrapping(captured, monkeypatch):
         assert kwargs["M"] is linalg.heat_inverse(grid, nu)
         ours, scipys = [], []
         got, info = loop(mat, rhs, **kwargs, callback=ours.append)
-        kwargs["M"] = LinearOperator(mat.shape, matvec=kwargs["M"])
-        ref, ref_info = scipy_bicgstab(mat, rhs, **kwargs, callback=scipys.append)
+        kwargs["M"] = LinearOperator((grid.ncells,) * 2, matvec=kwargs["M"])
+        ref, ref_info = scipy_bicgstab(as_csr(mat), rhs, **kwargs, callback=scipys.append)
         assert info == ref_info == 0
         assert len(ours) == len(scipys)
         for a in (x, got):
@@ -163,10 +177,10 @@ def test_singular_averaged_stencil_raises(entry):
     pattern = stencil_pattern(grid)
     data = np.array(implicit_heat_data(grid, 0.5))
     if entry is None:
-        data[pattern.center] -= 1 / grid.dt
+        data.flat[pattern.center] -= 1 / grid.dt
     else:
-        data[pattern.center[3]] = entry
-    mat = pattern.csc(data)
+        data.flat[pattern.center[3]] = entry
+    mat = StencilOperator(pattern, data)
     rhs = np.ones(grid.ncells)
     steps = []
     with warnings.catch_warnings():
@@ -178,7 +192,7 @@ def test_singular_averaged_stencil_raises(entry):
             # loop breaks down or stops on a recursive residual the true one
             # misses, which sparse_solve's residual check catches
             x, info = linalg.bicgstab(mat, rhs, M=linalg.heat_inverse(grid, 0.5))
-            resid = np.linalg.norm(rhs - mat @ x)
+            resid = np.linalg.norm(rhs - mat.dot(x))
             assert info < 0 or resid > 1e-12 * (np.linalg.norm(rhs) + 1.0)
         else:
             with pytest.raises(LinearSolveFailed, match="non-finite"):
@@ -196,10 +210,10 @@ def test_singular_system_raises(n):
     grid = GridSpec(dim=2, n=n, nt=8, horizon=1.0)
     pattern = stencil_pattern(grid)
     data = np.array(implicit_heat_data(grid, 0.5))
-    data[pattern.center] -= 1 / grid.dt
+    data.flat[pattern.center] -= 1 / grid.dt
     rhs = 1 + np.random.default_rng(0).normal(size=grid.ncells)
     with pytest.raises(LinearSolveFailed):
-        linalg.sparse_solve(grid, pattern.csc(data), rhs, 0.5)
+        linalg.sparse_solve(grid, StencilOperator(pattern, data), rhs, 0.5)
 
 
 @pytest.mark.parametrize("entry", [None, np.nan, np.inf])
@@ -213,22 +227,24 @@ def test_singular_1d_system_raises(n, entry):
     pattern = stencil_pattern(grid)
     data = np.array(implicit_heat_data(grid, 0.5))
     if entry is None:
-        data[pattern.center] -= 1 / grid.dt
+        data.flat[pattern.center] -= 1 / grid.dt
     else:
-        data[pattern.center[3]] = entry
+        data.flat[pattern.center[3]] = entry
     rhs = 1 + np.random.default_rng(0).normal(size=grid.ncells)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(LinearSolveFailed):
-            linalg.sparse_solve(grid, pattern.csc(data), rhs, 0.5)
+            linalg.sparse_solve(grid, StencilOperator(pattern, data), rhs, 0.5)
 
 
 def test_1d_system_off_the_pattern_or_zero_raises():
     grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
     rhs = np.ones(grid.ncells)
+    other = stencil_pattern(GridSpec(dim=1, n=9, nt=8, horizon=1.0))
     with pytest.raises(ValueError, match="stencil pattern"):
-        linalg.sparse_solve(grid, sp.identity(grid.ncells, format="csc"), rhs, 0.5)
-    zero = stencil_pattern(grid).csc(np.zeros(3 * grid.ncells))
+        linalg.sparse_solve(grid, StencilOperator(other, np.ones((3, 9))), rhs, 0.5)
+    pattern = stencil_pattern(grid)
+    zero = StencilOperator(pattern, np.zeros(pattern.cols.shape))
     with pytest.raises(LinearSolveFailed, match="dgttrf"):
         linalg.sparse_solve(grid, zero, rhs, 0.5)
 
@@ -257,11 +273,12 @@ def test_1d_solves_match_superlu(n):
         if params.nu < 0.01:
             assert np.abs(jac.data).max() > params.nu / grid.h**2
         heat = implicit_heat_data(grid, params.nu)
-        for data in (heat + jac.data.take(pattern.transpose), heat + jac.data):
-            mat, rhs = pattern.csc(data), rng.normal(size=n)
+        system = StencilOperator(pattern, heat + jac.data)
+        for mat in (system, system.T):
+            rhs = rng.normal(size=n)
             assert linalg.splu(grid, mat).dominant
             x = linalg.sparse_solve(grid, mat, rhs, params.nu)
-            ref = superlu(mat).solve(rhs)
+            ref = superlu(as_csr(mat).tocsc()).solve(rhs)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -401,9 +418,9 @@ def test_non_finite_right_hand_side_raises(entry):
         grid = GridSpec(dim=dim, n=8, nt=8, horizon=1.0)
         mat = heat_system(grid, 0.5)
         if system == "diagonal":
-            data = np.zeros(mat.nnz)
-            data[stencil_pattern(grid).center] = 1 / grid.dt
-            mat = stencil_pattern(grid).csc(data)
+            data = np.zeros(mat.data.shape)
+            data.flat[stencil_pattern(grid).center] = 1 / grid.dt
+            mat = StencilOperator(stencil_pattern(grid), data)
         for where in (0, 5, grid.ncells - 1):
             rhs = np.ones(grid.ncells)
             rhs[where] = entry
@@ -420,7 +437,7 @@ def test_loop_defaults_follow_scipy():
     mat = heat_system(grid, 0.5)
     b = np.random.default_rng(3).normal(size=grid.ncells)
     got, info = linalg.bicgstab(mat, b)
-    ref, ref_info = scipy_bicgstab(mat, b)
+    ref, ref_info = scipy_bicgstab(as_csr(mat), b)
     assert info == ref_info == 0
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     zero = np.zeros(grid.ncells)
@@ -527,7 +544,7 @@ from congestion_mfg import CouplingSpec, GridSpec, ModelParams, apriori_report
 from congestion_mfg import fpk, hjb, linalg, load_solution, save_solution, solve_mfg
 from congestion_mfg.cli import main
 
-loaded = lambda: sorted({"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules))
+loaded = lambda: sorted({"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} & set(sys.modules))
 out, tmp = {"import": loaded()}, sys.argv[1]
 params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)

@@ -14,6 +14,8 @@ from congestion_mfg.grid import GridSpec, upwind_parts
 from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
 
+from conftest import as_csr
+
 
 def naive_upwind_q_1d(u, h):
     n = len(u)
@@ -81,7 +83,8 @@ class TestAgainstNaiveFormulas:
         u = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
         congestion = congestion_denominator(m, PARAMS)
-        fast = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS).toarray()
+        jac = transport_jacobian(grid, upwind_parts(grid, u), congestion, PARAMS)
+        fast = as_csr(jac).toarray()
         slow = naive_jacobian_1d(grid, u, m, PARAMS)
         assert np.allclose(fast, slow, rtol=1e-13, atol=1e-13)
 
@@ -105,7 +108,7 @@ class TestAgainstNaiveFormulas:
                 grid, upwind_parts(grid, u - step * direction), congestion, PARAMS
             )
             fd = (plus - minus) / (2.0 * step)
-            analytic = (jac @ direction.ravel()).reshape(grid.shape)
+            analytic = jac.dot(direction.ravel()).reshape(grid.shape)
             assert np.abs(fd - analytic).max() <= 1e-5 * (1.0 + np.abs(fd).max())
 
     def test_fpk_step_satisfies_adjoint_equation(self):
@@ -117,7 +120,7 @@ class TestAgainstNaiveFormulas:
         m_prev = np.abs(rng.random(grid.shape)) + 0.1
         m = fpk_step(grid, m_prev, transport, PARAMS)
         # naive adjoint residual: (m - m_prev)/dt - nu lap m + J^T m = 0
-        jac_dense = transport.toarray()
+        jac_dense = as_csr(transport).toarray()
         n, h, dt = grid.n, grid.h, grid.dt
         res = np.zeros(n)
         for j in range(n):
