@@ -1,9 +1,10 @@
 """Structural assumption checkers: ranges, Legendre duality, monotonicity.
 
 Walks the admissible window 1 < beta <= 2, alpha <= 4(beta-1)/beta, certifies
-the derived Lagrangian normalization c_beta = 1/beta' by numerical convex
-conjugation, and shows the uniqueness bracket E flipping sign once alpha
-crosses the threshold.
+the movement cost L = c_beta (m + mu)^gamma |w|^{beta'} as the convex
+conjugate of H through the Fenchel equality L(m, -H_p) = H_p.p - H, which
+holds exactly at the maximizer w = -H_p, and shows the uniqueness bracket E
+flipping sign once alpha crosses the threshold.
 """
 
 import numpy as np
@@ -12,10 +13,11 @@ from congestion_mfg import (
     CouplingSpec,
     ModelParams,
     check_structure,
-    legendre_residual,
+    eval_H,
+    eval_Hp,
     uniqueness_integrand,
 )
-from congestion_mfg.model import GridSearchSpec
+from congestion_mfg.model import congestion_lagrangian
 
 print("structure reports over a (beta, alpha) sweep:")
 print("beta   alpha  valid  threshold  uniqueness  hp2")
@@ -27,15 +29,15 @@ for beta in (1.2, 1.5, 2.0, 2.5):
               f"{rep.uniqueness_threshold:<10.4g} {str(rep.uniqueness_ok):<11} "
               f"{rep.hp2_sampled_ok}")
 
-print("\nLegendre-duality residuals (certifying c_beta = 1/beta', gamma = alpha/(beta-1)):")
+print("\nFenchel-equality residuals |L(m, -H_p) - (H_p.p - H)| / max(1, H)")
+print("(certifying c_beta = 1/beta', gamma = alpha/(beta-1)):")
 rng = np.random.default_rng(0)
-search = GridSearchSpec(radius=16.0, n_points=41)
 for beta, alpha, mu in ((2.0, 1.0, 0.0), (1.5, 1.0, 0.1), (1.8, 0.5, 1.0)):
     p = ModelParams(nu=0.5, beta=beta, alpha=alpha, mu=mu, horizon=1.0)
-    worst = max(
-        legendre_residual(rng.uniform(0.1, 3.0), rng.normal(size=2), p, search)
-        for _ in range(10)
-    )
+    m, grad = rng.uniform(0.1, 3.0, size=10), rng.normal(size=(2, 10))
+    h, hp = eval_H(m, grad, p), eval_Hp(m, grad, p)
+    gap = congestion_lagrangian(m, -hp, p) - ((hp * grad).sum(axis=0) - h)
+    worst = np.max(np.abs(gap) / np.maximum(1.0, h))
     print(f"  beta={beta} alpha={alpha} mu={mu}: worst residual {worst:.2e}")
 
 print("\nmonotonicity of h(s) on a segment (power model in the regime):")

@@ -27,13 +27,11 @@ from .grid import GridSpec
 from .hjb import HJBOptions, hjb_step, solve_hjb_backward
 from .model import (
     CouplingSpec,
-    GridSearchSpec,
     ModelParams,
     StructureReport,
     check_structure,
     eval_H,
     eval_Hp,
-    legendre_residual,
     uniqueness_integrand,
 )
 
@@ -44,7 +42,6 @@ __all__ = [
     "CouplingSpec",
     "DiagnosticsReport",
     "FixedPointOptions",
-    "GridSearchSpec",
     "GridSpec",
     "HJBOptions",
     "MFGSolution",
@@ -58,7 +55,6 @@ __all__ = [
     "eval_Hp",
     "fpk_step",
     "hjb_step",
-    "legendre_residual",
     "load_solution",
     "save_solution",
     "solve_fpk_forward",

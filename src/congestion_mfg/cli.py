@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -43,7 +44,7 @@ from .coupler import (
 from .diagnostics import apriori_report, crossed_energy_gap, energy_identity_residual
 from .diagnostics import uniqueness_gap
 from .errors import ConfigError, ConfigParseError, CongestionMFGError, GridMismatch
-from .grid import GridSpec, l1_space_time, restrict_traj
+from .grid import GridSpec, l1_space_time, prolong_frame, restrict_traj
 from .hjb import HJBOptions
 from .model import CouplingSpec, ModelParams, check_structure
 
@@ -138,33 +139,32 @@ def parse_config(path) -> dict:
 _DENSITY_SPEC = re.compile(r"^(uniform|cosine_bump\(([^)]*)\)|file\(([^)]*)\))$")
 
 
-def density_from_spec(spec: str, grid: GridSpec, key: str) -> np.ndarray:
-    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV on ``grid``).
+def density_from_spec(spec: str, grids: list, key: str) -> list[np.ndarray]:
+    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV), on
+    each grid of a refinement ladder, coarsest first.
 
+    ``uniform`` and ``cosine_bump`` are evaluated on each grid; a file is read
+    once, on the coarsest, and prolonged piecewise-constant to the finer ones.
     ``key`` is the config key the spec came from; every rejection names it.
     """
     match = _DENSITY_SPEC.match(spec.strip())
     if not match:
         raise ConfigError(f"{key}: bad density spec {spec!r}")
-    if spec.strip() == "uniform":
-        return np.ones(grid.shape)
-    if match.group(2) is not None:
-        amp = float(match.group(2))
-        if not 0.0 <= amp < 1.0:
-            raise ConfigError(f"{key}: cosine bump amplitude must lie in [0, 1)")
-        coords = grid.coords()
-        bump = np.ones(grid.shape)
-        wave = np.ones(grid.shape)
-        for x in coords:
-            wave = wave * np.cos(2.0 * np.pi * x)
-        bump += amp * wave
-        return bump
-    try:
-        return read_frame_csv(match.group(3), grid)
-    except OSError as exc:
-        raise ConfigParseError(f"{key}: cannot read density file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    if match.group(3) is not None:
+        try:
+            frame = read_frame_csv(match.group(3), grids[0])
+        except OSError as exc:
+            raise ConfigParseError(f"{key}: cannot read density file: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        return [prolong_frame(frame, grid.n // grids[0].n) for grid in grids]
+    if match.group(2) is None:
+        return [np.ones(grid.shape) for grid in grids]
+    amp = float(match.group(2))
+    if not 0.0 <= amp < 1.0:
+        raise ConfigError(f"{key}: cosine bump amplitude must lie in [0, 1)")
+    return [1.0 + amp * np.prod(np.cos(2.0 * np.pi * np.array(grid.coords())), axis=0)
+            for grid in grids]
 
 
 def _build(cfg: dict):
@@ -223,18 +223,14 @@ def _load_run(config_path, levels: int):
     cfg = parse_config(config_path)
     with _loading():
         params, coupling, base = _build(cfg)
-        runs = []
-        for level in range(levels):
-            grid = replace(base, n=base.n * 2**level, nt=base.nt * 2**level)
-            m0 = density_from_spec(cfg["m0"], grid, "m0")
-            init = cfg["init_m"]
-            fp_opts = FixedPointOptions(
-                damping=cfg["damping"],
-                fp_tol=cfg["fp_tol"],
-                max_outer_iter=cfg["max_outer_iter"],
-                init_m="uniform" if init == "uniform" else density_from_spec(init, grid, "init_m"),
-            )
-            runs.append((grid, m0, fp_opts))
+        grids = [replace(base, n=base.n * 2**j, nt=base.nt * 2**j) for j in range(levels)]
+        m0s = density_from_spec(cfg["m0"], grids, "m0")
+        fp_opts = FixedPointOptions(
+            damping=cfg["damping"], fp_tol=cfg["fp_tol"], max_outer_iter=cfg["max_outer_iter"]
+        )
+        init = cfg["init_m"]
+        inits = [init] * levels if init == "uniform" else density_from_spec(init, grids, "init_m")
+        runs = [(g, m0, replace(fp_opts, init_m=i)) for g, m0, i in zip(grids, m0s, inits)]
         hjb_opts = HJBOptions(
             newton_tol=cfg["newton_tol"],
             newton_max_iter=cfg["newton_max_iter"],
@@ -355,6 +351,14 @@ def cmd_diagnose(bundle_a, bundle_b=None) -> int:
     return EXIT_OK
 
 
+def _observed_orders(values) -> str:
+    """log2 of each ratio of consecutive values, ``nan`` where one is not
+    positive; ``none`` for fewer than two values."""
+    orders = [f"{math.log2(a / b):.3f}" if a > 0 and b > 0 else "nan"
+              for a, b in zip(values, values[1:])]
+    return ", ".join(orders) or "none"
+
+
 @_exit_codes
 def cmd_study(config_path, levels: int) -> int:
     if levels < 2:
@@ -395,6 +399,8 @@ def cmd_study(config_path, levels: int) -> int:
     gap_col = [r[3] for r in rows[:-1]]
     print(f"energy_residual decreasing: {str(res_col == sorted(res_col, reverse=True)).lower()}")
     print(f"l1_gap decreasing: {str(gap_col == sorted(gap_col, reverse=True)).lower()}")
+    print(f"energy_residual observed orders: {_observed_orders(res_col)}")
+    print(f"l1_gap observed orders: {_observed_orders(gap_col)}")
     print(f"table written to {table_path}")
     return EXIT_OK
 

@@ -9,10 +9,6 @@ class SingularEvaluation(CongestionMFGError):
     """Hamiltonian requested at mu=0, m=0 with a nonzero gradient."""
 
 
-class SearchBoxTooSmall(CongestionMFGError):
-    """Conjugate grid search ended on the boundary of the search box."""
-
-
 class NewtonDiverged(CongestionMFGError):
     """Newton iteration failed to reduce the residual below tolerance."""
 

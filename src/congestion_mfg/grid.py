@@ -376,3 +376,14 @@ def restrict_traj(fine: GridSpec, traj: np.ndarray, factor: int) -> np.ndarray:
     if fine.dim == 1:
         return sub.reshape(sub.shape[0], nc, factor).mean(axis=2)
     return sub.reshape(sub.shape[0], nc, factor, nc, factor).mean(axis=(2, 4))
+
+
+def prolong_frame(frame: np.ndarray, factor: int) -> np.ndarray:
+    """Piecewise-constant prolongation of one frame onto a factor-finer grid.
+
+    Each cell's value is repeated on the ``factor**dim`` fine cells covering
+    it, which conserves mass; :func:`restrict_traj` undoes it to roundoff.
+    """
+    for axis in range(np.ndim(frame)):
+        frame = np.repeat(frame, factor, axis=axis)
+    return frame

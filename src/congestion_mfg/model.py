@@ -4,7 +4,7 @@ The running model is the power-law congestion Hamiltonian
 
     H(m, p) = (1/beta) |p|^beta / (m + mu)^alpha,      beta in (1, 2], alpha > 0,
 
-whose convex conjugate is the movement cost
+whose convex conjugate is the movement cost :func:`congestion_lagrangian`
 ``L(m, w) = c_beta (m + mu)^gamma |w|^{beta'}`` with ``gamma = alpha/(beta-1)``,
 ``beta' = beta/(beta-1)`` and ``c_beta = 1/beta'``.  ``mu = 0`` is the singular
 regime where H is undefined at ``m = 0``; guarded evaluations floor the
@@ -25,19 +25,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SearchBoxTooSmall, SingularEvaluation
+from .errors import SingularEvaluation
 
 __all__ = [
     "ModelParams",
     "CouplingSpec",
     "StructureReport",
-    "GridSearchSpec",
     "eval_H",
     "eval_Hp",
     "check_structure",
-    "legendre_residual",
     "uniqueness_integrand",
     "congestion_denominator",
+    "congestion_lagrangian",
 ]
 
 
@@ -251,6 +250,19 @@ def eval_Hp(m, p, params: ModelParams):
     return _congestion_weight(pnorm2, congestion, params) * p
 
 
+def congestion_lagrangian(m, w, params: ModelParams):
+    """Movement cost L(m, w) = c_beta (m + mu)^gamma |w|^{beta'}.
+
+    The convex conjugate of H in the gradient, H(m, p) = sup_w(-p.w - L(m, w)),
+    attained at w = -H_p, where L(m, -H_p) = H_p.p - H.  ``w`` has the
+    component axis first; scalars broadcast.
+    """
+    m, w = _as_density_gradient(m, w)
+    weight = params.c_beta * (m + params.mu) ** params.gamma
+    out = weight * np.linalg.norm(w, axis=0) ** params.beta_prime
+    return float(out) if out.ndim == 0 else out
+
+
 def congestion_denominator(m, params: ModelParams):
     """(den, active) pair used by the solvers and diagnostics.
 
@@ -291,7 +303,7 @@ class StructureReport:
     violations: tuple[str, ...] = ()
 
 
-def check_structure(params: ModelParams, n_grid: int = 25) -> StructureReport:
+def check_structure(params: ModelParams) -> StructureReport:
     """Report-only validation of the exponent ranges and derived bounds.
 
     ``valid_ranges`` is the admissible window 1 < beta <= 2, alpha > 0;
@@ -313,7 +325,7 @@ def check_structure(params: ModelParams, n_grid: int = 25) -> StructureReport:
     if params.is_singular and beta == 2.0:
         uniq = uniq and alpha < 2.0
 
-    hp2_ok = _hp2_sampled(params, n_grid) if valid else False
+    hp2_ok = _hp2_sampled(params) if valid else False
     return StructureReport(
         valid_ranges=valid,
         uniqueness_threshold=threshold,
@@ -323,9 +335,9 @@ def check_structure(params: ModelParams, n_grid: int = 25) -> StructureReport:
     )
 
 
-def _hp2_sampled(params: ModelParams, n_grid: int) -> bool:
-    m = np.logspace(-6.0, 6.0, n_grid)[:, None]
-    pmag = np.logspace(-6.0, 6.0, n_grid)[None, :]
+def _hp2_sampled(params: ModelParams) -> bool:
+    m = np.logspace(-6.0, 6.0, 25)[:, None]
+    pmag = np.logspace(-6.0, 6.0, 25)[None, :]
     den = (m + params.mu) ** params.alpha
     hp_mag = pmag ** (params.beta - 1.0) / den
     bracket = (1.0 / params.beta_prime) * pmag**params.beta / den  # H_p.p - H
@@ -334,78 +346,6 @@ def _hp2_sampled(params: ModelParams, n_grid: int) -> bool:
     rhs = C1 * m * (bracket + C2)
     slack = 1e-9 * np.maximum(1.0, np.abs(rhs))
     return bool(np.all(lhs <= rhs + slack))
-
-
-# ---------------------------------------------------------------------------
-# Legendre-duality probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridSearchSpec:
-    """Search box for the conjugate maximization sup_w(-p.w - L(m, w))."""
-
-    radius: float = 4.0
-    n_points: int = 33
-    n_refine: int = 200
-
-    def __post_init__(self):
-        if not self.radius > 0 or self.n_points < 3:
-            raise ValueError("need radius > 0 and at least 3 grid points")
-
-
-def legendre_residual(
-    m: float, p, params: ModelParams, search: GridSearchSpec | None = None
-) -> float:
-    """|H(m, p) - sup_w(-p.w - c_beta (m+mu)^gamma |w|^{beta'})|.
-
-    The supremum is located by a full grid search over the box and sharpened
-    by golden-section refinement along the ray -p; a small residual certifies
-    the derived values of c_beta and gamma.  Raises
-    :class:`SearchBoxTooSmall` if the grid maximizer sits on the box edge.
-    """
-    search = search or GridSearchSpec()
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    weight = params.c_beta * (m + params.mu) ** params.gamma
-    bp = params.beta_prime
-
-    def value(w):
-        return -(p @ w) - weight * np.linalg.norm(w) ** bp
-
-    axis = np.linspace(-search.radius, search.radius, search.n_points)
-    grids = np.meshgrid(*([axis] * p.size), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = -(pts @ p) - weight * np.linalg.norm(pts, axis=-1) ** bp
-    best_idx = int(np.argmax(vals))
-    best_pt, best_val = pts[best_idx], vals[best_idx]
-    if np.any(np.abs(np.abs(best_pt) - search.radius) < 1e-12):
-        raise SearchBoxTooSmall(
-            f"conjugate maximizer on the boundary of radius {search.radius}"
-        )
-
-    pnorm = float(np.linalg.norm(p))
-    if pnorm > 0.0:
-        # maximize s |p| - weight s^{beta'} over s in [0, radius]
-        lo, hi = 0.0, search.radius
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-
-        def ray(s):
-            return s * pnorm - weight * s**bp
-
-        a, b = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-        fa, fb = ray(a), ray(b)
-        for _ in range(search.n_refine):
-            if fa < fb:
-                lo, a, fa = a, b, fb
-                b = lo + invphi * (hi - lo)
-                fb = ray(b)
-            else:
-                hi, b, fb = b, a, fa
-                a = hi - invphi * (hi - lo)
-                fa = ray(a)
-        best_val = max(best_val, ray(0.5 * (lo + hi)))
-
-    return abs(eval_H(m, p, params) - best_val)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ from congestion_mfg import (
     solve_mfg,
 )
 from congestion_mfg.grid import StencilOperator, stencil_pattern
+from congestion_mfg.model import congestion_lagrangian
+
+# search box of the reference conjugate: half-width, grid points per axis,
+# golden-section steps along the ray
+CONJUGATE_RADIUS = 16.0
+CONJUGATE_POINTS = 41
+CONJUGATE_STEPS = 200
 
 
 def reference_params(horizon=1.0):
@@ -46,6 +53,46 @@ def from_csr(grid, mat):
     data = np.zeros(pattern.cols.shape)
     np.add.at(data, (hits.argmax(axis=0), coo.row), coo.data)
     return StencilOperator(pattern, data)
+
+
+def reference_conjugate(m, p, params):
+    """sup_w(-p.w - L(m, w)) of the package's ``congestion_lagrangian`` at
+    one density ``m`` and gradient ``p``, located numerically: a full grid
+    search over the box, sharpened by golden-section steps along the ray -p.
+    A grid maximizer on the box edge fails the test."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    axis = np.linspace(-CONJUGATE_RADIUS, CONJUGATE_RADIUS, CONJUGATE_POINTS)
+    grids = np.meshgrid(*([axis] * p.size), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = -(pts @ p) - congestion_lagrangian(m, pts.T, params)
+    best_idx = int(np.argmax(vals))
+    best_pt, best_val = pts[best_idx], vals[best_idx]
+    assert not np.any(np.abs(np.abs(best_pt) - CONJUGATE_RADIUS) < 1e-12), (
+        f"conjugate maximizer on the edge of the box of radius {CONJUGATE_RADIUS}"
+    )
+
+    pnorm = float(np.linalg.norm(p))
+    if pnorm > 0.0:
+        # maximize s |p| - L(m, s) over s in [0, radius]
+        lo, hi = 0.0, CONJUGATE_RADIUS
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+        def ray(s):
+            return s * pnorm - congestion_lagrangian(m, s, params)
+
+        a, b = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        fa, fb = ray(a), ray(b)
+        for _ in range(CONJUGATE_STEPS):
+            if fa < fb:
+                lo, a, fa = a, b, fb
+                b = lo + invphi * (hi - lo)
+                fb = ray(b)
+            else:
+                hi, b, fb = b, a, fa
+                a = hi - invphi * (hi - lo)
+                fa = ray(a)
+        best_val = max(best_val, ray(0.5 * (lo + hi)))
+    return best_val
 
 
 def y_major_rows(path, n):

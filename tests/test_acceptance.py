@@ -5,6 +5,7 @@ lines; each test is independent and pins its tolerance explicitly.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,19 +18,19 @@ from congestion_mfg import (
     ModelParams,
     crossed_energy_gap,
     energy_identity_residual,
+    eval_H,
     solve_mfg,
     solve_with_continuation,
     uniqueness_gap,
     uniqueness_integrand,
-    legendre_residual,
 )
 from congestion_mfg.cli import EXIT_OK, EXIT_STRUCTURAL, cmd_check
 from congestion_mfg.diagnostics import low_density_gradient_mass
 from congestion_mfg.grid import l1_space_time, upwind_parts
 from congestion_mfg.hjb import transport_jacobian
-from congestion_mfg.model import GridSearchSpec, congestion_denominator
+from congestion_mfg.model import congestion_denominator
 
-from conftest import cosine_density, reference_params
+from conftest import cosine_density, reference_conjugate, reference_params
 
 
 def report(criterion, passed, detail=""):
@@ -264,7 +265,6 @@ def test_c07_e_functional_sign():
 
 def test_c08_legendre_duality():
     rng = np.random.default_rng(42)
-    search = GridSearchSpec(radius=16.0, n_points=41)
     worst = 0.0
     for beta, alpha, mu in (
         (2.0, 1.0, 0.0),
@@ -277,7 +277,7 @@ def test_c08_legendre_duality():
         for _ in range(20):
             m = rng.uniform(0.1, 3.0)
             p = rng.normal(size=2)
-            worst = max(worst, legendre_residual(m, p, params, search))
+            worst = max(worst, abs(eval_H(m, p, params) - reference_conjugate(m, p, params)))
     ok = worst <= 1e-5
     report(8, ok, f"(worst residual={worst:.2e} over 5 parameter sets x 20 draws)")
 
@@ -296,6 +296,27 @@ def test_c09_singular_continuation(singular_ladder):
         f"(converged={all_converged} vanishing-grad={[f'{v:.1e}' for v in vanishing]} "
         f"gaps={[f'{g:.2e}' for g in gaps]})",
     )
+
+
+def test_singular_ladder_reaches_mu_zero(singular_ladder):
+    """The singular endpoint that c09's ladder stops short of: one mu = 0
+    rung, warm-started from the mu = 0.05 rung as the ladder would, on c09's
+    grid, width, budget and tolerance."""
+    last = singular_ladder.solutions[-1]
+    sol = solve_mfg(
+        last.grid,
+        replace(last.params, mu=0.0),
+        last.coupling,
+        FixedPointOptions(fp_tol=1e-6, max_outer_iter=400),
+        m0=cosine_density(last.grid),
+        init_traj=last.m,
+    )
+    assert sol.params.mu == 0.0 and sol.params.epsilon == 0.05
+    assert sol.converged, sol.meta["residual"]
+    masses = sol.grid.cell_volume * sol.m.sum(axis=1)
+    assert np.abs(masses - 1.0).max() <= 1e-10
+    assert sol.m.min() >= -1e-12
+    assert low_density_gradient_mass(sol, 1e-3) <= low_density_gradient_mass(last, 1e-3) + 1e-12
 
 
 def test_c10_structural_gatekeeping(tmp_path, capsys):

@@ -279,7 +279,7 @@ class TestCmdDiagnose:
 
 
 class TestCmdStudy:
-    def test_three_level_reference_decreasing(self, tmp_path):
+    def test_three_level_reference_decreasing(self, tmp_path, capsys):
         out_dir = tmp_path / "study3"
         path = write_config(tmp_path, REFERENCE_CONFIG, out=out_dir)
         assert cmd_study(path, 3) == EXIT_OK
@@ -288,6 +288,12 @@ class TestCmdStudy:
         gaps = [float(r.split(",")[3]) for r in rows[:-1]]
         assert residuals[0] > residuals[1] > residuals[2]
         assert gaps[0] > gaps[1]
+        # the observed orders: log2 of each ratio of consecutive values
+        out = capsys.readouterr().out.splitlines()
+        for name, col in (("energy_residual", residuals), ("l1_gap", gaps)):
+            [line] = [ln for ln in out if ln.startswith(f"{name} observed orders: ")]
+            orders = [float(tok) for tok in line.split(": ")[1].split(", ")]
+            assert orders == pytest.approx(np.log2(np.divide(col[:-1], col[1:])), abs=1e-3)
 
     def test_levels_guard(self, tmp_path):
         path = write_config(tmp_path, REFERENCE_CONFIG, out=tmp_path / "s")
@@ -307,7 +313,38 @@ class TestCmdStudy:
             n, nt, res, gap = row.split(",")
             assert float(res) <= 1e-10
             assert float(gap) <= 1e-10
+        # no order is read off a zero, and one gap gives none
+        out = capsys.readouterr().out.splitlines()
+        assert "energy_residual observed orders: nan" in out
+        assert "l1_gap observed orders: none" in out
 
+    @pytest.mark.parametrize("key", ["m0", "init_m"])
+    def test_density_file_is_prolonged_to_finer_levels(self, tmp_path, monkeypatch, key):
+        """A density file lies on the config's grid, the coarsest level: it is
+        read there once and repeated on the 2**level finer cells of each cell;
+        every level used to read it against its own grid and reject it."""
+        from congestion_mfg import cli
+
+        grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+        frame = 1.0 + 0.5 * np.cos(2.0 * np.pi * grid.coords()[0])
+        write_field_csv(tmp_path / "density.csv", grid, frame)
+        seen = []
+        real_solve = cli.solve_mfg
+
+        def recording_solve(grid, params, coupling, fp_opts, m0, hjb_opts):
+            seen.append(m0 if key == "m0" else fp_opts.init_m)
+            return real_solve(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
+
+        monkeypatch.setattr(cli, "solve_mfg", recording_solve)
+        path = write_config(
+            tmp_path,
+            f"n = 8\nnt = 8\n{key} = file({tmp_path / 'density.csv'})\n" + "output_dir = {out}\n",
+            out=tmp_path / "study",
+        )
+        assert cmd_study(path, 2) == EXIT_OK
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], frame)
+        assert np.array_equal(seen[1], np.repeat(frame, 2))
 
     def test_solver_options_reach_both_sweeps(self, tmp_path, monkeypatch):
         from congestion_mfg import cli, coupler

@@ -15,6 +15,7 @@ from congestion_mfg.grid import (
     StencilOperator,
     integrate,
     one_sided_diffs,
+    prolong_frame,
     restrict_traj,
     stencil_pattern,
     upwind_parts,
@@ -387,6 +388,21 @@ class TestRestriction2D:
         assert coarse.shape == (3, 4, 4)
         manual = traj[2][0:2, 2:4].mean()
         assert coarse[1, 0, 1] == pytest.approx(manual, rel=1e-15)
+
+
+class TestProlongation:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_piecewise_constant_and_undone_by_restriction(self, dim):
+        coarse = GridSpec(dim=dim, n=4, nt=4, horizon=1.0)
+        fine = GridSpec(dim=dim, n=16, nt=16, horizon=1.0)
+        frame = np.random.default_rng(3).uniform(0.5, 1.5, size=coarse.shape)
+        fine_frame = prolong_frame(frame, 4)
+        assert fine_frame.shape == fine.shape
+        for offset in range(4):
+            assert np.array_equal(fine_frame[(slice(offset, None, 4),) * dim], frame)
+        back = restrict_traj(fine, fine_frame[None], 4)[0]
+        assert back == pytest.approx(frame, rel=1e-15, abs=0.0)
+        assert integrate(fine, fine_frame) == pytest.approx(integrate(coarse, frame), rel=1e-15)
 
 
 # a valid single frame on the 1D grid n = 4

@@ -1,4 +1,4 @@
-"""Hamiltonian family, structural checkers, Legendre probe, uniqueness bracket."""
+"""Hamiltonian family, its Legendre pair, structural checkers, uniqueness bracket."""
 
 from dataclasses import replace
 
@@ -7,20 +7,22 @@ import numpy as np
 import pytest
 
 from congestion_mfg.coupler import ContinuationSchedule, FixedPointOptions
-from congestion_mfg.errors import SearchBoxTooSmall, SingularEvaluation
+from congestion_mfg.errors import SingularEvaluation
 from congestion_mfg.hjb import HJBOptions
 from congestion_mfg.model import (
     CouplingSpec,
-    GridSearchSpec,
     ModelParams,
     _power_law,
     check_structure,
     congestion_denominator,
+    congestion_lagrangian,
     eval_H,
     eval_Hp,
-    legendre_residual,
     uniqueness_integrand,
 )
+
+import conftest
+from conftest import reference_conjugate
 
 
 def make_params(beta=2.0, alpha=1.0, mu=1.0, nu=0.5, horizon=1.0):
@@ -78,7 +80,6 @@ NAN_FIELDS = {
        for key in ("table_s", "table_f", "table_g")},
     "ContinuationSchedule.epsilons": (ContinuationSchedule, {"epsilons": (0.1, NAN)}),
     "ContinuationSchedule.mus": (ContinuationSchedule, {"mus": (1.0, NAN)}),
-    "GridSearchSpec.radius": (GridSearchSpec, {"radius": NAN}),
 }
 
 
@@ -265,6 +266,16 @@ class TestRangeConsequences:
         assert 4.0 * (2.0 - 1.0) / 2.0 == 2.0
 
 
+def legendre_residual(m, p, params):
+    """|H(m, p) - sup_w(-p.w - L(m, w))|, the supremum located numerically."""
+    return abs(eval_H(m, p, params) - reference_conjugate(m, p, params))
+
+
+# c08's parameter sets: quadratic and sub-quadratic, singular and regular
+LEGENDRE_SETS = [(2.0, 1.0, 0.0), (1.5, 1.0, 0.1), (1.8, 0.5, 1.0), (2.0, 2.0, 1.0),
+                 (1.2, 0.25, 0.5)]
+
+
 class TestLegendreResidual:
     def test_quadratic_closed_form(self):
         p = make_params(beta=2.0, alpha=1.0, mu=0.0)
@@ -282,25 +293,57 @@ class TestLegendreResidual:
 
     def test_random_sample_certifies_normalization(self):
         rng = np.random.default_rng(11)
-        search = GridSearchSpec(radius=16.0, n_points=41)
         for beta, alpha, mu in [(2.0, 1.0, 0.0), (1.5, 1.0, 0.1), (1.8, 0.5, 1.0)]:
             p = make_params(beta=beta, alpha=alpha, mu=mu)
             for _ in range(20):
                 m = rng.uniform(0.1, 3.0)
                 grad = rng.normal(size=2)
-                assert legendre_residual(m, grad, p, search) <= 1e-5
+                assert legendre_residual(m, grad, p) <= 1e-5
 
-    def test_wrong_normalization_detected(self):
-        # a Lagrangian with the wrong weight would not conjugate back to H
+    def test_wrong_normalization_detected(self, monkeypatch):
+        # a Lagrangian with the wrong weight does not conjugate back to H
         p = make_params(beta=1.5, alpha=1.0, mu=0.5)
         res_correct = legendre_residual(1.0, [2.0], p)
         h = eval_H(1.0, [2.0], p)
-        assert res_correct < 1e-6 < 0.05 * h
+        monkeypatch.setattr(
+            conftest, "congestion_lagrangian", lambda m, w, q: 2.0 * congestion_lagrangian(m, w, q)
+        )
+        assert res_correct < 1e-6 < 0.05 * h < legendre_residual(1.0, [2.0], p)
 
     def test_box_too_small(self):
+        # the maximizer |w| = (|p| / (m + mu)^gamma)^{1/2} = 35 lies outside the box
         p = make_params(beta=1.5, alpha=1.0, mu=0.0)
-        with pytest.raises(SearchBoxTooSmall):
-            legendre_residual(0.2, [50.0], p, GridSearchSpec(radius=1.0))
+        with pytest.raises(AssertionError, match="edge of the box"):
+            reference_conjugate(0.2, [50.0], p)
+
+
+class TestCongestionLagrangian:
+    def test_closed_form(self):
+        # beta = 2: L = (1/2)(m + mu)^alpha |w|^2; m=1, mu=1, w=(3,4) -> 25
+        assert congestion_lagrangian(1.0, [3.0, 4.0], make_params()) == 25.0
+        assert congestion_lagrangian(0.0, [0.0], make_params(mu=0.0)) == 0.0
+
+    @pytest.mark.parametrize("beta, alpha, mu", LEGENDRE_SETS)
+    def test_fenchel_equality(self, beta, alpha, mu):
+        # the supremum is attained at w = -H_p: L(m, -H_p) = H_p.p - H,
+        # at random (m > 0, p) and at p = 0, where both sides are 0
+        params = make_params(beta=beta, alpha=alpha, mu=mu)
+        rng = np.random.default_rng(7)
+        m = rng.uniform(0.1, 3.0, size=50)
+        grad = np.concatenate([rng.normal(size=(2, 45)) * 10.0 ** rng.uniform(-3, 2, 45),
+                               np.zeros((2, 5))], axis=1)
+        h, hp = eval_H(m, grad, params), eval_Hp(m, grad, params)
+        lhs = congestion_lagrangian(m, -hp, params)
+        rhs = (hp * grad).sum(axis=0) - h
+        assert np.all(lhs[45:] == 0.0) and np.all(rhs[45:] == 0.0)
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * np.maximum(1.0, np.abs(h)))
+
+    def test_vectorized_matches_pointwise(self):
+        params = make_params(beta=1.5, alpha=0.6, mu=0.0)
+        m = np.array([0.5, 1.0, 2.0])
+        w = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, 0.0]])
+        each = [congestion_lagrangian(m[i], w[:, i], params) for i in range(3)]
+        assert np.array_equal(congestion_lagrangian(m, w, params), each)
 
 
 def segment_brackets(m, z, p, r, params, coupling, n_samples=101):
