@@ -44,7 +44,7 @@ from .coupler import (
 from .diagnostics import apriori_report, crossed_energy_gap, energy_identity_residual
 from .diagnostics import uniqueness_gap
 from .errors import ConfigError, ConfigParseError, CongestionMFGError, GridMismatch
-from .grid import GridSpec, l1_space_time, prolong_frame, restrict_traj
+from .grid import GridSpec, _density_input, l1_space_time, prolong_frame, restrict_traj
 from .hjb import HJBOptions
 from .model import CouplingSpec, ModelParams, check_structure
 
@@ -145,6 +145,8 @@ def density_from_spec(spec: str, grids: list, key: str) -> list[np.ndarray]:
 
     ``uniform`` and ``cosine_bump`` are evaluated on each grid; a file is read
     once, on the coarsest, and prolonged piecewise-constant to the finer ones.
+    A file's density passes the guard the solver applies to its input, so a
+    NaN, an infinity or a negative entry beyond roundoff is rejected here.
     ``key`` is the config key the spec came from; every rejection names it.
     """
     match = _DENSITY_SPEC.match(spec.strip())
@@ -152,7 +154,7 @@ def density_from_spec(spec: str, grids: list, key: str) -> list[np.ndarray]:
         raise ConfigError(f"{key}: bad density spec {spec!r}")
     if match.group(3) is not None:
         try:
-            frame = read_frame_csv(match.group(3), grids[0])
+            frame = _density_input(read_frame_csv(match.group(3), grids[0]), "density file")
         except OSError as exc:
             raise ConfigParseError(f"{key}: cannot read density file: {exc}") from exc
         except ValueError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fpk import solve_fpk_forward
-from .grid import GridSpec, _nonnegative, gaussian_smooth, integrate, l1_space_time
+from .grid import GridSpec, _density_input, gaussian_smooth, integrate, l1_space_time
 from .grid import upwind_parts
 from .hjb import HJBOptions, drift_field, solve_hjb_backward
 from .model import CouplingSpec, ModelParams, check_structure, congestion_denominator
@@ -166,6 +166,8 @@ def _initial_trajectory(
     if init_traj is not None:
         if init_traj.shape != traj.shape:
             raise ConfigError("warm-start trajectory shape does not match grid")
+        if not np.isfinite(init_traj[1:]).all():
+            raise ConfigError("warm-start trajectory must be finite")
         traj[1:] = init_traj[1:]
     elif isinstance(fp_opts.init_m, str):
         traj[1:] = 1.0
@@ -173,7 +175,7 @@ def _initial_trajectory(
         guess = np.asarray(fp_opts.init_m, dtype=float)
         if guess.shape != grid.shape:
             raise ConfigError("supplied init_m field shape does not match grid")
-        guess = _nonnegative(guess, "supplied init_m field", ConfigError)
+        guess = _density_input(guess, "supplied init_m field", ConfigError)
         traj[1:] = _normalized(grid, guess)
     return traj
 
@@ -191,14 +193,16 @@ def solve_mfg(
 
     Both widths come from ``params``, whose ``horizon`` must be the grid's
     (else :class:`ConfigError`).  ``m0`` is the initial density (uniform
-    when omitted; a negative entry beyond roundoff raises
-    :class:`ConfigError`); it is mollified with the same width
+    when omitted; a negative entry beyond roundoff, a NaN or an infinity
+    raises :class:`ConfigError`); it is mollified with the same width
     ``params.epsilon`` that caps the density inside the Hamiltonian and
     smooths the couplings.  ``init_traj`` warm-starts the iteration, and is
     required when ``mu`` is 0: the singular problem is reached only by
-    continuation.  A budget overrun is not an exception: it returns the
-    iterate with the lowest measured residual, the last one measured by one
-    more FPK sweep, with ``meta['converged'] = False``.
+    continuation.  A non-finite entry in the levels it supplies, or in an
+    ``init_m`` field, raises :class:`ConfigError` too.  A budget overrun is
+    not an exception: it returns the iterate with the lowest measured
+    residual, the last one measured by one more FPK sweep, with
+    ``meta['converged'] = False``.
     ``meta['residual']`` is the returned iterate's residual.
     """
     fp_opts = fp_opts or FixedPointOptions()
@@ -218,7 +222,7 @@ def solve_mfg(
     start = time.perf_counter()
     if m0 is None:
         m0 = np.ones(grid.shape)
-    m0 = _nonnegative(np.asarray(m0, float), "initial density m0", ConfigError)
+    m0 = _density_input(m0, "initial density m0", ConfigError)
     m0_eps = gaussian_smooth(grid, _normalized(grid, m0), params.epsilon)
     m0_eps = _normalized(grid, m0_eps)
 
@@ -276,12 +280,11 @@ def solve_mfg(
             resid, m_cur = best_resid, best_m
             backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
             worst_newton = max(worst_newton, backward.max_newton_residual)
-    congestion = [congestion_denominator(m_k, params) for m_k in m_cur]
-    policy = np.stack(
-        [
-            drift_field(grid, upwind_parts(grid, u_k), congestion_k, params)
-            for u_k, congestion_k in zip(backward.u, congestion)
-        ]
+    # the last sweep's generators go before the policy's stacked kernels run
+    u = backward.u
+    del backward
+    policy = drift_field(
+        grid, upwind_parts(grid, u), congestion_denominator(m_cur, params), params
     )
 
     meta = {
@@ -299,7 +302,7 @@ def solve_mfg(
         grid=grid,
         params=params,
         coupling=coupling,
-        u=backward.u,
+        u=u,
         m=m_cur,
         policy=policy,
         meta=meta,

@@ -9,8 +9,14 @@ Conventions used throughout the package:
   (``(n,)`` in 1D, ``(n, n)`` in 2D, row-major);
 * a space-time field is an array with a leading time axis of length
   ``nt + 1``, frame ``k`` holding the values at ``t_k = k * dt``;
-  :func:`gaussian_smooth` takes any leading axes as frames, so it smooths
-  a whole space-time field in one call, with per-frame results;
+  :func:`gaussian_smooth` takes any leading axes as frames, and
+  :func:`one_sided_diffs`, :func:`upwind_parts`, :func:`integrate` and a
+  :class:`StencilOperator` take one frame or a stack ``(nframes,
+  *grid.shape)``, so a whole trajectory costs one call; every frame of a
+  stacked result has the bits of a single-frame call;
+* a vector field carries its component axis after the frame axis:
+  ``(dim, *grid.shape)`` for one frame, ``(nframes, dim, *grid.shape)``
+  for a stack;
 * integrals over the torus are rectangle sums ``h**dim * sum(f)``, which is
   what makes the discrete summation-by-parts identities exact.
 
@@ -19,16 +25,18 @@ of its inputs.  :func:`one_sided_diffs` takes periodic differences with
 two cached gathers and no rolled copies.  :func:`upwind_parts` is the one
 home of the Godunov upwind gradient: the HJB solver and the diagnostics both
 read it.  :func:`_nonnegative` is the one density guard: roundoff in
-``[-NEGATIVE_TOL, 0)`` counts as 0, anything below raises.
+``[-NEGATIVE_TOL, 0)`` counts as 0, anything below, or NaN, raises;
+:func:`_density_input` also rejects infinities, for a caller's density.
 
 The Laplacian and the upwind transport of the solvers share one sparsity
 pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
 it once per ``GridSpec`` and caches it.  A matrix on it is a
 :class:`StencilOperator`: a ``(2*dim+1, ncells)`` data block, slot axis first,
 with a product, a transpose and an entry count, so the HJB and Kolmogorov
-systems are assembled by block adds.  The pattern relies on ``GridSpec``'s
-``n >= 4``: the stencil neighbours of a cell are then distinct, so no two
-offsets share a slot.
+systems are assembled by block adds; a stack of operators, one per frame,
+is a ``(nframes, 2*dim+1, ncells)`` block on the same pattern.  The pattern
+relies on ``GridSpec``'s ``n >= 4``: the stencil neighbours of a cell are
+then distinct, so no two offsets share a slot.
 
 The pattern, the heat-operator data ``I/dt - nu L`` of
 :func:`implicit_heat_data` and the Gaussian kernel's spectrum in
@@ -170,18 +178,20 @@ class StencilPattern:
 
 
 class StencilOperator:
-    """The ``ncells x ncells`` matrix with ``data`` on ``pattern``.
+    """The ``ncells x ncells`` matrix with ``data`` on ``pattern``, or a
+    stack of them, one per frame.
 
     ``data`` is taken as is, not copied, and must be shaped like
-    ``pattern.cols``.  :meth:`dot` gathers ``x`` by column, multiplies and
-    sums each row's terms from 0 in column order: scipy's CSR product, bit
-    for bit.  :attr:`T` is the transpose, one gather of the data.
+    ``pattern.cols``, with a leading frame axis for a stack.  :meth:`dot`
+    gathers ``x`` by column, multiplies and sums each row's terms from 0 in
+    column order: scipy's CSR product, bit for bit, frame by frame.
+    :attr:`T` is the transpose, one gather of the data.
     """
 
     __slots__ = ("pattern", "data")
 
     def __init__(self, pattern: StencilPattern, data: np.ndarray):
-        if data.shape != pattern.cols.shape:
+        if data.shape[-2:] != pattern.cols.shape or data.ndim > 3:
             raise ValueError(
                 f"expected stencil data of shape {pattern.cols.shape}, got {data.shape}"
             )
@@ -193,18 +203,38 @@ class StencilOperator:
 
     @property
     def T(self) -> StencilOperator:
-        return StencilOperator(self.pattern, self.data.take(self.pattern.transpose))
+        data = _take_frames(self.data, self.pattern.transpose, 2)
+        return StencilOperator(self.pattern, data)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """``A x`` for a flat ``x``."""
+        """``A x`` for a flat ``x``, or ``A_k x_k`` for a stack ``(nframes, ncells)``."""
         return _rows_dot(self.pattern.cols, self.data, x)
 
 
 def _rows_dot(cols: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-    terms = x.take(cols)
+    terms = x.take(cols, axis=-1)
     terms *= data
     # over the slot axis: each row's sum runs from 0 in column order
-    return np.add.reduce(terms, axis=0, initial=0.0)
+    return np.add.reduce(terms, axis=-2, initial=0.0)
+
+
+def _take_frames(a: np.ndarray, index: np.ndarray, ndim: int) -> np.ndarray:
+    """``a.take(index)`` for one frame of ``ndim`` axes, and on each frame
+    of a stack, the frame axis first."""
+    if a.ndim == ndim:
+        return a.take(index)
+    return a.reshape(len(a), -1).take(index, axis=1)
+
+
+def _on_components(dim: int, key) -> tuple:
+    """Basic index of ``key`` (an int, a slice or None) on the axis before a
+    field's ``dim`` spatial axes: a vector field's component axis, stencil
+    data's offset axis, after the frame axis of a stack."""
+    return (Ellipsis, key) + (slice(None),) * dim
+
+
+# a unit component axis, so that a scalar field scales every component
+_NEW_COMPONENT = {dim: _on_components(dim, None) for dim in (1, 2)}
 
 
 @functools.lru_cache(maxsize=32)
@@ -259,18 +289,23 @@ def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(dplus, dminus)``, each of shape ``(dim, *grid.shape)`` with
     ``dplus[i] = (u(x + h e_i) - u(x)) / h`` and
-    ``dminus[i] = (u(x) - u(x - h e_i)) / h`` (periodic wraparound).
+    ``dminus[i] = (u(x) - u(x - h e_i)) / h`` (periodic wraparound); for a
+    stack ``u`` of shape ``(nframes, *grid.shape)``, ``(nframes, dim,
+    *grid.shape)``.
     """
     upper, lower = _neighbours(grid.dim, grid.n)
-    dplus = (u.take(upper) - u) / grid.h
+    dplus = _take_frames(u, upper, grid.dim)
+    dplus -= u[_NEW_COMPONENT[grid.dim]]
+    dplus /= grid.h
     # dplus one cell on: bit-identical to (u - u(x - h e_i)) / h
-    return dplus, dplus.take(lower)
+    return dplus, _take_frames(dplus, lower, grid.dim + 1)
 
 
 @functools.lru_cache(maxsize=32)
 def _neighbours(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of ``u(x + h e_i)`` in ``u`` and of ``dplus[i](x - h e_i)``
-    in a ``(dim, *shape)`` stack, both shaped ``(dim, *shape)``; read-only."""
+    """Flat indices of ``u(x + h e_i)`` in a frame of ``u`` and of
+    ``dplus[i](x - h e_i)`` in a frame's ``(dim, *shape)`` differences, both
+    shaped ``(dim, *shape)``; read-only."""
     idx = np.arange(n**dim).reshape((n,) * dim)
     upper = np.stack([np.roll(idx, -1, axis=ax) for ax in range(dim)])
     lower = np.stack([np.roll(idx, 1, axis=ax) + ax * idx.size for ax in range(dim)])
@@ -286,13 +321,15 @@ def upwind_parts(grid: GridSpec, u: np.ndarray):
     composite ``q = sum_i dm_i^2 + dp_i^2``, which is nondecreasing in each
     backward difference and nonincreasing in each forward one: the sign
     structure a monotone scheme needs.  ``dm + dp`` is the combined upwind
-    gradient vector.
+    gradient vector.  A stack ``u`` gives the parts of every frame, the
+    frame axis first.
     """
     dplus, dminus = one_sided_diffs(grid, u)
-    dm, dp = np.maximum(dminus, 0.0), np.minimum(dplus, 0.0)
+    dm = np.maximum(dminus, 0.0, out=dminus)
+    dp = np.minimum(dplus, 0.0, out=dplus)
     if grid.dim == 1:  # a sum over one axis is its only term
-        return dm, dp, np.square(dm[0]) + np.square(dp[0])
-    return dm, dp, (dm**2).sum(axis=0) + (dp**2).sum(axis=0)
+        return dm, dp, np.square(dm[..., 0, :]) + np.square(dp[..., 0, :])
+    return dm, dp, (dm**2).sum(axis=-3) + (dp**2).sum(axis=-3)
 
 
 NEGATIVE_TOL = 1e-12  # density roundoff allowed below zero
@@ -300,11 +337,20 @@ NEGATIVE_TOL = 1e-12  # density roundoff allowed below zero
 
 def _nonnegative(m: np.ndarray, what: str, error: type = ValueError) -> np.ndarray:
     """``m`` with roundoff in ``[-NEGATIVE_TOL, 0)`` set to 0, uncopied if none;
-    anything below raises ``error``."""
+    anything below, or a NaN, raises ``error``."""
     low = float(m.min())
-    if low < -NEGATIVE_TOL:
+    if not low >= -NEGATIVE_TOL:  # a NaN fails the comparison
         raise error(f"{what} must be nonnegative")
     return np.maximum(m, 0.0) if low < 0.0 else m
+
+
+def _density_input(m, what: str, error: type = ValueError) -> np.ndarray:
+    """A caller's density field as :func:`_nonnegative` returns it, after
+    rejecting an infinite entry, which that guard lets through."""
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise error(f"{what} must be finite")
+    return _nonnegative(m, what, error)
 
 
 def gaussian_smooth(grid: GridSpec, f: np.ndarray, eps: float) -> np.ndarray:
@@ -349,14 +395,18 @@ def _kernel_spectrum(n: int, h: float, eps: float) -> np.ndarray:
     return spectrum
 
 
-def integrate(grid: GridSpec, f: np.ndarray) -> float:
-    """Rectangle-rule integral over the torus."""
-    return float(grid.cell_volume * np.sum(f))
+def integrate(grid: GridSpec, f: np.ndarray):
+    """Rectangle-rule integral over the torus: a float for one frame, an
+    array of the frames' integrals for a stack, one reduction over the
+    spatial axes that sums each frame as a single-frame call does."""
+    f = np.asarray(f)
+    sums = grid.cell_volume * f.reshape(f.shape[: f.ndim - grid.dim] + (-1,)).sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def l1_space_time(grid: GridSpec, traj: np.ndarray) -> float:
     """Trapezoid-in-time L1(Q_T) norm of a space-time field."""
-    per_level = grid.cell_volume * np.abs(traj).sum(axis=tuple(range(1, traj.ndim)))
+    per_level = integrate(grid, np.abs(traj))
     weights = np.ones(grid.nt + 1)
     weights[0] = weights[-1] = 0.5
     return float(grid.dt * np.dot(weights, per_level))

@@ -42,17 +42,23 @@ Within a level the density frame is frozen, so :func:`hjb_step` evaluates
 the congestion factor ``congestion_denominator(m_frame, params)`` once
 per level and ``upwind_parts(grid, u)`` once per Newton iterate.  The
 kernels :func:`hamiltonian_values`, :func:`transport_jacobian` and
-:func:`drift_field` all take these as ``(grid, parts, congestion, params)``.
+:func:`drift_field` all take these as ``(grid, parts, congestion, params)``,
+for one frame or for a stack of frames with the frame axis first: the
+solver calls them one level at a time, while the coupler's drift and the
+diagnostics pass a whole trajectory in one call, and every frame of a
+stacked result has the bits of the single-frame call.
 The generator ``A`` at the converged state, built from the final residual's
 parts, is all the step emits of the linearization: the forward Kolmogorov
 stepper consumes its exact transpose, which closes the diagnostics' discrete
 energy identities up to solver tolerances, and the coupler computes the
-drift ``-H_p`` once from the returned solution.  ``A`` is a
-:class:`~congestion_mfg.grid.StencilOperator` on the grid's cached stencil
-pattern, filled as one ``(2*dim + 1, *shape)`` block that one gather puts in
-slot order; each Newton system ``I/dt - nu L + A`` is one block add.  ``L u``
-is the pattern's row sums, bit-identical to scipy's CSR product.  Density entries in
-``[-NEGATIVE_TOL, 0)`` (FPK roundoff) count as 0; lower ones raise ``ValueError``.
+drift ``-H_p`` once from the returned solution, all levels in one call.
+``A`` is a :class:`~congestion_mfg.grid.StencilOperator` on the grid's
+cached stencil pattern, filled as one ``(2*dim + 1, *shape)`` block (one per
+frame of a stack) that one gather puts in slot order; each Newton system
+``I/dt - nu L + A`` is one block add.  ``L u`` is the pattern's row sums,
+bit-identical to scipy's CSR product.  Density entries in
+``[-NEGATIVE_TOL, 0)`` (FPK roundoff) count as 0; lower ones, and NaN,
+raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,9 +70,12 @@ import numpy as np
 
 from .errors import ConfigError, NewtonDiverged, NonFiniteState
 from .grid import (
+    _NEW_COMPONENT,
     GridSpec,
     StencilOperator,
     _nonnegative,
+    _on_components,
+    _take_frames,
     gaussian_smooth,
     implicit_heat_data,
     stencil_pattern,
@@ -75,6 +84,17 @@ from .grid import (
 from .linalg import sparse_solve
 from .model import CouplingSpec, ModelParams, congestion_denominator
 from .model import _congestion_h, _congestion_weight
+
+# indices on the offset axis of stencil data, per dim: the first (the cell's
+# offset, or a vector field's first component), the lower and the upper
+# neighbours' offsets, and every neighbour's
+_OFFSETS = {
+    dim: tuple(
+        _on_components(dim, key)
+        for key in (0, slice(1, 1 + dim), slice(1 + dim, None), slice(1, None))
+    )
+    for dim in (1, 2)
+}
 
 __all__ = [
     "HJBOptions",
@@ -119,7 +139,8 @@ def hamiltonian_values(
     """Per-cell numerical Hamiltonian (1/beta) q^{beta/2}/(T m + mu)^alpha.
 
     ``parts = upwind_parts(grid, u)`` and ``congestion =
-    congestion_denominator(m, params)``, as for every kernel here.
+    congestion_denominator(m, params)``, as for every kernel here; the
+    parts and congestion of a stack of frames give the values of each frame.
     """
     return _congestion_h(parts[2], congestion, params)
 
@@ -132,31 +153,38 @@ def transport_jacobian(
     Row sums vanish (g depends on differences only), the diagonal is
     nonnegative and off-diagonal entries are nonpositive, and by Euler's
     identity for the beta-homogeneous g one has  A u = beta * g  exactly.
+    The parts and congestion of a stack of frames give the stack of
+    generators, one per frame.
     """
     dm, dp, q = parts
-    w = _congestion_weight(q, congestion, params)
     dim, h = grid.dim, grid.h
+    w = _congestion_weight(q, congestion, params)[_NEW_COMPONENT[dim]]
     pattern = stencil_pattern(grid)
-    # one field per offset, as in ``pattern.slots``: cell, lower, upper
-    block = np.empty((2 * dim + 1, *grid.shape))
-    am = np.multiply(w, dm, out=block[1 : 1 + dim])
-    ap = np.multiply(w, dp, out=block[1 + dim :])
+    first, lower, upper, neighbours = _OFFSETS[dim]
+    # one field per offset, as in ``pattern.slots``: cell, lower, upper; the
+    # offset axis sits where ``dm`` has its component axis, after the frames
+    block = np.empty(q.shape[:-dim] + (2 * dim + 1,) + q.shape[-dim:])
+    am = np.multiply(w, dm, out=block[lower])
+    ap = np.multiply(w, dp, out=block[upper])
     # the cell's entry sums the axes' (am - ap)/h in axis order: one in 1D
-    cell = np.subtract(am[0], ap[0], out=block[0])
+    cell = np.subtract(am[first], ap[first], out=block[first])
     cell /= h
     for ax in range(1, dim):
-        cell += (am[ax] - ap[ax]) / h
+        cell += (am[..., ax, :, :] - ap[..., ax, :, :]) / h
     np.negative(am, out=am)
-    block[1:] /= h
-    return StencilOperator(pattern, block.take(pattern.gather))
+    block[neighbours] /= h
+    return StencilOperator(pattern, _take_frames(block, pattern.gather, dim + 1))
 
 
 def drift_field(
     grid: GridSpec, parts, congestion, params: ModelParams
 ) -> np.ndarray:
-    """Upwind drift -H_p(T m, Du), one component per dimension."""
+    """Upwind drift -H_p(T m, Du), one component per dimension (after the
+    frame axis, for a stack)."""
     dm, dp, q = parts
-    return -_congestion_weight(q, congestion, params) * (dm + dp)
+    drift = dm + dp
+    drift *= -_congestion_weight(q, congestion, params)[_NEW_COMPONENT[grid.dim]]
+    return drift
 
 
 def effective_cost(grid: GridSpec, m: np.ndarray, cost, epsilon: float) -> np.ndarray:

@@ -4,24 +4,31 @@ Both steppers build their systems as
 :class:`~congestion_mfg.grid.StencilOperator` data on the grid's stencil
 pattern, and neither solver copies them into another format.  1D systems are
 periodic tridiagonal: :func:`splu` reads the five bands by a cached index and
-factors the system with LAPACK's tridiagonal LU ``dgttrf``, the two corner
-entries moved into a rank-one Sherman-Morrison correction, so a solve is one
-``dgttrs`` and a rank-one update.  It replaced scipy's general sparse LU
-(SuperLU): over the 3295 systems of an n = 64 reference solve, on a 2-core
-x86 host, a factorization and solve take a third of SuperLU's time (26
-against 82 us in one run; the host's timings drift by up to 1.7x between
-runs), and the two agree to 5e-15 relative.  Every 1D system the steppers
-build is strictly diagonally dominant, the HJB ones by rows (nonpositive
-off-diagonals, row sums ``1/dt``) and the Kolmogorov ones by columns, so it
-is nonsingular and its pivoted LU is stable.  Both kinds are dominant by
+moves the two corner entries into a rank-one Sherman-Morrison correction.
+Its solve is one LAPACK ``dgtsv`` call on the two columns ``[rhs | w]``,
+which factors the tridiagonal part in place and solves it for the
+right-hand side and the correction's column ``w`` together, then a rank-one
+update.  That call gives the bits of the ``dgttrf`` factorization and the
+two ``dgttrs`` solves it replaced (20 000 random systems of n = 16, 32 and
+64, a third with diagonals small enough to pivot), in one LAPACK call
+instead of three.  On a 2-core x86 host the LAPACK work per system fell
+from 3.6 to 2.0 us at n = 16 and from 5.7 to 3.7 us at n = 64; over the
+3295 systems of an n = 64 reference solve a factorization and solve take
+16.5 against 18.3 us (best of 12 passes; medians 19.7 against 20.7 us, and
+the host's timings drift by up to 1.7x between runs).  The periodic LU
+replaced scipy's general sparse LU (SuperLU), which takes about 52 us on
+those systems, and the two agree to 5e-15 relative.  Every 1D system the
+steppers build is strictly diagonally dominant, the HJB ones by rows
+(nonpositive off-diagonals, row sums ``1/dt``) and the Kolmogorov ones by
+columns, so it is nonsingular and its pivoted LU is stable.  Both kinds are dominant by
 rows in all 3295 systems of that solve and all 12711 of the n = 16 c09
 ladder, so the certificate takes the rows' least margin first and the
 columns' only when that fails.  Any other system, such as a caller's own, is
 checked on its true residual as a 2D one is, and one with a non-finite entry
 raises :class:`LinearSolveFailed`, as does a non-finite solution, which a
 NaN or an infinity in the right-hand side gives.
-:func:`splu` loads LAPACK on the first 1D factorization, through a cached
-loader, at about 0.1 us a call: a 2D solve, bundle save and load,
+A solve loads LAPACK on the first 1D system, through a cached loader, at
+about 0.1 us a call: a 2D solve, bundle save and load,
 ``apriori_report``, ``check`` and ``diagnose`` never import ``scipy.linalg``
 and the scipy-bundled BLAS it brings, which is 10 MB of a 2D run's peak RSS.
 
@@ -110,8 +117,9 @@ def sparse_solve(
 
 
 def splu(grid: GridSpec, mat: StencilOperator) -> PeriodicTridiagonalLU:
-    """LU factors of a 1D system ``mat`` on the grid's stencil pattern, as
-    the periodic tridiagonal it is: the one 1D factorization."""
+    """A 1D system ``mat`` on the grid's stencil pattern as the periodic
+    tridiagonal it is, certified and ready for its one solve: the one 1D
+    factorization."""
     pattern = stencil_pattern(grid)
     if mat.pattern is not pattern:
         raise ValueError("a 1D system must be built on the grid's stencil pattern")
@@ -131,25 +139,28 @@ def _band_slots(pattern: StencilPattern) -> np.ndarray:
 
 @functools.cache
 def _lapack():
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.linalg.lapack import dgtsv
 
-    return dgttrf, dgttrs
+    return dgtsv
 
 
 class PeriodicTridiagonalLU:
-    """LU factors of a periodic tridiagonal ``B``, from its ``(5, n)`` bands
-    ``B[i,i]``, ``B[i,i-1]``, ``B[i-1,i]``, ``B[i,i+1]`` and ``B[i+1,i]``
-    (indices mod n), which it overwrites.
+    """A periodic tridiagonal ``B``, from its ``(5, n)`` bands ``B[i,i]``,
+    ``B[i,i-1]``, ``B[i-1,i]``, ``B[i,i+1]`` and ``B[i+1,i]`` (indices mod
+    n), which it overwrites, ready for one solve: LAPACK factors the bands
+    in place, so a second :meth:`solve` raises.
 
     With ``gamma = -B[0,0]`` (or -1 where that is 0), ``B = T + w v^T`` for
     ``w = (gamma, 0, .., 0, B[n-1,0])``, ``v = (1, 0, .., 0, B[0,n-1]/gamma)``
-    and a tridiagonal ``T``, which ``dgttrf`` factors once; ``z = T^{-1} w``
-    is solved here, so :meth:`solve` is one ``dgttrs`` and a rank-one update
+    and a tridiagonal ``T``.  :meth:`solve` factors ``T`` and solves it for
+    the right-hand side and ``w`` at once, one ``dgtsv`` call on the two
+    columns ``[rhs | w]``, then applies the rank-one update
     (Sherman-Morrison).  ``dominant`` says that ``B`` is finite and strictly
     diagonally dominant by rows or, tested only if not, by columns: then
     ``B`` and ``T`` are nonsingular, the pivoted LU is stable and the
-    Sherman-Morrison denominator is not 0.  A non-finite entry, a zero pivot
-    of ``T`` and a zero denominator raise :class:`LinearSolveFailed`.
+    Sherman-Morrison denominator is not 0.  A non-finite entry raises
+    :class:`LinearSolveFailed` here; a zero pivot of ``T`` and a zero
+    denominator raise it in :meth:`solve`.
     """
 
     def __init__(self, bands: np.ndarray):
@@ -165,25 +176,28 @@ class PeriodicTridiagonalLU:
         gamma = -(diag.item(0) or 1.0)
         diag[0] -= gamma
         diag[-1] -= lower_corner * upper_corner / gamma
-        dgttrf, self._dgttrs = _lapack()
-        *self._factors, info = dgttrf(bands[4, :-1], diag, bands[3, :-1], 1, 1, 1)
-        if info != 0:
-            raise LinearSolveFailed(f"dgttrf returned info={info}")
-        w = np.zeros(len(diag))
-        w[0], w[-1] = gamma, lower_corner
-        z, _ = self._dgttrs(*self._factors, w, overwrite_b=1)
+        self._bands, self._gamma, self._lower_corner = bands, gamma, lower_corner
         self._ratio = upper_corner / gamma
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``B^{-1} rhs`` for a flat ``rhs``."""
+        bands, self._bands = self._bands, None
+        if bands is None:
+            raise RuntimeError("the bands were factored by an earlier solve")
+        # [rhs | w] in Fortran order: LAPACK factors and solves in place
+        columns = np.zeros((2, len(rhs)))
+        columns[0] = rhs
+        columns[1, 0], columns[1, -1] = self._gamma, self._lower_corner
+        *_, info = _lapack()(bands[4, :-1], bands[0], bands[3, :-1], columns.T, 1, 1, 1, 1)
+        if info != 0:
+            raise LinearSolveFailed(f"dgtsv returned info={info}")
+        y, z = columns
         denominator = 1.0 + z.item(0) + self._ratio * z.item(-1)
         if denominator == 0:
             raise LinearSolveFailed("singular periodic tridiagonal system")
         z /= denominator
-        self._correction = z
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``B^{-1} rhs`` for a flat ``rhs``."""
-        y, _ = self._dgttrs(*self._factors, rhs)
         # in Python floats, 0 * inf is NaN without a warning; the caller checks y
-        y -= (y.item(0) + self._ratio * y.item(-1)) * self._correction
+        y -= (y.item(0) + self._ratio * y.item(-1)) * z
         return y
 
 

@@ -586,6 +586,34 @@ def test_two_frame_density_file_is_rejected(tmp_path, key, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("key", ["m0", "init_m"])
+@pytest.mark.parametrize(
+    "entry, message", [("-0.2", "nonnegative"), ("nan", "finite"), ("inf", "finite")]
+)
+def test_density_file_entry_is_rejected_by_check_too(
+    tmp_path, capsys, command, key, entry, message
+):
+    """``check`` passed a density file with a negative or NaN entry that
+    ``solve`` rejected or failed on (exit 4, non-finite HJB residual); both
+    now reject it while the run loads, naming the key."""
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    frame = np.ones(grid.shape)
+    frame[2] = float(entry)
+    density = tmp_path / "bad.csv"
+    write_field_csv(density, grid, frame)
+    out_dir = tmp_path / "out"
+    path = write_config(
+        tmp_path, f"n = 8\nnt = 8\n{key} = file({density})\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    assert main([command, path]) == EXIT_STRUCTURAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"rejected: {key}: density file must be {message}"
+    ]
+    assert not out_dir.exists()
+
+
 class TestMain:
     def test_dispatch(self, tmp_path, capsys):
         path = write_config(tmp_path, "beta = 2.0\nalpha = 0.5\n")

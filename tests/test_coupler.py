@@ -316,6 +316,23 @@ class TestSolveMFG:
         with pytest.raises(ConfigError, match="nonnegative"):
             solve_mfg(grid, replace(reference_params(), epsilon=eps), CouplingSpec(), m0=m0)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["m0", "init_m", "init_traj"])
+    def test_non_finite_density_input_rejected(self, where, entry):
+        """A NaN or an infinity in ``m0``, an ``init_m`` field or a warm
+        start raised ``NonFiniteState`` from the first HJB step, and an
+        infinite ``m0`` warned in the normalization first."""
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        bad = cosine_density(grid)
+        bad[3] = entry
+        inputs = {
+            "m0": dict(m0=bad),
+            "init_m": dict(fp_opts=FixedPointOptions(init_m=bad)),
+            "init_traj": dict(init_traj=np.stack([cosine_density(grid)] * grid.nt + [bad])),
+        }[where]
+        with pytest.raises(ConfigError, match="must be finite"):
+            solve_mfg(grid, reference_params(), CouplingSpec(), **inputs)
+
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_conflicting_hjb_epsilon_rejected(self, eps):
         """A width in ``HJBOptions`` other than the model's ``epsilon`` is an

@@ -23,7 +23,8 @@ from congestion_mfg.coupler import MFGSolution
 from congestion_mfg.diagnostics import low_density_gradient_mass
 from congestion_mfg.errors import GridMismatch
 from congestion_mfg.grid import integrate, upwind_parts
-from congestion_mfg.model import _guarded_h_hp
+from congestion_mfg.hjb import effective_cost, hamiltonian_values, transport_jacobian
+from congestion_mfg.model import _guarded_h_hp, congestion_denominator
 
 from conftest import cosine_density, reference_params
 
@@ -116,6 +117,84 @@ class TestCrossedGap:
             crossed_energy_gap(ref32, ref64)
 
 
+def _reference_value_terms(sol):
+    """Costs, per-level kernel inputs and per-level H, one level per call."""
+    grid = sol.grid
+    costs = effective_cost(grid, sol.m, sol.coupling.level_costs, sol.params.epsilon)
+    inputs = [
+        (upwind_parts(grid, sol.u[k]), congestion_denominator(sol.m[k], sol.params))
+        for k in range(grid.nt)
+    ]
+    hamiltonians = [hamiltonian_values(grid, *parts, sol.params) for parts in inputs]
+    return costs, inputs, hamiltonians
+
+
+def _reference_crossed_gap(sol_a, sol_b):
+    """Reference ``crossed_energy_gap``: a loop over levels, one generator,
+    one product and one integral per level."""
+    grid = sol_a.grid
+    costs_a, inputs_a, h_a = _reference_value_terms(sol_a)
+    _, inputs_b, _ = _reference_value_terms(sol_b)
+    total = 0.0
+    for k in range(grid.nt):
+        jac_b = transport_jacobian(grid, *inputs_b[k], sol_b.params)
+        advected = jac_b.dot(sol_a.u[k].ravel()).reshape(grid.shape)
+        total += grid.dt * integrate(
+            grid, (advected - h_a[k] + costs_a[k]) * sol_b.m[k + 1]
+        )
+    total += integrate(grid, costs_a[grid.nt] * sol_b.m[grid.nt])
+    total -= integrate(grid, sol_a.u[0] * sol_b.m[0])
+    return total
+
+
+def _reference_report(sol):
+    """Reference ``apriori_report(sol).to_flat_dict()``: every integral over
+    space-time as a loop over levels."""
+    grid, params = sol.grid, sol.params
+    costs, _, hamiltonians = _reference_value_terms(sol)
+    bracket = f_term = integ_du = integ_mdu = power = 0.0
+    r_exp = (grid.dim + 2.0) / grid.dim
+    for k, h_vals in enumerate(hamiltonians):
+        bracket += grid.dt * integrate(grid, sol.m[k] * ((params.beta - 1.0) * h_vals))
+        f_term += grid.dt * integrate(grid, costs[k] * sol.m[k])
+        integ_du += grid.dt * integrate(grid, params.beta * h_vals)
+        integ_mdu += grid.dt * integrate(grid, params.beta * h_vals * sol.m[k])
+        power += grid.dt * integrate(
+            grid, np.maximum(sol.m[k], 0.0) ** ((params.gamma + 1.0) * r_exp)
+        )
+    g_term = integrate(grid, costs[grid.nt] * sol.m[grid.nt])
+    initial = integrate(grid, sol.u[0] * sol.m[0])
+    masses = grid.cell_volume * sol.m.sum(axis=tuple(range(1, sol.m.ndim)))
+    mass_drift = float(np.abs(masses - 1.0).max())
+    min_m = float(sol.m.min())
+    u_lower_slack = float(sol.u.min() - sol.coupling.c4)
+    return dict(
+        energy_residual=abs(bracket + f_term + g_term - initial),
+        crossed_gap=_reference_crossed_gap(sol, sol),
+        mass_drift=mass_drift,
+        min_m=min_m,
+        u_lower_slack=u_lower_slack,
+        integ_HpDu_minus_H=bracket,
+        integ_DuBeta=integ_du,
+        integ_mDuBeta=integ_mdu,
+        norm_m_power=power ** (1.0 / r_exp),
+        integ_Fm=f_term,
+        integ_Gm=g_term,
+        ok_min_m=float(min_m >= -1e-10),
+        ok_mass=float(mass_drift <= 1e-9),
+        ok_u_lower=float(u_lower_slack >= -1e-8),
+    )
+
+
+def _reference_low_density_gradient_mass(sol, threshold):
+    grid = sol.grid
+    total = 0.0
+    for k in range(grid.nt):
+        _, _, q = upwind_parts(grid, sol.u[k])
+        total += grid.dt * integrate(grid, np.sqrt(q) * (sol.m[k] < threshold).astype(float))
+    return total
+
+
 def _reference_uniqueness_gap(sol_a, sol_b):
     """Reference ``uniqueness_gap``: the guarded H and H_p of each side are
     evaluated on their own, and the pointwise bracket is spelled out."""
@@ -194,15 +273,59 @@ def gap_pairs(ref32):
         solve_mfg(grid2, reference_params(), CouplingSpec(), m0=m0)
         for m0 in (None, cosine_density(grid2))
     )
-    return {"1d": (ref32, bump), "2d": (flat2, bump2), "singular": _singular_pair()}
+    eps_pair = tuple(
+        solve_mfg(
+            ref32.grid, replace(reference_params(), epsilon=0.05), CouplingSpec(),
+            m0=cosine_density(ref32.grid, amplitude),
+        )
+        for amplitude in (0.5, 0.8)
+    )
+    return {
+        "1d": (ref32, bump), "2d": (flat2, bump2), "singular": _singular_pair(),
+        "eps": eps_pair,
+    }
 
 
 def _bits(result):
     return np.array([getattr(result, f.name) for f in fields(result)]).view(np.int64)
 
 
+def _float_bits(value):
+    return np.array(value, dtype=float).view(np.int64).tolist()
+
+
+PAIRS = ["1d", "2d", "singular", "eps"]
+
+
+class TestAgainstTheLevelLoop:
+    """Every level in one kernel call, each entry with the level loop's bits."""
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_report(self, gap_pairs, pair):
+        for sol in gap_pairs[pair]:
+            got = apriori_report(sol).to_flat_dict()
+            assert {k: _float_bits(v) for k, v in got.items()} == {
+                k: _float_bits(v) for k, v in _reference_report(sol).items()
+            }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_crossed_gap_of_two_solutions(self, gap_pairs, pair):
+        sol_a, sol_b = gap_pairs[pair]
+        for a, b in ((sol_a, sol_b), (sol_b, sol_a)):
+            got = crossed_energy_gap(a, b)
+            assert _float_bits(got) == _float_bits(_reference_crossed_gap(a, b))
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_low_density_gradient_mass(self, gap_pairs, pair):
+        for sol in gap_pairs[pair]:
+            for threshold in (1e-3, 0.9, 1.1, 1e3):
+                got = low_density_gradient_mass(sol, threshold)
+                ref = _reference_low_density_gradient_mass(sol, threshold)
+                assert _float_bits(got) == _float_bits(ref)
+
+
 class TestUniquenessGap:
-    @pytest.mark.parametrize("pair", ["1d", "2d", "singular"])
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_matches_the_reference_bit_for_bit(self, gap_pairs, pair):
         sol_a, sol_b = gap_pairs[pair]
         for a, b in ((sol_a, sol_b), (sol_b, sol_a)):
@@ -211,11 +334,11 @@ class TestUniquenessGap:
             if pair == "singular":
                 assert got.exclusive_a > 0.0 and got.exclusive_b > 0.0
 
-    def test_two_guarded_evaluations_per_level(self, gap_pairs, monkeypatch):
+    def test_two_guarded_evaluations_for_all_levels(self, gap_pairs, monkeypatch):
         # a guarded (H, H_p) makes two power-law calls; the bracket and the
-        # two convexity brackets share one evaluation per solution and level,
-        # and the bracket's coupling term is the F addend of the gap: one
-        # cost evaluation per solution and level, F below T and G at T too
+        # two convexity brackets share one evaluation per solution, on all
+        # levels at once, and the bracket's coupling term is the F addend of
+        # the gap: one F evaluation per solution, and one G at T
         sol_a, sol_b = gap_pairs["singular"]
         calls = {"_power_law": 0, "_cost": 0}
 
@@ -231,8 +354,7 @@ class TestUniquenessGap:
         counting(model, "_power_law")
         counting(model.CouplingSpec, "_cost")
         uniqueness_gap(sol_a, sol_b)
-        levels = sol_a.grid.nt + 1
-        assert calls == {"_power_law": 4 * levels, "_cost": 2 * levels + 2}
+        assert calls == {"_power_law": 4, "_cost": 4}
 
     def test_zero_on_identical(self, ref32):
         res = uniqueness_gap(ref32, ref32)
@@ -287,7 +409,8 @@ class TestAprioriReport:
     @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8)])
     def test_crossed_gap_shares_the_energy_terms(self, dim, n, eps, monkeypatch):
         # the report hands its costs, kernel inputs and Hamiltonians to the
-        # crossed gap: the standalone self-gap's bits, from one build of each
+        # crossed gap: the standalone self-gap's bits, from one build of each,
+        # every level in one call
         grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
         sol = solve_mfg(
             grid, replace(reference_params(), epsilon=eps), CouplingSpec(),
@@ -305,7 +428,7 @@ class TestAprioriReport:
             monkeypatch.setattr(diagnostics, name, counted)
         report = apriori_report(sol)
         assert report.crossed_gap.hex() == gap.hex()
-        assert calls == {"effective_cost": 1, "hamiltonian_values": n, "upwind_parts": n}
+        assert calls == {"effective_cost": 1, "hamiltonian_values": 1, "upwind_parts": 1}
 
     def test_constant_equilibrium_fields(self, constant_sol):
         report = apriori_report(constant_sol)

@@ -212,6 +212,24 @@ class TestSliceDiffsBitIdentical:
             got, ref = pattern.laplacian_rows(uvec), lap @ uvec
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
 
+    @pytest.mark.parametrize("dim,n", DIFF_GRIDS)
+    def test_a_stack_of_frames_has_each_frame_s_bits(self, dim, n):
+        # the hard fields and a flat one (q = 0 everywhere), as one stack
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        frames = list(_hard_fields(grid, np.random.default_rng(n)).values())
+        stack = np.stack(frames + [np.full(grid.shape, 3.0)])
+        for got, per_frame in (
+            (one_sided_diffs(grid, stack), [one_sided_diffs(grid, u) for u in stack]),
+            (upwind_parts(grid, stack), [upwind_parts(grid, u) for u in stack]),
+        ):
+            for part, ref in zip(got, zip(*per_frame)):
+                assert part.shape == (len(stack), *ref[0].shape)
+                assert np.array_equal(part.view(np.int64), np.stack(ref).view(np.int64))
+        integrals = integrate(grid, stack)
+        assert integrals.view(np.int64).tolist() == [
+            np.float64(integrate(grid, u)).view(np.int64) for u in stack
+        ]
+
     def test_signed_zero_differences_keep_their_sign(self):
         grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
         dplus, dminus = one_sided_diffs(grid, np.array([0.0, -0.0, 0.0, -0.0]))

@@ -312,6 +312,43 @@ class TestSharedKernelInputs:
             ref = reference_jacobian(grid, u, m, params, eps)
             assert np.array_equal(got.data.view(np.int64), ref.data.view(np.int64)), name
 
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("dim,n", [(1, 5), (1, 16), (2, 5), (2, 8)])
+    def test_a_stack_of_frames_has_each_frame_s_bits(self, dim, n, eps, mu):
+        # frames with q = 0 cells (flat patches) and, at mu = 0, empty cells
+        grid = GridSpec(dim=dim, n=n, nt=n, horizon=1.0)
+        params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0, epsilon=eps)
+        rng = np.random.default_rng([dim, n, 3])
+        u = 3.0 * rng.normal(size=(4, *grid.shape))
+        u[1] = 0.0
+        u[2].flat[::2] = 1.0
+        m = np.stack([capped_frame(grid, [dim, n, k]) for k in range(4)])
+        parts = upwind_parts(grid, u)
+        congestion = congestion_denominator(m, params)
+        jac = transport_jacobian(grid, parts, congestion, params)
+        x = rng.normal(size=(4, grid.ncells))
+        stacked = {
+            "jacobian": jac.data,
+            "transpose": jac.T.data,
+            "product": jac.dot(x),
+            "hamiltonian": hjb.hamiltonian_values(grid, parts, congestion, params),
+            "drift": hjb.drift_field(grid, parts, congestion, params),
+        }
+        for k in range(len(u)):
+            parts_k = upwind_parts(grid, u[k])
+            congestion_k = congestion_denominator(m[k], params)
+            jac_k = transport_jacobian(grid, parts_k, congestion_k, params)
+            per_frame = {
+                "jacobian": jac_k.data,
+                "transpose": jac_k.T.data,
+                "product": jac_k.dot(x[k]),
+                "hamiltonian": hjb.hamiltonian_values(grid, parts_k, congestion_k, params),
+                "drift": hjb.drift_field(grid, parts_k, congestion_k, params),
+            }
+            for name, ref in per_frame.items():
+                assert np.array_equal(stacked[name][k].view(np.int64), ref.view(np.int64)), name
+
     def test_one_congestion_factor_per_level_one_gradient_per_iterate(
         self, monkeypatch
     ):

@@ -245,8 +245,18 @@ def test_1d_system_off_the_pattern_or_zero_raises():
         linalg.sparse_solve(grid, StencilOperator(other, np.ones((3, 9))), rhs, 0.5)
     pattern = stencil_pattern(grid)
     zero = StencilOperator(pattern, np.zeros(pattern.cols.shape))
-    with pytest.raises(LinearSolveFailed, match="dgttrf"):
+    with pytest.raises(LinearSolveFailed, match="dgtsv"):
         linalg.sparse_solve(grid, zero, rhs, 0.5)
+
+
+def test_a_1d_factorization_solves_once():
+    """LAPACK factors the bands in place in the first solve, so a second
+    solve on them raises instead of returning a wrong solution."""
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    lu = linalg.splu(grid, heat_system(grid, 0.5))
+    lu.solve(np.ones(grid.ncells))
+    with pytest.raises(RuntimeError, match="earlier solve"):
+        lu.solve(np.ones(grid.ncells))
 
 
 @pytest.mark.parametrize("n", [4, 5, 16, 64, 256])
@@ -282,11 +292,14 @@ def test_1d_solves_match_superlu(n):
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-class ReferencePeriodicLU(linalg.PeriodicTridiagonalLU):
+class ReferencePeriodicLU:
     """The factorization as first written: both margin sets reduced at once,
-    rows and columns alike, and the scalars as numpy 0-d values."""
+    rows and columns alike, and the scalars as numpy 0-d values; ``dgttrf``
+    factors ``T`` once and each solve is one ``dgttrs``."""
 
     def __init__(self, bands):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         diag, upper_corner, lower_corner = bands[0], bands[1, 0], bands[3, -1]
         size = np.abs(bands)
         margins = size[0] - size[1:3] - size[3:]
@@ -296,10 +309,11 @@ class ReferencePeriodicLU(linalg.PeriodicTridiagonalLU):
         gamma = -diag[0] if diag[0] else -1.0
         diag[0] -= gamma
         diag[-1] -= lower_corner * upper_corner / gamma
-        dgttrf, self._dgttrs = linalg._lapack()
+        self._dgttrs = dgttrs
         *self._factors, info = dgttrf(bands[4, :-1], diag, bands[3, :-1], 1, 1, 1)
         if info != 0:
-            raise LinearSolveFailed(f"dgttrf returned info={info}")
+            # dgtsv meets the zero pivot dgttrf meets, and is named for it
+            raise LinearSolveFailed(f"dgtsv returned info={info}")
         w = np.zeros(len(diag))
         w[0], w[-1] = gamma, lower_corner
         z, _ = self._dgttrs(*self._factors, w, overwrite_b=1)
@@ -309,6 +323,11 @@ class ReferencePeriodicLU(linalg.PeriodicTridiagonalLU):
             raise LinearSolveFailed("singular periodic tridiagonal system")
         z /= denominator
         self._correction = z
+
+    def solve(self, rhs):
+        y, _ = self._dgttrs(*self._factors, rhs)
+        y -= (y[0] + self._ratio * y[-1]) * self._correction
+        return y
 
 
 def periodic_bands(lower, diag, upper):
@@ -371,9 +390,9 @@ def outcome(kind, bands, rhs):
     with np.errstate(all="ignore"):
         try:
             lu = kind(bands.copy())
+            return lu.dominant, lu.solve(rhs.copy()).view(np.int64).tolist()
         except LinearSolveFailed as exc:
             return str(exc)
-        return lu.dominant, lu.solve(rhs.copy()).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("n", [4, 5, 16, 64])
