@@ -156,4 +156,5 @@ def _read_field(path, grid: GridSpec, times: np.ndarray) -> np.ndarray:
                 f"{path}: data row {row + 1} has {names[col]} = {data[row, col]}, "
                 f"expected {want} within {tol}"
             )
-    return rows[..., -1]
+    # a copy: the value column as a view would keep the whole table alive
+    return rows[..., -1].copy()

@@ -51,6 +51,13 @@ def write_config(tmp_path, text, name="run.cfg", **fmt):
     return str(path)
 
 
+def assert_owns_memory(sol):
+    """A loaded ``u`` and ``m`` are contiguous arrays of their own, not views
+    that keep the whole parsed CSV table alive."""
+    for field in (sol.u, sol.m):
+        assert field.flags.c_contiguous and field.base is None
+
+
 class TestConfigParsing:
     def test_defaults_and_comments(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, "beta = 1.5  # quenched\n\n"))
@@ -209,6 +216,7 @@ class TestCmdDiagnose:
         assert np.array_equal(loaded.u, ref32.u)
         assert np.array_equal(loaded.m, ref32.m)
         assert np.array_equal(loaded.policy, ref32.policy)
+        assert_owns_memory(loaded)
         assert loaded.params == ref32.params
         assert loaded.coupling == ref32.coupling
 
@@ -636,6 +644,7 @@ class Test2DBundle:
         assert np.array_equal(loaded.u, sol.u)
         assert np.array_equal(loaded.m, sol.m)
         assert np.array_equal(loaded.policy, sol.policy)
+        assert_owns_memory(loaded)
         assert cmd_diagnose(str(tmp_path / "b2")) == EXIT_OK
 
     def test_y_major_field_cannot_load(self, tmp_path, capsys):

@@ -2,9 +2,11 @@
 the 1D periodic tridiagonal LU, whose LAPACK module loads on the first
 factorization."""
 
+import inspect
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -563,7 +565,8 @@ from congestion_mfg import CouplingSpec, GridSpec, ModelParams, apriori_report
 from congestion_mfg import fpk, hjb, linalg, load_solution, save_solution, solve_mfg
 from congestion_mfg.cli import main
 
-loaded = lambda: sorted({"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} & set(sys.modules))
+WATCHED = {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "numpy.f2py", "scipy._lib._util"}
+loaded = lambda: sorted(WATCHED & set(sys.modules))
 out, tmp = {"import": loaded()}, sys.argv[1]
 params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
 grid = GridSpec(dim=2, n=8, nt=8, horizon=1.0)
@@ -594,25 +597,112 @@ counting(hjb, "sparse_solve", "solves")
 counting(fpk, "sparse_solve", "solves")
 solve_mfg(GridSpec(dim=1, n=8, nt=8, horizon=1.0), params, CouplingSpec())
 out.update(counts, solve_1d=loaded(), wrapper_kept=linalg.splu is wrapper)
+info = linalg._lapack.cache_info()
+out["lapack_loads"] = [info.currsize, info.misses]
 print(json.dumps(out))
 """
 
 
-def test_only_a_1d_factorization_imports_the_sparse_lu(tmp_path):
+def run_fresh(script, *args):
+    """The last stdout line, as JSON, of ``script`` run in a fresh
+    interpreter that imports this package from its source."""
     src = str(Path(congestion_mfg.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_TRAFFIC, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
-    # neither scipy.sparse.linalg nor the scipy.linalg it brings; the CLI
-    # commands exit 0
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_1d_solve_loads_lapack_once_and_no_scipy_package(tmp_path):
+    out = run_fresh(IMPORT_TRAFFIC, str(tmp_path))
+    # none of scipy.sparse, scipy.linalg or the f2py and array-API layers the
+    # scipy.linalg package brings; the CLI commands exit 0
     assert [out[key] for key in ("import", "solve_2d", "bundle_2d")] == [[]] * 3
     assert out["check"] == out["diagnose"] == [0, []]
-    # one factorization per 1D linear solve, through the traceable name; it
-    # loads LAPACK's tridiagonal LU, and no sparse solver
-    assert out["solve_1d"] == ["scipy.linalg"] and out["wrapper_kept"]
+    # one factorization per 1D linear solve, through the traceable name; the
+    # 1D solve loads LAPACK's extension once, and no scipy package
+    assert out["solve_1d"] == [] and out["wrapper_kept"]
+    assert out["lapack_loads"] == [1, 1]
     assert out["splu"] == out["solves"] > 0
+
+
+def dgtsv_bits(dgtsv):
+    """Every output of ``dgtsv``, the arrays as int64 bits, on a seeded
+    system that pivots (small diagonal) and on a dominant one that does not,
+    and whether each pivoted (a nonzero second superdiagonal of ``U``)."""
+    rng = np.random.default_rng(24)
+    (dl, du), b = rng.uniform(-1.0, -0.5, (2, 6)), rng.normal(size=(7, 2))
+    outs, pivoted = [], []
+    for diag in (0.1, 4.0):
+        du2, *rest, info = dgtsv(dl, diag + rng.uniform(0, 0.1, 7), du, b)
+        outs.append([a.view(np.int64).ravel().tolist() for a in (du2, *rest)] + [info])
+        pivoted.append(bool(du2[:-1].any()))
+    return outs, pivoted
+
+
+# Run in a fresh interpreter: a 1D solve loads LAPACK before scipy.linalg is
+# imported; dgtsv_bits is prepended to it.
+LAPACK_BEFORE_SCIPY = """
+import json, sys
+import numpy as np
+from congestion_mfg import CouplingSpec, GridSpec, ModelParams, linalg, solve_mfg
+
+params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
+solve_mfg(GridSpec(dim=1, n=8, nt=8, horizon=1.0), params, CouplingSpec())
+out = {"before": "scipy.linalg" in sys.modules}
+import scipy.linalg
+
+ours, pivoted = dgtsv_bits(linalg._lapack())
+x = scipy.linalg.solve(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([3.0, 4.0]))
+out.update(
+    same_bits=ours == dgtsv_bits(scipy.linalg.lapack.dgtsv)[0],
+    pivoted=pivoted,
+    solve=x.tolist(),
+)
+print(json.dumps(out))
+"""
+
+
+def test_lapack_loaded_before_scipy_linalg_is_scipys():
+    """The loaded ``dgtsv`` is scipy's when a 1D solve loads it before
+    ``scipy.linalg`` is imported, and that import still works."""
+    out = run_fresh(inspect.getsource(dgtsv_bits) + LAPACK_BEFORE_SCIPY)
+    assert out["before"] is False and out["same_bits"] is True
+    assert out["pivoted"] == [True, False]
+    assert np.allclose(out["solve"], [1.0, 1.0], rtol=0, atol=1e-15)
+
+
+def test_lapack_loaded_after_scipy_linalg_is_scipys():
+    """In a process that has imported ``scipy.linalg`` the loader hands back
+    scipy's own ``dgtsv`` and leaves scipy's module in place."""
+    import scipy.linalg
+
+    flapack = sys.modules["scipy.linalg._flapack"]
+    linalg._lapack.cache_clear()
+    ours, pivoted = dgtsv_bits(linalg._lapack())
+    assert pivoted == [True, False]
+    assert ours == dgtsv_bits(scipy.linalg.lapack.dgtsv)[0]
+    assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack is flapack
+
+
+def test_missing_lapack_extension_is_named(tmp_path, monkeypatch):
+    """Without scipy, or without its LAPACK extension file, the first 1D
+    solve raises ImportError, naming the file it looked for."""
+    from importlib.machinery import ModuleSpec
+
+    fake = ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+    try:
+        for spec, match in ((None, "scipy is not installed"), (fake, re.escape(str(tmp_path / "linalg")))):
+            monkeypatch.setattr("importlib.util.find_spec", lambda name: spec)
+            linalg._lapack.cache_clear()
+            with pytest.raises(ImportError, match=match):
+                linalg.sparse_solve(grid, heat_system(grid, 0.5), np.ones(8), 0.5)
+    finally:
+        monkeypatch.undo()
+        linalg._lapack.cache_clear()
