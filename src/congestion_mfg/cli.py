@@ -5,15 +5,18 @@ and no nesting; unknown keys, ``enforce_nonneg_check`` among them (density
 positivity is always checked), are rejected with the offending line number.
 Every command that reads a config builds every grid, initial density and
 option object in ``_load_run`` before any solve, so ``check`` rejects what
-``solve`` and ``study`` reject.  Exit codes form a stable contract, and
-``_EXIT_CODES`` maps exceptions to them the same way for every command:
+``solve`` and ``study`` reject.  ``solve`` and each level of ``study`` run
+the (eps, mu) ladder when ``continuation`` is set, else one solve.  Exit
+codes form a stable contract, and ``_EXIT_CODES`` maps exceptions to them
+the same way for every command:
 
     0  success
     1  structural rejection: parameter ranges, ``ConfigError``, or a
        ``ValueError`` raised while the run is loaded
     2  config or I/O error: ``ConfigParseError``, unreadable bundle
-    3  iteration budget exhausted (bundle still written, flagged)
-    4  solver failure: any other ``CongestionMFGError``
+    3  iteration budget exhausted by any rung (bundle or table still written)
+    4  solver failure: any other ``CongestionMFGError``, or a rung that
+       raised (completed rungs are still written)
     5  grid mismatch between bundles: ``GridMismatch``
 
 A ``ValueError`` raised inside a solve is a defect, not a verdict on the
@@ -29,13 +32,13 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from .bundles import load_solution, read_frame_csv, save_solution
 from .coupler import (
+    ContinuationResult,
     ContinuationSchedule,
     FixedPointOptions,
     solve_mfg,
@@ -192,15 +195,6 @@ def _build(cfg: dict):
     return params, coupling, grid
 
 
-@contextmanager
-def _loading():
-    """A ``ValueError`` raised while a run is loaded rejects the config."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _continuation_schedule(cfg: dict, params: ModelParams) -> ContinuationSchedule:
     """The (eps, mu) ladder of a ``continuation = true`` run, checked on ``params``."""
     sched_kwargs = {"warm_start": cfg["warm_start"]}
@@ -221,9 +215,10 @@ def _load_run(config_path, levels: int):
     Returns ``(cfg, params, coupling, hjb_opts, schedule, runs)``: one
     ``(grid, m0, FixedPointOptions)`` per refinement level, level j on the
     config's grid refined ``2**j`` times, and the continuation ladder or None.
+    A ``ValueError`` raised while the run is built rejects the config.
     """
     cfg = parse_config(config_path)
-    with _loading():
+    try:
         params, coupling, base = _build(cfg)
         grids = [replace(base, n=base.n * 2**j, nt=base.nt * 2**j) for j in range(levels)]
         m0s = density_from_spec(cfg["m0"], grids, "m0")
@@ -239,6 +234,8 @@ def _load_run(config_path, levels: int):
             linear_tol=cfg["linear_tol"],
         )
         schedule = _continuation_schedule(cfg, params) if cfg["continuation"] else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg, params, coupling, hjb_opts, schedule, runs
 
 
@@ -285,44 +282,51 @@ def cmd_check(config_path) -> int:
     return EXIT_OK if report.valid_ranges else EXIT_STRUCTURAL
 
 
+def _run(params, coupling, hjb_opts, schedule, grid, m0, fp_opts):
+    """Solve one level of a loaded run: the ladder when ``schedule`` is set,
+    else one solve, returned as a one-rung ``ContinuationResult``.  Also
+    returns the exit code: 4 if a rung raised, 3 if any is unconverged, else 0."""
+    if schedule is None:
+        sol = solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
+        result = ContinuationResult([sol], [], [(params.epsilon, params.mu)])
+    else:
+        result = solve_with_continuation(
+            grid, params, coupling, fp_opts, schedule, m0=m0, hjb_opts=hjb_opts
+        )
+    if result.failed_rung is not None:
+        print(f"rung {result.failed_rung} failed: {result.error}", file=sys.stderr)
+        return result, EXIT_SOLVER
+    return result, EXIT_BUDGET if any(not s.converged for s in result.solutions) else EXIT_OK
+
+
 @_exit_codes
 def cmd_solve(config_path) -> int:
-    cfg, params, coupling, hjb_opts, schedule, runs = _load_run(config_path, 1)
-    [(grid, m0, fp_opts)] = runs
+    cfg, params, coupling, hjb_opts, schedule, [run] = _load_run(config_path, 1)
     report = check_structure(params)
     if not report.valid_ranges:
         _print_report(report)
         return EXIT_STRUCTURAL
 
     out_dir = cfg["output_dir"]
+    result, code = _run(params, coupling, hjb_opts, schedule, *run)
+    if not result.solutions:
+        return code
     if schedule is not None:
-        result = solve_with_continuation(
-            grid, params, coupling, fp_opts, schedule, m0=m0, hjb_opts=hjb_opts
-        )
-        if result.failed_rung is not None:
-            print(f"rung {result.failed_rung} failed: {result.error}", file=sys.stderr)
         for j, sol in enumerate(result.solutions):
             save_solution(sol, os.path.join(out_dir, "rungs", f"rung_{j:02d}"))
-        if result.solutions:
-            save_solution(result.solutions[-1], out_dir)
-            with open(os.path.join(out_dir, "cauchy_table.json"), "w") as fh:
-                json.dump(result.cauchy_table, fh, indent=2)
-        if result.failed_rung is not None:
-            return EXIT_SOLVER
-        budget_hit = any(not s.converged for s in result.solutions)
-        final = result.solutions[-1]
-    else:
-        final = solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
-        save_solution(final, out_dir)
-        budget_hit = not final.converged
-
+        with open(os.path.join(out_dir, "cauchy_table.json"), "w") as fh:
+            json.dump(result.cauchy_table, fh, indent=2)
+    final = result.solutions[-1]
+    save_solution(final, out_dir)
+    if code == EXIT_SOLVER:
+        return code
     print(
         f"solve finished: outer_iters={final.meta['outer_iters']} "
         f"converged={str(final.converged).lower()} "
         f"final_increment={final.meta['increments'][-1] if final.meta['increments'] else 0.0:.3e} "
         f"bundle={out_dir}"
     )
-    return EXIT_BUDGET if budget_hit else EXIT_OK
+    return code
 
 
 @_exit_codes
@@ -366,27 +370,17 @@ def cmd_study(config_path, levels: int) -> int:
     if levels < 2:
         print("study needs at least 2 refinement levels", file=sys.stderr)
         return EXIT_CONFIG
-    cfg, params, coupling, hjb_opts, _, runs = _load_run(config_path, levels)
-    report = check_structure(params)
-    if not report.valid_ranges:
-        _print_report(report)
-        return EXIT_STRUCTURAL
-
-    sols = [
-        solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
-        for grid, m0, fp_opts in runs
-    ]
-    finest_grid, finest = runs[-1][0], sols[-1]
+    cfg, params, coupling, hjb_opts, schedule, runs = _load_run(config_path, levels)
+    results, codes = zip(*(_run(params, coupling, hjb_opts, schedule, *run) for run in runs))
+    if not all(result.solutions for result in results):
+        return EXIT_SOLVER
+    sols = [result.solutions[-1] for result in results]
+    finest = sols[-1]
     rows = []
-    for level, ((grid, _, _), sol) in enumerate(zip(runs, sols)):
-        res = energy_identity_residual(sol)
-        factor = 2 ** (levels - 1 - level)
-        if factor == 1:
-            gap = 0.0
-        else:
-            restricted = restrict_traj(finest_grid, finest.m, factor)
-            gap = l1_space_time(grid, sol.m - restricted)
-        rows.append((grid.n, grid.nt, res, gap))
+    for level, sol in enumerate(sols):
+        restricted = restrict_traj(finest.grid, finest.m, 2 ** (levels - 1 - level))
+        gap = 0.0 if sol is finest else l1_space_time(sol.grid, sol.m - restricted)
+        rows.append((sol.grid.n, sol.grid.nt, energy_identity_residual(sol), gap))
 
     os.makedirs(cfg["output_dir"], exist_ok=True)
     table_path = os.path.join(cfg["output_dir"], "study.csv")
@@ -404,7 +398,7 @@ def cmd_study(config_path, levels: int) -> int:
     print(f"energy_residual observed orders: {_observed_orders(res_col)}")
     print(f"l1_gap observed orders: {_observed_orders(gap_col)}")
     print(f"table written to {table_path}")
-    return EXIT_OK
+    return max(codes)  # a rung that raised (4) outranks a budget overrun (3)
 
 
 def main(argv=None) -> int:

@@ -243,6 +243,7 @@ def solve_mfg(
         m_br = solve_fpk_forward(
             grid, backward.transports, m0_eps, params, hjb_opts.linear_tol
         )
+        del backward  # its u and generators, before the next sweep builds its own
         update = m_br - m_cur
         resid = l1_space_time(grid, update)
         residuals.append(resid)

@@ -11,6 +11,15 @@ import pytest
 
 import congestion_mfg
 
+from congestion_mfg import (
+    ContinuationSchedule,
+    CouplingSpec,
+    FixedPointOptions,
+    ModelParams,
+    energy_identity_residual,
+    solve_mfg,
+    solve_with_continuation,
+)
 from congestion_mfg.bundles import load_solution, save_solution, write_field_csv
 from congestion_mfg.cli import (
     EXIT_BUDGET,
@@ -23,13 +32,14 @@ from congestion_mfg.cli import (
     cmd_diagnose,
     cmd_solve,
     cmd_study,
+    _load_run,
     main,
     parse_config,
 )
-from congestion_mfg.errors import ConfigParseError
-from congestion_mfg.grid import GridSpec
+from congestion_mfg.errors import ConfigParseError, NewtonDiverged
+from congestion_mfg.grid import GridSpec, l1_space_time, restrict_traj
 
-from conftest import y_major_rows
+from conftest import cosine_density, y_major_rows
 
 REFERENCE_CONFIG = """
 # reference congestion instance
@@ -41,6 +51,26 @@ horizon = 1.0
 n = 32
 nt = 32
 m0 = cosine_bump(0.5)
+output_dir = {out}
+"""
+
+
+# c09's parameters and (eps, mu) ladder with a final mu = 0 rung, at n = nt = 8
+SINGULAR_LADDER = """
+nu = 0.5
+beta = 1.5
+alpha = 0.6
+mu = 0
+epsilon = 0.05
+cF = 0.5
+cG = 0.5
+fp_tol = 1e-6
+max_outer_iter = 400
+n = 8
+nt = 8
+m0 = cosine_bump(0.5)
+continuation = true
+mus = 1, 0.5, 0.25, 0.1, 0.05, 0
 output_dir = {out}
 """
 
@@ -384,6 +414,145 @@ class TestCmdStudy:
         assert all(tol == 1e-11 for tol in fpk_tols)
 
 
+def study_rows(out_dir):
+    """The rows of a ``study.csv`` as ``(n, nt, energy_residual, l1_gap)``."""
+    rows = (out_dir / "study.csv").read_text().splitlines()[1:]
+    return [(int(n), int(nt), float(res), float(gap))
+            for n, nt, res, gap in (row.split(",") for row in rows)]
+
+
+@pytest.fixture(scope="module")
+def singular_ladders():
+    """The last rung of ``SINGULAR_LADDER``'s ladder on n = nt = 8 and 16."""
+    params = ModelParams(nu=0.5, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0, epsilon=0.05)
+    schedule = ContinuationSchedule(epsilons=(0.05,), mus=(1.0, 0.5, 0.25, 0.1, 0.05, 0.0))
+    finals = []
+    for n in (8, 16):
+        grid = GridSpec(dim=1, n=n, nt=n, horizon=1.0)
+        result = solve_with_continuation(
+            grid, params, CouplingSpec(cf=0.5, cg=0.5),
+            FixedPointOptions(fp_tol=1e-6, max_outer_iter=400), schedule,
+            m0=cosine_density(grid),
+        )
+        assert result.ok and result.rungs[-1] == (0.05, 0.0)
+        finals.append(result.solutions[-1])
+    return finals
+
+
+class TestStudyRunsTheLadder:
+    """``study`` solves each level as ``solve`` does: the configured ladder,
+    with budget overruns and raised rungs in its exit code."""
+
+    def test_singular_ladder_reaches_mu_zero(self, tmp_path, singular_ladders):
+        # each level used to cold-start at the config's mu = 0: exit 1
+        out_dir = tmp_path / "study"
+        path = write_config(tmp_path, SINGULAR_LADDER, out=out_dir)
+        assert main(["study", path, "--levels", "2"]) == EXIT_OK
+        *_, (n, nt, res, gap) = study_rows(out_dir)
+        assert (n, nt, gap) == (16, 16, 0.0)
+        assert res == energy_identity_residual(singular_ladders[-1])
+
+    def test_every_level_is_the_ladders_last_rung(self, tmp_path, singular_ladders):
+        # without a ladder study solved the config's mu = 1 at every level
+        out_dir = tmp_path / "study"
+        config = SINGULAR_LADDER.replace("mu = 0\n", "")
+        path = write_config(tmp_path, config, out=out_dir)
+        assert parse_config(path)["mu"] == 1.0
+        assert main(["study", path, "--levels", "2"]) == EXIT_OK
+        coarse, finest = singular_ladders
+        assert study_rows(out_dir) == [
+            (8, 8, energy_identity_residual(coarse),
+             l1_space_time(coarse.grid, coarse.m - restrict_traj(finest.grid, finest.m, 2))),
+            (16, 16, energy_identity_residual(finest), 0.0),
+        ]
+
+    def test_budget_overrun_exits_three_after_the_table(self, tmp_path, capsys):
+        # an order read off unconverged solves used to exit 0
+        out_dir = tmp_path / "study"
+        path = write_config(
+            tmp_path, "n = 8\nnt = 8\nm0 = cosine_bump(0.5)\nmax_outer_iter = 2\n"
+            "output_dir = {out}\n", out=out_dir,
+        )
+        assert main(["solve", path]) == EXIT_BUDGET
+        capsys.readouterr()
+        assert main(["study", path, "--levels", "2"]) == EXIT_BUDGET
+        assert [row[:2] for row in study_rows(out_dir)] == [(8, 8), (16, 16)]
+        assert "energy_residual observed orders: " in capsys.readouterr().out
+
+    def test_raised_rung_exits_four_after_the_table(self, tmp_path, monkeypatch, capsys):
+        """A rung that raises ends its level's ladder at the rung before it,
+        whose solution fills the level's row."""
+        from congestion_mfg import coupler
+
+        real_solve = coupler.solve_mfg
+
+        def failing_second_rung(grid, params, *args, **kwargs):
+            if params.mu == 0.5:
+                raise NewtonDiverged("injected")
+            return real_solve(grid, params, *args, **kwargs)
+
+        monkeypatch.setattr(coupler, "solve_mfg", failing_second_rung)
+        out_dir = tmp_path / "study"
+        path = write_config(
+            tmp_path, "n = 8\nnt = 8\nm0 = cosine_bump(0.5)\ncontinuation = true\n"
+            "epsilons = 0.1\nmus = 1, 0.5\noutput_dir = {out}\n", out=out_dir,
+        )
+        assert main(["study", path, "--levels", "2"]) == EXIT_SOLVER
+        assert capsys.readouterr().err.splitlines() == ["rung 1 failed: injected"] * 2
+        assert [row[:2] for row in study_rows(out_dir)] == [(8, 8), (16, 16)]
+
+    def test_raised_first_rung_exits_four_without_a_table(self, tmp_path, capsys):
+        # one Newton iteration cannot reach newton_tol on the first HJB level
+        out_dir = tmp_path / "study"
+        path = write_config(
+            tmp_path, "n = 8\nnt = 8\nm0 = cosine_bump(0.5)\ncontinuation = true\n"
+            "epsilons = 0.1\nnewton_max_iter = 1\noutput_dir = {out}\n", out=out_dir,
+        )
+        assert main(["study", path, "--levels", "2"]) == EXIT_SOLVER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("rung 0 failed: ") for line in err)
+        assert not out_dir.exists()
+
+
+def per_level_study_csv(path, levels):
+    """``study.csv`` as ``study`` wrote it before it shared ``solve``'s run
+    path: one ``solve_mfg`` per level.  The reference for configs without a
+    ladder."""
+    _, params, coupling, hjb_opts, _, runs = _load_run(path, levels)
+    sols = [
+        solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
+        for grid, m0, fp_opts in runs
+    ]
+    finest_grid, finest = runs[-1][0], sols[-1]
+    lines = ["n,nt,energy_residual,l1_gap\n"]
+    for level, ((grid, _, _), sol) in enumerate(zip(runs, sols)):
+        res = energy_identity_residual(sol)
+        factor = 2 ** (levels - 1 - level)
+        if factor == 1:
+            gap = 0.0
+        else:
+            restricted = restrict_traj(finest_grid, finest.m, factor)
+            gap = l1_space_time(grid, sol.m - restricted)
+        lines.append(f"{grid.n},{grid.nt},{res:.17g},{gap:.17g}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m0", ["uniform", "cosine_bump(0.5)", "file"])
+def test_study_without_ladder_is_byte_identical_to_per_level_solves(tmp_path, dim, m0):
+    grid = GridSpec(dim=dim, n=8, nt=8, horizon=1.0)
+    if m0 == "file":
+        m0 = f"file({tmp_path / 'm0.csv'})"
+        write_field_csv(tmp_path / "m0.csv", grid, 1.0 + 0.5 * np.cos(2 * np.pi * grid.coords()[0]))
+    out_dir = tmp_path / "study"
+    path = write_config(
+        tmp_path, f"dim = {dim}\nn = 8\nnt = 8\nm0 = {m0}\n" + "output_dir = {out}\n",
+        out=out_dir,
+    )
+    assert cmd_study(path, 2) == EXIT_OK
+    assert (out_dir / "study.csv").read_bytes() == per_level_study_csv(path, 2)
+
+
 # configs check, solve and study must reject with exit 1, not crash on or
 # fail as solves
 BAD_OPTIONS = {
@@ -399,6 +568,9 @@ BAD_OPTIONS = {
     "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
     "solve-epsilon": ("solve", "epsilon = -0.1\n"),
     "study-epsilon": ("study", "epsilon = -0.1\n"),
+    # the solver's own structure check: study prints no report, unlike check
+    # and solve, and solves nothing
+    "study-beta": ("study", "beta = 2.5\n"),
     # a ladder whose first width is not the config's epsilon, which it
     # would otherwise drop without a word
     "solve-epsilon_and_epsilons": (
