@@ -8,7 +8,9 @@ outer_iters, increments, newton_residual_max, wall_time_seconds) plus the
 grid, model and coupling constants needed to re-run diagnostics from the
 bundle alone.  The width is ``model.epsilon``; a bundle written before the
 model held it has only the top-level ``epsilon``, which :func:`load_solution`
-then reads.
+then reads.  A bundle written while the empty-cell floor was a model
+parameter holds ``model.m_floor``: it loads if that is ``model.M_FLOOR`` and
+raises ``ValueError`` otherwise.
 
 A field CSV has the header ``t,x[,y],value`` and one row per cell per time
 level, cells in row-major order (x slowest in 2D), at 17 significant digits,
@@ -30,7 +32,7 @@ import numpy as np
 
 from .coupler import MFGSolution
 from .grid import GridSpec
-from .model import CouplingSpec, ModelParams
+from .model import M_FLOOR, CouplingSpec, ModelParams
 
 __all__ = [
     "save_solution", "load_solution", "write_field_csv", "read_field_csv", "read_frame_csv"
@@ -61,7 +63,11 @@ def load_solution(directory) -> MFGSolution:
     with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     grid = GridSpec(**meta["grid"])
-    params = ModelParams(**{"epsilon": meta["epsilon"], **meta["model"]})
+    model = dict(meta["model"])
+    floor = model.pop("m_floor", M_FLOOR)
+    if floor != M_FLOOR:
+        raise ValueError(f"{directory}: model.m_floor = {floor} is not M_FLOOR = {M_FLOOR}")
+    params = ModelParams(**{"epsilon": meta["epsilon"], **model})
     cdict = dict(meta["coupling"])
     for key in ("table_s", "table_f", "table_g"):
         cdict[key] = tuple(cdict.get(key, ()))

@@ -79,9 +79,7 @@ _CONFIG: dict[str, tuple[object, object]] = {
     "alpha": (float, 1.0),
     "mu": (float, 1.0),
     "horizon": (float, 1.0),
-    "m_floor": (float, 1e-10),
     # coupling
-    "coupling_family": (str, "power"),
     "cF": (float, 1.0),
     "qF": (float, 1.0),
     "offsetF": (float, 0.0),
@@ -179,11 +177,9 @@ def _build(cfg: dict):
         alpha=cfg["alpha"],
         mu=cfg["mu"],
         horizon=cfg["horizon"],
-        m_floor=cfg["m_floor"],
         epsilon=cfg["epsilon"],
     )
     coupling = CouplingSpec(
-        family=cfg["coupling_family"],
         cf=cfg["cF"],
         qf=cfg["qF"],
         offset_f=cfg["offsetF"],

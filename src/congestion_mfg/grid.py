@@ -147,7 +147,10 @@ class StencilPattern:
     offsets in a fixed order: the cell, then its lower neighbour per axis,
     then its upper neighbour per axis.  ``center[i]``, ``lower[ax, i]`` and
     ``upper[ax, i]`` are the same slots by offset: those of the entries
-    ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``.  ``transpose[r, i]``
+    ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``.  ``up[ax]`` is the
+    flat index of each cell's upper neighbour along ``ax`` in a frame, and
+    ``down[ax]`` that of its lower neighbour's component ``ax`` in a
+    ``(dim, *shape)`` field, both shaped ``(dim, *shape)``.  ``transpose[r, i]``
     is the flat slot of the entry mirrored across the diagonal from slot
     ``(r, i)``, so ``data.take(transpose)`` is the transpose's data; for a
     block shaped like ``slots``, ``block.take(gather)`` is its data.  All
@@ -159,6 +162,8 @@ class StencilPattern:
     transpose: np.ndarray
     gather: np.ndarray  # flat index into a slots-shaped block, per slot
     laplacian: np.ndarray  # data of the Laplacian on the pattern
+    up: np.ndarray  # (dim, *shape): flat index of x + h e_ax
+    down: np.ndarray  # (dim, *shape): flat index of component ax at x - h e_ax
 
     @property
     def center(self) -> np.ndarray:
@@ -264,6 +269,9 @@ def stencil_pattern(grid: GridSpec) -> StencilPattern:
         gather=order * ncells + cells,
         # times 1/h**2, as scipy divides a sparse matrix by h**2
         laplacian=laplacian * (1 / grid.h**2),
+        up=upper_nbr.reshape(grid.dim, *grid.shape),
+        # component ax of a (dim, *shape) field, at the lower neighbour along ax
+        down=(lower_nbr + ncells * np.arange(grid.dim)[:, None]).reshape(grid.dim, *grid.shape),
     )
     for arr in arrays.values():
         arr.flags.writeable = False
@@ -293,24 +301,12 @@ def one_sided_diffs(grid: GridSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     stack ``u`` of shape ``(nframes, *grid.shape)``, ``(nframes, dim,
     *grid.shape)``.
     """
-    upper, lower = _neighbours(grid.dim, grid.n)
-    dplus = _take_frames(u, upper, grid.dim)
+    pattern = stencil_pattern(grid)
+    dplus = _take_frames(u, pattern.up, grid.dim)
     dplus -= u[_NEW_COMPONENT[grid.dim]]
     dplus /= grid.h
     # dplus one cell on: bit-identical to (u - u(x - h e_i)) / h
-    return dplus, _take_frames(dplus, lower, grid.dim + 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _neighbours(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of ``u(x + h e_i)`` in a frame of ``u`` and of
-    ``dplus[i](x - h e_i)`` in a frame's ``(dim, *shape)`` differences, both
-    shaped ``(dim, *shape)``; read-only."""
-    idx = np.arange(n**dim).reshape((n,) * dim)
-    upper = np.stack([np.roll(idx, -1, axis=ax) for ax in range(dim)])
-    lower = np.stack([np.roll(idx, 1, axis=ax) + ax * idx.size for ax in range(dim)])
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+    return dplus, _take_frames(dplus, pattern.down, grid.dim + 1)
 
 
 def upwind_parts(grid: GridSpec, u: np.ndarray):

@@ -1,84 +1,49 @@
 """Sparse linear solves shared by the two PDE steppers.
 
-Both steppers build their systems as
+Every system is ``I/dt - nu L + T`` with the congestion transport ``T = A``
+(HJB) or ``A^T`` (Kolmogorov), held as
 :class:`~congestion_mfg.grid.StencilOperator` data on the grid's stencil
-pattern, and neither solver copies them into another format.  1D systems are
-periodic tridiagonal: :func:`splu` reads the five bands by a cached index and
-moves the two corner entries into a rank-one Sherman-Morrison correction.
-Its solve is one LAPACK ``dgtsv`` call on the two columns ``[rhs | w]``,
-which factors the tridiagonal part in place and solves it for the
-right-hand side and the correction's column ``w`` together, then a rank-one
-update.  That call gives the bits of the ``dgttrf`` factorization and the
-two ``dgttrs`` solves it replaced (20 000 random systems of n = 16, 32 and
-64, a third with diagonals small enough to pivot), in one LAPACK call
-instead of three.  On a 2-core x86 host the LAPACK work per system fell
-from 3.6 to 2.0 us at n = 16 and from 5.7 to 3.7 us at n = 64; over the
-3295 systems of an n = 64 reference solve a factorization and solve take
-16.5 against 18.3 us (best of 12 passes; medians 19.7 against 20.7 us, and
-the host's timings drift by up to 1.7x between runs).  The periodic LU
-replaced scipy's general sparse LU (SuperLU), which takes about 52 us on
-those systems, and the two agree to 5e-15 relative.  Every 1D system the
-steppers build is strictly diagonally dominant, the HJB ones by rows
-(nonpositive off-diagonals, row sums ``1/dt``) and the Kolmogorov ones by
-columns, so it is nonsingular and its pivoted LU is stable.  Both kinds are dominant by
-rows in all 3295 systems of that solve and all 12711 of the n = 16 c09
-ladder, so the certificate takes the rows' least margin first and the
-columns' only when that fails.  Any other system, such as a caller's own, is
-checked on its true residual as a 2D one is, and one with a non-finite entry
-raises :class:`LinearSolveFailed`, as does a non-finite solution, which a
-NaN or an infinity in the right-hand side gives.
-A solve loads LAPACK on the first 1D system, through a cached loader, at
-about 0.1 us a call: a 2D solve, bundle save and load,
-``apriori_report``, ``check`` and ``diagnose`` load none of it.  The loader
-reads ``dgtsv`` from scipy's f2py extension ``scipy/linalg/_flapack`` by its
-file, not through the ``scipy.linalg`` package: the same routine behind the
-same wrapper, so the same bits.  On a 2-core x86 host, after this package's
-import, the package route took RSS from 28.5 to 55.5 MB and the process from
-228 to 554 modules in 0.24 s (``numpy.f2py`` and scipy's array-API layer
-among them); the extension alone, with the scipy-bundled BLAS it links,
-takes RSS to 31.1 MB and adds one module in under 0.01 s.
+pattern; neither solver copies it into another format.
+
+1D systems are periodic tridiagonal.  :func:`splu` reads the five bands by a
+cached index, and :class:`PeriodicTridiagonalLU` solves with one LAPACK
+``dgtsv`` call and a rank-one Sherman-Morrison update, one LAPACK call per
+system.  Every 1D system the steppers build is strictly diagonally dominant,
+the HJB ones by rows (nonpositive off-diagonals, row sums ``1/dt``) and the
+Kolmogorov ones by columns, so it is nonsingular and its pivoted LU is
+stable; the certificate tests the rows first, as both kinds are usually
+dominant by rows.  Any other system is checked on its true residual, as a 2D
+one is.  A non-finite entry of the system raises :class:`LinearSolveFailed`,
+as does a non-finite solution, which a NaN or an infinity in the right-hand
+side gives.  LAPACK is loaded on the first 1D solve, from scipy's extension
+``scipy/linalg/_flapack`` by its file: the same routine and bits without the
+``scipy.linalg`` package's imports, and a 2D solve, bundle I/O and the
+diagnostics load none of it.
 
 2D systems use BiCGStab preconditioned by the exact inverse of the heat
-operator ``I/dt - nu L``; the system's product is the operator's gather and
-sum over the slot axis, bit-identical to scipy's CSR product.
-
-Every system is ``I/dt - nu L + T`` with the congestion transport ``T = A``
-(HJB) or ``A^T`` (Kolmogorov).  On the torus the heat part is diagonal in
-the orthonormal real Fourier basis ``Q`` of :func:`fourier_basis`: the
-columns ``1/sqrt(n)``, ``sqrt(2/n) cos(2 pi k j/n)`` and
-``sqrt(2/n) sin(2 pi k j/n)`` for ``k = 1..(n-1)//2``, and ``(-1)^j/sqrt(n)``
-when n is even.  Each column is an eigenvector of the periodic ``-L`` along
-one axis with eigenvalue ``4 sin^2(pi k/n)/h^2``, which is computed from the
-formula, not by an eigensolver.  The 2D symbol
-``1/dt + nu (lambda_i + lambda_j)`` is therefore real, at least ``1/dt``,
-and exactly ``1/dt`` on the constant mode.
-
-:func:`heat_inverse` builds ``Q`` and the inverse symbol once per
-``(grid, nu)``; its apply is four small matmuls, ``Q^T R Q``, a product
-with the inverse symbol, then ``Q Y Q^T``.  That is O(n^3) against the
-FFT's O(n^2 log n), but at the sizes used here (every 2D grid of the
-tests, demos and benchmark has n <= 64) the FFT apply's time is almost all
-per-call overhead.  On a 2-core x86 host with single-threaded OpenBLAS an
-apply takes about 10 us against the FFT passes' 50 us at n = 32, and 43
-against 94 us at n = 64; by n = 128 the cubic cost has crossed over, at
-about 400 us against 280 us.
-
-At n = 32 and nu = 0.5 the transport is ``O(10)`` against
-``4 nu/h^2 ~ 2000``, so a solve takes about one iteration.  Folding the
-transport's cell average into the symbol (T. Chan's averaged stencil,
-SIAM J. Sci. Stat. Comput. 9, 1988) saved no iterations: 1065 against 1047
-over a 2D n = 32 reference solve, and more at low viscosity.
+operator ``I/dt - nu L``.  On the torus that operator is diagonal in the
+orthonormal real Fourier basis ``Q`` of :func:`fourier_basis`: the columns
+``1/sqrt(n)``, ``sqrt(2/n) cos(2 pi k j/n)`` and ``sqrt(2/n) sin(2 pi k j/n)``
+for ``k = 1..(n-1)//2``, and ``(-1)^j/sqrt(n)`` when n is even.  Each column
+is an eigenvector of the periodic ``-L`` along one axis with eigenvalue
+``4 sin^2(pi k/n)/h^2``, computed from the formula, so the 2D symbol
+``1/dt + nu (lambda_i + lambda_j)`` is real, at least ``1/dt``, and exactly
+``1/dt`` on the constant mode.  :func:`heat_inverse` applies its inverse as
+four small matmuls, ``Q^T R Q``, a product with the inverse symbol, then
+``Q Y Q^T``: O(n^3), but at the sizes used here (n <= 64) an FFT apply's
+time is almost all per-call overhead.
 
 :func:`bicgstab` is scipy's loop from ``x = 0`` with the same float
-operations in the same order, so it is bitwise equal to scipy's for the
-same operator and preconditioner, without scipy's operator wrapping.  A
-non-finite entry of the system or the right-hand side raises
-:class:`LinearSolveFailed` in the first iteration, where the plain loop
-would run a NaN to ``maxiter`` and warn on an inf.  The loop stops on its
-recursive residual, which can vanish while the true one does not: on a
-singular system such as ``-nu L`` it returns success with ``|x| ~ 1e16``.
-So :func:`sparse_solve` recomputes ``rhs - mat x`` once, at the cost of one
-matvec, and raises :class:`LinearSolveFailed` when it misses the tolerance.
+operations in the same order, so it is bitwise equal to scipy's, without
+scipy's operator wrapping.  A non-finite entry of the system or the
+right-hand side raises :class:`LinearSolveFailed` in the first iteration,
+where the plain loop would run a NaN to ``maxiter`` and warn on an inf.  The
+loop stops on its recursive residual, which rounding can part from the true
+one, and which vanishes on a singular system such as ``-nu L`` while
+``|x| ~ 1e16``.  So :func:`sparse_solve` recomputes ``rhs - mat x``; when
+that misses the tolerance it solves once more for the true residual's
+correction, and raises :class:`LinearSolveFailed` if the corrected solution
+misses too.
 """
 
 from __future__ import annotations
@@ -101,8 +66,9 @@ def sparse_solve(
     """Solve ``mat x = rhs`` for a system ``I/dt - nu L + T`` on ``grid``.
 
     A 2D solve, and a 1D one whose system is not strictly diagonally
-    dominant, must meet ``tol`` on its true residual; a non-finite solution
-    raises :class:`LinearSolveFailed` in both dimensions.
+    dominant, must meet ``tol`` on its true residual, a 2D one after at most
+    one refinement round; a non-finite solution raises
+    :class:`LinearSolveFailed` in both dimensions.
     """
     if grid.dim == 1:
         lu = splu(grid, mat)
@@ -114,14 +80,26 @@ def sparse_solve(
             return x
     atol = tol * (math.sqrt(rhs.dot(rhs)) + 1.0)
     if grid.dim == 2:
-        M = heat_inverse(grid, nu)
-        x, info = bicgstab(mat, rhs, rtol=tol, atol=atol, M=M, maxiter=20 * len(rhs))
-        if info != 0:
-            raise LinearSolveFailed(f"bicgstab returned info={info}")
+        x = _heat_bicgstab(grid, mat, rhs, nu, tol, atol)
     r = rhs - mat.dot(x)
     resid = math.sqrt(r.dot(r))
+    if grid.dim == 2 and not resid <= atol:
+        # BiCGStab stopped on its recursive residual: one round on the true one
+        x = x + _heat_bicgstab(grid, mat, r, nu, tol, atol)
+        r = rhs - mat.dot(x)
+        resid = math.sqrt(r.dot(r))
     if not resid <= atol:
         raise LinearSolveFailed(f"linear solve residual {resid:.3e} above {atol:.3e}")
+    return x
+
+
+def _heat_bicgstab(grid, mat, rhs, nu, tol, atol) -> np.ndarray:
+    """BiCGStab's solution of ``mat x = rhs``, preconditioned by the heat
+    inverse; a breakdown or an exhausted budget raises."""
+    x, info = bicgstab(mat, rhs, rtol=tol, atol=atol, M=heat_inverse(grid, nu),
+                       maxiter=20 * len(rhs))
+    if info != 0:
+        raise LinearSolveFailed(f"bicgstab returned info={info}")
     return x
 
 

@@ -7,13 +7,14 @@ The running model is the power-law congestion Hamiltonian
 whose convex conjugate is the movement cost :func:`congestion_lagrangian`
 ``L(m, w) = c_beta (m + mu)^gamma |w|^{beta'}`` with ``gamma = alpha/(beta-1)``,
 ``beta' = beta/(beta-1)`` and ``c_beta = 1/beta'``.  ``mu = 0`` is the singular
-regime where H is undefined at ``m = 0``; guarded evaluations floor the
-density at ``m_floor`` and carry an ``m > m_floor`` activity indicator.
+regime where H is undefined at ``m = 0``; there the guarded evaluations give
+H = 0 and H_p = 0 on the empty cells ``m <= M_FLOOR``, whose congestion
+factor is ``+inf``.
 
 The power law lives here once: :func:`_congestion_h` gives H and
-:func:`_congestion_weight` the factor of ``H_p`` on a ``(den, active)`` pair,
-masked by ``active``; ``eval_H``, ``eval_Hp``, the guarded evaluation and the
-HJB kernels all call them.
+:func:`_congestion_weight` the factor of ``H_p`` on a congestion factor;
+``eval_H``, ``eval_Hp``, the guarded evaluation and the HJB kernels all call
+them.
 
 Everything in this module is a pure function of its arguments and safe to
 call concurrently.
@@ -39,6 +40,9 @@ __all__ = [
     "congestion_lagrangian",
 ]
 
+# densities at or below this are empty cells in the singular regime
+M_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -59,7 +63,6 @@ class ModelParams:
     alpha: float
     mu: float
     horizon: float
-    m_floor: float = 1e-10
     epsilon: float = 0.0
 
     def __post_init__(self):
@@ -71,8 +74,6 @@ class ModelParams:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not self.m_floor > 0:
-            raise ValueError(f"m_floor must be positive, got {self.m_floor}")
         if self.beta == 1.0:
             raise ValueError("beta = 1 is outside the model family")
 
@@ -190,15 +191,15 @@ def _as_density_gradient(m, p):
 
 
 def _paper_h_parts(m, p, params: ModelParams):
-    """``(p, |p|^2, ((m + mu)^alpha, None))`` of the paper's H, which is
-    undefined where ``mu = 0``, ``m = 0`` and ``p != 0``."""
+    """``(p, |p|^2, (m + mu)^alpha)`` of the paper's H, which is undefined
+    where ``mu = 0``, ``m = 0`` and ``p != 0``."""
     m, p = _as_density_gradient(m, p)
     pnorm2 = (p**2).sum(axis=0)
     if params.mu == 0.0 and np.any((m <= 0.0) & (pnorm2 > 0.0)):
         raise SingularEvaluation(
             "H undefined: mu = 0 with zero density and nonzero gradient"
         )
-    return p, pnorm2, ((m + params.mu) ** params.alpha, None)
+    return p, pnorm2, (m + params.mu) ** params.alpha
 
 
 def _power_law(q, den, exponent: float, scale: float = 1.0):
@@ -208,9 +209,9 @@ def _power_law(q, den, exponent: float, scale: float = 1.0):
     Evaluated in place on a zero-initialised output with ``where=q > 0``:
     the power and the division run only on the positive cells, so
     ``0**negative`` is never formed and ``den``, which may vanish there in
-    the singular regime, is never read where ``q = 0``.  The operands are
-    broadcast only when their shapes differ; ``q`` is an array or a numpy
-    scalar, ``den`` may also be a Python float.
+    the singular regime, is never read where ``q = 0``; an infinite ``den``
+    gives 0.  The operands are broadcast only when their shapes differ;
+    ``q`` is an array or a numpy scalar, ``den`` may also be a Python float.
     """
     if q.shape != getattr(den, "shape", ()):
         q, den = np.broadcast_arrays(q, den)
@@ -219,18 +220,14 @@ def _power_law(q, den, exponent: float, scale: float = 1.0):
     return np.divide(out, den if scale == 1.0 else scale * den, out=out, where=mask)
 
 
-def _congestion_h(q, congestion, params: ModelParams):
-    """H = q^{beta/2}/(beta den) on a ``(den, active)`` pair, masked by ``active``."""
-    den, active = congestion
-    out = _power_law(q, den, params.beta / 2.0, params.beta)
-    return out * active if active is not None else out
+def _congestion_h(q, den, params: ModelParams):
+    """H = q^{beta/2}/(beta den) for the congestion factor ``den``."""
+    return _power_law(q, den, params.beta / 2.0, params.beta)
 
 
-def _congestion_weight(q, congestion, params: ModelParams):
-    """Factor q^{beta/2-1}/den of ``H_p = factor * p``, masked likewise."""
-    den, active = congestion
-    out = _power_law(q, den, params.beta / 2.0 - 1.0)
-    return out * active if active is not None else out
+def _congestion_weight(q, den, params: ModelParams):
+    """Factor q^{beta/2-1}/den of ``H_p = factor * p``."""
+    return _power_law(q, den, params.beta / 2.0 - 1.0)
 
 
 def eval_H(m, p, params: ModelParams):
@@ -264,20 +261,18 @@ def congestion_lagrangian(m, w, params: ModelParams):
 
 
 def congestion_denominator(m, params: ModelParams):
-    """(den, active) pair used by the solvers and diagnostics.
+    """Congestion factor ``(min(m, 1/epsilon) + mu)^alpha`` of the solvers and
+    diagnostics, no cap at epsilon = 0.
 
-    ``den = (min(m, 1/epsilon) + mu)^alpha``, no cap at epsilon = 0.  In the
-    singular regime the denominator is floored at ``m_floor^alpha`` and
-    ``active`` is the indicator of ``m > m_floor`` (mirroring the 1_{m>0}
-    factors of the weak formulation); otherwise ``active`` is None.
+    In the singular regime the factor is floored at ``M_FLOOR^alpha`` and is
+    ``+inf`` on the empty cells ``m <= M_FLOOR``, so H and H_p vanish there
+    (the 1_{m>0} factors of the weak formulation).
     """
     m = np.asarray(m, dtype=float)
     tm = np.minimum(m, 1.0 / params.epsilon) if params.epsilon > 0.0 else m
     if params.mu > 0.0:
-        return (tm + params.mu) ** params.alpha, None
-    den = np.maximum(tm, params.m_floor) ** params.alpha
-    active = (m > params.m_floor).astype(float)
-    return den, active
+        return (tm + params.mu) ** params.alpha
+    return np.where(m > M_FLOOR, np.maximum(tm, M_FLOOR) ** params.alpha, np.inf)
 
 
 def _guarded_h_hp(m, p, params: ModelParams):

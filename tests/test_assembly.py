@@ -26,7 +26,7 @@ from conftest import as_csr, from_csr
 
 GRIDS = [(1, 4), (1, 64), (2, 4), (2, 8)]
 REGULAR = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
-# mu = 0 with empty cells: the active mask zeroes those rows of A
+# mu = 0 with empty cells: their infinite congestion factor zeroes those rows of A
 SINGULAR = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.0, horizon=1.0)
 
 

@@ -124,6 +124,18 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line", ["m_floor = 1e-10", "coupling_family = power"])
+    def test_removed_model_keys_are_unknown(self, tmp_path, line):
+        # the empty-cell floor is the constant model.M_FLOOR, and a tabulated
+        # coupling needs tables the config cannot give
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, "n = 8\nnt = 8\n" + line + "\noutput_dir = {out}\n",
+                            out=out_dir)
+        proc = run_cli("solve", path)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert f"line 3: unknown key '{line.split()[0]}'" in proc.stderr
+        assert not out_dir.exists()
+
     def test_lists_and_bools(self, tmp_path):
         path = write_config(
             tmp_path, "epsilons = 0.1, 0.05\nwarm_start = false\ncontinuation = true\n"
@@ -278,6 +290,29 @@ class TestCmdDiagnose:
         meta_path.write_text(json.dumps({**meta, "seed": 42}))
         assert load_solution(tmp_path / "old").meta["seed"] == 42
         assert cmd_diagnose(str(tmp_path / "old")) == EXIT_OK
+
+    @pytest.mark.parametrize("floor", [1e-10, 1e-8])
+    def test_bundle_with_m_floor(self, ref32, tmp_path, capsys, floor):
+        """Bundles written while the empty-cell floor was a model parameter
+        hold ``model.m_floor``: the floor's one value loads and reports as
+        before, any other is named and exits 2."""
+        save_solution(ref32, tmp_path / "new")
+        assert cmd_diagnose(str(tmp_path / "new")) == EXIT_OK
+        want = capsys.readouterr().out.splitlines()
+        save_solution(ref32, tmp_path / "old")
+        meta_path = tmp_path / "old" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["model"]["m_floor"] = floor
+        meta_path.write_text(json.dumps(meta))
+        code = cmd_diagnose(str(tmp_path / "old"))
+        got = capsys.readouterr()
+        if floor == 1e-10:
+            assert code == EXIT_OK
+            # all but the line naming the report's path
+            assert got.out.splitlines()[:-1] == want[:-1]
+        else:
+            assert code == EXIT_CONFIG
+            assert "model.m_floor = 1e-08 is not M_FLOOR = 1e-10" in got.err
 
     def test_single_bundle_report(self, ref32, tmp_path, capsys):
         save_solution(ref32, tmp_path / "b")

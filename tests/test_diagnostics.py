@@ -24,7 +24,7 @@ from congestion_mfg.diagnostics import low_density_gradient_mass
 from congestion_mfg.errors import GridMismatch
 from congestion_mfg.grid import integrate, upwind_parts
 from congestion_mfg.hjb import effective_cost, hamiltonian_values, transport_jacobian
-from congestion_mfg.model import _guarded_h_hp, congestion_denominator
+from congestion_mfg.model import M_FLOOR, _guarded_h_hp, congestion_denominator
 
 from conftest import cosine_density, reference_params
 
@@ -227,9 +227,9 @@ def _reference_uniqueness_gap(sol_a, sol_b):
         f_term += weight * integrate(grid, (coupling.f(ma) - coupling.f(mb)) * (ma - mb))
         both = 1.0
         if singular:
-            both = ((ma > params.m_floor) & (mb > params.m_floor)).astype(float)
-            only_a = ((ma > params.m_floor) & (mb <= params.m_floor)).astype(float)
-            only_b = ((mb > params.m_floor) & (ma <= params.m_floor)).astype(float)
+            both = ((ma > M_FLOOR) & (mb > M_FLOOR)).astype(float)
+            only_a = ((ma > M_FLOOR) & (mb <= M_FLOOR)).astype(float)
+            only_b = ((mb > M_FLOOR) & (ma <= M_FLOOR)).astype(float)
             excl_a += weight * integrate(grid, only_a * ma * ((hpa * da).sum(axis=0) - ha))
             excl_b += weight * integrate(grid, only_b * mb * ((hpb * db).sum(axis=0) - hb))
         bracket_ba += weight * integrate(

@@ -25,6 +25,7 @@ from congestion_mfg.hjb import (
 )
 from congestion_mfg.linalg import sparse_solve
 from congestion_mfg.model import (
+    M_FLOOR,
     CouplingSpec,
     ModelParams,
     _power_law,
@@ -199,16 +200,28 @@ class TestMollifiedCosts:
         assert smoothed == [(grid.nt + 1, grid.n)] * calls
 
 
+def reference_congestion(m, params, eps):
+    """The congestion factor as a ``(den, active)`` pair, built here rather
+    than by ``congestion_denominator``: ``den = (min(m, 1/eps) + mu)^alpha``,
+    and at mu = 0 the floored ``max(., M_FLOOR)^alpha`` with ``active`` the
+    indicator of ``m > M_FLOOR`` (None at mu > 0)."""
+    tm = np.minimum(m, 1.0 / eps) if eps > 0.0 else m
+    if params.mu > 0.0:
+        return (tm + params.mu) ** params.alpha, None
+    floored = np.maximum(tm, M_FLOOR) ** params.alpha
+    return floored, (m > M_FLOOR).astype(float)
+
+
 def reference_hamiltonian(grid, u, m, params, eps):
     _, _, q = upwind_parts(grid, u)
-    den, active = congestion_denominator(m, replace(params, epsilon=eps))
+    den, active = reference_congestion(m, params, eps)
     out = _power_law(q, den, params.beta / 2.0, params.beta)
     return out * active if active is not None else out
 
 
 def reference_jacobian(grid, u, m, params, eps):
     dm, dp, q = upwind_parts(grid, u)
-    den, active = congestion_denominator(m, replace(params, epsilon=eps))
+    den, active = reference_congestion(m, params, eps)
     w = _power_law(q, den, params.beta / 2.0 - 1.0)
     w = w * active if active is not None else w
     am, ap = w * dm, w * dp
@@ -260,7 +273,7 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
 
 
 def capped_frame(grid, seed):
-    """A density above the cap 1/0.05 in one cell and below m_floor in others."""
+    """A density above the cap 1/0.05 in one cell and below M_FLOOR in others."""
     rng = np.random.default_rng(seed)
     m = 30.0 * rng.random(grid.shape)
     m[rng.random(grid.shape) < 0.25] = 0.0
@@ -278,7 +291,7 @@ class TestSharedKernelInputs:
             nu=0.3, beta=1.5, alpha=0.6, mu=mu, horizon=1.0, epsilon=eps
         )
         m = capped_frame(grid, [dim, n])
-        assert m.max() > 1.0 / 0.05 and (m <= params.m_floor).any()
+        assert m.max() > 1.0 / 0.05 and (m <= M_FLOOR).any()
         u_next = 3.0 * np.random.default_rng([dim, n, 1]).normal(size=grid.shape)
         opts = HJBOptions()
         f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)

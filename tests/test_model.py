@@ -10,8 +10,11 @@ from congestion_mfg.coupler import ContinuationSchedule, FixedPointOptions
 from congestion_mfg.errors import SingularEvaluation
 from congestion_mfg.hjb import HJBOptions
 from congestion_mfg.model import (
+    M_FLOOR,
     CouplingSpec,
     ModelParams,
+    _congestion_h,
+    _congestion_weight,
     _power_law,
     check_structure,
     congestion_denominator,
@@ -71,7 +74,7 @@ TABLES = dict(family="tabulated", table_s=(0.0, 1.0, 2.0), table_f=(0.0, 1.0, 2.
 # with NaN is False, so a check written as ``x <= 0`` let each of them through
 NAN_FIELDS = {
     **{f"ModelParams.{key}": (ModelParams, {**MODEL, key: NAN})
-       for key in ("nu", "mu", "epsilon", "m_floor")},
+       for key in ("nu", "mu", "epsilon")},
     "FixedPointOptions.fp_tol": (FixedPointOptions, {"fp_tol": NAN}),
     **{f"HJBOptions.{key}": (HJBOptions, {key: NAN})
        for key in ("newton_tol", "epsilon", "linear_tol")},
@@ -192,6 +195,21 @@ class TestPowerLawBitIdentical:
             got = _power_law(np.float64(q), np.float64(0.0 if q == 0 else 1.5), -0.25)
             ref = _reference_power_law(q, 0.0 if q == 0 else 1.5, -0.25)
             assert got.shape == () and got.view(np.int64) == ref.view(np.int64)
+
+
+class TestEmptyCells:
+    def test_factor_is_infinite_exactly_on_empty_cells(self):
+        params = make_params(beta=1.5, alpha=0.6, mu=0.0)
+        m = np.array([-1e-13, 0.0, 1e-12, M_FLOOR, 2e-10, 0.5, 3.0])
+        empty = m <= M_FLOOR
+        with np.errstate(all="raise"):
+            den = congestion_denominator(m, params)
+            assert np.array_equal(den[~empty], m[~empty] ** 0.6)
+            assert (den[empty] == np.inf).all()
+            # H and the factor of H_p are +0.0 there, as the masked pair gave
+            for kernel in (_congestion_h, _congestion_weight):
+                got = kernel(np.full(m.shape, 2.0), den, params)[empty]
+                assert np.array_equal(got.view(np.int64), np.zeros(len(got), np.int64))
 
 
 class TestStructuralInvariants:
@@ -423,7 +441,7 @@ class TestUniquenessIntegrand:
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         # while the scheme's denominator does see the cap
         assert not np.array_equal(
-            congestion_denominator(m1, capped)[0], congestion_denominator(m1, p)[0]
+            congestion_denominator(m1, capped), congestion_denominator(m1, p)
         )
 
 
