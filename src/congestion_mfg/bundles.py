@@ -16,9 +16,12 @@ A field CSV has the header ``t,x[,y],value`` and one row per cell per time
 level, cells in row-major order (x slowest in 2D), at 17 significant digits,
 so a written field reloads bit-identically.  The readers take the grid the
 file must be on and check the header, the row count and each row's ``t``,
-``x`` and ``y`` against its place, to a quarter step or cell.  A violation
-raises ``ValueError`` naming the path: a transposed or re-stamped file is a
-different field, not a readable one.
+``x`` and ``y`` against its place, to a quarter step or cell.  A violation,
+a byte that is not UTF-8 or a suffix numpy opens as compressed raises
+``ValueError`` naming the path: a transposed or re-stamped file is a different
+field, not a readable one.  The rows are parsed from the path, which
+``np.loadtxt`` reads in chunks in C; given an open handle, it makes one Python
+string per row.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
 
 _HEADERS = {1: "t,x,value", 2: "t,x,y,value"}
 _POLICY_FILES = {1: ("policy.csv",), 2: ("policy_x.csv", "policy_y.csv")}
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes np.loadtxt opens as compressed
 
 
 def save_solution(sol: MFGSolution, directory) -> None:
@@ -111,12 +115,12 @@ def write_field_csv(path, grid: GridSpec, traj: np.ndarray) -> None:
 
 def read_field_csv(path, grid: GridSpec) -> np.ndarray:
     """The space-time field of a :func:`write_field_csv` file on ``grid``."""
-    return _read_field(path, grid, grid.times())
+    return _read_field(path, grid, grid.nt + 1)
 
 
 def read_frame_csv(path, grid: GridSpec) -> np.ndarray:
     """The one frame, stamped t = 0, of a single-frame field CSV on ``grid``."""
-    return _read_field(path, grid, np.zeros(1))[0]
+    return _read_field(path, grid, 1)[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -128,31 +132,40 @@ def _frame_rows(grid: GridSpec) -> tuple[str, ...]:
     )
 
 
-def _read_field(path, grid: GridSpec, times: np.ndarray) -> np.ndarray:
-    """Values of the field CSV at ``path``, checked to lie at ``times`` on ``grid``."""
+@functools.lru_cache(maxsize=32)
+def _row_places(grid: GridSpec, frames: int) -> tuple[np.ndarray, ...]:
+    """Each row's t, x[, y] place, as an open mesh over (frames, *shape); cached."""
+    return np.ix_(grid.times()[:frames], *(grid.axis_centers(),) * grid.dim)
+
+
+def _read_field(path, grid: GridSpec, frames: int) -> np.ndarray:
+    """Values of the field CSV at ``path``: its first ``frames`` time levels on ``grid``.
+
+    A text handle checks the header and finds a data row; the rows are parsed
+    from the path.  Every ``ValueError``, decode errors included, names the path.
+    """
     header = _HEADERS[grid.dim]
-    with open(path, "r", encoding="utf-8") as fh:
-        got = fh.readline().strip()
-        if got != header:
-            raise ValueError(f"{path}: expected the header {header!r}, got {got!r}")
-        start = fh.tell()
-        if not any(line.strip() for line in iter(fh.readline, "")):
-            raise ValueError(f"{path}: field CSV has no data rows")
-        fh.seek(start)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            got = fh.readline().strip()
+            if got != header:
+                raise ValueError(f"expected the header {header!r}, got {got!r}")
+            if not any(line.strip() for line in iter(fh.readline, "")):
+                raise ValueError("field CSV has no data rows")
+        if os.path.splitext(path)[1] in _COMPRESSED:
+            raise ValueError("numpy reads a path with this suffix as compressed; rename it")
+        data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1, encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     names = header.split(",")
-    if data.shape != (len(times) * grid.ncells, len(names)):
+    if data.shape != (frames * grid.ncells, len(names)):
         raise ValueError(
-            f"{path}: expected {len(times)} frame(s) of {grid.ncells} rows of "
+            f"{path}: expected {frames} frame(s) of {grid.ncells} rows of "
             f"{len(names)} values, got {data.shape[0]} rows of {data.shape[1]}"
         )
     # each coordinate column, as a (frames, *shape) view, against its broadcast places
-    rows = data.reshape(len(times), *grid.shape, len(names))
-    places = (times.reshape(-1, *(1,) * grid.dim), *grid.coords())
-    for col, place in enumerate(places):
+    rows = data.reshape(frames, *grid.shape, len(names))
+    for col, place in enumerate(_row_places(grid, frames)):
         tol = (grid.dt if col == 0 else grid.h) / 4
         off = ~(np.abs(rows[..., col] - place) <= tol)
         if off.any():

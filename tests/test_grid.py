@@ -554,6 +554,57 @@ class TestFieldCSV:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_frame_csv(path, GridSpec(dim=1, n=4, nt=2, horizon=1.0))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda head, rows: head + "".join(rows).replace("\n", "\r\n"),
+            lambda head, rows: head + "\n" + "\n".join(rows) + "\n\n",
+            lambda head, rows: head + "# a comment line\n" + "".join(rows),
+            lambda head, rows: head + "".join(
+                ",".join(f"{float(c):.3g}" for c in row.split(",")[:-1])
+                + "," + row.split(",")[-1] for row in rows
+            ),
+            lambda head, rows: head + "".join(row.replace("\n", "  \n") for row in rows),
+        ],
+        ids=["crlf", "blank-lines", "comment", "few-digit-coordinates", "trailing-spaces"],
+    )
+    @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
+    @pytest.mark.filterwarnings("error")
+    def test_text_variants_load_the_same_field(self, edit, grid, tmp_path):
+        """Line endings, blank and comment lines, short coordinates and
+        trailing blanks are accepted; the values are read bit for bit."""
+        traj = RNG.normal(size=(grid.nt + 1, *grid.shape))
+        path = tmp_path / "field.csv"
+        write_field_csv(path, grid, traj)
+        head, *rows = path.read_text().splitlines(keepends=True)
+        path.write_bytes(edit(head, rows).encode("utf-8"))
+        assert np.array_equal(read_field_csv(path, grid), traj)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_rejected(self, suffix, tmp_path):
+        """np.loadtxt would open the path as compressed: a plain file with
+        such a name is rejected naming it, not failed in the decompressor."""
+        grid = GridSpec(dim=1, n=4, nt=2, horizon=1.0)
+        path = tmp_path / f"m0.csv{suffix}"
+        write_field_csv(path, grid, np.ones(grid.shape))
+        expected = f"{path}: numpy reads a path with this suffix as compressed; rename it"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            read_frame_csv(path, grid)
+
+    @pytest.mark.parametrize("line", [0, 1, -1], ids=["header", "first-row", "last-row"])
+    def test_undecodable_byte_is_rejected_naming_the_file(self, line, tmp_path):
+        # 512 rows of 17 digits: the last lies past the text handle's first read
+        grid = GridSpec(dim=1, n=512, nt=2, horizon=1.0)
+        path = tmp_path / "m0.csv"
+        write_field_csv(path, grid, RNG.normal(size=grid.shape))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert sum(map(len, lines[:-1])) > 8192
+        lines[line] = lines[line].replace(b",", b",\xff", 1)
+        path.write_bytes(b"".join(lines))
+        expected = f"{path}: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+            read_frame_csv(path, grid)
+
 
 class TestEquivariance:
     @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
