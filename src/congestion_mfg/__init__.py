@@ -5,62 +5,53 @@ Kolmogorov equation, discretized with a monotone upwind finite-difference
 scheme whose transport operators are exact discrete adjoints of each other,
 plus the structural checkers and energy/uniqueness diagnostics that certify
 a computed equilibrium.
+
+Public names resolve on first use (PEP 562): importing the package runs no
+submodule, and reading a name imports its home module.
 """
 
-from .bundles import load_solution, save_solution
-from .coupler import (
-    ContinuationSchedule,
-    FixedPointOptions,
-    MFGSolution,
-    solve_mfg,
-    solve_with_continuation,
-)
-from .diagnostics import (
-    DiagnosticsReport,
-    apriori_report,
-    crossed_energy_gap,
-    energy_identity_residual,
-    uniqueness_gap,
-)
-from .fpk import fpk_step, solve_fpk_forward
-from .grid import GridSpec
-from .hjb import HJBOptions, hjb_step, solve_hjb_backward
-from .model import (
-    CouplingSpec,
-    ModelParams,
-    StructureReport,
-    check_structure,
-    eval_H,
-    eval_Hp,
-    uniqueness_integrand,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuationSchedule",
-    "CouplingSpec",
-    "DiagnosticsReport",
-    "FixedPointOptions",
-    "GridSpec",
-    "HJBOptions",
-    "MFGSolution",
-    "ModelParams",
-    "StructureReport",
-    "apriori_report",
-    "check_structure",
-    "crossed_energy_gap",
-    "energy_identity_residual",
-    "eval_H",
-    "eval_Hp",
-    "fpk_step",
-    "hjb_step",
-    "load_solution",
-    "save_solution",
-    "solve_fpk_forward",
-    "solve_hjb_backward",
-    "solve_mfg",
-    "solve_with_continuation",
-    "uniqueness_gap",
-    "uniqueness_integrand",
-]
+# home module -> the public names it provides
+_EXPORTS = {
+    "bundles": ("load_solution", "save_solution"),
+    "coupler": (
+        "ContinuationSchedule", "FixedPointOptions", "MFGSolution", "solve_mfg",
+        "solve_with_continuation",
+    ),
+    "diagnostics": (
+        "DiagnosticsReport", "apriori_report", "crossed_energy_gap",
+        "energy_identity_residual", "uniqueness_gap",
+    ),
+    "fpk": ("fpk_step", "solve_fpk_forward"),
+    "grid": ("GridSpec",),
+    "hjb": ("HJBOptions", "hjb_step", "solve_hjb_backward"),
+    "model": (
+        "CouplingSpec", "ModelParams", "StructureReport", "check_structure", "eval_H",
+        "eval_Hp", "uniqueness_integrand",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name from its home module, or a submodule; cached once read."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    try:
+        # importing a submodule binds it in this namespace
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return __all__

@@ -64,18 +64,24 @@ def save_solution(sol: MFGSolution, directory) -> None:
 
 
 def load_solution(directory) -> MFGSolution:
-    with open(os.path.join(directory, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    grid = GridSpec(**meta["grid"])
-    model = dict(meta["model"])
-    floor = model.pop("m_floor", M_FLOOR)
-    if floor != M_FLOOR:
-        raise ValueError(f"{directory}: model.m_floor = {floor} is not M_FLOOR = {M_FLOOR}")
-    params = ModelParams(**{"epsilon": meta["epsilon"], **model})
-    cdict = dict(meta["coupling"])
-    for key in ("table_s", "table_f", "table_g"):
-        cdict[key] = tuple(cdict.get(key, ()))
-    coupling = CouplingSpec(**cdict)
+    """The bundle in ``directory``; a bad ``meta.json`` raises ``ValueError`` naming it."""
+    meta_path = os.path.join(directory, "meta.json")
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        grid = GridSpec(**meta["grid"])
+        model = dict(meta["model"])
+        floor = model.pop("m_floor", M_FLOOR)
+        if floor != M_FLOOR:
+            raise ValueError(f"model.m_floor = {floor} is not M_FLOOR = {M_FLOOR}")
+        params = ModelParams(**{"epsilon": meta["epsilon"], **model})
+        cdict = dict(meta["coupling"])
+        for key in ("table_s", "table_f", "table_g"):
+            cdict[key] = tuple(cdict.get(key, ()))
+        coupling = CouplingSpec(**cdict)
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{meta_path}: {what}") from exc
 
     u = read_field_csv(os.path.join(directory, "u.csv"), grid)
     m = read_field_csv(os.path.join(directory, "m.csv"), grid)

@@ -330,7 +330,7 @@ def cmd_diagnose(bundle_a, bundle_b=None) -> int:
     try:
         sol_a = load_solution(bundle_a)
         sol_b = load_solution(bundle_b) if bundle_b else None
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load bundle: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = apriori_report(sol_a).to_flat_dict()

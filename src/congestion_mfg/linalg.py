@@ -244,6 +244,9 @@ def heat_inverse(grid: GridSpec, nu: float):
     return apply
 
 
+_BREAKDOWN_TOL = np.finfo(np.float64).eps ** 2  # scipy's, for rho and omega, from the Fortran
+
+
 def bicgstab(A, b, *, rtol=1e-5, atol=0.0, M=None, maxiter=None, callback=None):
     """scipy's ``bicgstab`` from ``x = 0``, for a real ``A`` with ``dot`` and
     ``M`` a function applying the preconditioner (None: the identity).
@@ -251,25 +254,24 @@ def bicgstab(A, b, *, rtol=1e-5, atol=0.0, M=None, maxiter=None, callback=None):
     ``callback(x)`` runs after each full iteration.  Returns ``(x, info)``
     with scipy's codes; a non-finite inner product raises.
     """
-    bnrm2 = math.sqrt(b.dot(b))
+    bb = b.dot(b)
+    bnrm2 = math.sqrt(bb)
     atol = max(float(atol), float(rtol) * bnrm2)
     if bnrm2 == 0:
         return b, 0
     maxiter = 10 * len(b) if maxiter is None else maxiter
     psolve = M if M is not None else (lambda r: r)
-    # scipy's breakdown thresholds, carried over from the original Fortran
-    rhotol = omegatol = np.finfo(np.float64).eps ** 2
-    x, r, rtilde = np.zeros(len(b)), b.copy(), b.copy()
+    x, r, rtilde = np.zeros(len(b)), b.copy(), b  # rtilde is only read; r = b at iteration 0
     for iteration in range(maxiter):
-        if math.sqrt(r.dot(r)) < atol:
+        if (math.sqrt(r.dot(r)) if iteration else bnrm2) < atol:
             return x, 0
-        rho = rtilde.dot(r)
+        rho = rtilde.dot(r) if iteration else bb
         if not math.isfinite(rho):
             raise LinearSolveFailed("non-finite BiCGStab residual")
-        if abs(rho) < rhotol:
+        if abs(rho) < _BREAKDOWN_TOL:
             return x, -10
         if iteration > 0:
-            if abs(omega) < omegatol:
+            if abs(omega) < _BREAKDOWN_TOL:
                 return x, -11
             beta = (rho / rho_prev) * (alpha / omega)
             p -= omega * v

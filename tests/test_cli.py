@@ -345,6 +345,43 @@ class TestCmdDiagnose:
     def test_missing_bundle_exit_two(self, tmp_path):
         assert cmd_diagnose(str(tmp_path / "nope")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("model"), "missing key 'model'"),
+        (lambda meta: meta["grid"].pop("n"), "missing 1 required positional argument: 'n'"),
+        (lambda meta: meta["model"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+        (lambda meta: meta["coupling"].update(cf=-1.0), "nonnegative cf, cg, qf, qg"),
+    ], ids=["no-model", "no-grid-n", "unknown-model-key", "negative-cf"])
+    def test_bad_meta_is_rejected_naming_the_file(self, ref32, tmp_path, capsys, edit, message):
+        save_solution(ref32, tmp_path / "b")
+        meta_path = tmp_path / "b" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        assert cmd_diagnose(str(tmp_path / "b")) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cannot load bundle: {meta_path}: ")
+        assert message in err[0]
+
+    def test_malformed_meta_json_is_rejected_naming_the_file(self, ref32, tmp_path, capsys):
+        save_solution(ref32, tmp_path / "b")
+        meta_path = tmp_path / "b" / "meta.json"
+        meta_path.write_text(meta_path.read_text()[:-2])
+        assert cmd_diagnose(str(tmp_path / "b")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"cannot load bundle: {meta_path}: Expecting")
+
+    def test_bad_second_bundle_is_named(self, ref32, tmp_path, capsys):
+        """``diagnose good bad`` says which of its two bundles failed."""
+        save_solution(ref32, tmp_path / "good")
+        save_solution(ref32, tmp_path / "bad")
+        meta_path = tmp_path / "bad" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["model"]
+        meta_path.write_text(json.dumps(meta))
+        assert cmd_diagnose(str(tmp_path / "good"), str(tmp_path / "bad")) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"cannot load bundle: {meta_path}: missing key 'model'"
+        ]
+
     def test_grid_mismatch_exit_five(self, ref32, ref64, tmp_path):
         save_solution(ref32, tmp_path / "a")
         save_solution(ref64, tmp_path / "b")
