@@ -74,7 +74,9 @@ def load_solution(directory) -> MFGSolution:
         floor = model.pop("m_floor", M_FLOOR)
         if floor != M_FLOOR:
             raise ValueError(f"model.m_floor = {floor} is not M_FLOOR = {M_FLOOR}")
-        params = ModelParams(**{"epsilon": meta["epsilon"], **model})
+        if "epsilon" not in model:
+            model["epsilon"] = meta["epsilon"]
+        params = ModelParams(**model)
         cdict = dict(meta["coupling"])
         for key in ("table_s", "table_f", "table_g"):
             cdict[key] = tuple(cdict.get(key, ()))

@@ -7,11 +7,12 @@ One outer iteration relaxes a density trajectory m toward its best response
 where the backward HJB sweep runs against the frozen m and the forward
 Kolmogorov sweep is driven by the resulting generator matrices; one linear
 tolerance, ``HJBOptions.linear_tol``, serves both, and the forward sweep's
-positivity check cannot be switched off.  The relaxation factor omega is
-capped at the configured damping and adapted per cell (see
-FixedPointOptions).  Iteration stops when the undamped best-response
-residual drops below tolerance in L1(Q_T).  On top of the plain fixed point
-sit the regularization ladder (truncation and
+positivity check cannot be switched off.  The relaxation factor omega
+starts at the configured damping and is adapted per cell: halved where the
+update flips sign, and free to reach full steps where the update keeps its
+sign and shrinks (see FixedPointOptions).  Iteration stops when the
+undamped best-response residual drops below tolerance in L1(Q_T).  On top
+of the plain fixed point sit the regularization ladder (truncation and
 :func:`congestion_mfg.grid.gaussian_smooth` mollification width eps) and
 the vanishing congestion-offset ladder (mu), run with warm starts so the
 singular regime is only ever approached by continuation.
@@ -51,14 +52,17 @@ OMEGA_GROWTH = 1.4
 class FixedPointOptions:
     """Damped Picard controls.
 
-    ``damping`` is the relaxation factor (and its cap).  The factor is
-    tracked per cell and level: wherever the best-response direction flips
-    sign between outer iterations the local factor is halved (down to
+    ``damping`` is the starting relaxation factor.  The factor is tracked
+    per cell and level: wherever the best-response update flips sign
+    between outer iterations the local factor is halved (down to
     ``OMEGA_MIN``), where it persists it recovers geometrically (by
-    ``OMEGA_GROWTH``) up to ``damping``.  This arrests the local relaxation
-    oscillation the sub-quadratic drift (beta < 2) excites near critical
-    points of u, while leaving smooth modes at full speed; for instances
-    where plain damping converges the adaptive factor just sits at the cap.
+    ``OMEGA_GROWTH``).  Its cap is 1 (a full step) where the update keeps
+    shrinking in magnitude and ``damping`` wherever it does not.  Halving
+    arrests the local relaxation oscillation the sub-quadratic drift
+    (beta < 2) excites near critical points of u, since a period-2
+    oscillation flips sign every iteration; where the iteration contracts
+    monotonically, as at beta = 2, the cells take full steps.  At
+    ``damping = 1`` both caps are 1.
     The stopping test is the undamped best-response residual
     ||Phi(m) - m|| <= fp_tol in L1(Q_T), which dominates the recorded
     increments.
@@ -256,7 +260,10 @@ def solve_mfg(
         if prev_update is not None:
             flipped = update * prev_update < 0.0
             omega = np.where(flipped, omega * 0.5, omega * OMEGA_GROWTH)
-            omega = np.clip(omega, OMEGA_MIN, fp_opts.damping)
+            contracting = np.abs(update) < np.abs(prev_update)
+            omega = np.clip(
+                omega, OMEGA_MIN, np.where(contracting, 1.0, fp_opts.damping)
+            )
         prev_update = update
         step = omega * update
         # keep every level's mass exact: project the step to zero mean

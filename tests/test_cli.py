@@ -282,6 +282,38 @@ class TestCmdDiagnose:
         assert loaded.params.epsilon == 0.05 and loaded.params == params
         assert apriori_report(loaded).to_flat_dict() == apriori_report(sol).to_flat_dict()
 
+    @staticmethod
+    def _small_bundle(directory, drop):
+        """A 1D n = nt = 8 bundle whose ``meta.json`` lacks the widths in ``drop``."""
+        from congestion_mfg import CouplingSpec, GridSpec, solve_mfg
+        from conftest import cosine_density, reference_params
+
+        grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
+        sol = solve_mfg(grid, reference_params(), CouplingSpec(), m0=cosine_density(grid))
+        save_solution(sol, directory)
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if "top" in drop:
+            del meta["epsilon"]
+        if "model" in drop:
+            del meta["model"]["epsilon"]
+        meta_path.write_text(json.dumps(meta))
+        return sol, meta_path
+
+    def test_bundle_without_top_level_epsilon_loads(self, tmp_path):
+        """The width is ``model.epsilon``; the top-level copy is read only
+        when the model lacks it."""
+        sol, _ = self._small_bundle(tmp_path / "b", drop=("top",))
+        loaded = load_solution(tmp_path / "b")
+        assert loaded.params == sol.params
+        assert np.array_equal(loaded.m, sol.m)
+
+    def test_bundle_without_any_epsilon_is_rejected_naming_the_file(self, tmp_path):
+        _, meta_path = self._small_bundle(tmp_path / "b", drop=("top", "model"))
+        with pytest.raises(ValueError) as info:
+            load_solution(tmp_path / "b")
+        assert str(info.value) == f"{meta_path}: missing key 'epsilon'"
+
     def test_bundle_with_seed_loads(self, ref32, tmp_path):
         """Bundles written while the CLI had a ``seed`` key keep it in meta."""
         save_solution(ref32, tmp_path / "old")

@@ -154,6 +154,32 @@ class TestSolveMFG:
         ]
         assert l1_space_time(grid, sols[0].m - sols[1].m) <= 1e-6
 
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+    def test_contracting_cells_take_full_steps(self, dim):
+        """The beta = 2 reference at n = nt = 16 contracts monotonically, so
+        its cells leave the damping cap for full steps: at most 12 outer
+        iterations at the default damping (10 in 1D and 8 in 2D; a cap held
+        at 0.5 took 21 and 20).  The limit is the undamped solve's: both
+        iterates have best-response residual r <= fp_tol, so for a map with
+        Lipschitz constant L < 1 in L1(Q_T), ||m_a - m_b|| <= (r_a + r_b) /
+        (1 - L).  L is estimated by the largest ratio of successive residuals
+        of the undamped iteration, whose iterates are the map's own images."""
+        grid = GridSpec(dim=dim, n=16, nt=16, horizon=1.0)
+        damped, full = (
+            solve_mfg(
+                grid, reference_params(), CouplingSpec(),
+                FixedPointOptions(fp_tol=1e-8, damping=d), m0=cosine_density(grid),
+            )
+            for d in (0.5, 1.0)
+        )
+        assert damped.converged and full.converged
+        assert damped.meta["outer_iters"] <= 12
+        residuals = full.meta["residuals"]
+        lipschitz = max(b / a for a, b in zip(residuals, residuals[1:]))
+        assert lipschitz < 0.6
+        bound = (damped.meta["residual"] + full.meta["residual"]) / (1.0 - lipschitz)
+        assert l1_space_time(grid, damped.m - full.m) <= bound
+
     def test_initialization_invariance(self):
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
         m0 = cosine_density(grid)
@@ -260,7 +286,7 @@ class TestSolveMFG:
 
     def test_budget_overrun_returns_the_best_iterate(self, monkeypatch):
         # c09 rung 0: the Picard tail is not monotone, and at a budget of 100
-        # the best measured iterate (iteration 81) beats the last one
+        # the best measured iterate (iteration 90) beats the last one
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
         params = ModelParams(
             nu=0.5, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0, epsilon=0.05
