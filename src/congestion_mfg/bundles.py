@@ -8,9 +8,10 @@ outer_iters, increments, newton_residual_max, wall_time_seconds) plus the
 grid, model and coupling constants needed to re-run diagnostics from the
 bundle alone.  The width is ``model.epsilon``; a bundle written before the
 model held it has only the top-level ``epsilon``, which :func:`load_solution`
-then reads.  A bundle written while the empty-cell floor was a model
-parameter holds ``model.m_floor``: it loads if that is ``model.M_FLOOR`` and
-raises ``ValueError`` otherwise.
+then reads.  Keys of older bundles load when they hold what is now fixed, and
+raise ``ValueError`` otherwise: ``model.m_floor`` (the empty-cell floor) if
+it is ``model.M_FLOOR``, and ``coupling.family`` and its three tables
+(``table_s``, ``table_f``, ``table_g``) if they are ``"power"`` and empty.
 
 A field CSV has the header ``t,x[,y],value`` and one row per cell per time
 level, cells in row-major order (x slowest in 2D), at 17 significant digits,
@@ -78,8 +79,9 @@ def load_solution(directory) -> MFGSolution:
             model["epsilon"] = meta["epsilon"]
         params = ModelParams(**model)
         cdict = dict(meta["coupling"])
-        for key in ("table_s", "table_f", "table_g"):
-            cdict[key] = tuple(cdict.get(key, ()))
+        for key, fixed in {"family": "power", "table_s": [], "table_f": [], "table_g": []}.items():
+            if (value := cdict.pop(key, fixed)) != fixed:
+                raise ValueError(f"coupling.{key} = {value!r} is not {fixed!r}")
         coupling = CouplingSpec(**cdict)
     except (KeyError, TypeError, ValueError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc

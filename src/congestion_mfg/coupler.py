@@ -76,8 +76,8 @@ class FixedPointOptions:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not self.fp_tol > 0:
-            raise ValueError("fp_tol must be positive")
+        if not 0 < self.fp_tol < np.inf:
+            raise ValueError("fp_tol must be positive and finite")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be at least 1")
         if self.damping < OMEGA_MIN:
@@ -103,15 +103,15 @@ class ContinuationSchedule:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
         object.__setattr__(self, "epsilons", eps)
-        if len(eps) == 0 or not all(e > 0 for e in eps):
-            raise ValueError("epsilons must be a nonempty positive sequence")
+        if len(eps) == 0 or not all(0 < e < np.inf for e in eps):
+            raise ValueError("epsilons must be a nonempty finite positive sequence")
         if len(eps) > 1 and np.any(np.diff(eps) >= 0):
             raise ValueError("epsilons must be strictly decreasing")
         if self.mus is not None:
             mus = tuple(float(m) for m in self.mus)
             object.__setattr__(self, "mus", mus)
-            if len(mus) == 0 or not all(m >= 0 for m in mus):
-                raise ValueError("mus must be a nonempty nonnegative sequence")
+            if len(mus) == 0 or not all(0 <= m < np.inf for m in mus):
+                raise ValueError("mus must be a nonempty finite nonnegative sequence")
             if len(mus) > 1 and np.any(np.diff(mus) >= 0):
                 raise ValueError("mus must be strictly decreasing")
 

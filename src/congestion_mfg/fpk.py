@@ -18,8 +18,10 @@ The system is ``heat + A`` on the grid's cached stencil pattern, transposed
 by one gather of its data.  A transport whose data is not shaped like the
 pattern's raises ``ValueError``.  The coupler passes its
 ``HJBOptions.linear_tol`` as ``tol``: one linear tolerance for both sweeps.
-A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;
-it always raises :class:`NegativeDensity`, a check no option switches off.
+A previous frame below ``-NEGATIVE_TOL`` or holding a NaN raises
+``ValueError`` before the solve.  A computed frame below ``-NEGATIVE_TOL``
+means the system was no M-matrix; it always raises :class:`NegativeDensity`,
+a check no option switches off.
 A non-finite frame never comes back: :func:`sparse_solve` raises
 :class:`~congestion_mfg.errors.LinearSolveFailed` on one, in 1D and 2D.
 """
@@ -45,7 +47,7 @@ def fpk_step(
     tol: float = 1e-12,
 ) -> np.ndarray:
     """Advance the density one level with the transposed generator ``transport``."""
-    if float(m_prev.min()) < -NEGATIVE_TOL:
+    if not float(m_prev.min()) >= -NEGATIVE_TOL:  # a NaN fails the comparison
         raise ValueError("previous density frame must be nonnegative")
     heat = implicit_heat_data(grid, params.nu)
     if np.shape(transport.data) != heat.shape:

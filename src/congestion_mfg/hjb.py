@@ -123,14 +123,14 @@ class HJBOptions:
     linear_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not self.linear_tol > 0:
-            raise ValueError("linear_tol must be positive")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
+        if not 0 < self.linear_tol < np.inf:
+            raise ValueError("linear_tol must be positive and finite")
 
 
 def hamiltonian_values(

@@ -1,4 +1,4 @@
-"""Congestion Hamiltonian family, couplings, and structural checkers.
+"""Congestion Hamiltonian family, the power coupling, and structural checkers.
 
 The running model is the power-law congestion Hamiltonian
 
@@ -22,7 +22,7 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,14 +66,14 @@ class ModelParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.beta == 1.0:
             raise ValueError("beta = 1 is outside the model family")
 
@@ -116,55 +116,37 @@ class ModelParams:
 class CouplingSpec:
     """Coupling costs F (running) and G (terminal), nondecreasing in m.
 
-    The power family is ``F(m) = cf m^qf + offset_f`` and
-    ``G(m) = cg m^qg + offset_g`` with nonnegative coefficients and
-    exponents; a tabulated family interpolates a nondecreasing table
-    linearly.  Both are bounded below by ``c4 = min(F(0), G(0))``.  F and
-    G share one evaluation: F reads the ``f`` coefficients and table, G the
-    ``g`` ones.
+    The coupling is the power law ``F(m) = cf m^qf + offset_f`` and
+    ``G(m) = cg m^qg + offset_g`` with finite nonnegative coefficients and
+    exponents and finite offsets, bounded below by ``c4 = min(F(0), G(0))``.
+    F and G share one evaluation: F reads the ``f`` constants, G the ``g`` ones.
     """
 
-    family: str = "power"
     cf: float = 1.0
     qf: float = 1.0
     offset_f: float = 0.0
     cg: float = 1.0
     qg: float = 1.0
     offset_g: float = 0.0
-    table_s: tuple[float, ...] = field(default=())
-    table_f: tuple[float, ...] = field(default=())
-    table_g: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.family not in ("power", "tabulated"):
-            raise ValueError(f"unknown coupling family {self.family!r}")
-        if self.family == "power":
-            if not all(c >= 0 for c in (self.cf, self.cg, self.qf, self.qg)):
-                raise ValueError("power coupling needs nonnegative cf, cg, qf, qg")
-        else:
-            for tab in (self.table_f, self.table_g):
-                if len(tab) != len(self.table_s) or len(tab) < 2:
-                    raise ValueError("tabulated coupling needs matching tables")
-                if not np.all(np.diff(tab) >= 0):
-                    raise ValueError("tabulated coupling must be nondecreasing")
-            if not np.all(np.diff(self.table_s) > 0):
-                raise ValueError("table abscissae must be strictly increasing")
+        if not all(0 <= c < np.inf for c in (self.cf, self.cg, self.qf, self.qg)):
+            raise ValueError("coupling needs finite nonnegative cf, cg, qf, qg")
+        if not all(abs(c) < np.inf for c in (self.offset_f, self.offset_g)):
+            raise ValueError(f"coupling needs finite offsets, got {self.offset_f}, {self.offset_g}")
 
-    def _cost(self, m, coeff, power, offset, table):
+    def _cost(self, m, coeff, power, offset):
         m = np.asarray(m, dtype=float)
-        if self.family == "power":
-            out = coeff * m**power + offset
-        else:
-            out = np.interp(m, self.table_s, table)
+        out = coeff * m**power + offset
         return out if out.ndim else float(out)
 
     def f(self, m):
         """Running cost F(m)."""
-        return self._cost(m, self.cf, self.qf, self.offset_f, self.table_f)
+        return self._cost(m, self.cf, self.qf, self.offset_f)
 
     def g(self, m):
         """Terminal cost G(m)."""
-        return self._cost(m, self.cg, self.qg, self.offset_g, self.table_g)
+        return self._cost(m, self.cg, self.qg, self.offset_g)
 
     def level_costs(self, m_traj):
         """F at every level of a density trajectory but the last, G at the last."""
@@ -301,7 +283,7 @@ class StructureReport:
 def check_structure(params: ModelParams) -> StructureReport:
     """Report-only validation of the exponent ranges and derived bounds.
 
-    ``valid_ranges`` is the admissible window 1 < beta <= 2, alpha > 0;
+    ``valid_ranges`` is the admissible window 1 < beta <= 2, 0 < alpha < inf;
     ``uniqueness_ok`` is the monotonicity threshold alpha <= 4(beta-1)/beta
     (strictly below 2 in the singular quadratic case); ``hp2_sampled_ok``
     verifies the derived gradient-square inequality with this instance's
@@ -311,8 +293,8 @@ def check_structure(params: ModelParams) -> StructureReport:
     violations = []
     if not 1.0 < beta <= 2.0:
         violations.append(f"beta={beta:g} outside (1, 2]")
-    if not alpha > 0.0:
-        violations.append(f"alpha={alpha:g} not positive")
+    if not 0.0 < alpha < np.inf:
+        violations.append(f"alpha={alpha:g} not positive and finite")
     valid = not violations
 
     threshold = 4.0 * (beta - 1.0) / beta

@@ -346,6 +346,23 @@ class TestCmdDiagnose:
             assert code == EXIT_CONFIG
             assert "model.m_floor = 1e-08 is not M_FLOOR = 1e-10" in got.err
 
+    def test_bundle_with_power_family_loads(self, ref32, tmp_path):
+        """Bundles written while the coupling had a tabulated family hold
+        ``coupling.family`` and three tables: ``"power"`` and empty load as before."""
+        from congestion_mfg import apriori_report
+
+        save_solution(ref32, tmp_path / "old")
+        meta_path = tmp_path / "old" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["coupling"].update(family="power", table_s=[], table_f=[], table_g=[])
+        meta_path.write_text(json.dumps(meta))
+        loaded = load_solution(tmp_path / "old")
+        assert loaded.coupling == ref32.coupling
+        for name in ("u", "m", "policy"):
+            got, want = getattr(loaded, name), getattr(ref32, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert apriori_report(loaded).to_flat_dict() == apriori_report(ref32).to_flat_dict()
+
     def test_single_bundle_report(self, ref32, tmp_path, capsys):
         save_solution(ref32, tmp_path / "b")
         assert cmd_diagnose(str(tmp_path / "b")) == EXIT_OK
@@ -382,7 +399,12 @@ class TestCmdDiagnose:
         (lambda meta: meta["grid"].pop("n"), "missing 1 required positional argument: 'n'"),
         (lambda meta: meta["model"].update(bogus=1), "unexpected keyword argument 'bogus'"),
         (lambda meta: meta["coupling"].update(cf=-1.0), "nonnegative cf, cg, qf, qg"),
-    ], ids=["no-model", "no-grid-n", "unknown-model-key", "negative-cf"])
+        # an old bundle's coupling: only the power law, without tables, loads
+        (lambda meta: meta["coupling"].update(family="tabulated", table_s=[0.0, 1.0]),
+         "coupling.family = 'tabulated' is not 'power'"),
+        (lambda meta: meta["coupling"].update(family="power", table_f=[0.0, 1.0]),
+         "coupling.table_f = [0.0, 1.0] is not []"),
+    ], ids=["no-model", "no-grid-n", "unknown-model-key", "negative-cf", "tabulated", "table_f"])
     def test_bad_meta_is_rejected_naming_the_file(self, ref32, tmp_path, capsys, edit, message):
         save_solution(ref32, tmp_path / "b")
         meta_path = tmp_path / "b" / "meta.json"
@@ -692,6 +714,12 @@ BAD_OPTIONS = {
     # no Picard iteration: it wrote a bundle and exited 3
     "check-max_outer_iter": ("check", "max_outer_iter = 0\n"),
     "solve-max_outer_iter": ("solve", "max_outer_iter = 0\n"),
+    # no range check saw these: check exited 0 on both; solve met a non-finite
+    # HJB residual at offsetF = nan (exit 4) and wrote a bundle at mu = inf
+    "check-offsetF_nan": ("check", "offsetF = nan\n"),
+    "solve-offsetF_nan": ("solve", "offsetF = nan\n"),
+    "check-mu_inf": ("check", "mu = inf\n"),
+    "solve-mu_inf": ("solve", "mu = inf\n"),
 }
 
 
@@ -722,7 +750,10 @@ def test_bad_options_are_rejected(tmp_path, command, options):
 @pytest.mark.parametrize("command", ["check", "solve"])
 @pytest.mark.parametrize(
     "option, message",
-    [("mu", "mu must be nonnegative, got nan"), ("newton_tol", "newton_tol must be positive")],
+    [
+        ("mu", "mu must be nonnegative and finite, got nan"),
+        ("newton_tol", "newton_tol must be positive and finite"),
+    ],
     ids=["mu", "newton_tol"],
 )
 def test_nan_option_is_rejected(tmp_path, capsys, command, option, message):

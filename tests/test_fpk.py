@@ -85,6 +85,15 @@ class TestFPKStep:
         with pytest.raises(ValueError, match="nonnegative"):
             fpk_step(grid, m_prev, zero_transport(grid), PARAMS)
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_input_check_rejects_nan(self, dim, n):
+        # a NaN frame passed the check and failed in the linear solve instead
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        m_prev = np.ones(grid.shape)
+        m_prev.flat[3] = np.nan
+        with pytest.raises(ValueError, match="^previous density frame must be nonnegative$"):
+            fpk_step(grid, m_prev, zero_transport(grid), PARAMS)
+
     def test_forward_sweep_guards_its_initial_density(self):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
         transports = [zero_transport(grid)] * grid.nt

@@ -130,17 +130,13 @@ class TestOptions:
             HJBOptions(**bad)
 
 
-TABULATED = CouplingSpec(
-    family="tabulated",
-    table_s=(0.0, 1.0, 2.0, 4.0),
-    table_f=(0.0, 1.0, 1.5, 2.0),
-    table_g=(0.0, 0.5, 1.0, 3.0),
-)
+# the third coupling has offsets and a constant G (qg = 0)
+OFFSET = CouplingSpec(cf=0.25, qf=2.0, offset_f=-1.0, cg=0.0, qg=0.0, offset_g=0.5)
 COST_CASES = list(
     itertools.product(
         [(1, 16), (2, 6)],
         [0.0, 0.05],
-        [COUPLING, CouplingSpec(cf=0.5, qf=1.5, cg=2.0, qg=0.5), TABULATED],
+        [COUPLING, CouplingSpec(cf=0.5, qf=1.5, cg=2.0, qg=0.5), OFFSET],
     )
 )
 

@@ -66,27 +66,33 @@ class TestDerivedConstants:
             make_params(horizon=horizon)
 
 
-NAN = float("nan")
 MODEL = dict(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
-TABLES = dict(family="tabulated", table_s=(0.0, 1.0, 2.0), table_f=(0.0, 1.0, 2.0),
-              table_g=(0.0, 1.0, 2.0))
-# every range-checked float field, with a value holding a NaN: a comparison
-# with NaN is False, so a check written as ``x <= 0`` let each of them through
-NAN_FIELDS = {
-    **{f"ModelParams.{key}": (ModelParams, {**MODEL, key: NAN})
-       for key in ("nu", "mu", "epsilon")},
-    "FixedPointOptions.fp_tol": (FixedPointOptions, {"fp_tol": NAN}),
-    **{f"HJBOptions.{key}": (HJBOptions, {key: NAN})
-       for key in ("newton_tol", "epsilon", "linear_tol")},
-    **{f"CouplingSpec.{key}": (CouplingSpec, {key: NAN}) for key in ("cf", "cg", "qf", "qg")},
-    **{f"CouplingSpec.{key}": (CouplingSpec, {**TABLES, key: (0.0, NAN, 2.0)})
-       for key in ("table_s", "table_f", "table_g")},
-    "ContinuationSchedule.epsilons": (ContinuationSchedule, {"epsilons": (0.1, NAN)}),
-    "ContinuationSchedule.mus": (ContinuationSchedule, {"mus": (1.0, NAN)}),
-}
 
 
-@pytest.mark.parametrize("kind, kwargs", NAN_FIELDS.values(), ids=NAN_FIELDS)
+def fields_holding(bad):
+    """Every range-checked float field, with a value holding ``bad``."""
+    return {
+        **{f"ModelParams.{key}": (ModelParams, {**MODEL, key: bad})
+           for key in ("nu", "mu", "epsilon")},
+        "FixedPointOptions.fp_tol": (FixedPointOptions, {"fp_tol": bad}),
+        **{f"HJBOptions.{key}": (HJBOptions, {key: bad})
+           for key in ("newton_tol", "epsilon", "linear_tol")},
+        **{f"CouplingSpec.{key}": (CouplingSpec, {key: bad})
+           for key in ("cf", "cg", "qf", "qg", "offset_f", "offset_g")},
+        "ContinuationSchedule.epsilons": (ContinuationSchedule, {"epsilons": (bad, 0.1)}),
+        "ContinuationSchedule.mus": (ContinuationSchedule, {"mus": (bad, 1.0)}),
+    }
+
+
+# a comparison with NaN is False, so a check written as ``x <= 0`` let NaN
+# through; one written as ``x > 0`` lets an infinity through
+NAN_FIELDS = fields_holding(float("nan"))
+INF_FIELDS = {f"{key}=inf": case for key, case in fields_holding(np.inf).items()}
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs", [*NAN_FIELDS.values(), *INF_FIELDS.values()], ids=[*NAN_FIELDS, *INF_FIELDS]
+)
 def test_nan_fails_the_range_check(kind, kwargs):
     with pytest.raises(ValueError):
         kind(**kwargs)
@@ -264,6 +270,12 @@ class TestCheckStructure:
         rep = check_structure(make_params(beta=2.5, alpha=1.0))
         assert not rep.valid_ranges
         assert any("beta" in v for v in rep.violations)
+
+    def test_infinite_alpha_is_a_violation(self):
+        # alpha = inf passed ``alpha > 0``: check and solve exited 0
+        rep = check_structure(make_params(alpha=np.inf))
+        assert not rep.valid_ranges
+        assert rep.violations == ("alpha=inf not positive and finite",)
 
     def test_singular_quadratic_needs_strict(self):
         rep = check_structure(make_params(beta=2.0, alpha=2.0, mu=0.0))
@@ -443,30 +455,3 @@ class TestUniquenessIntegrand:
         assert not np.array_equal(
             congestion_denominator(m1, capped), congestion_denominator(m1, p)
         )
-
-
-class TestTabulatedCoupling:
-    def test_interpolates_and_monotone(self):
-        spec = CouplingSpec(
-            family="tabulated",
-            table_s=(0.0, 1.0, 2.0),
-            table_f=(0.0, 1.0, 4.0),
-            table_g=(0.5, 0.5, 1.0),
-        )
-        assert spec.f(0.5) == 0.5
-        assert spec.f(1.5) == 2.5
-        assert spec.g(0.25) == 0.5
-        assert spec.c4 == 0.0
-
-    def test_rejects_decreasing_table(self):
-        with pytest.raises(ValueError):
-            CouplingSpec(
-                family="tabulated",
-                table_s=(0.0, 1.0),
-                table_f=(1.0, 0.0),
-                table_g=(0.0, 1.0),
-            )
-
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            CouplingSpec(family="spline")
