@@ -11,7 +11,6 @@ import numpy as np
 
 from congestion_mfg import (
     CouplingSpec,
-    FixedPointOptions,
     GridSpec,
     ModelParams,
     apriori_report,
@@ -21,7 +20,7 @@ from congestion_mfg import (
     uniqueness_gap,
 )
 from congestion_mfg.bundles import save_solution
-from congestion_mfg.grid import l1_space_time
+from congestion_mfg.grid import integrate, l1_space_time
 
 grid = GridSpec(dim=1, n=64, nt=64, horizon=1.0)
 params = ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=1.0)
@@ -41,11 +40,12 @@ for key, value in report.to_flat_dict().items():
     print(f"  {key:<22} {value: .6e}")
 print("energy residual:", energy_identity_residual(sol), "(first order in h, dt)")
 
-# discrete uniqueness probe: a second solve from a bump-shaped initial guess
+# discrete uniqueness probe: a second solve from a bump-shaped initial guess,
+# the same unit-mass density on every time level
+guess = 1.0 + 0.3 * np.cos(2.0 * np.pi * x)
 other = solve_mfg(
-    grid, params, coupling,
-    FixedPointOptions(init_m=1.0 + 0.3 * np.cos(2.0 * np.pi * x)),
-    m0=m0,
+    grid, params, coupling, m0=m0,
+    init_traj=np.tile(guess / integrate(grid, guess), (grid.nt + 1, 1)),
 )
 print("\nuniqueness probe (uniform vs bump Picard initialization):")
 print("  L1(Q_T) gap in m    :", l1_space_time(grid, sol.m - other.m))

@@ -13,7 +13,8 @@ the same way for every command:
     0  success
     1  structural rejection: parameter ranges, ``ConfigError``, or a
        ``ValueError`` raised while the run is loaded
-    2  config or I/O error: ``ConfigParseError``, unreadable bundle
+    2  config or I/O error: ``ConfigParseError``, unreadable bundle, or an
+       ``OSError`` such as an ``output_dir`` that cannot be written
     3  iteration budget exhausted by any rung (bundle or table still written)
     4  solver failure: any other ``CongestionMFGError``, or a rung that
        raised (completed rungs are still written)
@@ -48,7 +49,6 @@ from .diagnostics import apriori_report, crossed_energy_gap, energy_identity_res
 from .diagnostics import uniqueness_gap
 from .errors import ConfigError, ConfigParseError, CongestionMFGError, GridMismatch
 from .grid import GridSpec, _density_input, l1_space_time, prolong_frame, restrict_traj
-from .hjb import HJBOptions
 from .model import CouplingSpec, ModelParams, check_structure
 
 EXIT_OK = 0
@@ -79,6 +79,7 @@ _CONFIG: dict[str, tuple[object, object]] = {
     "alpha": (float, 1.0),
     "mu": (float, 1.0),
     "horizon": (float, 1.0),
+    "epsilon": (float, 0.0),
     # coupling
     "cF": (float, 1.0),
     "qF": (float, 1.0),
@@ -94,12 +95,6 @@ _CONFIG: dict[str, tuple[object, object]] = {
     "damping": (float, 0.5),
     "fp_tol": (float, 1e-8),
     "max_outer_iter": (int, 500),
-    "init_m": (str, "uniform"),
-    # inner solvers
-    "newton_tol": (float, 1e-10),
-    "newton_max_iter": (int, 50),
-    "epsilon": (float, 0.0),
-    "linear_tol": (float, 1e-12),
     # continuation
     "continuation": (_parse_bool, False),
     "epsilons": (_parse_float_list, None),
@@ -140,32 +135,32 @@ def parse_config(path) -> dict:
 _DENSITY_SPEC = re.compile(r"^(uniform|cosine_bump\(([^)]*)\)|file\(([^)]*)\))$")
 
 
-def density_from_spec(spec: str, grids: list, key: str) -> list[np.ndarray]:
-    """uniform | cosine_bump(amplitude) | file(path to a single-frame CSV), on
-    each grid of a refinement ladder, coarsest first.
+def density_from_spec(spec: str, grids: list) -> list[np.ndarray]:
+    """The ``m0`` density, uniform | cosine_bump(amplitude) | file(path to a
+    single-frame CSV), on each grid of a refinement ladder, coarsest first.
 
     ``uniform`` and ``cosine_bump`` are evaluated on each grid; a file is read
     once, on the coarsest, and prolonged piecewise-constant to the finer ones.
     A file's density passes the guard the solver applies to its input, so a
     NaN, an infinity or a negative entry beyond roundoff is rejected here.
-    ``key`` is the config key the spec came from; every rejection names it.
+    Every rejection names the key ``m0``.
     """
     match = _DENSITY_SPEC.match(spec.strip())
     if not match:
-        raise ConfigError(f"{key}: bad density spec {spec!r}")
+        raise ConfigError(f"m0: bad density spec {spec!r}")
     if match.group(3) is not None:
         try:
             frame = _density_input(read_frame_csv(match.group(3), grids[0]), "density file")
         except OSError as exc:
-            raise ConfigParseError(f"{key}: cannot read density file: {exc}") from exc
+            raise ConfigParseError(f"m0: cannot read density file: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+            raise ConfigError(f"m0: {exc}") from exc
         return [prolong_frame(frame, grid.n // grids[0].n) for grid in grids]
     if match.group(2) is None:
         return [np.ones(grid.shape) for grid in grids]
     amp = float(match.group(2))
     if not 0.0 <= amp < 1.0:
-        raise ConfigError(f"{key}: cosine bump amplitude must lie in [0, 1)")
+        raise ConfigError("m0: cosine bump amplitude must lie in [0, 1)")
     return [1.0 + amp * np.prod(np.cos(2.0 * np.pi * np.array(grid.coords())), axis=0)
             for grid in grids]
 
@@ -208,7 +203,7 @@ def _continuation_schedule(cfg: dict, params: ModelParams) -> ContinuationSchedu
 def _load_run(config_path, levels: int):
     """Parse a config and build everything its solves need, before any solve.
 
-    Returns ``(cfg, params, coupling, hjb_opts, schedule, runs)``: one
+    Returns ``(cfg, params, coupling, schedule, runs)``: one
     ``(grid, m0, FixedPointOptions)`` per refinement level, level j on the
     config's grid refined ``2**j`` times, and the continuation ladder or None.
     A ``ValueError`` raised while the run is built rejects the config.
@@ -217,42 +212,37 @@ def _load_run(config_path, levels: int):
     try:
         params, coupling, base = _build(cfg)
         grids = [replace(base, n=base.n * 2**j, nt=base.nt * 2**j) for j in range(levels)]
-        m0s = density_from_spec(cfg["m0"], grids, "m0")
+        m0s = density_from_spec(cfg["m0"], grids)
         fp_opts = FixedPointOptions(
             damping=cfg["damping"], fp_tol=cfg["fp_tol"], max_outer_iter=cfg["max_outer_iter"]
         )
-        init = cfg["init_m"]
-        inits = [init] * levels if init == "uniform" else density_from_spec(init, grids, "init_m")
-        runs = [(g, m0, replace(fp_opts, init_m=i)) for g, m0, i in zip(grids, m0s, inits)]
-        hjb_opts = HJBOptions(
-            newton_tol=cfg["newton_tol"],
-            newton_max_iter=cfg["newton_max_iter"],
-            linear_tol=cfg["linear_tol"],
-        )
+        runs = [(g, m0, fp_opts) for g, m0 in zip(grids, m0s)]
         schedule = _continuation_schedule(cfg, params) if cfg["continuation"] else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg, params, coupling, hjb_opts, schedule, runs
+    return cfg, params, coupling, schedule, runs
 
 
-# The one map from package exceptions to exit codes, shared by every command:
-# (exception type, message prefix, exit code), subclasses before their bases.
+# The one map from package and I/O exceptions to exit codes, shared by every
+# command: (exception type, message prefix, exit code), subclasses before
+# their bases.
 _EXIT_CODES = (
     (ConfigParseError, "config error", EXIT_CONFIG),
     (ConfigError, "rejected", EXIT_STRUCTURAL),
     (GridMismatch, "grid mismatch", EXIT_MISMATCH),
     (CongestionMFGError, "solver error", EXIT_SOLVER),
+    (OSError, "I/O error", EXIT_CONFIG),
 )
 
 
 def _exit_codes(command):
-    """Map the package exceptions a ``cmd_*`` function raises to exit codes."""
+    """Map the exceptions of ``_EXIT_CODES`` a ``cmd_*`` function raises to exit codes."""
 
     @functools.wraps(command)
     def run(*args) -> int:
         try:
             return command(*args)
-        except CongestionMFGError as exc:
+        except (CongestionMFGError, OSError) as exc:
             for kind, prefix, code in _EXIT_CODES:
                 if isinstance(exc, kind):
                     print(f"{prefix}: {exc}", file=sys.stderr)
@@ -278,17 +268,15 @@ def cmd_check(config_path) -> int:
     return EXIT_OK if report.valid_ranges else EXIT_STRUCTURAL
 
 
-def _run(params, coupling, hjb_opts, schedule, grid, m0, fp_opts):
+def _run(params, coupling, schedule, grid, m0, fp_opts):
     """Solve one level of a loaded run: the ladder when ``schedule`` is set,
     else one solve, returned as a one-rung ``ContinuationResult``.  Also
     returns the exit code: 4 if a rung raised, 3 if any is unconverged, else 0."""
     if schedule is None:
-        sol = solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
+        sol = solve_mfg(grid, params, coupling, fp_opts, m0=m0)
         result = ContinuationResult([sol], [], [(params.epsilon, params.mu)])
     else:
-        result = solve_with_continuation(
-            grid, params, coupling, fp_opts, schedule, m0=m0, hjb_opts=hjb_opts
-        )
+        result = solve_with_continuation(grid, params, coupling, fp_opts, schedule, m0=m0)
     if result.failed_rung is not None:
         print(f"rung {result.failed_rung} failed: {result.error}", file=sys.stderr)
         return result, EXIT_SOLVER
@@ -297,14 +285,14 @@ def _run(params, coupling, hjb_opts, schedule, grid, m0, fp_opts):
 
 @_exit_codes
 def cmd_solve(config_path) -> int:
-    cfg, params, coupling, hjb_opts, schedule, [run] = _load_run(config_path, 1)
+    cfg, params, coupling, schedule, [run] = _load_run(config_path, 1)
     report = check_structure(params)
     if not report.valid_ranges:
         _print_report(report)
         return EXIT_STRUCTURAL
 
     out_dir = cfg["output_dir"]
-    result, code = _run(params, coupling, hjb_opts, schedule, *run)
+    result, code = _run(params, coupling, schedule, *run)
     if not result.solutions:
         return code
     if schedule is not None:
@@ -366,8 +354,8 @@ def cmd_study(config_path, levels: int) -> int:
     if levels < 2:
         print("study needs at least 2 refinement levels", file=sys.stderr)
         return EXIT_CONFIG
-    cfg, params, coupling, hjb_opts, schedule, runs = _load_run(config_path, levels)
-    results, codes = zip(*(_run(params, coupling, hjb_opts, schedule, *run) for run in runs))
+    cfg, params, coupling, schedule, runs = _load_run(config_path, levels)
+    results, codes = zip(*(_run(params, coupling, schedule, *run) for run in runs))
     if not all(result.solutions for result in results):
         return EXIT_SOLVER
     sols = [result.solutions[-1] for result in results]

@@ -5,9 +5,10 @@ One outer iteration relaxes a density trajectory m toward its best response
     m  <-  m + omega * (FPK(HJB(m)) - m),
 
 where the backward HJB sweep runs against the frozen m and the forward
-Kolmogorov sweep is driven by the resulting generator matrices; one linear
-tolerance, ``HJBOptions.linear_tol``, serves both, and the forward sweep's
-positivity check cannot be switched off.  The relaxation factor omega
+Kolmogorov sweep is driven by the resulting generator matrices.  The
+Newton and linear tolerances of both sweeps are constants of
+:mod:`~congestion_mfg.hjb` and :mod:`~congestion_mfg.linalg`, and the forward
+sweep's positivity check cannot be switched off.  The relaxation factor omega
 starts at the configured damping and is adapted per cell: halved where the
 update flips sign, and free to reach full steps where the update keeps its
 sign and shrinks (see FixedPointOptions).  Iteration stops when the
@@ -30,7 +31,7 @@ from .errors import ConfigError
 from .fpk import solve_fpk_forward
 from .grid import GridSpec, _density_input, gaussian_smooth, integrate, l1_space_time
 from .grid import upwind_parts
-from .hjb import HJBOptions, drift_field, solve_hjb_backward
+from .hjb import drift_field, solve_hjb_backward
 from .model import CouplingSpec, ModelParams, check_structure, congestion_denominator
 
 __all__ = [
@@ -48,7 +49,7 @@ OMEGA_MIN = 1e-5
 OMEGA_GROWTH = 1.4
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FixedPointOptions:
     """Damped Picard controls.
 
@@ -65,25 +66,24 @@ class FixedPointOptions:
     ``damping = 1`` both caps are 1.
     The stopping test is the undamped best-response residual
     ||Phi(m) - m|| <= fp_tol in L1(Q_T), which dominates the recorded
-    increments.
+    increments.  ``max_outer_iter`` is an integer, as ``GridSpec``'s counts are.
     """
 
     damping: float = 0.5
     fp_tol: float = 1e-8
     max_outer_iter: int = 500
-    init_m: np.ndarray | str = "uniform"
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if not 0 < self.fp_tol < np.inf:
             raise ValueError("fp_tol must be positive and finite")
+        if not isinstance(self.max_outer_iter, (int, np.integer)):
+            raise ValueError(f"max_outer_iter must be an integer, got {self.max_outer_iter}")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be at least 1")
         if self.damping < OMEGA_MIN:
             raise ValueError(f"damping must be at least {OMEGA_MIN:g}")
-        if isinstance(self.init_m, str) and self.init_m != "uniform":
-            raise ValueError("init_m is 'uniform' or a supplied density field")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,27 +160,16 @@ def _normalized(grid: GridSpec, f: np.ndarray) -> np.ndarray:
 
 
 def _initial_trajectory(
-    grid: GridSpec,
-    m0_eps: np.ndarray,
-    fp_opts: FixedPointOptions,
-    init_traj: np.ndarray | None,
+    grid: GridSpec, m0_eps: np.ndarray, init_traj: np.ndarray | None
 ) -> np.ndarray:
     traj = grid.zeros_traj()
     traj[0] = m0_eps
-    if init_traj is not None:
-        if init_traj.shape != traj.shape:
-            raise ConfigError("warm-start trajectory shape does not match grid")
-        if not np.isfinite(init_traj[1:]).all():
-            raise ConfigError("warm-start trajectory must be finite")
-        traj[1:] = init_traj[1:]
-    elif isinstance(fp_opts.init_m, str):
+    if init_traj is None:
         traj[1:] = 1.0
+    elif np.shape(init_traj) != traj.shape:
+        raise ConfigError("warm-start trajectory shape does not match grid")
     else:
-        guess = np.asarray(fp_opts.init_m, dtype=float)
-        if guess.shape != grid.shape:
-            raise ConfigError("supplied init_m field shape does not match grid")
-        guess = _density_input(guess, "supplied init_m field", ConfigError)
-        traj[1:] = _normalized(grid, guess)
+        traj[1:] = _density_input(init_traj[1:], "warm-start trajectory", ConfigError)
     return traj
 
 
@@ -191,7 +180,6 @@ def solve_mfg(
     fp_opts: FixedPointOptions | None = None,
     m0: np.ndarray | None = None,
     init_traj: np.ndarray | None = None,
-    hjb_opts: HJBOptions | None = None,
 ) -> MFGSolution:
     """Damped Picard iteration for the coupled system at one (eps, mu) rung.
 
@@ -200,10 +188,12 @@ def solve_mfg(
     when omitted; a negative entry beyond roundoff, a NaN or an infinity
     raises :class:`ConfigError`); it is mollified with the same width
     ``params.epsilon`` that caps the density inside the Hamiltonian and
-    smooths the couplings.  ``init_traj`` warm-starts the iteration, and is
-    required when ``mu`` is 0: the singular problem is reached only by
-    continuation.  A non-finite entry in the levels it supplies, or in an
-    ``init_m`` field, raises :class:`ConfigError` too.  A budget overrun is
+    smooths the couplings.  The iteration starts from ``init_traj``, a
+    density trajectory on the grid's ``nt + 1`` levels whose level 0 is
+    ignored, else from uniform levels; it is required when ``mu`` is 0: the
+    singular problem is reached only by continuation.  A negative entry
+    beyond roundoff, a NaN or an infinity in the levels it supplies raises
+    :class:`ConfigError` too.  A budget overrun is
     not an exception: it returns the iterate with the lowest measured
     residual, the last one measured by one more FPK sweep, with
     ``meta['converged'] = False``.
@@ -221,7 +211,6 @@ def solve_mfg(
         raise ConfigError(
             "cold-start solve at mu = 0 rejected; use continuation with warm starts"
         )
-    hjb_opts = hjb_opts or HJBOptions()
 
     start = time.perf_counter()
     if m0 is None:
@@ -230,7 +219,7 @@ def solve_mfg(
     m0_eps = gaussian_smooth(grid, _normalized(grid, m0), params.epsilon)
     m0_eps = _normalized(grid, m0_eps)
 
-    m_cur = _initial_trajectory(grid, m0_eps, fp_opts, init_traj)
+    m_cur = _initial_trajectory(grid, m0_eps, init_traj)
     spatial_axes = tuple(range(1, m_cur.ndim))
     increments: list[float] = []
     residuals: list[float] = []
@@ -242,11 +231,9 @@ def solve_mfg(
     omega = np.full_like(m_cur, fp_opts.damping)
     prev_update = None
     for _ in range(fp_opts.max_outer_iter):
-        backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
+        backward = solve_hjb_backward(grid, m_cur, params, coupling)
         worst_newton = max(worst_newton, backward.max_newton_residual)
-        m_br = solve_fpk_forward(
-            grid, backward.transports, m0_eps, params, hjb_opts.linear_tol
-        )
+        m_br = solve_fpk_forward(grid, backward.transports, m0_eps, params)
         del backward  # its u and generators, before the next sweep builds its own
         update = m_br - m_cur
         resid = l1_space_time(grid, update)
@@ -275,18 +262,16 @@ def solve_mfg(
         increments.append(l1_space_time(grid, m_next - m_cur))
         m_cur = m_next
 
-    backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
+    backward = solve_hjb_backward(grid, m_cur, params, coupling)
     worst_newton = max(worst_newton, backward.max_newton_residual)
     if not converged:
         # the last iterate is unmeasured: one FPK sweep measures it
-        m_br = solve_fpk_forward(
-            grid, backward.transports, m0_eps, params, hjb_opts.linear_tol
-        )
+        m_br = solve_fpk_forward(grid, backward.transports, m0_eps, params)
         resid = l1_space_time(grid, m_br - m_cur)
         residuals.append(resid)
         if best_resid < resid:
             resid, m_cur = best_resid, best_m
-            backward = solve_hjb_backward(grid, m_cur, params, coupling, hjb_opts)
+            backward = solve_hjb_backward(grid, m_cur, params, coupling)
             worst_newton = max(worst_newton, backward.max_newton_residual)
     # the last sweep's generators go before the policy's stacked kernels run
     u = backward.u
@@ -338,7 +323,6 @@ def solve_with_continuation(
     fp_opts: FixedPointOptions | None = None,
     schedule: ContinuationSchedule | None = None,
     m0: np.ndarray | None = None,
-    hjb_opts: HJBOptions | None = None,
 ) -> ContinuationResult:
     """Run the (eps, mu) ladder, one converged solution per rung.
 
@@ -365,7 +349,6 @@ def solve_with_continuation(
                 fp_opts=fp_opts,
                 m0=m0,
                 init_traj=init_traj if schedule.warm_start else None,
-                hjb_opts=hjb_opts,
             )
         except ConfigError:
             raise

@@ -22,6 +22,9 @@ Three graded consistency checks are available for a computed equilibrium:
   difference of the two solutions; each addend is nonnegative (up to
   tolerance) exactly in the uniqueness regime.
 
+The two-solution functionals raise ``GridMismatch`` unless both grids are
+equal, horizon included: one time step serves both solutions.
+
 All integrals use the grid's rectangle rule; gradients come from the
 solver's own upwind kernel, :func:`congestion_mfg.grid.upwind_parts`, and H,
 H_p from the model's guarded power law; in the singular regime (mu = 0)
@@ -68,11 +71,8 @@ __all__ = [
 
 
 def _check_same_grid(a: MFGSolution, b: MFGSolution) -> None:
-    ga, gb = a.grid, b.grid
-    if (ga.dim, ga.n, ga.nt) != (gb.dim, gb.n, gb.nt) or not np.isclose(
-        ga.horizon, gb.horizon
-    ):
-        raise GridMismatch(f"grids differ: {ga} vs {gb}")
+    if a.grid != b.grid:
+        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
 
 
 def _kernel_inputs(sol: MFGSolution):

@@ -16,12 +16,12 @@ equation against the other solution in the energy and uniqueness arguments.
 
 The system is ``heat + A`` on the grid's cached stencil pattern, transposed
 by one gather of its data.  A transport whose data is not shaped like the
-pattern's raises ``ValueError``.  The coupler passes its
-``HJBOptions.linear_tol`` as ``tol``: one linear tolerance for both sweeps.
-A previous frame below ``-NEGATIVE_TOL`` or holding a NaN raises
-``ValueError`` before the solve.  A computed frame below ``-NEGATIVE_TOL``
-means the system was no M-matrix; it always raises :class:`NegativeDensity`,
-a check no option switches off.
+pattern's raises ``ValueError``.  Each system is solved to
+:func:`sparse_solve`'s default tolerance, as the HJB step's Newton systems
+are: one linear tolerance for both sweeps.  A previous frame below
+``-NEGATIVE_TOL`` or holding a NaN raises ``ValueError`` before the solve.
+A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;
+it always raises :class:`NegativeDensity`, a check no option switches off.
 A non-finite frame never comes back: :func:`sparse_solve` raises
 :class:`~congestion_mfg.errors.LinearSolveFailed` on one, in 1D and 2D.
 """
@@ -44,7 +44,6 @@ def fpk_step(
     m_prev: np.ndarray,
     transport: StencilOperator,
     params: ModelParams,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Advance the density one level with the transposed generator ``transport``."""
     if not float(m_prev.min()) >= -NEGATIVE_TOL:  # a NaN fails the comparison
@@ -55,7 +54,7 @@ def fpk_step(
             f"expected transport data of shape {heat.shape}, got {np.shape(transport.data)}"
         )
     system = StencilOperator(stencil_pattern(grid), heat + transport.data).T
-    m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, params.nu, tol=tol)
+    m_vec = sparse_solve(grid, system, m_prev.ravel() / grid.dt, params.nu)
     m = m_vec.reshape(grid.shape)
     if float(m.min()) < -NEGATIVE_TOL:
         raise NegativeDensity(f"min density {m.min():.3e} below tolerance")
@@ -67,7 +66,6 @@ def solve_fpk_forward(
     transports: list[StencilOperator],
     m0: np.ndarray,
     params: ModelParams,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """March the density from m0 through all levels; frame k+1 uses generator k."""
     if len(transports) != grid.nt:
@@ -75,5 +73,5 @@ def solve_fpk_forward(
     m = grid.zeros_traj()
     m[0] = _nonnegative(np.asarray(m0, dtype=float), "initial density")
     for k in range(grid.nt):
-        m[k + 1] = fpk_step(grid, m[k], transports[k], params, tol)
+        m[k + 1] = fpk_step(grid, m[k], transports[k], params)
     return m

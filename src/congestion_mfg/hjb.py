@@ -34,9 +34,12 @@ u_k) = 0`` after any full step.  So every correction after the first,
 ``J^{-1} F``, is nonnegative: the iterates decrease monotonically onto the
 solution from any start (Ortega & Rheinboldt, *Iterative Solution of Nonlinear Equations*,
 §13.3; Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  A
-backtracking search has nothing to guard against, and exceeding
-``newton_max_iter`` raises :class:`~congestion_mfg.errors.NewtonDiverged`,
-the one way a level fails to converge.
+backtracking search has nothing to guard against.  A level converges when
+its residual reaches ``NEWTON_TOL`` in max norm; exceeding
+``NEWTON_MAX_ITER`` iterations raises
+:class:`~congestion_mfg.errors.NewtonDiverged`, the one way a level fails to
+converge.  Each Newton system is solved to :func:`sparse_solve`'s default
+tolerance.
 
 Within a level the density frame is frozen, so :func:`hjb_step` evaluates
 the congestion factor ``congestion_denominator(m_frame, params)`` once
@@ -96,6 +99,10 @@ _OFFSETS = {
     for dim in (1, 2)
 }
 
+# Newton stops at this max-norm residual, and fails after this many iterations.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
 __all__ = [
     "HJBOptions",
     "hjb_step",
@@ -110,27 +117,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HJBOptions:
-    """Newton and linear-solve controls; ``epsilon`` only repeats the width.
+    """Only repeats the width, ``epsilon``, of ``ModelParams.epsilon``.
 
-    The width is ``ModelParams.epsilon``: :func:`hjb_step` rejects an
-    ``epsilon`` here that is neither 0 nor that.  ``perfbench/workloads.py``
-    alone sets it; the field goes once that builds ``HJBOptions()``.
+    :func:`hjb_step` rejects an ``epsilon`` here that is neither 0 nor the
+    model's.  ``perfbench/workloads.py`` alone sets it; the class goes once
+    that passes no options.
     """
 
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     epsilon: float = 0.0
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0 < self.newton_tol < np.inf:
-            raise ValueError("newton_tol must be positive and finite")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
         if not 0 <= self.epsilon < np.inf:
             raise ValueError("epsilon must be nonnegative and finite")
-        if not 0 < self.linear_tol < np.inf:
-            raise ValueError("linear_tol must be positive and finite")
 
 
 def hamiltonian_values(
@@ -207,14 +205,14 @@ def hjb_step(
     m_frame: np.ndarray,
     params: ModelParams,
     f_level: np.ndarray,
-    opts: HJBOptions,
+    opts: HJBOptions = HJBOptions(),
 ) -> tuple[np.ndarray, StencilOperator, float]:
     """One backward implicit Euler step; returns (u, A, residual).
 
     ``f_level`` is the level's effective running cost ``F_eff``, as
     :func:`effective_cost` gives it for ``m_frame`` with ``params.epsilon``.
-    ``u`` satisfies the per-cell Newton system to ``opts.newton_tol`` in
-    max norm; the generator ``A`` is assembled at the converged state, from
+    ``u`` satisfies the per-cell Newton system to ``NEWTON_TOL`` in max
+    norm; the generator ``A`` is assembled at the converged state, from
     the final residual's upwind parts, so the Kolmogorov stepper and any
     later recomputation see identical data.
     """
@@ -239,16 +237,16 @@ def hjb_step(
         raise NonFiniteState("non-finite HJB residual at the initial iterate")
     heat = implicit_heat_data(grid, nu)
     iterations = 0
-    while res_norm > opts.newton_tol:
-        if iterations >= opts.newton_max_iter:
+    while res_norm > NEWTON_TOL:
+        if iterations >= NEWTON_MAX_ITER:
             raise NewtonDiverged(
-                f"residual {res_norm:.3e} > tol {opts.newton_tol:.1e} "
-                f"after {opts.newton_max_iter} iterations"
+                f"residual {res_norm:.3e} > tol {NEWTON_TOL:.1e} "
+                f"after {NEWTON_MAX_ITER} iterations"
             )
         iterations += 1
         jac = transport_jacobian(grid, parts, congestion, params)
         system = StencilOperator(pattern, heat + jac.data)
-        uvec = uvec - sparse_solve(grid, system, res, nu, tol=opts.linear_tol)
+        uvec = uvec - sparse_solve(grid, system, res, nu)
         parts, res = residual(uvec)
         # a non-finite entry of uvec makes its residual entry non-finite too
         res_norm = float(np.abs(res).max())
@@ -271,7 +269,7 @@ def solve_hjb_backward(
     m_traj: np.ndarray,
     params: ModelParams,
     coupling: CouplingSpec,
-    opts: HJBOptions,
+    opts: HJBOptions = HJBOptions(),
 ) -> HJBBackwardResult:
     """Backward sweep over all time levels for a frozen density trajectory.
 

@@ -11,7 +11,7 @@ from congestion_mfg import (
     ModelParams,
     solve_mfg,
 )
-from congestion_mfg.grid import StencilOperator, stencil_pattern
+from congestion_mfg.grid import StencilOperator, integrate, stencil_pattern
 from congestion_mfg.model import congestion_lagrangian
 
 # search box of the reference conjugate: half-width, grid points per axis,
@@ -23,6 +23,12 @@ CONJUGATE_STEPS = 200
 
 def reference_params(horizon=1.0):
     return ModelParams(nu=0.5, beta=2.0, alpha=1.0, mu=1.0, horizon=horizon)
+
+
+def start_trajectory(grid, g):
+    """A Picard start for ``solve_mfg(init_traj=...)``: the density ``g`` at
+    unit mass on each of the grid's ``nt + 1`` levels."""
+    return np.broadcast_to(g / integrate(grid, g), (grid.nt + 1, *grid.shape))
 
 
 def cosine_density(grid, amplitude=0.5):

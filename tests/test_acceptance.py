@@ -30,7 +30,7 @@ from congestion_mfg.grid import l1_space_time, upwind_parts
 from congestion_mfg.hjb import transport_jacobian
 from congestion_mfg.model import congestion_denominator
 
-from conftest import cosine_density, reference_conjugate, reference_params
+from conftest import cosine_density, reference_conjugate, reference_params, start_trajectory
 
 
 def report(criterion, passed, detail=""):
@@ -98,8 +98,8 @@ def invariance_pair():
         grid,
         reference_params(),
         CouplingSpec(),
-        FixedPointOptions(init_m=cosine_density(grid, 0.3)),
         m0=m0,
+        init_traj=start_trajectory(grid, cosine_density(grid, 0.3)),
     )
     return log_solution(uniform), log_solution(bump)
 

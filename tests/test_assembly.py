@@ -19,7 +19,7 @@ from congestion_mfg.grid import (
     stencil_pattern,
     upwind_parts,
 )
-from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
+from congestion_mfg.hjb import hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
 
 from conftest import as_csr, from_csr
@@ -104,7 +104,7 @@ def test_hjb_system_equals_sparse_sum(monkeypatch, dim, n, params):
     system = first_system(
         monkeypatch,
         hjb,
-        lambda: hjb_step(grid, u_next, m, params, CouplingSpec().f(m), HJBOptions()),
+        lambda: hjb_step(grid, u_next, m, params, CouplingSpec().f(m)),
     )
     jac = as_csr(
         transport_jacobian(

@@ -17,6 +17,7 @@ from congestion_mfg import (
     FixedPointOptions,
     ModelParams,
     energy_identity_residual,
+    hjb,
     solve_mfg,
     solve_with_continuation,
 )
@@ -124,10 +125,15 @@ class TestConfigParsing:
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("line", ["m_floor = 1e-10", "coupling_family = power"])
+    @pytest.mark.parametrize("line", [
+        "m_floor = 1e-10", "coupling_family = power", "newton_tol = 1e-10",
+        "newton_max_iter = 50", "linear_tol = 1e-12", "init_m = uniform",
+    ])
     def test_removed_model_keys_are_unknown(self, tmp_path, line):
-        # the empty-cell floor is the constant model.M_FLOOR, and a tabulated
-        # coupling needs tables the config cannot give
+        # the empty-cell floor is the constant model.M_FLOOR, a tabulated
+        # coupling needs tables the config cannot give, the Newton and linear
+        # tolerances are constants of hjb and linalg, and a Picard start other
+        # than uniform is solve_mfg's init_traj
         out_dir = tmp_path / "out"
         path = write_config(tmp_path, "n = 8\nnt = 8\n" + line + "\noutput_dir = {out}\n",
                             out=out_dir)
@@ -164,13 +170,13 @@ class TestCmdCheck:
         assert "line 1" in capsys.readouterr().err
 
     def test_builds_the_run_as_solve_does(self, tmp_path, capsys):
-        # a zero linear tolerance in a continuation run is no valid config
+        # a zero damping in a continuation run is no valid config
         path = write_config(
-            tmp_path, "continuation = true\nepsilons = 0.1\nlinear_tol = 0\n"
+            tmp_path, "continuation = true\nepsilons = 0.1\ndamping = 0\n"
         )
         assert cmd_check(path) == EXIT_STRUCTURAL
         captured = capsys.readouterr()
-        assert "rejected: linear_tol must be positive" in captured.err
+        assert "rejected: damping must lie in (0, 1]" in captured.err
         assert "valid_ranges" not in captured.out
 
     def test_gatekeeping_table(self, tmp_path, capsys):
@@ -227,12 +233,11 @@ class TestCmdSolve:
         meta = json.loads((out_dir / "meta.json").read_text())
         assert meta["converged"] is False
 
-    def test_solver_failure_exit_four(self, tmp_path):
-        # one Newton iteration cannot reach newton_tol on the first HJB level
+    def test_solver_failure_exit_four(self, tmp_path, monkeypatch):
+        # one Newton iteration cannot reach NEWTON_TOL on the first HJB level
+        monkeypatch.setattr(hjb, "NEWTON_MAX_ITER", 1)
         out_dir = tmp_path / "fail"
-        path = write_config(
-            tmp_path, REFERENCE_CONFIG + "newton_max_iter = 1\n", out=out_dir
-        )
+        path = write_config(tmp_path, REFERENCE_CONFIG, out=out_dir)
         assert cmd_solve(path) == EXIT_SOLVER
 
     def test_structural_rejection(self, tmp_path):
@@ -482,7 +487,7 @@ class TestCmdStudy:
         assert "energy_residual observed orders: nan" in out
         assert "l1_gap observed orders: none" in out
 
-    @pytest.mark.parametrize("key", ["m0", "init_m"])
+    @pytest.mark.parametrize("key", ["m0"])
     def test_density_file_is_prolonged_to_finer_levels(self, tmp_path, monkeypatch, key):
         """A density file lies on the config's grid, the coarsest level: it is
         read there once and repeated on the 2**level finer cells of each cell;
@@ -495,9 +500,9 @@ class TestCmdStudy:
         seen = []
         real_solve = cli.solve_mfg
 
-        def recording_solve(grid, params, coupling, fp_opts, m0, hjb_opts):
-            seen.append(m0 if key == "m0" else fp_opts.init_m)
-            return real_solve(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
+        def recording_solve(grid, params, coupling, fp_opts, m0):
+            seen.append(m0)
+            return real_solve(grid, params, coupling, fp_opts, m0=m0)
 
         monkeypatch.setattr(cli, "solve_mfg", recording_solve)
         path = write_config(
@@ -509,35 +514,6 @@ class TestCmdStudy:
         assert len(seen) == 2
         assert np.array_equal(seen[0], frame)
         assert np.array_equal(seen[1], np.repeat(frame, 2))
-
-    def test_solver_options_reach_both_sweeps(self, tmp_path, monkeypatch):
-        from congestion_mfg import cli, coupler
-
-        calls, fpk_tols = [], []
-        real_solve = cli.solve_mfg
-        real_forward = coupler.solve_fpk_forward
-
-        def recording_solve(*args, **kwargs):
-            calls.append(kwargs)
-            return real_solve(*args, **kwargs)
-
-        def recording_forward(grid, transports, m0, params, tol=1e-12):
-            fpk_tols.append(tol)
-            return real_forward(grid, transports, m0, params, tol)
-
-        monkeypatch.setattr(cli, "solve_mfg", recording_solve)
-        monkeypatch.setattr(coupler, "solve_fpk_forward", recording_forward)
-        path = write_config(
-            tmp_path,
-            "n = 4\nnt = 4\nm0 = uniform\nlinear_tol = 1e-11\noutput_dir = {out}\n",
-            out=tmp_path / "study",
-        )
-        assert cmd_study(path, 2) == EXIT_OK
-        assert len(calls) == 2
-        for kwargs in calls:
-            assert kwargs["hjb_opts"].linear_tol == 1e-11
-        assert fpk_tols
-        assert all(tol == 1e-11 for tol in fpk_tols)
 
 
 def study_rows(out_dir):
@@ -627,12 +603,13 @@ class TestStudyRunsTheLadder:
         assert capsys.readouterr().err.splitlines() == ["rung 1 failed: injected"] * 2
         assert [row[:2] for row in study_rows(out_dir)] == [(8, 8), (16, 16)]
 
-    def test_raised_first_rung_exits_four_without_a_table(self, tmp_path, capsys):
-        # one Newton iteration cannot reach newton_tol on the first HJB level
+    def test_raised_first_rung_exits_four_without_a_table(self, tmp_path, capsys, monkeypatch):
+        # one Newton iteration cannot reach NEWTON_TOL on the first HJB level
+        monkeypatch.setattr(hjb, "NEWTON_MAX_ITER", 1)
         out_dir = tmp_path / "study"
         path = write_config(
             tmp_path, "n = 8\nnt = 8\nm0 = cosine_bump(0.5)\ncontinuation = true\n"
-            "epsilons = 0.1\nnewton_max_iter = 1\noutput_dir = {out}\n", out=out_dir,
+            "epsilons = 0.1\noutput_dir = {out}\n", out=out_dir,
         )
         assert main(["study", path, "--levels", "2"]) == EXIT_SOLVER
         err = capsys.readouterr().err.splitlines()
@@ -644,11 +621,8 @@ def per_level_study_csv(path, levels):
     """``study.csv`` as ``study`` wrote it before it shared ``solve``'s run
     path: one ``solve_mfg`` per level.  The reference for configs without a
     ladder."""
-    _, params, coupling, hjb_opts, _, runs = _load_run(path, levels)
-    sols = [
-        solve_mfg(grid, params, coupling, fp_opts, m0=m0, hjb_opts=hjb_opts)
-        for grid, m0, fp_opts in runs
-    ]
+    _, params, coupling, _, runs = _load_run(path, levels)
+    sols = [solve_mfg(grid, params, coupling, fp_opts, m0=m0) for grid, m0, fp_opts in runs]
     finest_grid, finest = runs[-1][0], sols[-1]
     lines = ["n,nt,energy_residual,l1_gap\n"]
     for level, ((grid, _, _), sol) in enumerate(zip(runs, sols)):
@@ -683,15 +657,9 @@ def test_study_without_ladder_is_byte_identical_to_per_level_solves(tmp_path, di
 # fail as solves
 BAD_OPTIONS = {
     "check-rising_epsilons": ("check", "continuation = true\nepsilons = 0.1, 0.2\n"),
-    "check-init_m": ("check", "init_m = cosine_bump(2)\n"),
-    "solve-linear_tol": ("solve", "linear_tol = 0\n"),
-    "solve-newton_tol": ("solve", "newton_tol = 0\n"),
-    "solve-newton_max_iter": ("solve", "newton_max_iter = 0\n"),
     "solve-rising_epsilons": ("solve", "continuation = true\nepsilons = 0.1, 0.2\n"),
     "solve-negative_mu": ("solve", "continuation = true\nmus = 1.0, -0.5\n"),
     "study-damping": ("study", "damping = 0\n"),
-    "study-linear_tol": ("study", "linear_tol = 0\n"),
-    "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
     "solve-epsilon": ("solve", "epsilon = -0.1\n"),
     "study-epsilon": ("study", "epsilon = -0.1\n"),
     # the solver's own structure check: study prints no report, unlike check
@@ -752,13 +720,13 @@ def test_bad_options_are_rejected(tmp_path, command, options):
     "option, message",
     [
         ("mu", "mu must be nonnegative and finite, got nan"),
-        ("newton_tol", "newton_tol must be positive and finite"),
+        ("fp_tol", "fp_tol must be positive and finite"),
     ],
-    ids=["mu", "newton_tol"],
+    ids=["mu", "fp_tol"],
 )
 def test_nan_option_is_rejected(tmp_path, capsys, command, option, message):
     """NaN fails no ``x <= 0`` test: ``mu = nan`` solved on the singular
-    mu = 0 branch, and ``newton_tol = nan`` accepted every Newton iterate."""
+    mu = 0 branch, and ``fp_tol = nan`` would accept no Picard iterate."""
     out_dir = tmp_path / "out"
     path = write_config(
         tmp_path, f"n = 8\nnt = 8\n{option} = nan\n" + "output_dir = {out}\n", out=out_dir
@@ -766,6 +734,22 @@ def test_nan_option_is_rejected(tmp_path, capsys, command, option, message):
     assert main([command, path]) == EXIT_STRUCTURAL
     assert capsys.readouterr().err.splitlines() == [f"rejected: {message}"]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("under", ["file", "subdirectory"])
+def test_unwritable_output_dir_exits_two(tmp_path, capsys, command, under):
+    """An ``output_dir`` that is a regular file, or lies under one, raised
+    ``FileExistsError`` or ``NotADirectoryError`` after the solve: a
+    traceback and exit 1, the code of a structural rejection."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out_dir = afile if under == "file" else afile / "sub"
+    path = write_config(tmp_path, "n = 8\nnt = 8\noutput_dir = {out}\n", out=out_dir)
+    assert main([command, path, *(["--levels", "2"] if command == "study" else [])]) == EXIT_CONFIG
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("I/O error: ") and str(out_dir) in line
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
@@ -785,7 +769,7 @@ def test_non_finite_horizon_is_rejected(tmp_path, command, horizon):
 
 
 @pytest.mark.parametrize("command", ["solve", "study"])
-@pytest.mark.parametrize("key", ["m0", "init_m"])
+@pytest.mark.parametrize("key", ["m0"])
 def test_missing_density_file_is_a_config_error(tmp_path, command, key):
     out_dir = tmp_path / "out"
     missing = tmp_path / "no_such_density.csv"
@@ -823,7 +807,7 @@ def test_signed_initial_density_file_is_rejected(tmp_path, ladder):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key", ["m0", "init_m"])
+@pytest.mark.parametrize("key", ["m0"])
 def test_header_only_density_file_is_rejected(tmp_path, key):
     density = tmp_path / "empty.csv"
     density.write_text("t,x,value\n")
@@ -839,7 +823,7 @@ def test_header_only_density_file_is_rejected(tmp_path, key):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key", ["m0", "init_m"])
+@pytest.mark.parametrize("key", ["m0"])
 def test_unparseable_density_file_is_named(tmp_path, key, capsys):
     """Values numpy cannot parse, here printed with numpy 2's ``repr``: the
     parse error names the file and the key that read it."""
@@ -881,7 +865,7 @@ def test_y_major_density_file_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("key", ["m0", "init_m"])
+@pytest.mark.parametrize("key", ["m0"])
 def test_two_frame_density_file_is_rejected(tmp_path, key, capsys):
     """A density file is one frame at t = 0; the first of two was taken."""
     grid = GridSpec(dim=1, n=8, nt=8, horizon=1.0)
@@ -902,7 +886,7 @@ def test_two_frame_density_file_is_rejected(tmp_path, key, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
-@pytest.mark.parametrize("key", ["m0", "init_m"])
+@pytest.mark.parametrize("key", ["m0"])
 @pytest.mark.parametrize(
     "entry, message", [("-0.2", "nonnegative"), ("nan", "finite"), ("inf", "finite")]
 )

@@ -21,10 +21,10 @@ from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
 from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time, restrict_traj
 from congestion_mfg.grid import upwind_parts
-from congestion_mfg.hjb import HJBOptions, drift_field, solve_hjb_backward
+from congestion_mfg.hjb import drift_field, solve_hjb_backward
 from congestion_mfg.model import congestion_denominator
 
-from conftest import cosine_density, reference_params
+from conftest import cosine_density, reference_params, start_trajectory
 
 
 class TestMollify:
@@ -79,7 +79,7 @@ class TestSolveMFG:
         # m is the discrete heat flow: recompute it directly
         heat = solve_fpk_forward(
             grid,
-            solve_hjb_backward(grid, sol.m, sol.params, zero, HJBOptions()).transports,
+            solve_hjb_backward(grid, sol.m, sol.params, zero).transports,
             sol.m[0],
             sol.params,
         )
@@ -133,9 +133,7 @@ class TestSolveMFG:
     def test_fixed_point_residual_small(self, ref32):
         # one undamped best-response sweep moves the converged m by <= 10 tol
         sol = ref32
-        backward = solve_hjb_backward(
-            sol.grid, sol.m, sol.params, sol.coupling, HJBOptions()
-        )
+        backward = solve_hjb_backward(sol.grid, sol.m, sol.params, sol.coupling)
         m_br = solve_fpk_forward(sol.grid, backward.transports, sol.m[0], sol.params)
         assert l1_space_time(sol.grid, m_br - sol.m) <= 10.0 * 1e-8
 
@@ -190,8 +188,8 @@ class TestSolveMFG:
             grid,
             reference_params(),
             CouplingSpec(),
-            FixedPointOptions(init_m=cosine_density(grid, 0.3)),
             m0=m0,
+            init_traj=start_trajectory(grid, cosine_density(grid, 0.3)),
         )
         assert l1_space_time(grid, uniform.m - bump.m) <= 1e-6
 
@@ -201,11 +199,8 @@ class TestSolveMFG:
         grid = GridSpec(dim=1, n=32, nt=128, horizon=4.0)
         m0 = cosine_density(grid)
         uniform, bump = (
-            solve_mfg(
-                grid, reference_params(4.0), CouplingSpec(),
-                FixedPointOptions(init_m=init), m0=m0,
-            )
-            for init in ("uniform", cosine_density(grid, 0.3))
+            solve_mfg(grid, reference_params(4.0), CouplingSpec(), m0=m0, init_traj=init)
+            for init in (None, start_trajectory(grid, cosine_density(grid, 0.3)))
         )
         assert uniform.converged and bump.converged
         assert l1_space_time(grid, uniform.m - bump.m) <= 1e-6
@@ -304,7 +299,7 @@ class TestSolveMFG:
         # the last iterate is measured, then the winner's HJB sweep re-run
         assert calls == {"solve_hjb_backward": 102, "solve_fpk_forward": 101}
         monkeypatch.undo()
-        backward = solve_hjb_backward(grid, sol.m, params, coupling, HJBOptions())
+        backward = solve_hjb_backward(grid, sol.m, params, coupling)
         m_br = solve_fpk_forward(grid, backward.transports, sol.m[0], params)
         assert l1_space_time(grid, m_br - sol.m) == sol.meta["residual"]
         assert np.array_equal(backward.u, sol.u)
@@ -321,10 +316,12 @@ class TestSolveMFG:
         with pytest.raises(ConfigError):
             solve_mfg(grid, params, CouplingSpec())
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, np.float64(3.0)])
     def test_empty_picard_budget_rejected(self, budget):
-        # a zero budget ran no iteration and reported a finished solve
-        with pytest.raises(ValueError, match="max_outer_iter must be at least 1"):
+        # a zero budget ran no iteration and reported a finished solve; a
+        # float one was accepted and failed the solve with a TypeError
+        message = "at least 1" if isinstance(budget, int) else "an integer"
+        with pytest.raises(ValueError, match=f"max_outer_iter must be {message}"):
             FixedPointOptions(max_outer_iter=budget)
 
     def test_second_horizon_rejected(self):
@@ -342,43 +339,45 @@ class TestSolveMFG:
         with pytest.raises(ConfigError, match="nonnegative"):
             solve_mfg(grid, replace(reference_params(), epsilon=eps), CouplingSpec(), m0=m0)
 
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["m0", "init_m", "init_traj"])
-    def test_non_finite_density_input_rejected(self, where, entry):
-        """A NaN or an infinity in ``m0``, an ``init_m`` field or a warm
-        start raised ``NonFiniteState`` from the first HJB step, and an
-        infinite ``m0`` warned in the normalization first."""
-        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+    @staticmethod
+    def bad_density_inputs(grid, where, entry):
+        """``solve_mfg`` keywords putting ``entry`` in one cell of ``m0`` or
+        of the last level of a warm start."""
         bad = cosine_density(grid)
         bad[3] = entry
-        inputs = {
-            "m0": dict(m0=bad),
-            "init_m": dict(fp_opts=FixedPointOptions(init_m=bad)),
-            "init_traj": dict(init_traj=np.stack([cosine_density(grid)] * grid.nt + [bad])),
-        }[where]
+        if where == "m0":
+            return dict(m0=bad)
+        return dict(init_traj=np.stack([cosine_density(grid)] * grid.nt + [bad]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["m0", "init_traj"])
+    def test_non_finite_density_input_rejected(self, where, entry):
+        """A NaN or an infinity in ``m0`` or a warm start raised
+        ``NonFiniteState`` from the first HJB step, and an infinite ``m0``
+        warned in the normalization first."""
+        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
+        inputs = self.bad_density_inputs(grid, where, entry)
         with pytest.raises(ConfigError, match="must be finite"):
             solve_mfg(grid, reference_params(), CouplingSpec(), **inputs)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_conflicting_hjb_epsilon_rejected(self, eps):
-        """A width in ``HJBOptions`` other than the model's ``epsilon`` is an
-        error, not silently replaced by it."""
+    @pytest.mark.parametrize("where", ["m0", "init_traj"])
+    def test_negative_density_input_rejected(self, where):
+        """A negative warm-start entry raised ``ValueError`` from the HJB
+        sweep, which a ladder would have recorded as a failed rung."""
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
-        with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
-            solve_mfg(
-                grid, replace(reference_params(), epsilon=eps), CouplingSpec(),
-                hjb_opts=HJBOptions(epsilon=0.1),
-            )
+        inputs = self.bad_density_inputs(grid, where, -0.5)
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            solve_mfg(grid, reference_params(), CouplingSpec(), **inputs)
 
-    def test_matching_hjb_epsilon_accepted(self):
+    def test_warm_start_roundoff_counts_as_zero(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
-        m0 = cosine_density(grid)
-        params = replace(reference_params(), epsilon=0.05)
-        plain = solve_mfg(grid, params, CouplingSpec(), m0=m0)
-        for opts in (HJBOptions(), HJBOptions(epsilon=0.05)):
-            sol = solve_mfg(grid, params, CouplingSpec(), m0=m0, hjb_opts=opts)
-            assert sol.epsilon == 0.05
-            assert np.array_equal(sol.m, plain.m) and np.array_equal(sol.u, plain.u)
+        start = np.array(start_trajectory(grid, cosine_density(grid)))
+        start[2, 3] = 0.0
+        clean = solve_mfg(grid, reference_params(), CouplingSpec(), init_traj=start)
+        start[2, 3] = -1e-15
+        rough = solve_mfg(grid, reference_params(), CouplingSpec(), init_traj=start)
+        for name in ("u", "m", "policy"):
+            assert np.array_equal(getattr(rough, name), getattr(clean, name)), name
 
     def test_initial_density_roundoff_counts_as_zero(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
@@ -473,18 +472,6 @@ class TestContinuation:
         with pytest.raises(ConfigError, match="nonnegative"):
             solve_with_continuation(
                 grid, reference_params(), CouplingSpec(), schedule=schedule, m0=m0
-            )
-
-    def test_conflicting_hjb_epsilon_is_no_rung_failure(self):
-        """The first rung matches ``HJBOptions.epsilon``; the second does not,
-        and its ``ConfigError`` propagates instead of being recorded as a
-        failed rung."""
-        grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
-        schedule = ContinuationSchedule(epsilons=(0.1, 0.05))
-        with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
-            solve_with_continuation(
-                grid, reference_params(), CouplingSpec(), schedule=schedule,
-                m0=cosine_density(grid), hjb_opts=HJBOptions(epsilon=0.1),
             )
 
     def test_conflicting_model_epsilon_is_no_rung_failure(self):

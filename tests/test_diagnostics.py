@@ -26,7 +26,7 @@ from congestion_mfg.grid import integrate, upwind_parts
 from congestion_mfg.hjb import effective_cost, hamiltonian_values, transport_jacobian
 from congestion_mfg.model import M_FLOOR, _guarded_h_hp, congestion_denominator
 
-from conftest import cosine_density, reference_params
+from conftest import cosine_density, reference_params, start_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +93,9 @@ class TestCrossedGap:
             grid,
             reference_params(),
             CouplingSpec(),
-            FixedPointOptions(init_m=cosine_density(grid, 0.3), damping=0.4),
+            FixedPointOptions(damping=0.4),
             m0=cosine_density(grid),
+            init_traj=start_trajectory(grid, cosine_density(grid, 0.3)),
         )
         assert crossed_energy_gap(ref32, other) >= -1e-6
         assert crossed_energy_gap(other, ref32) >= -1e-6
@@ -115,6 +116,15 @@ class TestCrossedGap:
     def test_grid_mismatch(self, ref32, ref64):
         with pytest.raises(GridMismatch):
             crossed_energy_gap(ref32, ref64)
+
+    def test_horizon_mismatch(self, ref32):
+        """Horizons 1e-9 apart passed an ``np.isclose`` check, and the gap
+        used A's time step for both solutions."""
+        grid = replace(ref32.grid, horizon=ref32.grid.horizon + 1e-9)
+        other = replace(ref32, grid=grid, params=replace(ref32.params, horizon=grid.horizon))
+        for functional in (crossed_energy_gap, uniqueness_gap):
+            with pytest.raises(GridMismatch):
+                functional(ref32, other)
 
 
 def _reference_value_terms(sol):
@@ -367,8 +377,8 @@ class TestUniquenessGap:
             grid,
             reference_params(),
             CouplingSpec(),
-            FixedPointOptions(init_m=cosine_density(grid, 0.2)),
             m0=cosine_density(grid),
+            init_traj=start_trajectory(grid, cosine_density(grid, 0.2)),
         )
         ab = uniqueness_gap(ref32, other)
         ba = uniqueness_gap(other, ref32)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from congestion_mfg import fpk, hjb, linalg, model
-from congestion_mfg.errors import NewtonDiverged, NonFiniteState
+from congestion_mfg.errors import ConfigError, NewtonDiverged, NonFiniteState
 from congestion_mfg.fpk import NEGATIVE_TOL, solve_fpk_forward
 from congestion_mfg.grid import (
     GridSpec,
@@ -49,7 +49,7 @@ class TestHJBStep:
         coupling = CouplingSpec(cf=0.0, offset_f=1.0, cg=0.0, offset_g=0.0)
         u_next = np.full(grid.shape, 3.0)
         m = np.full(grid.shape, 0.7)
-        u, _, res = hjb_step(grid, u_next, m, PARAMS, coupling.f(m), HJBOptions())
+        u, _, res = hjb_step(grid, u_next, m, PARAMS, coupling.f(m))
         assert np.abs(u - (3.0 + grid.dt)).max() < 1e-13
         assert res <= 1e-10
 
@@ -57,19 +57,17 @@ class TestHJBStep:
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
         rng = np.random.default_rng(1)
         m_traj = np.abs(rng.random((grid.nt + 1, grid.n))) + 0.1
-        result = solve_hjb_backward(grid, m_traj, PARAMS, COUPLING, HJBOptions())
+        result = solve_hjb_backward(grid, m_traj, PARAMS, COUPLING)
         assert np.array_equal(result.u[grid.nt], COUPLING.g(m_traj[grid.nt]))
 
-    def test_newton_budget_raises(self):
+    def test_newton_budget_raises(self, monkeypatch):
         grid = GridSpec(dim=1, n=16, nt=4, horizon=1.0)
         rng = np.random.default_rng(2)
         u_next = rng.normal(size=grid.shape) * 5.0
         m = np.abs(rng.random(grid.shape))
+        monkeypatch.setattr(hjb, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NewtonDiverged):
-            hjb_step(
-                grid, u_next, m, PARAMS, COUPLING.f(m),
-                HJBOptions(newton_tol=1e-14, newton_max_iter=1),
-            )
+            hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m))
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 8)])
     def test_newton_from_rough_starts_is_monotone(self, monkeypatch, dim, n):
@@ -79,8 +77,8 @@ class TestHJBStep:
         corrections = []
         solve = hjb.sparse_solve
 
-        def recording_solve(grid, mat, rhs, nu, tol=1e-12):
-            corrections.append(solve(grid, mat, rhs, nu, tol=tol))
+        def recording_solve(grid, mat, rhs, nu):
+            corrections.append(solve(grid, mat, rhs, nu))
             return corrections[-1]
 
         monkeypatch.setattr(hjb, "sparse_solve", recording_solve)
@@ -95,8 +93,8 @@ class TestHJBStep:
             m = rng.random(grid.shape) + 0.05
             corrections.clear()
             f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)
-            u, _, res = hjb_step(grid, u_next, m, params, f_level, HJBOptions())
-            assert res <= HJBOptions().newton_tol
+            u, _, res = hjb_step(grid, u_next, m, params, f_level)
+            assert res <= hjb.NEWTON_TOL
             assert 1 <= len(corrections) <= 20
             roundoff = 16 * np.finfo(float).eps * np.abs(u).max()
             for delta in corrections[1:]:
@@ -107,7 +105,7 @@ class TestHJBStep:
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
         x = grid.axis_centers()
         m_traj = np.tile(1.0 + 0.5 * np.cos(2 * np.pi * x), (grid.nt + 1, 1))
-        result = solve_hjb_backward(grid, m_traj, PARAMS, COUPLING, HJBOptions())
+        result = solve_hjb_backward(grid, m_traj, PARAMS, COUPLING)
         assert COUPLING.c4 == 0.0
         assert result.u.min() >= COUPLING.c4 - 1e-12
 
@@ -115,19 +113,36 @@ class TestHJBStep:
 class TestOptions:
     @pytest.mark.parametrize(
         "bad",
-        [
-            {"newton_tol": 0.0},
-            {"newton_max_iter": 0},
-            {"newton_max_iter": -3},
-            {"epsilon": -0.1},
-            {"linear_tol": 0.0},
-            {"linear_tol": -1.0},
-        ],
+        [{"epsilon": -0.1}],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
     )
     def test_invalid_options_rejected(self, bad):
         with pytest.raises(ValueError):
             HJBOptions(**bad)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_conflicting_hjb_epsilon_rejected(self, eps):
+        """A width in ``HJBOptions`` other than the model's ``epsilon`` is an
+        input error, from the step and from the sweep, not silently replaced
+        by it."""
+        grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
+        m_traj = uniform_traj(grid)
+        params = replace(PARAMS, epsilon=eps)
+        with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
+            solve_hjb_backward(grid, m_traj, params, COUPLING, HJBOptions(epsilon=0.1))
+        with pytest.raises(ConfigError, match="HJBOptions.epsilon"):
+            hjb_step(grid, m_traj[1], m_traj[0], params, m_traj[0], HJBOptions(epsilon=0.1))
+
+    def test_matching_hjb_epsilon_accepted(self):
+        """``HJBOptions.epsilon`` 0 or the model's width gives the bits of the
+        default options."""
+        grid = GridSpec(dim=1, n=8, nt=4, horizon=1.0)
+        m_traj = random_traj(grid, 4)
+        params = replace(PARAMS, epsilon=0.05)
+        plain = solve_hjb_backward(grid, m_traj, params, COUPLING)
+        for opts in (HJBOptions(), HJBOptions(epsilon=0.05)):
+            result = solve_hjb_backward(grid, m_traj, params, COUPLING, opts)
+            assert_bits_equal(result.u, plain.u)
 
 
 # the third coupling has offsets and a constant G (qg = 0)
@@ -169,14 +184,14 @@ class TestMollifiedCosts:
         dim, n = grid_args
         grid = GridSpec(dim=dim, n=n, nt=6, horizon=1.0)
         m_traj = random_traj(grid, 2 * n)
-        params, opts = replace(PARAMS, epsilon=eps), HJBOptions()
-        result = solve_hjb_backward(grid, m_traj, params, coupling, opts)
+        params = replace(PARAMS, epsilon=eps)
+        result = solve_hjb_backward(grid, m_traj, params, coupling)
         # the sweep as it was: each level smooths its own frame's costs
         u = grid.zeros_traj()
         u[grid.nt] = hjb.effective_cost(grid, m_traj[grid.nt], coupling.g, eps)
         for k in range(grid.nt - 1, -1, -1):
             f_level = hjb.effective_cost(grid, m_traj[k], coupling.f, eps)
-            u[k], transport, _ = hjb_step(grid, u[k + 1], m_traj[k], params, f_level, opts)
+            u[k], transport, _ = hjb_step(grid, u[k + 1], m_traj[k], params, f_level)
             assert_bits_equal(result.transports[k].data, transport.data)
         assert_bits_equal(result.u, u)
 
@@ -192,7 +207,7 @@ class TestMollifiedCosts:
         monkeypatch.setattr(hjb, "gaussian_smooth", counting_smooth)
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
         params = replace(PARAMS, epsilon=eps)
-        solve_hjb_backward(grid, random_traj(grid, 1), params, COUPLING, HJBOptions())
+        solve_hjb_backward(grid, random_traj(grid, 1), params, COUPLING)
         assert smoothed == [(grid.nt + 1, grid.n)] * calls
 
 
@@ -231,7 +246,7 @@ def reference_jacobian(grid, u, m, params, eps):
     return StencilOperator(pattern, data)
 
 
-def reference_step(grid, u_next, m_frame, params, f_level, opts):
+def reference_step(grid, u_next, m_frame, params, f_level):
     """hjb_step with per-call kernels: every residual and Jacobian evaluation
     recomputes the upwind parts of u and the congestion factor of m."""
     pattern = stencil_pattern(grid)
@@ -254,14 +269,14 @@ def reference_step(grid, u_next, m_frame, params, f_level, opts):
     res = residual(uvec)
     res_norm = float(np.abs(res).max())
     heat = implicit_heat_data(grid, params.nu)
-    for _ in range(opts.newton_max_iter):
-        if res_norm <= opts.newton_tol:
+    for _ in range(hjb.NEWTON_MAX_ITER):
+        if res_norm <= hjb.NEWTON_TOL:
             break
         jac = reference_jacobian(
             grid, uvec.reshape(grid.shape), m_frame, params, params.epsilon
         )
         system = StencilOperator(pattern, heat + jac.data)
-        uvec = uvec - sparse_solve(grid, system, res, params.nu, tol=opts.linear_tol)
+        uvec = uvec - sparse_solve(grid, system, res, params.nu)
         res = residual(uvec)
         res_norm = float(np.abs(res).max())
     u = uvec.reshape(grid.shape)
@@ -289,12 +304,9 @@ class TestSharedKernelInputs:
         m = capped_frame(grid, [dim, n])
         assert m.max() > 1.0 / 0.05 and (m <= M_FLOOR).any()
         u_next = 3.0 * np.random.default_rng([dim, n, 1]).normal(size=grid.shape)
-        opts = HJBOptions()
         f_level = hjb.effective_cost(grid, m, COUPLING.f, eps)
-        u, transport, res = hjb_step(grid, u_next, m, params, f_level, opts)
-        u_ref, transport_ref, res_ref = reference_step(
-            grid, u_next, m, params, f_level, opts
-        )
+        u, transport, res = hjb_step(grid, u_next, m, params, f_level)
+        u_ref, transport_ref, res_ref = reference_step(grid, u_next, m, params, f_level)
         assert_bits_equal(u, u_ref)
         assert_bits_equal(transport.data, transport_ref.data)
         assert transport.pattern is transport_ref.pattern
@@ -382,7 +394,7 @@ class TestSharedKernelInputs:
         monkeypatch.setattr(hjb, "hjb_step", recording_step)
         grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
         params = ModelParams(nu=0.3, beta=1.5, alpha=0.6, mu=0.5, horizon=1.0, epsilon=0.05)
-        solve_hjb_backward(grid, random_traj(grid, 3), params, COUPLING, HJBOptions())
+        solve_hjb_backward(grid, random_traj(grid, 3), params, COUPLING)
         assert len(per_step) == grid.nt
         for calls in per_step:
             assert calls["sparse_solve"] >= 1
@@ -465,13 +477,13 @@ class TestAssemblyParity:
 
         monkeypatch.setattr(hjb, "transport_jacobian", recording_jacobian)
         for name, module in (("hjb", hjb), ("fpk", fpk)):
-            def recording_solve(grid, mat, rhs, nu, tol, _solves=solves[name]):
+            def recording_solve(grid, mat, rhs, nu, _solves=solves[name]):
                 _solves.append(mat)
-                return sparse_solve(grid, mat, rhs, nu, tol=tol)
+                return sparse_solve(grid, mat, rhs, nu)
 
             monkeypatch.setattr(module, "sparse_solve", recording_solve)
         f_level = COUPLING.f(m)
-        _, transport, _ = hjb_step(grid, u_next, m, params, f_level, HJBOptions())
+        _, transport, _ = hjb_step(grid, u_next, m, params, f_level)
         fpk.fpk_step(grid, m, transport, params)
         # one generator per Newton system, and one at the converged state
         assert len(generators) == len(solves["hjb"]) + 1 >= 2
@@ -522,7 +534,7 @@ class TestDensityGuard:
         m0[4:8, 4:8] = 1.0
         m0 /= m0.sum() * grid.cell_volume
         m_frozen = np.broadcast_to(m0, (grid.nt + 1, *grid.shape)).copy()
-        sweep = solve_hjb_backward(grid, m_frozen, params, COUPLING, HJBOptions())
+        sweep = solve_hjb_backward(grid, m_frozen, params, COUPLING)
         m_traj = solve_fpk_forward(grid, sweep.transports, m0, params)
         return grid, params, m_traj
 
@@ -530,7 +542,7 @@ class TestDensityGuard:
         grid, params, m_traj = self.roundoff_trajectory()
         assert -NEGATIVE_TOL <= m_traj.min() < 0.0
         coupling = CouplingSpec(qf=0.5, qg=0.5)  # m**0.5 is NaN below zero
-        result = solve_hjb_backward(grid, m_traj, params, coupling, HJBOptions())
+        result = solve_hjb_backward(grid, m_traj, params, coupling)
         assert np.all(np.isfinite(result.u))
         clipped = solve_hjb_backward(
             grid, np.maximum(m_traj, 0.0), params, coupling, HJBOptions()
@@ -542,9 +554,9 @@ class TestDensityGuard:
         m_traj = uniform_traj(grid)
         m_traj[2, 3] = -10 * NEGATIVE_TOL
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_hjb_backward(grid, m_traj, PARAMS, COUPLING, HJBOptions())
+            solve_hjb_backward(grid, m_traj, PARAMS, COUPLING)
         with pytest.raises(ValueError, match="nonnegative"):
-            hjb_step(grid, m_traj[0], m_traj[2], PARAMS, m_traj[2], HJBOptions())
+            hjb_step(grid, m_traj[0], m_traj[2], PARAMS, m_traj[2])
 
     def test_nonnegative_density_is_not_copied(self):
         m = uniform_traj(GridSpec(dim=1, n=16, nt=4, horizon=1.0))
@@ -555,14 +567,14 @@ class TestBackwardSolve:
     def test_uniform_density_linear_value(self):
         # m = 1, F(m) = G(m) = m: u(t) = 1 + (T - t) for any nu
         grid = GridSpec(dim=1, n=16, nt=10, horizon=1.0)
-        result = solve_hjb_backward(grid, uniform_traj(grid), PARAMS, COUPLING, HJBOptions())
+        result = solve_hjb_backward(grid, uniform_traj(grid), PARAMS, COUPLING)
         expected = 1.0 + (1.0 - grid.times())[:, None]
         assert np.abs(result.u - expected).max() < 1e-12
 
     def test_zero_couplings_zero_value(self):
         grid = GridSpec(dim=1, n=16, nt=10, horizon=1.0)
         zero = CouplingSpec(cf=0.0, offset_f=0.0, cg=0.0, offset_g=0.0)
-        result = solve_hjb_backward(grid, uniform_traj(grid), PARAMS, zero, HJBOptions())
+        result = solve_hjb_backward(grid, uniform_traj(grid), PARAMS, zero)
         assert np.abs(result.u).max() == 0.0
 
     def test_comparison_raised_couplings(self):
@@ -572,8 +584,8 @@ class TestBackwardSolve:
             m_traj = np.abs(rng.random((grid.nt + 1, grid.n))) + 0.05
             lo = CouplingSpec(cf=1.0, offset_f=0.0, cg=1.0, offset_g=0.0)
             hi = CouplingSpec(cf=1.0, offset_f=0.4, cg=1.0, offset_g=0.9)
-            u_lo = solve_hjb_backward(grid, m_traj, PARAMS, lo, HJBOptions()).u
-            u_hi = solve_hjb_backward(grid, m_traj, PARAMS, hi, HJBOptions()).u
+            u_lo = solve_hjb_backward(grid, m_traj, PARAMS, lo).u
+            u_hi = solve_hjb_backward(grid, m_traj, PARAMS, hi).u
             assert (u_hi - u_lo).min() >= -1e-10
 
     def test_first_order_consistency(self):
@@ -584,7 +596,7 @@ class TestBackwardSolve:
             grid = GridSpec(dim=1, n=n, nt=n, horizon=0.5)
             x = grid.axis_centers()
             m_traj = np.tile(1.0 + 0.3 * np.sin(2 * np.pi * x), (grid.nt + 1, 1))
-            res = solve_hjb_backward(grid, m_traj, params, COUPLING, HJBOptions())
+            res = solve_hjb_backward(grid, m_traj, params, COUPLING)
             return grid, res.u
 
         fine_grid, fine_u = solve_at(256)
@@ -677,4 +689,4 @@ class TestNonFiniteGuard:
         u_next = np.full(grid.shape, np.nan)
         m = np.ones(grid.shape)
         with pytest.raises(NonFiniteState):
-            hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m), HJBOptions())
+            hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m))

@@ -35,7 +35,7 @@ from congestion_mfg.errors import LinearSolveFailed
 from congestion_mfg.fpk import solve_fpk_forward
 from congestion_mfg.grid import StencilOperator, implicit_heat_data, stencil_pattern
 from congestion_mfg.grid import upwind_parts
-from congestion_mfg.hjb import HJBOptions, solve_hjb_backward
+from congestion_mfg.hjb import solve_hjb_backward
 from congestion_mfg.model import congestion_denominator
 
 from conftest import as_csr
@@ -115,7 +115,7 @@ def captured():
         mp.setattr(fpk, "sparse_solve", recorder)
         for params in (REFERENCE, LOW_VISCOSITY):
             start = len(seen)
-            back = solve_hjb_backward(grid, m, params, CouplingSpec(), HJBOptions())
+            back = solve_hjb_backward(grid, m, params, CouplingSpec())
             n_hjb = len(seen)
             solve_fpk_forward(grid, back.transports, m[0], params)
             assert start < n_hjb < len(seen)

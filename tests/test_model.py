@@ -75,8 +75,7 @@ def fields_holding(bad):
         **{f"ModelParams.{key}": (ModelParams, {**MODEL, key: bad})
            for key in ("nu", "mu", "epsilon")},
         "FixedPointOptions.fp_tol": (FixedPointOptions, {"fp_tol": bad}),
-        **{f"HJBOptions.{key}": (HJBOptions, {key: bad})
-           for key in ("newton_tol", "epsilon", "linear_tol")},
+        "HJBOptions.epsilon": (HJBOptions, {"epsilon": bad}),
         **{f"CouplingSpec.{key}": (CouplingSpec, {key: bad})
            for key in ("cf", "cg", "qf", "qg", "offset_f", "offset_g")},
         "ContinuationSchedule.epsilons": (ContinuationSchedule, {"epsilons": (bad, 0.1)}),

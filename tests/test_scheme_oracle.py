@@ -11,7 +11,7 @@ import pytest
 
 from congestion_mfg.fpk import fpk_step
 from congestion_mfg.grid import GridSpec, upwind_parts
-from congestion_mfg.hjb import HJBOptions, hjb_step, transport_jacobian
+from congestion_mfg.hjb import hjb_step, transport_jacobian
 from congestion_mfg.model import CouplingSpec, ModelParams, congestion_denominator
 
 from conftest import as_csr
@@ -73,7 +73,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(12)
         u_next = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m), HJBOptions())
+        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m))
         res = naive_hjb_residual_1d(grid, u, u_next, m, PARAMS, COUPLING.f(m))
         assert np.abs(res).max() <= 1e-9
 
@@ -116,7 +116,7 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(15)
         u_next = rng.normal(size=grid.shape)
         m_arg = np.abs(rng.random(grid.shape)) + 0.2
-        _, transport, _ = hjb_step(grid, u_next, m_arg, PARAMS, COUPLING.f(m_arg), HJBOptions())
+        _, transport, _ = hjb_step(grid, u_next, m_arg, PARAMS, COUPLING.f(m_arg))
         m_prev = np.abs(rng.random(grid.shape)) + 0.1
         m = fpk_step(grid, m_prev, transport, PARAMS)
         # naive adjoint residual: (m - m_prev)/dt - nu lap m + J^T m = 0
@@ -136,13 +136,12 @@ class TestAgainstNaiveFormulas:
         rng = np.random.default_rng(16)
         u_next = rng.normal(size=grid.shape)
         m = np.abs(rng.random(grid.shape)) + 0.2
-        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m), HJBOptions())
+        u, _, _ = hjb_step(grid, u_next, m, PARAMS, COUPLING.f(m))
         u_s, _, _ = hjb_step(
             grid,
             np.roll(u_next, shift),
             np.roll(m, shift),
             PARAMS,
             COUPLING.f(np.roll(m, shift)),
-            HJBOptions(),
         )
         assert np.abs(np.roll(u, shift) - u_s).max() <= 1e-11
