@@ -690,6 +690,23 @@ BAD_OPTIONS = {
     "solve-mu_inf": ("solve", "mu = inf\n"),
 }
 
+# keys the config no longer has (the Newton and linear tolerances are
+# constants, a Picard start is solve_mfg's init_traj): every command rejects
+# them as unknown keys with exit 2, before it solves anything
+REMOVED_OPTIONS = {
+    "check-init_m": ("check", "init_m = cosine_bump(2)\n"),
+    "solve-linear_tol": ("solve", "linear_tol = 0\n"),
+    "solve-newton_tol": ("solve", "newton_tol = 0\n"),
+    "solve-newton_max_iter": ("solve", "newton_max_iter = 0\n"),
+    "study-linear_tol": ("study", "linear_tol = 0\n"),
+    "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
+}
+
+BAD_OPTION_CASES = {
+    **{k: (*v, EXIT_STRUCTURAL, "rejected: ") for k, v in BAD_OPTIONS.items()},
+    **{k: (*v, EXIT_CONFIG, "config error: ") for k, v in REMOVED_OPTIONS.items()},
+}
+
 
 def run_cli(command, path):
     """``python -m congestion_mfg.cli <command> <path>`` in a subprocess."""
@@ -702,15 +719,17 @@ def run_cli(command, path):
     )
 
 
-@pytest.mark.parametrize("command, options", BAD_OPTIONS.values(), ids=BAD_OPTIONS)
-def test_bad_options_are_rejected(tmp_path, command, options):
+@pytest.mark.parametrize(
+    "command, options, code, prefix", BAD_OPTION_CASES.values(), ids=BAD_OPTION_CASES
+)
+def test_bad_options_are_rejected(tmp_path, command, options, code, prefix):
     out_dir = tmp_path / "out"
     path = write_config(
         tmp_path, "n = 8\nnt = 8\n" + options + "output_dir = {out}\n", out=out_dir
     )
     proc = run_cli(command, path)
-    assert proc.returncode == EXIT_STRUCTURAL, proc.stderr
-    assert any(line.startswith("rejected: ") for line in proc.stderr.splitlines())
+    assert proc.returncode == code, proc.stderr
+    assert any(line.startswith(prefix) for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
 
