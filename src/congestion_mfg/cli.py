@@ -4,9 +4,10 @@ Run configurations are flat UTF-8 ``key = value`` files with ``#`` comments
 and no nesting; unknown keys, ``enforce_nonneg_check`` among them (density
 positivity is always checked), are rejected with the offending line number.
 Every command that reads a config builds every grid, initial density and
-option object in ``_load_run`` before any solve, so ``check`` rejects what
-``solve`` and ``study`` reject.  ``solve`` and each level of ``study`` run
-the (eps, mu) ladder when ``continuation`` is set, else one solve.  Exit
+option object, and checks that ``output_dir`` can be made, in ``_load_run``
+before any solve, so ``check`` rejects what ``solve`` and ``study`` reject.
+``solve`` and each level of ``study`` run the (eps, mu) ladder when
+``continuation`` is set, else one solve.  Exit
 codes form a stable contract, and ``_EXIT_CODES`` maps exceptions to them
 the same way for every command:
 
@@ -27,6 +28,7 @@ config, and propagates.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -39,6 +41,7 @@ import numpy as np
 
 from .bundles import load_solution, read_frame_csv, save_solution
 from .coupler import (
+    COLD_START_AT_MU0,
     ContinuationResult,
     ContinuationSchedule,
     FixedPointOptions,
@@ -158,7 +161,10 @@ def density_from_spec(spec: str, grids: list) -> list[np.ndarray]:
         return [prolong_frame(frame, grid.n // grids[0].n) for grid in grids]
     if match.group(2) is None:
         return [np.ones(grid.shape) for grid in grids]
-    amp = float(match.group(2))
+    try:
+        amp = float(match.group(2))
+    except ValueError:
+        raise ConfigError(f"m0: bad cosine bump amplitude {match.group(2)!r}") from None
     if not 0.0 <= amp < 1.0:
         raise ConfigError("m0: cosine bump amplitude must lie in [0, 1)")
     return [1.0 + amp * np.prod(np.cos(2.0 * np.pi * np.array(grid.coords())), axis=0)
@@ -186,18 +192,34 @@ def _build(cfg: dict):
     return params, coupling, grid
 
 
-def _continuation_schedule(cfg: dict, params: ModelParams) -> ContinuationSchedule:
-    """The (eps, mu) ladder of a ``continuation = true`` run, checked on ``params``."""
-    sched_kwargs = {"warm_start": cfg["warm_start"]}
+def _continuation_schedule(cfg: dict, params: ModelParams) -> ContinuationSchedule | None:
+    """The (eps, mu) ladder of a ``continuation = true`` run, checked on
+    ``params``; None for one solve, which takes no ladder key and mu > 0."""
+    if not cfg["continuation"]:
+        for key in ("epsilons", "mus"):
+            if cfg[key] is not None:
+                raise ConfigError(f"{key} is set but continuation is not true")
+        if params.is_singular:
+            raise ConfigError(COLD_START_AT_MU0)
+        return None
+    widths = {} if cfg["epsilon"] <= 0 else {"epsilons": (cfg["epsilon"],)}
     if cfg["epsilons"] is not None:
-        sched_kwargs["epsilons"] = tuple(cfg["epsilons"])
-    elif cfg["epsilon"] > 0:
-        sched_kwargs["epsilons"] = (cfg["epsilon"],)
-    if cfg["mus"] is not None:
-        sched_kwargs["mus"] = tuple(cfg["mus"])
-    schedule = ContinuationSchedule(**sched_kwargs)
+        widths["epsilons"] = cfg["epsilons"]
+    schedule = ContinuationSchedule(mus=cfg["mus"], warm_start=cfg["warm_start"], **widths)
     schedule.rungs(params)  # the ladder's own ConfigError, before any solve
     return schedule
+
+
+def _check_output_dir(path: str) -> None:
+    """Raise the ``OSError`` that ``os.makedirs(path, exist_ok=True)`` would,
+    when ``path`` or its nearest existing ancestor is not a directory,
+    creating nothing."""
+    target = existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        code = errno.EEXIST if existing == target else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)  # FileExistsError or NotADirectoryError
 
 
 def _load_run(config_path, levels: int):
@@ -206,7 +228,8 @@ def _load_run(config_path, levels: int):
     Returns ``(cfg, params, coupling, schedule, runs)``: one
     ``(grid, m0, FixedPointOptions)`` per refinement level, level j on the
     config's grid refined ``2**j`` times, and the continuation ladder or None.
-    A ``ValueError`` raised while the run is built rejects the config.
+    A ``ValueError`` raised while the run is built rejects the config, and an
+    ``output_dir`` that cannot be made raises its ``OSError``.
     """
     cfg = parse_config(config_path)
     try:
@@ -217,9 +240,10 @@ def _load_run(config_path, levels: int):
             damping=cfg["damping"], fp_tol=cfg["fp_tol"], max_outer_iter=cfg["max_outer_iter"]
         )
         runs = [(g, m0, fp_opts) for g, m0 in zip(grids, m0s)]
-        schedule = _continuation_schedule(cfg, params) if cfg["continuation"] else None
+        schedule = _continuation_schedule(cfg, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_output_dir(cfg["output_dir"])
     return cfg, params, coupling, schedule, runs
 
 

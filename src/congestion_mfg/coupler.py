@@ -48,6 +48,9 @@ __all__ = [
 OMEGA_MIN = 1e-5
 OMEGA_GROWTH = 1.4
 
+# the singular problem is reached only by continuation, never by a cold start
+COLD_START_AT_MU0 = "cold-start solve at mu = 0 rejected; use continuation with warm starts"
+
 
 @dataclass(frozen=True)
 class FixedPointOptions:
@@ -91,7 +94,8 @@ class ContinuationSchedule:
     """Decreasing ladders for the regularization width and congestion offset.
 
     Rungs run the eps ladder first (at mus[0]), then the mu ladder at the
-    final eps, so ``params.epsilon`` must be 0 or the first width.  A
+    final eps, so ``params.epsilon`` must be 0 or the first width.  The
+    first rung's mu, which no earlier rung warm-starts, must be positive.  A
     terminal mu of 0 is only accepted with warm starts and within the
     singular well-posedness window (beta < 2, or beta = 2 with alpha < 2).
     """
@@ -119,6 +123,8 @@ class ContinuationSchedule:
         if params.epsilon not in (0.0, self.epsilons[0]):
             raise ConfigError(f"epsilon {params.epsilon} is not the first of epsilons")
         mus = self.mus if self.mus is not None else (params.mu,)
+        if mus[0] == 0.0:  # the first rung has no warm start
+            raise ConfigError(COLD_START_AT_MU0)
         out = [(e, mus[0]) for e in self.epsilons]
         out += [(self.epsilons[-1], m) for m in mus[1:]]
         if mus[-1] == 0.0:
@@ -208,9 +214,7 @@ def solve_mfg(
             f"model horizon {params.horizon} differs from the grid's {grid.horizon}"
         )
     if params.is_singular and init_traj is None:
-        raise ConfigError(
-            "cold-start solve at mu = 0 rejected; use continuation with warm starts"
-        )
+        raise ConfigError(COLD_START_AT_MU0)
 
     start = time.perf_counter()
     if m0 is None:

@@ -15,9 +15,11 @@ nonnegative data stays nonnegative.  Transposing the assembled matrix
 equation against the other solution in the energy and uniqueness arguments.
 
 The system is ``heat + A`` on the grid's cached stencil pattern, transposed
-by one gather of its data.  A transport whose data is not shaped like the
-pattern's raises ``ValueError``.  Each system is solved to
-:func:`sparse_solve`'s default tolerance, as the HJB step's Newton systems
+by one gather of its data through the pattern's ``transpose``, which swaps
+each row's lower slot along an axis with the upper slot of its lower
+neighbour.  A transport whose data is not shaped like the pattern's raises
+``ValueError``.  Each system is solved to
+:data:`~congestion_mfg.linalg.LINEAR_TOL`, as the HJB step's Newton systems
 are: one linear tolerance for both sweeps.  A previous frame below
 ``-NEGATIVE_TOL`` or holding a NaN raises ``ValueError`` before the solve.
 A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;

@@ -31,7 +31,8 @@ read it.  :func:`_nonnegative` is the one density guard: roundoff in
 The Laplacian and the upwind transport of the solvers share one sparsity
 pattern, the (2*dim+1)-point periodic stencil.  :func:`stencil_pattern` builds
 it once per ``GridSpec`` and caches it.  A matrix on it is a
-:class:`StencilOperator`: a ``(2*dim+1, ncells)`` data block, slot axis first,
+:class:`StencilOperator`: a ``(2*dim+1, ncells)`` data block, slot axis first
+and in offset order (the cell, its lower neighbours, its upper neighbours),
 with a product, a transpose and an entry count, so the HJB and Kolmogorov
 systems are assembled by block adds; a stack of operators, one per frame,
 is a ``(nframes, 2*dim+1, ncells)`` block on the same pattern.  The pattern
@@ -138,44 +139,29 @@ class GridSpec:
 class StencilPattern:
     """Structure of a grid's (2*dim+1)-point periodic stencil, slot axis first.
 
-    A matrix on the pattern is its ``(2*dim + 1, ncells)`` data block:
-    ``data[r, i]`` is row ``i``'s entry in column ``cols[r, i]``, and each
-    row's columns are sorted, so a product sums a row's terms in the order
-    scipy's CSR product does.  ``GridSpec`` requires ``n >= 4``, so the
-    neighbours of a cell are distinct and every row has exactly
-    ``2*dim + 1`` slots.  ``slots[:, i]`` are the flat slots of row ``i``'s
-    offsets in a fixed order: the cell, then its lower neighbour per axis,
-    then its upper neighbour per axis.  ``center[i]``, ``lower[ax, i]`` and
-    ``upper[ax, i]`` are the same slots by offset: those of the entries
-    ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``.  ``up[ax]`` is the
+    A matrix on the pattern is its ``(2*dim + 1, ncells)`` data block in
+    offset order: ``data[r, i]`` is row ``i``'s entry in column ``cols[r,
+    i]``, where row 0 of ``cols`` is the cell itself, rows ``1..dim`` its
+    lower neighbour per axis and rows ``dim+1..2*dim`` its upper neighbour
+    per axis, so ``data[0]``, ``data[1 + ax]`` and ``data[1 + dim + ax]`` are
+    the entries ``(i, i)``, ``(i, i - e_ax)`` and ``(i, i + e_ax)``.
+    ``GridSpec`` requires ``n >= 4``, so the neighbours of a cell are
+    distinct and every row has exactly ``2*dim + 1`` slots.
+    ``transpose[r, i]`` is the flat slot of the entry mirrored across the
+    diagonal from slot ``(r, i)``: the lower slot of row ``i`` along ``ax``
+    and the upper slot of row ``i - e_ax``, and back, so
+    ``data.take(transpose)`` is the transpose's data.  ``up[ax]`` is the
     flat index of each cell's upper neighbour along ``ax`` in a frame, and
     ``down[ax]`` that of its lower neighbour's component ``ax`` in a
-    ``(dim, *shape)`` field, both shaped ``(dim, *shape)``.  ``transpose[r, i]``
-    is the flat slot of the entry mirrored across the diagonal from slot
-    ``(r, i)``, so ``data.take(transpose)`` is the transpose's data; for a
-    block shaped like ``slots``, ``block.take(gather)`` is its data.  All
-    arrays are read-only, as the pattern is shared by every operator on it.
+    ``(dim, *shape)`` field, both shaped ``(dim, *shape)``.  All arrays are
+    read-only, as the pattern is shared by every operator on it.
     """
 
-    cols: np.ndarray  # (2*dim + 1, ncells): column of each slot
-    slots: np.ndarray  # (2*dim + 1, ncells): cell, lower per axis, upper per axis
-    transpose: np.ndarray
-    gather: np.ndarray  # flat index into a slots-shaped block, per slot
+    cols: np.ndarray  # (2*dim + 1, ncells): cell, lower per axis, upper per axis
+    transpose: np.ndarray  # (2*dim + 1, ncells): flat slot of the mirrored entry
     laplacian: np.ndarray  # data of the Laplacian on the pattern
     up: np.ndarray  # (dim, *shape): flat index of x + h e_ax
     down: np.ndarray  # (dim, *shape): flat index of component ax at x - h e_ax
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.slots[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.slots[1 : 1 + len(self.slots) // 2]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.slots[1 + len(self.slots) // 2 :]
 
     def laplacian_rows(self, u: np.ndarray) -> np.ndarray:
         """``L u`` for a flat ``u``, summed as :meth:`StencilOperator.dot` sums."""
@@ -189,8 +175,9 @@ class StencilOperator:
     ``data`` is taken as is, not copied, and must be shaped like
     ``pattern.cols``, with a leading frame axis for a stack.  :meth:`dot`
     gathers ``x`` by column, multiplies and sums each row's terms from 0 in
-    column order: scipy's CSR product, bit for bit, frame by frame.
-    :attr:`T` is the transpose, one gather of the data.
+    slot order: scipy's CSR product, bit for bit, frame by frame, on a CSR
+    that stores each row's entries in that order.  :attr:`T` is the
+    transpose, one gather of the data.
     """
 
     __slots__ = ("pattern", "data")
@@ -219,7 +206,7 @@ class StencilOperator:
 def _rows_dot(cols: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:
     terms = x.take(cols, axis=-1)
     terms *= data
-    # over the slot axis: each row's sum runs from 0 in column order
+    # over the slot axis: each row's sum runs from 0 in slot order
     return np.add.reduce(terms, axis=-2, initial=0.0)
 
 
@@ -245,33 +232,30 @@ _NEW_COMPONENT = {dim: _on_components(dim, None) for dim in (1, 2)}
 @functools.lru_cache(maxsize=32)
 def stencil_pattern(grid: GridSpec) -> StencilPattern:
     """The cached stencil pattern of ``grid``."""
-    ncells = grid.ncells
-    idx = np.arange(ncells).reshape(grid.shape)
-    lower_nbr = np.stack([np.roll(idx, 1, axis=ax).ravel() for ax in range(grid.dim)])
-    upper_nbr = np.stack([np.roll(idx, -1, axis=ax).ravel() for ax in range(grid.dim)])
-    # one row per stencil offset: the cell, then its lower and upper neighbours
-    offsets = np.stack([idx.ravel(), *lower_nbr, *upper_nbr])
-    order = np.argsort(offsets, axis=0)
-    # flat slot of each offset in a (2*dim + 1, ncells) block: (rank in its row, cell)
+    ncells, dim = grid.ncells, grid.dim
     cells = np.arange(ncells)
-    slots = np.argsort(order, axis=0) * ncells + cells
-    center, lower, upper = slots[0], slots[1 : 1 + grid.dim], slots[1 + grid.dim :]
-    transpose = np.empty(slots.shape, dtype=np.intp)
-    transpose.flat[center] = center
-    transpose.flat[lower] = np.take_along_axis(upper, lower_nbr, axis=1)
-    transpose.flat[upper] = np.take_along_axis(lower, upper_nbr, axis=1)
-    laplacian = np.full(slots.shape, 1.0)
-    laplacian.flat[center] = -2.0 * grid.dim
+    idx = cells.reshape(grid.shape)
+    lower_nbr = np.stack([np.roll(idx, 1, axis=ax).ravel() for ax in range(dim)])
+    upper_nbr = np.stack([np.roll(idx, -1, axis=ax).ravel() for ax in range(dim)])
+    # flat slot of each row's mirrored entry: the cell's own, and the lower
+    # slot of row i along ax against the upper slot of row i - e_ax
+    axes = np.arange(dim)[:, None]
+    transpose = np.concatenate([
+        cells[None],
+        (1 + dim + axes) * ncells + lower_nbr,
+        (1 + axes) * ncells + upper_nbr,
+    ])
+    laplacian = np.full(transpose.shape, 1.0)
+    laplacian[0] = -2.0 * dim
     arrays = dict(
-        cols=np.take_along_axis(offsets, order, axis=0),
-        slots=slots,
+        # one row per stencil offset: the cell, then its lower and upper neighbours
+        cols=np.concatenate([cells[None], lower_nbr, upper_nbr]),
         transpose=transpose,
-        gather=order * ncells + cells,
         # times 1/h**2, as scipy divides a sparse matrix by h**2
         laplacian=laplacian * (1 / grid.h**2),
-        up=upper_nbr.reshape(grid.dim, *grid.shape),
+        up=upper_nbr.reshape(dim, *grid.shape),
         # component ax of a (dim, *shape) field, at the lower neighbour along ax
-        down=(lower_nbr + ncells * np.arange(grid.dim)[:, None]).reshape(grid.dim, *grid.shape),
+        down=(lower_nbr + ncells * axes).reshape(dim, *grid.shape),
     )
     for arr in arrays.values():
         arr.flags.writeable = False
@@ -284,10 +268,8 @@ def implicit_heat_data(grid: GridSpec, nu: float) -> np.ndarray:
 
     Cached per ``(grid, nu)`` and read-only.
     """
-    pattern = stencil_pattern(grid)
-    data = np.zeros(pattern.cols.shape)
-    data.flat[pattern.center] = 1 / grid.dt
-    data = data - nu * pattern.laplacian
+    data = -nu * stencil_pattern(grid).laplacian
+    data[0] += 1 / grid.dt
     data.flags.writeable = False
     return data
 

@@ -38,8 +38,8 @@ backtracking search has nothing to guard against.  A level converges when
 its residual reaches ``NEWTON_TOL`` in max norm; exceeding
 ``NEWTON_MAX_ITER`` iterations raises
 :class:`~congestion_mfg.errors.NewtonDiverged`, the one way a level fails to
-converge.  Each Newton system is solved to :func:`sparse_solve`'s default
-tolerance.
+converge.  Each Newton system is solved to
+:data:`~congestion_mfg.linalg.LINEAR_TOL`.
 
 Within a level the density frame is frozen, so :func:`hjb_step` evaluates
 the congestion factor ``congestion_denominator(m_frame, params)`` once
@@ -57,9 +57,10 @@ energy identities up to solver tolerances, and the coupler computes the
 drift ``-H_p`` once from the returned solution, all levels in one call.
 ``A`` is a :class:`~congestion_mfg.grid.StencilOperator` on the grid's
 cached stencil pattern, filled as one ``(2*dim + 1, *shape)`` block (one per
-frame of a stack) that one gather puts in slot order; each Newton system
-``I/dt - nu L + A`` is one block add.  ``L u`` is the pattern's row sums,
-bit-identical to scipy's CSR product.  Density entries in
+frame of a stack) in the pattern's offset order, which is its data as it
+stands; each Newton system ``I/dt - nu L + A`` is one block add.  ``L u`` is
+the pattern's row sums, summed in slot order as scipy's CSR product sums a
+row stored in that order.  Density entries in
 ``[-NEGATIVE_TOL, 0)`` (FPK roundoff) count as 0; lower ones, and NaN,
 raise ``ValueError``.
 """
@@ -78,7 +79,6 @@ from .grid import (
     StencilOperator,
     _nonnegative,
     _on_components,
-    _take_frames,
     gaussian_smooth,
     implicit_heat_data,
     stencil_pattern,
@@ -157,9 +157,8 @@ def transport_jacobian(
     dm, dp, q = parts
     dim, h = grid.dim, grid.h
     w = _congestion_weight(q, congestion, params)[_NEW_COMPONENT[dim]]
-    pattern = stencil_pattern(grid)
     first, lower, upper, neighbours = _OFFSETS[dim]
-    # one field per offset, as in ``pattern.slots``: cell, lower, upper; the
+    # one field per offset, in the pattern's order: cell, lower, upper; the
     # offset axis sits where ``dm`` has its component axis, after the frames
     block = np.empty(q.shape[:-dim] + (2 * dim + 1,) + q.shape[-dim:])
     am = np.multiply(w, dm, out=block[lower])
@@ -171,7 +170,8 @@ def transport_jacobian(
         cell += (am[..., ax, :, :] - ap[..., ax, :, :]) / h
     np.negative(am, out=am)
     block[neighbours] /= h
-    return StencilOperator(pattern, _take_frames(block, pattern.gather, dim + 1))
+    data = block.reshape(q.shape[:-dim] + (2 * dim + 1, grid.ncells))
+    return StencilOperator(stencil_pattern(grid), data)
 
 
 def drift_field(

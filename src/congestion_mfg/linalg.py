@@ -5,14 +5,15 @@ Every system is ``I/dt - nu L + T`` with the congestion transport ``T = A``
 :class:`~congestion_mfg.grid.StencilOperator` data on the grid's stencil
 pattern; neither solver copies it into another format.
 
-1D systems are periodic tridiagonal.  :func:`splu` reads the five bands by a
-cached index, and :class:`PeriodicTridiagonalLU` solves with one LAPACK
-``dgtsv`` call and a rank-one Sherman-Morrison update, one LAPACK call per
-system.  Every 1D system the steppers build is strictly diagonally dominant,
-the HJB ones by rows (nonpositive off-diagonals, row sums ``1/dt``) and the
-Kolmogorov ones by columns, so it is nonsingular and its pivoted LU is
-stable; the certificate tests the rows first, as both kinds are usually
-dominant by rows.  Any other system is checked on its true residual, as a 2D
+1D systems are periodic tridiagonal.  :func:`splu` hands a copy of the
+operator's three data rows, each row's diagonal and neighbour entries, to
+:class:`PeriodicTridiagonalLU`, which solves with one LAPACK ``dgtsv`` call
+and a rank-one Sherman-Morrison update, one LAPACK call per system.  Every
+1D system the steppers build is strictly diagonally dominant, the HJB ones by
+rows (nonpositive off-diagonals, row sums ``1/dt``) and the Kolmogorov ones
+by columns, so it is nonsingular and its pivoted LU is stable; the
+certificate tests the rows first, as both kinds are usually dominant by
+rows.  Any other system is checked on its true residual, as a 2D
 one is.  A non-finite entry of the system raises :class:`LinearSolveFailed`,
 as does a non-finite solution, which a NaN or an infinity in the right-hand
 side gives.  LAPACK is loaded on the first 1D solve, from scipy's extension
@@ -43,7 +44,13 @@ one, and which vanishes on a singular system such as ``-nu L`` while
 ``|x| ~ 1e16``.  So :func:`sparse_solve` recomputes ``rhs - mat x``; when
 that misses the tolerance it solves once more for the true residual's
 correction, and raises :class:`LinearSolveFailed` if the corrected solution
-misses too.
+misses too.  The recomputed residual is rounded as well: on ``-nu L`` with
+``rhs = 1`` at n = 8, BiCGStab stops at ``|x| ~ 1e15``, where every row of
+``mat x`` rounds to 1 exactly.  Every system the steppers build has
+nonpositive off-diagonal entries and row (HJB) or column (Kolmogorov) sums
+``1/dt``, so its inverse has norm at most ``dt`` in the max (or 1-) norm
+and ``|x| <= dt sqrt(ncells) |rhs|``; a solution above that bound raises
+:class:`LinearSolveFailed` too.
 """
 
 from __future__ import annotations
@@ -57,17 +64,19 @@ import os
 import numpy as np
 
 from .errors import LinearSolveFailed
-from .grid import GridSpec, StencilOperator, StencilPattern, stencil_pattern
+from .grid import GridSpec, StencilOperator, stencil_pattern
 
 
-def sparse_solve(
-    grid: GridSpec, mat: StencilOperator, rhs: np.ndarray, nu: float, tol: float = 1e-12
-) -> np.ndarray:
+# the relative residual every linear solve must meet, HJB and Kolmogorov alike
+LINEAR_TOL = 1e-12
+
+
+def sparse_solve(grid: GridSpec, mat: StencilOperator, rhs: np.ndarray, nu: float) -> np.ndarray:
     """Solve ``mat x = rhs`` for a system ``I/dt - nu L + T`` on ``grid``.
 
     A 2D solve, and a 1D one whose system is not strictly diagonally
-    dominant, must meet ``tol`` on its true residual, a 2D one after at most
-    one refinement round; a non-finite solution raises
+    dominant, must meet ``LINEAR_TOL`` on its true residual, a 2D one after
+    at most one refinement round; a non-finite solution raises
     :class:`LinearSolveFailed` in both dimensions.
     """
     if grid.dim == 1:
@@ -78,25 +87,30 @@ def sparse_solve(
             raise LinearSolveFailed("non-finite solution of the 1D system")
         if lu.dominant:
             return x
-    atol = tol * (math.sqrt(rhs.dot(rhs)) + 1.0)
+    rhs_norm = math.sqrt(rhs.dot(rhs))
+    atol = LINEAR_TOL * (rhs_norm + 1.0)
     if grid.dim == 2:
-        x = _heat_bicgstab(grid, mat, rhs, nu, tol, atol)
+        x = _heat_bicgstab(grid, mat, rhs, nu, atol)
     r = rhs - mat.dot(x)
     resid = math.sqrt(r.dot(r))
     if grid.dim == 2 and not resid <= atol:
         # BiCGStab stopped on its recursive residual: one round on the true one
-        x = x + _heat_bicgstab(grid, mat, r, nu, tol, atol)
+        x = x + _heat_bicgstab(grid, mat, r, nu, atol)
         r = rhs - mat.dot(x)
         resid = math.sqrt(r.dot(r))
     if not resid <= atol:
         raise LinearSolveFailed(f"linear solve residual {resid:.3e} above {atol:.3e}")
+    # row or column sums 1/dt bound the inverse: |x| <= dt sqrt(ncells) |rhs - r|
+    bound = grid.dt * math.sqrt(grid.ncells) * (rhs_norm + atol)
+    if not x.dot(x) <= bound**2:
+        raise LinearSolveFailed(f"solution norm {math.sqrt(x.dot(x)):.3e} above {bound:.3e}")
     return x
 
 
-def _heat_bicgstab(grid, mat, rhs, nu, tol, atol) -> np.ndarray:
+def _heat_bicgstab(grid, mat, rhs, nu, atol) -> np.ndarray:
     """BiCGStab's solution of ``mat x = rhs``, preconditioned by the heat
     inverse; a breakdown or an exhausted budget raises."""
-    x, info = bicgstab(mat, rhs, rtol=tol, atol=atol, M=heat_inverse(grid, nu),
+    x, info = bicgstab(mat, rhs, rtol=LINEAR_TOL, atol=atol, M=heat_inverse(grid, nu),
                        maxiter=20 * len(rhs))
     if info != 0:
         raise LinearSolveFailed(f"bicgstab returned info={info}")
@@ -107,21 +121,9 @@ def splu(grid: GridSpec, mat: StencilOperator) -> PeriodicTridiagonalLU:
     """A 1D system ``mat`` on the grid's stencil pattern as the periodic
     tridiagonal it is, certified and ready for its one solve: the one 1D
     factorization."""
-    pattern = stencil_pattern(grid)
-    if mat.pattern is not pattern:
+    if mat.pattern is not stencil_pattern(grid):
         raise ValueError("a 1D system must be built on the grid's stencil pattern")
-    return PeriodicTridiagonalLU(mat.data.take(_band_slots(pattern)))
-
-
-@functools.lru_cache(maxsize=32)
-def _band_slots(pattern: StencilPattern) -> np.ndarray:
-    """For ``B`` with data on ``pattern``, the flat slots of ``B[i,i]``,
-    ``B[i,i-1]``, ``B[i-1,i]``, ``B[i,i+1]`` and ``B[i+1,i]``, one row each
-    and read-only."""
-    lower, upper, mirror = pattern.lower[0], pattern.upper[0], pattern.transpose.ravel()
-    slots = np.stack([pattern.center, lower, mirror[lower], upper, mirror[upper]])
-    slots.flags.writeable = False
-    return slots
+    return PeriodicTridiagonalLU(mat.data.copy())
 
 
 @functools.cache
@@ -146,10 +148,10 @@ def _lapack():
 
 
 class PeriodicTridiagonalLU:
-    """A periodic tridiagonal ``B``, from its ``(5, n)`` bands ``B[i,i]``,
-    ``B[i,i-1]``, ``B[i-1,i]``, ``B[i,i+1]`` and ``B[i+1,i]`` (indices mod
-    n), which it overwrites, ready for one solve: LAPACK factors the bands
-    in place, so a second :meth:`solve` raises.
+    """A periodic tridiagonal ``B``, from its ``(3, n)`` stencil data in
+    offset order, ``B[i,i]``, ``B[i,i-1]`` and ``B[i,i+1]`` (indices mod n),
+    which it overwrites, ready for one solve: LAPACK factors them in place,
+    so a second :meth:`solve` raises.
 
     With ``gamma = -B[0,0]`` (or -1 where that is 0), ``B = T + w v^T`` for
     ``w = (gamma, 0, .., 0, B[n-1,0])``, ``v = (1, 0, .., 0, B[0,n-1]/gamma)``
@@ -157,7 +159,9 @@ class PeriodicTridiagonalLU:
     the right-hand side and ``w`` at once, one ``dgtsv`` call on the two
     columns ``[rhs | w]``, then applies the rank-one update
     (Sherman-Morrison).  ``dominant`` says that ``B`` is finite and strictly
-    diagonally dominant by rows or, tested only if not, by columns: then
+    diagonally dominant by rows or, tested only if not, by columns (column
+    ``i`` holds ``B[i-1,i]``, row ``i-1``'s upper entry, and ``B[i+1,i]``,
+    row ``i+1``'s lower one): then
     ``B`` and ``T`` are nonsingular, the pivoted LU is stable and the
     Sherman-Morrison denominator is not 0.  A non-finite entry raises
     :class:`LinearSolveFailed` here; a zero pivot of ``T`` and a zero
@@ -166,14 +170,15 @@ class PeriodicTridiagonalLU:
 
     def __init__(self, bands: np.ndarray):
         size = np.abs(bands)
-        margins = size[0] - size[1:3] - size[3:]  # by rows, by columns
-        # rows first; NaN fails every comparison, an infinite diagonal the last one
-        by_rows_or_columns = margins[0].min() > 0 or margins[1].min() > 0
-        self.dominant = by_rows_or_columns and margins.max() < math.inf
+        margins = size[0] - size[1] - size[2]  # by rows
+        if not margins.min() > 0:  # by columns: B[i-1,i] and B[i+1,i]
+            margins = size[0] - np.roll(size[2], 1) - np.roll(size[1], -1)
+        # NaN fails every comparison, an infinite diagonal the last one
+        self.dominant = margins.min() > 0 and margins.max() < math.inf
         if not (self.dominant or np.isfinite(bands).all()):
             raise LinearSolveFailed("non-finite entry in the 1D system")
         # scalars as Python floats: the IEEE operations of 0-d arrays, at less cost
-        diag, upper_corner, lower_corner = bands[0], bands.item(1, 0), bands.item(3, -1)
+        diag, upper_corner, lower_corner = bands[0], bands.item(1, 0), bands.item(2, -1)
         gamma = -(diag.item(0) or 1.0)
         diag[0] -= gamma
         diag[-1] -= lower_corner * upper_corner / gamma
@@ -189,7 +194,7 @@ class PeriodicTridiagonalLU:
         columns = np.zeros((2, len(rhs)))
         columns[0] = rhs
         columns[1, 0], columns[1, -1] = self._gamma, self._lower_corner
-        *_, info = _lapack()(bands[4, :-1], bands[0], bands[3, :-1], columns.T, 1, 1, 1, 1)
+        *_, info = _lapack()(bands[1, 1:], bands[0], bands[2, :-1], columns.T, 1, 1, 1, 1)
         if info != 0:
             raise LinearSolveFailed(f"dgtsv returned info={info}")
         y, z = columns

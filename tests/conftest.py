@@ -40,8 +40,9 @@ def cosine_density(grid, amplitude=0.5):
 
 
 def as_csr(op):
-    """The scipy CSR matrix of a ``StencilOperator``: the oracle's copy, with
-    each row's columns sorted as the operator stores them."""
+    """The scipy CSR matrix of a ``StencilOperator``: the oracle's copy, each
+    row's entries stored in the operator's slot order (cell, lower, upper
+    neighbours), which is the order scipy's product sums them in."""
     width, ncells = op.data.shape
     indptr = np.arange(0, width * ncells + 1, width)
     return sp.csr_matrix(

@@ -676,9 +676,19 @@ BAD_OPTIONS = {
     "check-cold_mu0_ladder": (
         "check", "continuation = true\nwarm_start = false\nmus = 1.0, 0.0\n"
     ),
-    # solve_mfg's cold-start ConfigError, raised once the solve has started
+    # solve_mfg's cold-start ConfigError, now raised before any solve, where
+    # check exited 0 on a first rung at mu = 0
     "solve-cold_mu0": ("solve", "mu = 0\n"),
     "study-cold_mu0": ("study", "mu = 0\n"),
+    "check-cold_mu0": ("check", "mu = 0\n"),
+    "check-cold_mu0_epsilons_ladder": ("check", "mu = 0\ncontinuation = true\nepsilons = 0.1\n"),
+    "check-cold_mu0_first_of_mus": ("check", "continuation = true\nmus = 0\n"),
+    # ladder keys without continuation: check exited 0, and solve ran one
+    # solve at the config's mu
+    "check-mus_without_continuation": ("check", "mus = 1, 0.5\n"),
+    "solve-mus_without_continuation": ("solve", "mus = 1, 0.5\n"),
+    "check-epsilons_without_continuation": ("check", "epsilons = 0.1\n"),
+    "solve-epsilons_without_continuation": ("solve", "epsilons = 0.1\n"),
     # no Picard iteration: it wrote a bundle and exited 3
     "check-max_outer_iter": ("check", "max_outer_iter = 0\n"),
     "solve-max_outer_iter": ("solve", "max_outer_iter = 0\n"),
@@ -738,29 +748,41 @@ def test_bad_options_are_rejected(tmp_path, command, options, code, prefix):
 @pytest.mark.parametrize(
     "option, message",
     [
-        ("mu", "mu must be nonnegative and finite, got nan"),
-        ("fp_tol", "fp_tol must be positive and finite"),
+        ("mu = nan", "mu must be nonnegative and finite, got nan"),
+        ("fp_tol = nan", "fp_tol must be positive and finite"),
+        ("m0 = cosine_bump(abc)", "m0: bad cosine bump amplitude 'abc'"),
+        ("m0 = cosine_bump()", "m0: bad cosine bump amplitude ''"),
     ],
-    ids=["mu", "fp_tol"],
+    ids=["mu", "fp_tol", "m0_abc", "m0_empty"],
 )
 def test_nan_option_is_rejected(tmp_path, capsys, command, option, message):
     """NaN fails no ``x <= 0`` test: ``mu = nan`` solved on the singular
-    mu = 0 branch, and ``fp_tol = nan`` would accept no Picard iterate."""
+    mu = 0 branch, and ``fp_tol = nan`` would accept no Picard iterate.  A
+    cosine bump amplitude that is no number was rejected without naming
+    ``m0``."""
     out_dir = tmp_path / "out"
     path = write_config(
-        tmp_path, f"n = 8\nnt = 8\n{option} = nan\n" + "output_dir = {out}\n", out=out_dir
+        tmp_path, f"n = 8\nnt = 8\n{option}\n" + "output_dir = {out}\n", out=out_dir
     )
     assert main([command, path]) == EXIT_STRUCTURAL
     assert capsys.readouterr().err.splitlines() == [f"rejected: {message}"]
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "study"])
+@pytest.mark.parametrize("command", ["check", "solve", "study"])
 @pytest.mark.parametrize("under", ["file", "subdirectory"])
-def test_unwritable_output_dir_exits_two(tmp_path, capsys, command, under):
+def test_unwritable_output_dir_exits_two(tmp_path, capsys, monkeypatch, command, under):
     """An ``output_dir`` that is a regular file, or lies under one, raised
     ``FileExistsError`` or ``NotADirectoryError`` after the solve: a
-    traceback and exit 1, the code of a structural rejection."""
+    traceback and exit 1, the code of a structural rejection.  Every command,
+    ``check`` too, now raises it while it loads the run, before any solve."""
+    from congestion_mfg import cli, coupler
+
+    def no_solve(*args, **kwargs):
+        pytest.fail("solved before checking output_dir")
+
+    for module in (cli, coupler):
+        monkeypatch.setattr(module, "solve_mfg", no_solve)
     afile = tmp_path / "afile"
     afile.write_text("")
     out_dir = afile if under == "file" else afile / "sub"

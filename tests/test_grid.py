@@ -370,21 +370,32 @@ class TestBatchedGaussianSmooth:
 class TestStencilSlots:
     @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
     def test_slots_group_the_offsets(self, grid):
+        """Row r of ``cols`` is offset r for every cell: the cell, its lower
+        neighbour per axis, then its upper neighbour per axis."""
+        pattern = stencil_pattern(grid)
+        cells = np.arange(grid.ncells).reshape(grid.shape)
+        offsets = [cells.ravel()]
+        offsets += [np.roll(cells, 1, axis=ax).ravel() for ax in range(grid.dim)]
+        offsets += [np.roll(cells, -1, axis=ax).ravel() for ax in range(grid.dim)]
+        assert np.array_equal(pattern.cols, np.stack(offsets))
+
+    @pytest.mark.parametrize("grid", grids(), ids=["1d", "2d"])
+    def test_transpose_is_an_involution_onto_the_mirrored_entry(self, grid):
+        """``transpose`` sends slot (r, i), the entry (i, cols[r, i]), to the
+        slot of the entry (cols[r, i], i), and twice round is the identity."""
         pattern = stencil_pattern(grid)
         width = 2 * grid.dim + 1
-        assert pattern.slots.shape == (width, grid.ncells)
-        every_slot = np.arange(width * grid.ncells)
-        assert np.array_equal(np.sort(pattern.slots.ravel()), every_slot)
-        # each slot sits in its own row and holds its offset's column
-        cells = np.arange(grid.ncells).reshape(grid.shape)
-        neighbours = [cells.ravel()]
-        neighbours += [np.roll(cells, 1, axis=ax).ravel() for ax in range(grid.dim)]
-        neighbours += [np.roll(cells, -1, axis=ax).ravel() for ax in range(grid.dim)]
-        rows = np.broadcast_to(cells.ravel(), (width, grid.ncells))
-        assert np.array_equal(pattern.slots % grid.ncells, rows)
-        assert np.array_equal(pattern.cols.flat[pattern.slots], np.stack(neighbours))
-        # each row's columns are sorted
-        assert (np.diff(pattern.cols, axis=0) > 0).all()
+        slot = np.arange(width * grid.ncells).reshape(width, grid.ncells)
+        mirror = pattern.transpose
+        assert np.array_equal(np.sort(mirror.ravel()), slot.ravel())
+        assert np.array_equal(mirror.ravel()[mirror], slot)
+        rows = np.broadcast_to(np.arange(grid.ncells), (width, grid.ncells))
+        assert np.array_equal(mirror % grid.ncells, pattern.cols)
+        assert np.array_equal(pattern.cols.ravel()[mirror], rows)
+        # the cell's slot is its own mirror, and each lower slot meets an upper one
+        assert np.array_equal(mirror[0], slot[0])
+        swapped = [0, *range(1 + grid.dim, width), *range(1, 1 + grid.dim)]
+        assert (mirror // grid.ncells == np.array(swapped)[:, None]).all()
 
 
 class TestRestriction:
