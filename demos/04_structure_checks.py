@@ -20,14 +20,13 @@ from congestion_mfg import (
 from congestion_mfg.model import congestion_lagrangian
 
 print("structure reports over a (beta, alpha) sweep:")
-print("beta   alpha  valid  threshold  uniqueness  hp2")
+print("beta   alpha  valid  threshold  uniqueness")
 for beta in (1.2, 1.5, 2.0, 2.5):
     for alpha in (0.5, 4.0 * (beta - 1.0) / beta, 3.0):
         p = ModelParams(nu=0.5, beta=beta, alpha=alpha, mu=1.0, horizon=1.0)
         rep = check_structure(p)
         print(f"{beta:<6g} {alpha:<6.3g} {str(rep.valid_ranges):<6} "
-              f"{rep.uniqueness_threshold:<10.4g} {str(rep.uniqueness_ok):<11} "
-              f"{rep.hp2_sampled_ok}")
+              f"{rep.uniqueness_threshold:<10.4g} {rep.uniqueness_ok}")
 
 print("\nFenchel-equality residuals |L(m, -H_p) - (H_p.p - H)| / max(1, H)")
 print("(certifying c_beta = 1/beta', gamma = alpha/(beta-1)):")

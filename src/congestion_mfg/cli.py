@@ -2,7 +2,8 @@
 
 Run configurations are flat UTF-8 ``key = value`` files with ``#`` comments
 and no nesting; unknown keys, ``enforce_nonneg_check`` among them (density
-positivity is always checked), are rejected with the offending line number.
+positivity is always checked), and a key set twice are rejected with the
+offending line number.
 Every command that reads a config builds every grid, initial density and
 option object, and checks that ``output_dir`` can be made, in ``_load_run``
 before any solve, so ``check`` rejects what ``solve`` and ``study`` reject.
@@ -12,7 +13,8 @@ codes form a stable contract, and ``_EXIT_CODES`` maps exceptions to them
 the same way for every command:
 
     0  success
-    1  structural rejection: parameter ranges, ``ConfigError``, or a
+    1  structural rejection: parameter ranges (``check`` prints its report,
+       ``solve`` and ``study`` a ``rejected:`` line), ``ConfigError``, or a
        ``ValueError`` raised while the run is loaded
     2  config or I/O error: ``ConfigParseError``, unreadable bundle, or an
        ``OSError`` such as an ``output_dir`` that cannot be written
@@ -110,13 +112,14 @@ _CONFIG: dict[str, tuple[object, object]] = {
 
 
 def parse_config(path) -> dict:
-    """Flat ``key = value`` file; unknown keys and bad values are errors."""
+    """Flat ``key = value`` file; unknown, repeated and bad-valued keys are errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     cfg = {key: default for key, (_, default) in _CONFIG.items()}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,6 +130,9 @@ def parse_config(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG:
             raise ConfigParseError(f"unknown key {key!r}", lineno)
+        if key in first_line:
+            raise ConfigParseError(f"key {key!r} repeats line {first_line[key]}", lineno)
+        first_line[key] = lineno
         caster, _ = _CONFIG[key]
         try:
             cfg[key] = caster(value)
@@ -281,7 +287,6 @@ def _print_report(report) -> None:
         print(f"violation: {violation}")
     print(f"uniqueness_threshold: {report.uniqueness_threshold:.12g}")
     print(f"uniqueness_ok: {str(report.uniqueness_ok).lower()}")
-    print(f"hp2_sampled_ok: {str(report.hp2_sampled_ok).lower()}")
 
 
 @_exit_codes
@@ -310,11 +315,6 @@ def _run(params, coupling, schedule, grid, m0, fp_opts):
 @_exit_codes
 def cmd_solve(config_path) -> int:
     cfg, params, coupling, schedule, [run] = _load_run(config_path, 1)
-    report = check_structure(params)
-    if not report.valid_ranges:
-        _print_report(report)
-        return EXIT_STRUCTURAL
-
     out_dir = cfg["output_dir"]
     result, code = _run(params, coupling, schedule, *run)
     if not result.solutions:

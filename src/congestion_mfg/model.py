@@ -51,9 +51,8 @@ class ModelParams:
     ``beta`` is the gradient exponent, ``alpha`` the congestion exponent,
     ``mu`` the congestion offset (0 flags the singular regime), ``nu`` the
     diffusion coefficient, ``horizon`` the time horizon T, and ``epsilon`` the
-    scheme's width: density cap ``1/epsilon`` inside H, coupling mollifier.  Derived
-    quantities (Lagrangian exponent/normalization, the gradient-square
-    constants of the power family) are exposed as properties.  Out-of-range
+    scheme's width: density cap ``1/epsilon`` inside H, coupling mollifier.  The
+    Lagrangian exponents and normalization are properties.  Out-of-range
     ``beta`` or ``alpha`` are representable so that :func:`check_structure`
     can report on them; the solvers reject them at entry.
     """
@@ -95,21 +94,6 @@ class ModelParams:
     @property
     def is_singular(self) -> bool:
         return self.mu == 0.0
-
-    @property
-    def hp2_constants(self) -> tuple[float, float, float]:
-        """Concrete (C0, C1, C2) making the derived gradient-square bound
-
-            m^{gamma+1} (|H_p|^2 - C0) <= C1 m (H_p.p - H + C2)
-
-        hold for this power family: C0 = max(1, 2^{gamma-1}) absorbs the
-        (m+mu)^gamma split, C1 = beta' comes from H_p.p - H = H/ (beta'-1),
-        and C1*C2 = C0*mu^gamma covers the mu-offset remainder.
-        """
-        c0 = max(1.0, 2.0 ** (self.gamma - 1.0))
-        c1 = self.beta_prime
-        c2 = c0 * self.mu**self.gamma / c1 if self.mu > 0 else 0.0
-        return (c0, c1, c2)
 
 
 @dataclass(frozen=True)
@@ -276,18 +260,19 @@ class StructureReport:
     valid_ranges: bool
     uniqueness_threshold: float
     uniqueness_ok: bool
-    hp2_sampled_ok: bool
     violations: tuple[str, ...] = ()
 
 
 def check_structure(params: ModelParams) -> StructureReport:
-    """Report-only validation of the exponent ranges and derived bounds.
+    """Report-only validation of the exponent ranges and the uniqueness threshold.
 
     ``valid_ranges`` is the admissible window 1 < beta <= 2, 0 < alpha < inf;
     ``uniqueness_ok`` is the monotonicity threshold alpha <= 4(beta-1)/beta
-    (strictly below 2 in the singular quadratic case); ``hp2_sampled_ok``
-    verifies the derived gradient-square inequality with this instance's
-    concrete constants on a log-spaced (m, |p|) grid.
+    (strictly below 2 in the singular quadratic case).  The paper's
+    gradient-square bound m^{gamma+1} (|H_p|^2 - C0) <= C1 m (H_p.p - H + C2)
+    holds throughout the window for the power family, so nothing samples it:
+    C0 = max(1, 2^{gamma-1}) absorbs the (m+mu)^gamma split, C1 = beta' and
+    C1 C2 = C0 mu^gamma.
     """
     beta, alpha = params.beta, params.alpha
     violations = []
@@ -295,34 +280,18 @@ def check_structure(params: ModelParams) -> StructureReport:
         violations.append(f"beta={beta:g} outside (1, 2]")
     if not 0.0 < alpha < np.inf:
         violations.append(f"alpha={alpha:g} not positive and finite")
-    valid = not violations
 
     threshold = 4.0 * (beta - 1.0) / beta
     uniq = alpha <= threshold
     if params.is_singular and beta == 2.0:
         uniq = uniq and alpha < 2.0
 
-    hp2_ok = _hp2_sampled(params) if valid else False
     return StructureReport(
-        valid_ranges=valid,
+        valid_ranges=not violations,
         uniqueness_threshold=threshold,
         uniqueness_ok=uniq,
-        hp2_sampled_ok=hp2_ok,
         violations=tuple(violations),
     )
-
-
-def _hp2_sampled(params: ModelParams) -> bool:
-    m = np.logspace(-6.0, 6.0, 25)[:, None]
-    pmag = np.logspace(-6.0, 6.0, 25)[None, :]
-    den = (m + params.mu) ** params.alpha
-    hp_mag = pmag ** (params.beta - 1.0) / den
-    bracket = (1.0 / params.beta_prime) * pmag**params.beta / den  # H_p.p - H
-    C0, C1, C2 = params.hp2_constants
-    lhs = m ** (params.gamma + 1.0) * (hp_mag**2 - C0)
-    rhs = C1 * m * (bracket + C2)
-    slack = 1e-9 * np.maximum(1.0, np.abs(rhs))
-    return bool(np.all(lhs <= rhs + slack))
 
 
 # ---------------------------------------------------------------------------

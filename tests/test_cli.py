@@ -159,6 +159,15 @@ class TestCmdCheck:
         assert "uniqueness_ok: true" in out
         assert "uniqueness_threshold: 2" in out
 
+    def test_large_gamma_reports_without_warnings(self, tmp_path, capsys):
+        # gamma = 32 lies in the window; under pytest's error::RuntimeWarning
+        # filter an overflow while reporting fails this test
+        path = write_config(tmp_path, "beta = 2\nalpha = 32\nmu = 1e-6\n")
+        assert cmd_check(path) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "valid_ranges: true" in out and "uniqueness_ok: false" in out
+        assert "hp2_sampled_ok" not in out
+
     def test_rejects_superquadratic(self, tmp_path, capsys):
         path = write_config(tmp_path, "beta = 2.5\nalpha = 1.0\n")
         assert cmd_check(path) == EXIT_STRUCTURAL
@@ -240,9 +249,14 @@ class TestCmdSolve:
         path = write_config(tmp_path, REFERENCE_CONFIG, out=out_dir)
         assert cmd_solve(path) == EXIT_SOLVER
 
-    def test_structural_rejection(self, tmp_path):
+    def test_structural_rejection(self, tmp_path, capsys):
+        # one rejected: line from solve_mfg's ConfigError, as under study;
+        # only check prints the report
         path = write_config(tmp_path, "beta = 2.5\noutput_dir = {out}\n", out=tmp_path / "x")
         assert cmd_solve(path) == EXIT_STRUCTURAL
+        captured = capsys.readouterr()
+        assert captured.err == "rejected: beta=2.5 outside (1, 2]\n"
+        assert captured.out == ""
 
 
 class TestCmdDiagnose:
@@ -662,9 +676,10 @@ BAD_OPTIONS = {
     "study-damping": ("study", "damping = 0\n"),
     "solve-epsilon": ("solve", "epsilon = -0.1\n"),
     "study-epsilon": ("study", "epsilon = -0.1\n"),
-    # the solver's own structure check: study prints no report, unlike check
-    # and solve, and solves nothing
+    # solve_mfg's structure check, raised before any solve work: solve and
+    # study print one rejected: line, only check prints the report
     "study-beta": ("study", "beta = 2.5\n"),
+    "solve-beta": ("solve", "beta = 2.5\n"),
     # a ladder whose first width is not the config's epsilon, which it
     # would otherwise drop without a word
     "solve-epsilon_and_epsilons": (
@@ -712,9 +727,18 @@ REMOVED_OPTIONS = {
     "study-init_m": ("study", "init_m = cosine_bump(2)\n"),
 }
 
+# a key set twice is an error naming both lines, not a silent override
+REPEATED_KEYS = {
+    "check-repeated_n": ("check", "n = 16\n"),
+    "solve-repeated_n": ("solve", "n = 16\n"),
+    "study-repeated_n": ("study", "n = 16\n"),
+}
+
 BAD_OPTION_CASES = {
     **{k: (*v, EXIT_STRUCTURAL, "rejected: ") for k, v in BAD_OPTIONS.items()},
     **{k: (*v, EXIT_CONFIG, "config error: ") for k, v in REMOVED_OPTIONS.items()},
+    **{k: (*v, EXIT_CONFIG, "config error: line 3: key 'n' repeats line 1")
+       for k, v in REPEATED_KEYS.items()},
 }
 
 

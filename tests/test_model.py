@@ -32,6 +32,21 @@ def make_params(beta=2.0, alpha=1.0, mu=1.0, nu=0.5, horizon=1.0):
     return ModelParams(nu=nu, beta=beta, alpha=alpha, mu=mu, horizon=horizon)
 
 
+def hp2_constants(params):
+    """(C0, C1, C2) making the gradient-square bound
+
+        m^{gamma+1} (|H_p|^2 - C0) <= C1 m (H_p.p - H + C2)
+
+    hold for the power family: C0 = max(1, 2^{gamma-1}) absorbs the
+    (m+mu)^gamma split, C1 = beta' comes from H_p.p - H = H/(beta'-1), and
+    C1*C2 = C0*mu^gamma covers the mu-offset remainder.
+    """
+    c0 = max(1.0, 2.0 ** (params.gamma - 1.0))
+    c1 = params.beta_prime
+    c2 = c0 * params.mu**params.gamma / c1 if params.mu > 0 else 0.0
+    return c0, c1, c2
+
+
 class TestDerivedConstants:
     def test_lagrangian_normalization(self):
         p = make_params(beta=1.5, alpha=0.75)
@@ -237,19 +252,28 @@ class TestStructuralInvariants:
 
     @pytest.mark.parametrize(
         "beta,alpha,mu",
-        [(2.0, 1.0, 1.0), (1.5, 0.6, 0.0), (2.0, 2.0, 0.5), (1.2, 1.0 / 3.0, 2.0)],
+        [(2.0, 1.0, 1.0), (1.5, 0.6, 0.0), (2.0, 2.0, 0.5), (1.2, 1.0 / 3.0, 2.0),
+         # gamma >= 32, where m^{gamma+1} overflows at m = 1e6; at beta = 2
+         # and mu = 0 the bound is tight up to C0 m^{gamma+1}
+         (2.0, 32.0, 1e-6), (1.5, 16.0, 0.0), (2.0, 40.0, 1.0), (2.0, 32.0, 0.0)],
     )
     def test_gradient_square_bound_on_log_grid(self, beta, alpha, mu):
+        # in logarithms, wherever the left side is positive (the right side
+        # always is): log lhs <= log(rhs (1 + 1e-9))
         p = make_params(beta=beta, alpha=alpha, mu=mu)
-        C0, C1, C2 = p.hp2_constants
+        C0, C1, C2 = hp2_constants(p)
         m = np.logspace(-6, 6, 49)[:, None]
-        pmag = np.logspace(-6, 6, 49)[None, :]
-        den = (m + mu) ** alpha
-        hp_sq = (pmag ** (beta - 1.0) / den) ** 2
-        bracket = (1.0 / p.beta_prime) * pmag**beta / den
-        lhs = m ** (p.gamma + 1.0) * (hp_sq - C0)
-        rhs = C1 * m * (bracket + C2)
-        assert np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs)))
+        log_m, log_p = np.log(m), np.log(np.logspace(-6, 6, 49))[None, :]
+        log_den = alpha * np.log(m + mu)
+        log_hp_sq = 2.0 * (beta - 1.0) * log_p - 2.0 * log_den
+        positive = log_hp_sq > np.log(C0)
+        gap = np.log(C0) - np.where(positive, log_hp_sq, np.inf)
+        log_lhs = (p.gamma + 1.0) * log_m + log_hp_sq + np.log1p(-np.exp(gap))
+        log_bracket = beta * log_p - log_den - np.log(p.beta_prime)
+        log_c2 = np.log(C2) if C2 > 0 else -np.inf
+        log_rhs = np.log(C1) + log_m + np.logaddexp(log_bracket, log_c2)
+        assert positive.any()
+        assert np.all(log_lhs[positive] <= (log_rhs + np.log1p(1e-9))[positive])
 
 
 class TestCheckStructure:
@@ -257,7 +281,15 @@ class TestCheckStructure:
         rep = check_structure(make_params(beta=2.0, alpha=2.0, mu=1.0))
         assert rep.valid_ranges and rep.uniqueness_ok
         assert rep.uniqueness_threshold == 2.0
-        assert rep.hp2_sampled_ok
+
+    @pytest.mark.parametrize("beta,alpha,mu", [(2.0, 32.0, 1e-6), (1.01, 31.6, 10.0)])
+    def test_large_gamma_is_valid(self, beta, alpha, mu):
+        # gamma >= 32, where m^{gamma+1} and mu^gamma leave the double range
+        # (gamma = 3160 in the second row): the report decides only the ranges
+        # and the threshold, so it neither warns nor raises
+        rep = check_structure(make_params(beta=beta, alpha=alpha, mu=mu))
+        assert rep.valid_ranges and not rep.uniqueness_ok
+        assert rep.violations == ()
 
     def test_above_threshold(self):
         rep = check_structure(make_params(beta=1.5, alpha=1.4))
