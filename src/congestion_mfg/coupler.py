@@ -10,7 +10,8 @@ Newton and linear tolerances of both sweeps are constants of
 :mod:`~congestion_mfg.hjb` and :mod:`~congestion_mfg.linalg`, and the forward
 sweep's positivity check cannot be switched off.  The relaxation factor omega
 starts at the configured damping and is adapted per cell: halved where the
-update flips sign, and free to reach full steps where the update keeps its
+update flips sign and shrinks less than threefold, kept where a flipped
+update shrank more, and free to reach full steps where the update keeps its
 sign and shrinks (see FixedPointOptions).  Iteration stops when the
 undamped best-response residual drops below tolerance in L1(Q_T).  On top
 of the plain fixed point sit the regularization ladder (truncation and
@@ -57,15 +58,20 @@ class FixedPointOptions:
     """Damped Picard controls.
 
     ``damping`` is the starting relaxation factor.  The factor is tracked
-    per cell and level: wherever the best-response update flips sign
-    between outer iterations the local factor is halved (down to
-    ``OMEGA_MIN``), where it persists it recovers geometrically (by
-    ``OMEGA_GROWTH``).  Its cap is 1 (a full step) where the update keeps
-    shrinking in magnitude and ``damping`` wherever it does not.  Halving
-    arrests the local relaxation oscillation the sub-quadratic drift
-    (beta < 2) excites near critical points of u, since a period-2
-    oscillation flips sign every iteration; where the iteration contracts
-    monotonically, as at beta = 2, the cells take full steps.  At
+    per cell and level: where the best-response update flips sign between
+    outer iterations and ``|update| >= |prev_update| / 3``, the local factor
+    is halved (down to ``OMEGA_MIN``); a flipped update that shrank more
+    than threefold keeps its factor; where the sign persists the factor
+    recovers geometrically (by ``OMEGA_GROWTH``).  Its cap is 1 (a full
+    step) where the update shrinks in magnitude and ``damping`` wherever it
+    does not.  In a cell's linear model, where the update ratio is
+    ``r = update / prev_update``, halving the factor turns ``r`` into
+    ``(1 + r) / 2``, which is smaller in magnitude exactly when ``r < -1/3``.
+    Halving arrests the local relaxation oscillation the sub-quadratic
+    drift (beta < 2) excites near critical points of u, since a period-2
+    oscillation flips sign every iteration without shrinking; where the
+    iteration contracts, as at beta = 2, the cells take full steps, and an
+    overshoot that flips a cell's much smaller update is left alone.  At
     ``damping = 1`` both caps are 1.
     The stopping test is the undamped best-response residual
     ||Phi(m) - m|| <= fp_tol in L1(Q_T), which dominates the recorded
@@ -156,6 +162,19 @@ class MFGSolution:
     @property
     def converged(self) -> bool:
         return bool(self.meta.get("converged", True))
+
+
+def _relaxation_factors(
+    omega: np.ndarray, update: np.ndarray, prev_update: np.ndarray, damping: float
+) -> np.ndarray:
+    """The per-cell relaxation factors after ``update``, by the rule that
+    :class:`FixedPointOptions` states."""
+    size, prev_size = np.abs(update), np.abs(prev_update)
+    flipped = update * prev_update < 0.0
+    halve = flipped & (size >= prev_size / 3.0)
+    grown = np.where(flipped, omega, omega * OMEGA_GROWTH)
+    omega = np.where(halve, omega * 0.5, grown)
+    return np.clip(omega, OMEGA_MIN, np.where(size < prev_size, 1.0, damping))
 
 
 def _normalized(grid: GridSpec, f: np.ndarray) -> np.ndarray:
@@ -249,12 +268,7 @@ def solve_mfg(
         if resid < best_resid:
             best_resid, best_m = resid, m_cur
         if prev_update is not None:
-            flipped = update * prev_update < 0.0
-            omega = np.where(flipped, omega * 0.5, omega * OMEGA_GROWTH)
-            contracting = np.abs(update) < np.abs(prev_update)
-            omega = np.clip(
-                omega, OMEGA_MIN, np.where(contracting, 1.0, fp_opts.damping)
-            )
+            omega = _relaxation_factors(omega, update, prev_update, fp_opts.damping)
         prev_update = update
         step = omega * update
         # keep every level's mass exact: project the step to zero mean

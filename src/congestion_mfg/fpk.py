@@ -21,7 +21,9 @@ neighbour.  A transport whose data is not shaped like the pattern's raises
 ``ValueError``.  Each system is solved to
 :data:`~congestion_mfg.linalg.LINEAR_TOL`, as the HJB step's Newton systems
 are: one linear tolerance for both sweeps.  A previous frame below
-``-NEGATIVE_TOL`` or holding a NaN raises ``ValueError`` before the solve.
+``-NEGATIVE_TOL`` or holding a NaN raises ``ValueError`` before the solve;
+a sweep checks only ``m0``, since each step's output check covers the next
+step's input.
 A computed frame below ``-NEGATIVE_TOL`` means the system was no M-matrix;
 it always raises :class:`NegativeDensity`, a check no option switches off.
 A non-finite frame never comes back: :func:`sparse_solve` raises
@@ -50,6 +52,13 @@ def fpk_step(
     """Advance the density one level with the transposed generator ``transport``."""
     if not float(m_prev.min()) >= -NEGATIVE_TOL:  # a NaN fails the comparison
         raise ValueError("previous density frame must be nonnegative")
+    return _step(grid, m_prev, transport, params)
+
+
+def _step(
+    grid: GridSpec, m_prev: np.ndarray, transport: StencilOperator, params: ModelParams
+) -> np.ndarray:
+    """:func:`fpk_step` on a frame that has passed its entry check."""
     heat = implicit_heat_data(grid, params.nu)
     if np.shape(transport.data) != heat.shape:
         raise ValueError(
@@ -75,5 +84,6 @@ def solve_fpk_forward(
     m = grid.zeros_traj()
     m[0] = _nonnegative(np.asarray(m0, dtype=float), "initial density")
     for k in range(grid.nt):
-        m[k + 1] = fpk_step(grid, m[k], transports[k], params)
+        # frame k passed m0's guard or the previous step's output check
+        m[k + 1] = _step(grid, m[k], transports[k], params)
     return m

@@ -15,7 +15,8 @@ from congestion_mfg import (
     solve_mfg,
     solve_with_continuation,
 )
-from congestion_mfg.coupler import _normalized
+from congestion_mfg.coupler import OMEGA_GROWTH, OMEGA_MIN, _normalized
+from congestion_mfg.coupler import _relaxation_factors
 from congestion_mfg.diagnostics import uniqueness_gap
 from congestion_mfg.errors import ConfigError
 from congestion_mfg.fpk import solve_fpk_forward
@@ -45,6 +46,53 @@ class TestMollify:
         out = gaussian_smooth(grid, f, 0.02)
         assert abs(integrate(grid, out) - 1.0) < 1e-13
         assert out.min() >= 0.0
+
+
+class TestRelaxationFactors:
+    """The per-cell factor after one update, on synthetic cells."""
+
+    @staticmethod
+    def factors(omega, update, prev_update, damping=0.5):
+        return _relaxation_factors(
+            np.asarray(omega, dtype=float),
+            np.asarray(update, dtype=float),
+            np.asarray(prev_update, dtype=float),
+            damping,
+        )
+
+    def test_a_flip_that_shrinks_more_than_threefold_keeps_omega(self):
+        out = self.factors([0.4, 0.98, 0.3], [-0.2, 4e-3, -0.0999], [1.0, -0.1, 0.3])
+        assert np.array_equal(out, [0.4, 0.98, 0.3])
+
+    def test_a_flip_that_shrinks_less_or_grows_halves_omega(self):
+        # exactly a third of the previous size still halves
+        out = self.factors([0.4] * 4, [-0.5, -1.0, 2.0, -3.0], [1.0, 3.0, -1.0, 3.0])
+        assert np.array_equal(out, [0.2] * 4)
+
+    def test_a_kept_sign_grows_to_its_cap(self):
+        damping = 0.5
+        omega = np.array([0.5, 0.9, 0.3, 0.45, 0.45])
+        update = np.array([0.5, -0.1, 0.5, 1.0, 2.0])
+        prev = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
+        out = self.factors(omega, update, prev, damping)
+        # shrinking: capped at 1; equal or growing: capped at damping
+        grown = [0.5 * OMEGA_GROWTH, 1.0, 0.3 * OMEGA_GROWTH, damping, damping]
+        assert np.array_equal(out, grown)
+
+    def test_the_floor_holds(self):
+        out = self.factors([OMEGA_MIN, 1.5 * OMEGA_MIN], [-1.0, -1.0], [1.0, 1.0])
+        assert np.array_equal(out, [OMEGA_MIN, OMEGA_MIN])
+
+    def test_halving_exactly_where_it_helps_the_linear_model(self):
+        """A cell of a linear map with update ratio r = update/prev_update at
+        factor omega has ratio (1 + r)/2 at omega/2: halving helps exactly
+        where |(1 + r)/2| < |r|, that is r < -1/3."""
+        ratios = np.concatenate(
+            [np.linspace(-3.0, -0.34, 50), np.linspace(-0.33, 1.0, 50)]
+        )
+        omega = np.full(ratios.shape, 0.4)
+        out = self.factors(omega, ratios, np.ones_like(ratios))
+        assert np.array_equal(out < omega, np.abs((1.0 + ratios) / 2.0) < np.abs(ratios))
 
 
 class TestSolveMFG:
@@ -156,7 +204,7 @@ class TestSolveMFG:
     def test_contracting_cells_take_full_steps(self, dim):
         """The beta = 2 reference at n = nt = 16 contracts monotonically, so
         its cells leave the damping cap for full steps: at most 12 outer
-        iterations at the default damping (10 in 1D and 8 in 2D; a cap held
+        iterations at the default damping (8 in 1D and 7 in 2D; a cap held
         at 0.5 took 21 and 20).  The limit is the undamped solve's: both
         iterates have best-response residual r <= fp_tol, so for a map with
         Lipschitz constant L < 1 in L1(Q_T), ||m_a - m_b|| <= (r_a + r_b) /
@@ -177,6 +225,14 @@ class TestSolveMFG:
         assert lipschitz < 0.6
         bound = (damped.meta["residual"] + full.meta["residual"]) / (1.0 - lipschitz)
         assert l1_space_time(grid, damped.m - full.m) <= bound
+
+    @pytest.mark.parametrize("fixture", ["ref32", "ref64"])
+    def test_reference_takes_at_most_seven_outer_iterations(self, fixture, request):
+        """A near-full step on the beta = 2 reference flips most cells' update
+        while shrinking it many times over; halving there would slow the
+        next step (10 and 9 iterations when every flip halved)."""
+        sol = request.getfixturevalue(fixture)
+        assert sol.converged and sol.meta["outer_iters"] <= 7
 
     def test_initialization_invariance(self):
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)

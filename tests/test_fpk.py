@@ -107,6 +107,24 @@ class TestFPKStep:
         with pytest.raises(ValueError, match="nonnegative"):
             solve_fpk_forward(grid, transports, m0, PARAMS)
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_forward_sweep_is_the_chain_of_steps(self, dim, n):
+        # the sweep skips each later frame's entry check, not its arithmetic
+        grid = GridSpec(dim=dim, n=n, nt=4, horizon=1.0)
+        rng = np.random.default_rng(4)
+        transports = [
+            transport_from_field(
+                grid, rng.normal(size=grid.shape), rng.random(grid.shape) + 0.05
+            )
+            for _ in range(grid.nt)
+        ]
+        m0 = rng.random(grid.shape)
+        chain = [m0]
+        for transport in transports:
+            chain.append(fpk_step(grid, chain[-1], transport, PARAMS))
+        sweep = solve_fpk_forward(grid, transports, m0, PARAMS)
+        assert np.array_equal(sweep.view(np.int64), np.array(chain).view(np.int64))
+
     def test_forward_sweep_accepts_its_own_frames(self):
         # 2D, nearly inviscid, indicator start: the first step returned a
         # frame with min -7.8e-18 that the next step rejected as negative,

@@ -579,7 +579,7 @@ def test_fft_preconditioner_gives_the_same_solve(monkeypatch):
     ours = solve()
     monkeypatch.setattr(linalg, "heat_inverse", fft_heat_inverse)
     ref = solve()
-    assert ours.meta["outer_iters"] == ref.meta["outer_iters"] == 8
+    assert ours.meta["outer_iters"] == ref.meta["outer_iters"] == 7
     assert np.abs(ours.u - ref.u).max() <= 1e-10
     assert np.abs(ours.m - ref.m).max() <= 1e-10
 
