@@ -3,14 +3,16 @@
 A bundle is a directory of u.csv, m.csv, policy.csv and meta.json.  The drift
 is scalar-valued in 1D and lives in ``policy.csv``; in 2D its two components
 go to ``policy_x.csv`` and ``policy_y.csv`` (the mandated header has a single
-value column).  ``meta.json`` carries the solver metadata (epsilon, mu,
+value column).  The policy files are for outside readers only:
+:func:`load_solution` reads u.csv, m.csv and meta.json, and the drift is
+derived from (u, m).  ``meta.json`` carries the solver metadata (epsilon, mu,
 outer_iters, increments, newton_residual_max, wall_time_seconds) plus the
 grid, model and coupling constants needed to re-run diagnostics from the
 bundle alone.  The width is ``model.epsilon``; a bundle written before the
 model held it has only the top-level ``epsilon``, which :func:`load_solution`
 then reads.  Keys of older bundles load when they hold what is now fixed, and
-raise ``ValueError`` otherwise: ``model.m_floor`` (the empty-cell floor) if
-it is ``model.M_FLOOR``, and ``coupling.family`` and its three tables
+raise ``ValueError`` otherwise: ``model.m_floor`` (the empty-cell floor) if it
+is ``model.M_FLOOR``, and ``coupling.family`` and its three tables
 (``table_s``, ``table_f``, ``table_g``) if they are ``"power"`` and empty.
 
 A field CSV has the header ``t,x[,y],value`` and one row per cell per time
@@ -89,12 +91,7 @@ def load_solution(directory) -> MFGSolution:
 
     u = read_field_csv(os.path.join(directory, "u.csv"), grid)
     m = read_field_csv(os.path.join(directory, "m.csv"), grid)
-    policy = np.zeros((grid.nt + 1, grid.dim, *grid.shape))
-    for ax, name in enumerate(_POLICY_FILES[grid.dim]):
-        policy[:, ax] = read_field_csv(os.path.join(directory, name), grid)
-    return MFGSolution(
-        grid=grid, params=params, coupling=coupling, u=u, m=m, policy=policy, meta=meta
-    )
+    return MFGSolution(grid=grid, params=params, coupling=coupling, u=u, m=m, meta=meta)
 
 
 def write_field_csv(path, grid: GridSpec, traj: np.ndarray) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,15 +146,21 @@ class ContinuationSchedule:
 
 @dataclass(eq=False)
 class MFGSolution:
-    """Converged (u, m) pair with the upwind drift and solver metadata."""
+    """Converged (u, m) pair and solver metadata; the drift is derived from (u, m)."""
 
     grid: GridSpec
     params: ModelParams
     coupling: CouplingSpec
     u: np.ndarray  # (nt+1, *shape)
     m: np.ndarray  # (nt+1, *shape)
-    policy: np.ndarray  # (nt+1, dim, *shape)
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def policy(self) -> np.ndarray:
+        """Upwind drift -H_p(T m, Du), (nt+1, dim, *shape), all levels on first use."""
+        parts = upwind_parts(self.grid, self.u)
+        congestion = congestion_denominator(self.m, self.params)
+        return drift_field(self.grid, parts, congestion, self.params)
 
     @property
     def epsilon(self) -> float:
@@ -291,12 +298,6 @@ def solve_mfg(
             resid, m_cur = best_resid, best_m
             backward = solve_hjb_backward(grid, m_cur, params, coupling)
             worst_newton = max(worst_newton, backward.max_newton_residual)
-    # the last sweep's generators go before the policy's stacked kernels run
-    u = backward.u
-    del backward
-    policy = drift_field(
-        grid, upwind_parts(grid, u), congestion_denominator(m_cur, params), params
-    )
 
     meta = {
         "epsilon": float(params.epsilon),
@@ -313,9 +314,8 @@ def solve_mfg(
         grid=grid,
         params=params,
         coupling=coupling,
-        u=u,
+        u=backward.u,
         m=m_cur,
-        policy=policy,
         meta=meta,
     )
 

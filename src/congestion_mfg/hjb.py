@@ -47,14 +47,14 @@ per level and ``upwind_parts(grid, u)`` once per Newton iterate.  The
 kernels :func:`hamiltonian_values`, :func:`transport_jacobian` and
 :func:`drift_field` all take these as ``(grid, parts, congestion, params)``,
 for one frame or for a stack of frames with the frame axis first: the
-solver calls them one level at a time, while the coupler's drift and the
+solver calls them one level at a time, while a solution's drift and the
 diagnostics pass a whole trajectory in one call, and every frame of a
 stacked result has the bits of the single-frame call.
 The generator ``A`` at the converged state, built from the final residual's
 parts, is all the step emits of the linearization: the forward Kolmogorov
 stepper consumes its exact transpose, which closes the diagnostics' discrete
-energy identities up to solver tolerances, and the coupler computes the
-drift ``-H_p`` once from the returned solution, all levels in one call.
+energy identities up to solver tolerances, and ``MFGSolution.policy``
+derives the drift ``-H_p`` from (u, m) on first use, all levels in one call.
 ``A`` is a :class:`~congestion_mfg.grid.StencilOperator` on the grid's
 cached stencil pattern, filled as one ``(2*dim + 1, *shape)`` block (one per
 frame of a stack) in the pattern's offset order, which is its data as it

@@ -21,6 +21,7 @@ from congestion_mfg import (
     solve_mfg,
     solve_with_continuation,
 )
+from congestion_mfg import bundles
 from congestion_mfg.bundles import load_solution, save_solution, write_field_csv
 from congestion_mfg.cli import (
     EXIT_BUDGET,
@@ -87,6 +88,25 @@ def assert_owns_memory(sol):
     that keep the whole parsed CSV table alive."""
     for field in (sol.u, sol.m):
         assert field.flags.c_contiguous and field.base is None
+
+
+def assert_loads_without_policy(sol, directory, monkeypatch):
+    """The policy files of ``sol``'s bundle in ``directory`` are never read:
+    with them deleted the bundle loads from two field files, u.csv and m.csv,
+    and its derived drift has the bits of the solver's."""
+    policy_files = sorted(Path(directory).glob("policy*.csv"))
+    assert len(policy_files) == sol.grid.dim
+    for path in policy_files:
+        path.unlink()
+    reads = []
+    read = bundles.read_field_csv
+    monkeypatch.setattr(
+        bundles, "read_field_csv", lambda *args: reads.append(args) or read(*args)
+    )
+    loaded = load_solution(directory)
+    assert len(reads) == 2
+    assert loaded.policy.shape == sol.policy.shape
+    assert loaded.policy.tobytes() == sol.policy.tobytes()
 
 
 class TestConfigParsing:
@@ -271,7 +291,7 @@ class TestCmdDiagnose:
         report = json.loads((tmp_path / "const" / "report.json").read_text())
         assert report["energy_residual"] <= 1e-10
 
-    def test_round_trip_bit_identical(self, ref32, tmp_path):
+    def test_round_trip_bit_identical(self, ref32, tmp_path, monkeypatch):
         save_solution(ref32, tmp_path / "b")
         loaded = load_solution(tmp_path / "b")
         assert np.array_equal(loaded.u, ref32.u)
@@ -280,6 +300,7 @@ class TestCmdDiagnose:
         assert_owns_memory(loaded)
         assert loaded.params == ref32.params
         assert loaded.coupling == ref32.coupling
+        assert_loads_without_policy(ref32, tmp_path / "b", monkeypatch)
 
     def test_bundle_without_model_epsilon_loads(self, tmp_path):
         """A bundle written before ``ModelParams`` carried the width keeps it
@@ -985,7 +1006,7 @@ class TestMain:
 
 
 class Test2DBundle:
-    def test_two_dim_round_trip(self, tmp_path):
+    def test_two_dim_round_trip(self, tmp_path, monkeypatch):
         from congestion_mfg import GridSpec, ModelParams, CouplingSpec, solve_mfg
 
         grid = GridSpec(dim=2, n=8, nt=4, horizon=0.25)
@@ -1001,6 +1022,8 @@ class Test2DBundle:
         assert np.array_equal(loaded.m, sol.m)
         assert np.array_equal(loaded.policy, sol.policy)
         assert_owns_memory(loaded)
+        assert cmd_diagnose(str(tmp_path / "b2")) == EXIT_OK
+        assert_loads_without_policy(sol, tmp_path / "b2", monkeypatch)
         assert cmd_diagnose(str(tmp_path / "b2")) == EXIT_OK
 
     def test_y_major_field_cannot_load(self, tmp_path, capsys):

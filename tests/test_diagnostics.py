@@ -53,7 +53,6 @@ class TestEnergyIdentity:
             coupling=ref64.coupling,
             u=ref64.u + 1e-2 * rng.choice([-1.0, 1.0], size=ref64.u.shape),
             m=ref64.m,
-            policy=ref64.policy,
             meta=ref64.meta,
         )
         assert energy_identity_residual(noisy) >= 10.0 * clean
@@ -267,7 +266,7 @@ def _singular_pair():
         pair.append(
             MFGSolution(
                 grid, params, CouplingSpec(cf=0.5, cg=0.5),
-                u=rng.normal(size=m.shape), m=m, policy=np.zeros((grid.nt + 1, 1, grid.n)),
+                u=rng.normal(size=m.shape), m=m,
             )
         )
     return pair
