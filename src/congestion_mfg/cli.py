@@ -20,7 +20,7 @@ the same way for every command:
        ``OSError`` such as an ``output_dir`` that cannot be written
     3  iteration budget exhausted by any rung (bundle or table still written)
     4  solver failure: any other ``CongestionMFGError``, or a rung that
-       raised (completed rungs are still written)
+       raised one (completed rungs are still written)
     5  grid mismatch between bundles: ``GridMismatch``
 
 A ``ValueError`` raised inside a solve is a defect, not a verdict on the
@@ -331,7 +331,7 @@ def cmd_solve(config_path) -> int:
     print(
         f"solve finished: outer_iters={final.meta['outer_iters']} "
         f"converged={str(final.converged).lower()} "
-        f"final_increment={final.meta['increments'][-1] if final.meta['increments'] else 0.0:.3e} "
+        f"final_increment={final.meta['increments'][-1]:.3e} "
         f"bundle={out_dir}"
     )
     return code

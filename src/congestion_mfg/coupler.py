@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, CongestionMFGError
 from .fpk import solve_fpk_forward
 from .grid import GridSpec, _density_input, gaussian_smooth, integrate, l1_space_time
 from .grid import upwind_parts
@@ -76,7 +76,8 @@ class FixedPointOptions:
     ``damping = 1`` both caps are 1.
     The stopping test is the undamped best-response residual
     ||Phi(m) - m|| <= fp_tol in L1(Q_T), which dominates the recorded
-    increments.  ``max_outer_iter`` is an integer, as ``GridSpec``'s counts are.
+    increments.  ``max_outer_iter`` counts HJB+FPK sweeps, each measuring
+    one iterate; it is an integer, as ``GridSpec``'s counts are.
     """
 
     damping: float = 0.5
@@ -225,11 +226,12 @@ def solve_mfg(
     ignored, else from uniform levels; it is required when ``mu`` is 0: the
     singular problem is reached only by continuation.  A negative entry
     beyond roundoff, a NaN or an infinity in the levels it supplies raises
-    :class:`ConfigError` too.  A budget overrun is
-    not an exception: it returns the iterate with the lowest measured
-    residual, the last one measured by one more FPK sweep, with
-    ``meta['converged'] = False``.
-    ``meta['residual']`` is the returned iterate's residual.
+    :class:`ConfigError` too.  The loop measures every iterate it makes and
+    stops at the first converged one or when the budget's sweeps are spent;
+    one HJB sweep of the lowest-residual iterate then gives ``u``.  A budget
+    overrun is not an exception and runs no extra sweep: it returns that
+    iterate with ``meta['converged'] = False``.  ``meta['residual']`` is its
+    residual, and the last increment is the last measured residual.
     """
     fp_opts = fp_opts or FixedPointOptions()
     report = check_structure(params)
@@ -254,13 +256,12 @@ def solve_mfg(
     increments: list[float] = []
     residuals: list[float] = []
     worst_newton = 0.0
-    converged = False
     # the iterate with the lowest measured residual; no iterate is mutated
     # once it is m_cur, so a reference is enough
     best_resid, best_m = math.inf, m_cur
     omega = np.full_like(m_cur, fp_opts.damping)
     prev_update = None
-    for _ in range(fp_opts.max_outer_iter):
+    for sweep in range(1, fp_opts.max_outer_iter + 1):
         backward = solve_hjb_backward(grid, m_cur, params, coupling)
         worst_newton = max(worst_newton, backward.max_newton_residual)
         m_br = solve_fpk_forward(grid, backward.transports, m0_eps, params)
@@ -268,12 +269,11 @@ def solve_mfg(
         update = m_br - m_cur
         resid = l1_space_time(grid, update)
         residuals.append(resid)
-        if resid <= fp_opts.fp_tol:
-            increments.append(resid)
-            converged = True
-            break
         if resid < best_resid:
             best_resid, best_m = resid, m_cur
+        if resid <= fp_opts.fp_tol or sweep == fp_opts.max_outer_iter:
+            increments.append(resid)
+            break
         if prev_update is not None:
             omega = _relaxation_factors(omega, update, prev_update, fp_opts.damping)
         prev_update = update
@@ -287,35 +287,26 @@ def solve_mfg(
         increments.append(l1_space_time(grid, m_next - m_cur))
         m_cur = m_next
 
-    backward = solve_hjb_backward(grid, m_cur, params, coupling)
+    backward = solve_hjb_backward(grid, best_m, params, coupling)
     worst_newton = max(worst_newton, backward.max_newton_residual)
-    if not converged:
-        # the last iterate is unmeasured: one FPK sweep measures it
-        m_br = solve_fpk_forward(grid, backward.transports, m0_eps, params)
-        resid = l1_space_time(grid, m_br - m_cur)
-        residuals.append(resid)
-        if best_resid < resid:
-            resid, m_cur = best_resid, best_m
-            backward = solve_hjb_backward(grid, m_cur, params, coupling)
-            worst_newton = max(worst_newton, backward.max_newton_residual)
 
     meta = {
         "epsilon": float(params.epsilon),
         "mu": float(params.mu),
-        "outer_iters": len(increments),
+        "outer_iters": len(residuals),
         "increments": increments,
         "residuals": residuals,
-        "residual": resid,
+        "residual": best_resid,
         "newton_residual_max": worst_newton,
         "wall_time_seconds": time.perf_counter() - start,
-        "converged": converged,
+        "converged": best_resid <= fp_opts.fp_tol,
     }
     return MFGSolution(
         grid=grid,
         params=params,
         coupling=coupling,
         u=backward.u,
-        m=m_cur,
+        m=best_m,
         meta=meta,
     )
 
@@ -349,8 +340,10 @@ def solve_with_continuation(
     consecutive rung solutions; decreasing gaps are the numerical shadow of
     the compactness of the regularized family.  A failing rung aborts the
     ladder; completed solutions are still returned.  Rung j runs on
-    ``replace(params, mu=mu_j, epsilon=eps_j)``.  A :class:`ConfigError` is
-    not a rung failure: it rejects the run's inputs and propagates.
+    ``replace(params, mu=mu_j, epsilon=eps_j)``.  A rung fails only by a
+    solver error, a :class:`CongestionMFGError`; a :class:`ConfigError`
+    rejects the run's inputs and any other exception is a defect, so both
+    propagate.
     """
     schedule = schedule or ContinuationSchedule()
     rungs = schedule.rungs(params)
@@ -370,7 +363,7 @@ def solve_with_continuation(
             )
         except ConfigError:
             raise
-        except Exception as exc:  # noqa: BLE001 - rung failures are data
+        except CongestionMFGError as exc:
             failed, error = j, exc
             break
         solutions.append(sol)

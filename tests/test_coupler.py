@@ -18,7 +18,7 @@ from congestion_mfg import (
 from congestion_mfg.coupler import OMEGA_GROWTH, OMEGA_MIN, _normalized
 from congestion_mfg.coupler import _relaxation_factors
 from congestion_mfg.diagnostics import uniqueness_gap
-from congestion_mfg.errors import ConfigError
+from congestion_mfg.errors import ConfigError, NewtonDiverged
 from congestion_mfg.fpk import solve_fpk_forward
 from congestion_mfg.grid import gaussian_smooth, integrate, l1_space_time, restrict_traj
 from congestion_mfg.grid import upwind_parts
@@ -334,8 +334,8 @@ class TestSolveMFG:
 
     @pytest.mark.parametrize("budget", [None, 1], ids=["converged", "last-is-best"])
     def test_sweeps_per_solve(self, budget, monkeypatch):
-        # a converged solve re-runs the HJB sweep once; an overrun whose last
-        # iterate is its best measures that iterate with one more FPK sweep
+        # converged or not, every iteration measures its iterate with one
+        # HJB+FPK sweep, and one HJB sweep of the best iterate gives u
         calls = self._count_sweeps(monkeypatch)
         grid = GridSpec(dim=1, n=16, nt=16, horizon=1.0)
         fp_opts = FixedPointOptions(max_outer_iter=budget or 500)
@@ -344,16 +344,13 @@ class TestSolveMFG:
         )
         iters, residuals = sol.meta["outer_iters"], sol.meta["residuals"]
         assert sol.converged is (budget is None)
-        extra = 0 if sol.converged else 1
-        assert len(residuals) == iters + extra
+        assert len(residuals) == iters
         assert sol.meta["residual"] == residuals[-1] == min(residuals)
-        assert calls == {
-            "solve_hjb_backward": iters + 1, "solve_fpk_forward": iters + extra
-        }
+        assert calls == {"solve_hjb_backward": iters + 1, "solve_fpk_forward": iters}
 
     def test_budget_overrun_returns_the_best_iterate(self, monkeypatch):
         # c09 rung 0: the Picard tail is not monotone, and at a budget of 100
-        # the best measured iterate (iteration 90) beats the last one
+        # the best measured iterate (iteration 98) beats the last one
         grid = GridSpec(dim=1, n=32, nt=32, horizon=1.0)
         params = ModelParams(
             nu=0.5, beta=1.5, alpha=0.6, mu=1.0, horizon=1.0, epsilon=0.05
@@ -366,10 +363,10 @@ class TestSolveMFG:
         )
         residuals = sol.meta["residuals"]
         assert not sol.converged and sol.meta["outer_iters"] == 100
-        assert len(residuals) == 101
+        assert len(residuals) == 100
         assert sol.meta["residual"] == min(residuals) < residuals[-1]
-        # the last iterate is measured, then the winner's HJB sweep re-run
-        assert calls == {"solve_hjb_backward": 102, "solve_fpk_forward": 101}
+        # every iterate is measured in the loop, then the winner's HJB sweep re-run
+        assert calls == {"solve_hjb_backward": 101, "solve_fpk_forward": 100}
         monkeypatch.undo()
         backward = solve_hjb_backward(grid, sol.m, params, coupling)
         m_br = solve_fpk_forward(grid, backward.transports, sol.m[0], params)
@@ -567,7 +564,7 @@ class TestContinuation:
         for zero, first in zip(*(run.solutions for run in runs)):
             assert np.array_equal(zero.m, first.m) and np.array_equal(zero.u, first.u)
 
-    def test_failed_rung_returns_partial(self):
+    def test_singular_window_violation_raises_config_error(self):
         grid = GridSpec(dim=1, n=16, nt=8, horizon=0.5)
         params = ModelParams(nu=0.5, beta=2.0, alpha=2.0, mu=0.0, horizon=0.5)
         # beta = 2, alpha = 2, mu -> 0 violates the singular window
@@ -576,3 +573,34 @@ class TestContinuation:
             solve_with_continuation(
                 grid, params, CouplingSpec(), schedule=schedule, m0=cosine_density(grid)
             )
+
+    @staticmethod
+    def _ladder_failing_at_rung_1(monkeypatch, exc):
+        """A two-rung ladder whose rung 1 raises ``exc``."""
+        solve = coupler.solve_mfg
+
+        def rung(grid, params, *args, **kwargs):
+            if params.mu < 1.0:
+                raise exc
+            return solve(grid, params, *args, **kwargs)
+
+        monkeypatch.setattr(coupler, "solve_mfg", rung)
+        grid = GridSpec(dim=1, n=16, nt=8, horizon=1.0)
+        schedule = ContinuationSchedule(epsilons=(0.05,), mus=(1.0, 0.5))
+        return solve_with_continuation(
+            grid, reference_params(), CouplingSpec(), schedule=schedule,
+            m0=cosine_density(grid),
+        )
+
+    def test_failed_rung_returns_partial(self, monkeypatch):
+        """A solver error in rung 1 ends the ladder and keeps rung 0's solution."""
+        exc = NewtonDiverged("rung 1 stalls")
+        res = self._ladder_failing_at_rung_1(monkeypatch, exc)
+        assert res.failed_rung == 1 and res.error is exc and not res.ok
+        assert len(res.solutions) == 1 and res.solutions[0].converged
+        assert res.solutions[0].params.mu == 1.0
+
+    def test_defect_in_a_rung_propagates(self, monkeypatch):
+        """A ``ValueError`` inside a rung is a defect, not a failed rung."""
+        with pytest.raises(ValueError, match="defect"):
+            self._ladder_failing_at_rung_1(monkeypatch, ValueError("defect"))
